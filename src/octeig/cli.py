@@ -84,20 +84,15 @@ def _print_checks(checks) -> bool:
     return all_pass
 
 
-def _cmd_eigen(args) -> int:
-    tol = _resolve_tolerance(args)
-    A = _load_matrix(args.matrix)
-    es = eigensystem(A)
-    payload = es.to_json()
-    payload["fingerprint"] = matrix_fingerprint(A)
+def _conclude(payload: dict, es, worst: float, tol: float, out: str) -> int:
+    """Record the worst residual against the tolerance, write the result, pick the exit code."""
     routed = es.matrix_class.tag != OCTONIONIC
     if routed:
         payload["routed_path"] = es.matrix_class.tag
-    worst = max(max(f.residuals.values()) for f in es.families)
     payload["worst_residual"] = worst
     payload["tolerance"] = tol
     payload["pass"] = worst <= tol
-    _emit(payload, args.out)
+    _emit(payload, out)
     if not payload["pass"]:
         print(f"residuals exceed tolerance {tol:g}", file=sys.stderr)
         return _EXIT_FAIL
@@ -106,6 +101,16 @@ def _cmd_eigen(args) -> int:
               file=sys.stderr)
         return _EXIT_DEGENERATE
     return _EXIT_OK
+
+
+def _cmd_eigen(args) -> int:
+    tol = _resolve_tolerance(args)
+    A = _load_matrix(args.matrix)
+    es = eigensystem(A)
+    payload = es.to_json()
+    payload["fingerprint"] = matrix_fingerprint(A)
+    worst = max(max(f.residuals.values()) for f in es.families)
+    return _conclude(payload, es, worst, tol, args.out)
 
 
 def _cmd_project(args) -> int:
@@ -115,23 +120,10 @@ def _cmd_project(args) -> int:
     es = eigensystem(A)
     dec = six_way(A, x, system=es)
     payload = dec.to_json()
-    routed = es.matrix_class.tag != OCTONIONIC
-    if routed:
-        payload["routed_path"] = es.matrix_class.tag
+    if es.matrix_class.tag != OCTONIONIC:
         payload["single_family"] = es.single_family
     worst = max([dec.reconstruction_residual, *dec.eigen_residuals])
-    payload["worst_residual"] = worst
-    payload["tolerance"] = tol
-    payload["pass"] = worst <= tol
-    _emit(payload, args.out)
-    if not payload["pass"]:
-        print(f"residuals exceed tolerance {tol:g}", file=sys.stderr)
-        return _EXIT_FAIL
-    if routed:
-        print(f"note: degenerate class, routed through the {es.matrix_class.tag} path",
-              file=sys.stderr)
-        return _EXIT_DEGENERATE
-    return _EXIT_OK
+    return _conclude(payload, es, worst, tol, args.out)
 
 
 def _report(command: str, args, tol: float, checks, extra=None) -> dict:

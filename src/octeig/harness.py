@@ -27,7 +27,7 @@ from .hermitian import (
     trace,
 )
 from .octonion import Octonion, associator, inner, left_mul_matrix
-from .projection import quaternionic_six_way, six_way
+from .projection import quaternionic_six_way, six_way, subalgebra_part
 from .spectral import (
     eigensystem,
     family_dimension_probe,
@@ -456,29 +456,9 @@ def _check_basis_invariance(ctx):
     return worst
 
 
-def _check_identity_decomposition(ctx):
-    return max(max(f.residuals["identity_decomposition"] for f in es.families)
-               for _, es in ctx.oct_pool)
-
-
-def _check_matrix_decomposition(ctx):
-    return max(max(f.residuals["matrix_decomposition"] for f in es.families)
-               for _, es in ctx.oct_pool)
-
-
-def _check_eigen_equation(ctx):
-    return max(max(f.residuals["eigen"] for f in es.families)
-               for _, es in ctx.oct_pool)
-
-
-def _check_k_eigen_equation(ctx):
-    return max(max(f.residuals["k_eigen"] for f in es.families)
-               for _, es in ctx.oct_pool)
-
-
-def _check_generalized_orthogonality(ctx):
-    return max(max(f.residuals["generalized_orthogonality"] for f in es.families)
-               for _, es in ctx.oct_pool)
+def _pool_residual(key: str):
+    """Check reading the worst `key` residual of the octonionic pool's eigensystems."""
+    return lambda ctx: max(max(f.residuals[key] for f in es.families) for _, es in ctx.oct_pool)
 
 
 def _check_theorem_eigen_projection(ctx):
@@ -684,15 +664,7 @@ def _check_quaternionic_six_way(ctx):
         dec = quaternionic_six_way(A, x, system=es)
         worst = max(worst, dec.reconstruction_residual, max(dec.eigen_residuals))
         # family-1 parts agree with the plain quaternionic expansion
-        hbasis, ell = quaternionic_split(A)
-
-        def h_part(q):
-            acc = Octonion.zero()
-            for h in hbasis:
-                acc = acc + h * inner(h, q)
-            return acc
-
-        x1 = OctVector3(tuple(h_part(q) for q in x.components))
+        x1 = subalgebra_part(quaternionic_split(A)[0], x)
         for pair, part in zip(es.families[0].pairs, dec.parts[:3]):
             classic = pair.v.right_mul(pair.v.dagger_dot(x1))
             worst = max(worst, (classic - part.component).norm() / max(1.0, x.norm()))
@@ -743,11 +715,11 @@ _CHECKS = (
     ("family-product-in-t", _check_family_product_in_t, 1.0),
     ("family-associator-multiplier", _check_family_associator_multiplier, 1.0),
     ("basis-invariance", _check_basis_invariance, 1.0),
-    ("identity-decomposition", _check_identity_decomposition, 1.0),
-    ("matrix-decomposition", _check_matrix_decomposition, 1.0),
-    ("eigen-equation", _check_eigen_equation, 1.0),
-    ("k-eigen-equation", _check_k_eigen_equation, 1.0),
-    ("generalized-orthogonality", _check_generalized_orthogonality, 1.0),
+    ("identity-decomposition", _pool_residual("identity_decomposition"), 1.0),
+    ("matrix-decomposition", _pool_residual("matrix_decomposition"), 1.0),
+    ("eigen-equation", _pool_residual("eigen"), 1.0),
+    ("k-eigen-equation", _pool_residual("k_eigen"), 1.0),
+    ("generalized-orthogonality", _pool_residual("generalized_orthogonality"), 1.0),
     ("eigen-projection-idempotence", _check_theorem_eigen_projection, 1.0),
     ("general-projection-idempotence", _check_theorem_general_projection, 1.0),
     ("restricted-projector-orthogonality", _check_restricted_projector, 1.0),
@@ -787,27 +759,17 @@ def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
     if kind not in _COORD_MASKS:
         raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
     rng = np.random.default_rng(seed)
-    worst = {
-        "eigen-equation": 0.0,
-        "identity-decomposition": 0.0,
-        "matrix-decomposition": 0.0,
-        "six-way-reconstruction": 0.0,
-        "six-way-eigen-residuals": 0.0,
-    }
+    names = {"eigen-equation": "eigen", "identity-decomposition": "identity_decomposition",
+             "matrix-decomposition": "matrix_decomposition"}
+    worst = dict.fromkeys([*names, "six-way-reconstruction", "six-way-eigen-residuals"], 0.0)
     for _ in range(max(1, samples)):
         A = random_hermitian(rng, kind)
         es = eigensystem(A)
-        for fam in es.families:
-            worst["eigen-equation"] = max(worst["eigen-equation"], fam.residuals["eigen"])
-            worst["identity-decomposition"] = max(
-                worst["identity-decomposition"], fam.residuals["identity_decomposition"])
-            worst["matrix-decomposition"] = max(
-                worst["matrix-decomposition"], fam.residuals["matrix_decomposition"])
-        x = random_vector(rng)
-        dec = six_way(A, x, system=es)
-        worst["six-way-reconstruction"] = max(
-            worst["six-way-reconstruction"], dec.reconstruction_residual)
-        worst["six-way-eigen-residuals"] = max(
-            worst["six-way-eigen-residuals"], max(dec.eigen_residuals))
+        dec = six_way(A, random_vector(rng), system=es)
+        found = {name: max(f.residuals[key] for f in es.families) for name, key in names.items()}
+        found["six-way-reconstruction"] = dec.reconstruction_residual
+        found["six-way-eigen-residuals"] = max(dec.eigen_residuals)
+        for name, value in found.items():
+            worst[name] = max(worst[name], value)
     return [CheckResult(name=k, residual=v, tolerance=tolerance, passed=v <= tolerance)
             for k, v in worst.items()]

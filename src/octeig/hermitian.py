@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .octonion import Octonion, assoc3form, associator
+from .octonion import Octonion, assoc3form, associator, left_mul_matrix
 
 __all__ = [
     "OctVector3",
@@ -29,6 +29,8 @@ __all__ = [
     "classify",
     "mat_vec",
     "outer",
+    "outer_entries",
+    "real_form",
     "REAL",
     "COMPLEX",
     "QUATERNIONIC",
@@ -119,7 +121,8 @@ class OctVector3:
     def from_json(cls, data) -> "OctVector3":
         if not isinstance(data, (list, tuple)) or len(data) != 3:
             raise ValueError("vector JSON must be a 3x8 array of numbers")
-        return cls(tuple(Octonion.from_json(row) for row in data))
+        return cls(_parse(f"component {i}", Octonion.from_json, row)
+                   for i, row in enumerate(data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,23 +185,31 @@ class Hermitian3:
     def from_json(cls, data) -> "Hermitian3":
         if not isinstance(data, dict):
             raise ValueError("matrix JSON must be an object with fields d, e, f, a, b, c")
-        fields = {}
-        for key in ("d", "e", "f"):
-            if key not in data:
-                raise ValueError(f"matrix JSON is missing field {key!r}")
-            fields[key] = float(data[key])
-        for key in ("a", "b", "c"):
-            if key not in data:
-                raise ValueError(f"matrix JSON is missing field {key!r}")
-            try:
-                fields[key] = Octonion.from_json(data[key])
-            except ValueError as exc:
-                raise ValueError(f"field {key!r}: {exc}") from exc
-        return cls(**fields)
+        missing = [key for key in ("d", "e", "f", "a", "b", "c") if key not in data]
+        if missing:
+            raise ValueError(f"matrix JSON is missing field {missing[0]!r}")
+        reals = (_parse(f"field {k!r}", _finite_real, data[k]) for k in ("d", "e", "f"))
+        octs = (_parse(f"field {k!r}", Octonion.from_json, data[k]) for k in ("a", "b", "c"))
+        return cls(*reals, *octs)
 
     def __repr__(self):
         return (f"Hermitian3(d={self.d:g}, e={self.e:g}, f={self.f:g}, "
                 f"a={self.a!r}, b={self.b!r}, c={self.c!r})")
+
+
+def _finite_real(x) -> float:
+    t = float(x)
+    if not np.isfinite(t):
+        raise ValueError(f"must be a finite number, got {x!r}")
+    return t
+
+
+def _parse(label: str, parse, value):
+    """parse(value), with a ValueError naming where in the JSON the value sat."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{label}: {exc}") from exc
 
 
 class MatrixClass(NamedTuple):
@@ -294,6 +305,35 @@ def mat_vec(A: Hermitian3, x: OctVector3) -> OctVector3:
 def outer(v: OctVector3) -> Hermitian3:
     """Rank-one Hermitian matrix v v^dagger."""
     return v.outer()
+
+
+_CONJ = np.array([1.0] + [-1.0] * 7)
+
+
+def outer_entries(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (n, 3) and a, b, c (n, 3, 8) of v v^dagger for each column v of V (24, n)."""
+    X = V.T.reshape(-1, 3, 8)
+    # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
+    off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
+    return np.einsum("nsi,nsi->ns", X, X), off
+
+
+def _block_form(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
+    la, lb, lc = (left_mul_matrix(off[..., k, :]) for k in range(3))
+    lat, lbt, lct = (L.swapaxes(-1, -2) for L in (la, lb, lc))
+    d, e, f = (dia[..., k, None, None] * np.eye(8) for k in range(3))
+    return np.block([[d, la, lbt], [lat, e, lc], [lb, lct, f]])
+
+
+# the real form is linear in the 27 numbers (d, e, f, a, b, c), and each of
+# its entries is +-1 times one of them, so one matmul builds it exactly
+_REAL_FORM = _block_form(np.eye(27)[:, :3], np.eye(27)[:, 3:].reshape(27, 3, 8)).reshape(27, 576)
+
+
+def real_form(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """24x24 real matrices of x -> A x for diagonals (..., 3) and a, b, c (..., 3, 8)."""
+    flat = np.concatenate([dia, off.reshape(off.shape[:-2] + (24,))], axis=-1)
+    return (flat @ _REAL_FORM).reshape(flat.shape[:-1] + (24, 24))
 
 
 def hermitian_combination(pairs) -> Hermitian3:

@@ -145,7 +145,10 @@ class Octonion:
     def from_json(cls, data) -> "Octonion":
         if not isinstance(data, (list, tuple)) or len(data) != 8:
             raise ValueError(f"octonion JSON must be an array of 8 numbers, got {data!r}")
-        return cls(data)
+        q = cls(data)
+        if not np.isfinite(q.coords).all():
+            raise ValueError(f"octonion coordinates must be finite, got {data!r}")
+        return q
 
 
 def mul(p: Octonion, q: Octonion) -> Octonion:
@@ -174,6 +177,10 @@ def assoc3form(a: Octonion, b: Octonion, c: Octonion) -> float:
     return 0.5 * ((a * (bc * c)).real - (c * (bc * a)).real)
 
 
-def left_mul_matrix(q: Octonion) -> np.ndarray:
-    """8x8 real matrix L with L @ coords(x) = coords(q*x) for every x."""
-    return (q.coords @ _TABLE_2D).reshape(8, 8).T
+def left_mul_matrix(q) -> np.ndarray:
+    """8x8 real matrix L with L @ coords(x) = coords(q*x) for every x.
+
+    q may also be a coordinate array of shape (..., 8), giving shape (..., 8, 8).
+    """
+    c = q.coords if isinstance(q, Octonion) else np.asarray(q, dtype=float)
+    return (c @ _TABLE_2D).reshape(c.shape[:-1] + (8, 8)).swapaxes(-1, -2)

@@ -10,6 +10,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FamilyMismatch, NotQuaternionic
 from .hermitian import (
     OCTONIONIC,
@@ -21,9 +23,8 @@ from .hermitian import (
     mat_vec,
     outer,
 )
-from .octonion import Octonion, inner
-from .spectral import EigenSystem, eigensystem, k_vector
-from .subspace import project_km_vec, quaternionic_split
+from .spectral import EigenSystem, eigensystem, k_vector, realify24, realify_rank_one
+from .subspace import apply_blockwise, k_matrix, quaternionic_split
 
 __all__ = [
     "DecompositionPart",
@@ -31,6 +32,7 @@ __all__ = [
     "project_along",
     "six_way",
     "quaternionic_six_way",
+    "subalgebra_part",
 ]
 
 _ZERO_PART_TOL = 1e-10
@@ -94,21 +96,39 @@ def project_along(v: OctVector3, y: OctVector3, check: bool = True,
     return mat_vec(B, y)
 
 
-def _expand(A: Hermitian3, pairs, xm: OctVector3, zero_tol: float):
+def subalgebra_part(hbasis, x: OctVector3) -> OctVector3:
+    """Componentwise orthogonal projection of x onto the real span of hbasis."""
+    H = np.array([h.coords for h in hbasis])
+    return OctVector3.from_coords(apply_blockwise(H.T @ H, x.to_coords()))
+
+
+def _decompose(A: Hermitian3, x: OctVector3, tag: str, splits) -> SixWayDecomposition:
+    """Expand each piece xm of x along its pairs, (v v^dagger) xm, for (pairs, xm) in splits."""
+    R = realify24(A)
+    scale = max(1.0, A.frobenius())
+    zero_tol = _ZERO_PART_TOL * max(x.norm(), 1e-300)
     parts = []
     residuals = []
-    scale = max(1.0, A.frobenius())
-    for pair in pairs:
-        comp = project_along(pair.v, xm, check=False)
-        if comp.norm() < zero_tol:
-            comp = OctVector3((Octonion.zero(),) * 3)
-            residuals.append(0.0)
-        else:
-            residuals.append(
-                (mat_vec(A, comp) - comp.scale(pair.lam)).norm() / (scale * comp.norm())
-            )
-        parts.append(DecompositionPart(family=pair.family, lam=pair.lam, component=comp))
-    return parts, residuals
+    for pairs, xm in splits:
+        comps = realify_rank_one(np.array([p.v.to_coords() for p in pairs]).T) @ xm
+        for pair, comp in zip(pairs, comps):
+            n = np.linalg.norm(comp)
+            if n < zero_tol:
+                comp = np.zeros(24)
+                residuals.append(0.0)
+            else:
+                residuals.append(float(np.linalg.norm(R @ comp - pair.lam * comp) / (scale * n)))
+            parts.append(DecompositionPart(family=pair.family, lam=pair.lam,
+                                           component=OctVector3.from_coords(comp)))
+    total = sum(p.component.to_coords() for p in parts)
+    recon = np.linalg.norm(total - x.to_coords()) / max(x.norm(), 1e-300)
+    return SixWayDecomposition(
+        parts=tuple(parts),
+        reconstruction_residual=float(recon),
+        eigen_residuals=tuple(residuals),
+        matrix_class=tag,
+        fingerprint=matrix_fingerprint(A),
+    )
 
 
 def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:
@@ -124,32 +144,14 @@ def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayD
     tag = system.matrix_class.tag
     if tag == QUATERNIONIC:
         return quaternionic_six_way(A, x, system=system)
-    fp = matrix_fingerprint(A)
-    zero_tol = _ZERO_PART_TOL * max(x.norm(), 1e-300)
-    parts = []
-    residuals = []
+    coords = x.to_coords()
     if tag == OCTONIONIC:
-        for fam in system.families:
-            xm = project_km_vec(A, fam.context.m, x)
-            p, res = _expand(A, fam.pairs, xm, zero_tol)
-            parts.extend(p)
-            residuals.extend(res)
+        K = k_matrix(A)
+        splits = [(fam.pairs, apply_blockwise(fam.context.projector(K), coords))
+                  for fam in system.families]
     else:
-        fam = system.families[0]
-        p, res = _expand(A, fam.pairs, x, zero_tol)
-        parts.extend(p)
-        residuals.extend(res)
-    total = parts[0].component
-    for part in parts[1:]:
-        total = total + part.component
-    recon = (total - x).norm() / max(x.norm(), 1e-300)
-    return SixWayDecomposition(
-        parts=tuple(parts),
-        reconstruction_residual=recon,
-        eigen_residuals=tuple(residuals),
-        matrix_class=tag,
-        fingerprint=fp,
-    )
+        splits = [(system.families[0].pairs, coords)]
+    return _decompose(A, x, tag, splits)
 
 
 def quaternionic_six_way(A: Hermitian3, x: OctVector3,
@@ -163,30 +165,8 @@ def quaternionic_six_way(A: Hermitian3, x: OctVector3,
         raise NotQuaternionic("matrix entries are not quaternionic")
     if system is None:
         system = eigensystem(A)
-    hbasis, ell = quaternionic_split(A)
-
-    def h_part(q: Octonion) -> Octonion:
-        acc = Octonion.zero()
-        for h in hbasis:
-            acc = acc + h * inner(h, q)
-        return acc
-
-    x1 = OctVector3(tuple(h_part(q) for q in x.components))
-    rem = x - x1
-    fp = matrix_fingerprint(A)
-    zero_tol = _ZERO_PART_TOL * max(x.norm(), 1e-300)
-    parts, residuals = _expand(A, system.families[0].pairs, x1, zero_tol)
-    p2, r2 = _expand(A, system.families[1].pairs, rem, zero_tol)
-    parts.extend(p2)
-    residuals.extend(r2)
-    total = parts[0].component
-    for part in parts[1:]:
-        total = total + part.component
-    recon = (total - x).norm() / max(x.norm(), 1e-300)
-    return SixWayDecomposition(
-        parts=tuple(parts),
-        reconstruction_residual=recon,
-        eigen_residuals=tuple(residuals),
-        matrix_class=QUATERNIONIC,
-        fingerprint=fp,
-    )
+    hbasis, _ = quaternionic_split(A)
+    x1 = subalgebra_part(hbasis, x).to_coords()
+    fam1, fam2 = system.families
+    return _decompose(A, x, QUATERNIONIC,
+                      [(fam1.pairs, x1), (fam2.pairs, x.to_coords() - x1)])

@@ -5,8 +5,8 @@ The real eigenvalues come from the cubic
     lam^3 - tr(A) lam^2 + sigma(A) lam - det(A) = r
 
 with r a root of the family quadratic, so each matrix carries two
-3-eigenvalue families.  Eigenvectors are extracted from realified
-nullspaces and filtered into families with the K projectors; the
+3-eigenvalue families.  Octonionic eigenvectors come from one eigh of the
+real 24x24 form, labelled into families with the K projectors; the
 generic quaternionic and complex routes are handled separately.
 """
 
@@ -28,15 +28,18 @@ from .hermitian import (
     det,
     mat_vec,
     outer,
+    outer_entries,
+    real_form,
     sigma,
     trace,
 )
-from .octonion import Octonion, inner, left_mul_matrix
+from .octonion import Octonion, inner
 from .subspace import (
     FamilyContext,
+    apply_blockwise,
     conj_matrix,
-    family_context,
-    project_km_vec,
+    family_contexts,
+    k_matrix,
     quaternionic_split,
 )
 
@@ -47,6 +50,7 @@ __all__ = [
     "lambda_roots",
     "k_vector",
     "realify24",
+    "realify_rank_one",
     "real_nullspace",
     "eigenvectors",
     "eigensystem",
@@ -153,22 +157,19 @@ def k_vector(A: Hermitian3, x: OctVector3) -> OctVector3:
 
 def realify24(A: Hermitian3) -> np.ndarray:
     """Real 24x24 matrix of x -> A x under O^3 = R^24; symmetric for Hermitian A."""
-    rows = A.entries()
-    out = np.zeros((24, 24))
-    for i in range(3):
-        for j in range(3):
-            out[8 * i:8 * i + 8, 8 * j:8 * j + 8] = left_mul_matrix(rows[i][j])
-    return out
+    return real_form(np.array([A.d, A.e, A.f]), np.array([A.a.coords, A.b.coords, A.c.coords]))
+
+
+def realify_rank_one(V: np.ndarray) -> np.ndarray:
+    """Stack of the 24x24 real forms of v v^dagger, one per column v of V."""
+    return real_form(*outer_entries(V))
 
 
 def real_nullspace(M: np.ndarray, rel_threshold: float = _RANK_TOL) -> np.ndarray:
     """Orthonormal nullspace basis (columns) by SVD with a relative rank cut."""
     _, s, vh = np.linalg.svd(M)
     cut = rel_threshold * max(1.0, s[0] if s.size else 0.0)
-    null_rows = [vh[i] for i in range(vh.shape[0]) if i >= s.size or s[i] < cut]
-    if not null_rows:
-        return np.zeros((M.shape[1], 0))
-    return np.array(null_rows).T
+    return vh[int(np.sum(s >= cut)):].T
 
 
 def _column_basis(cols: np.ndarray, rel_threshold: float = _RANK_TOL) -> np.ndarray:
@@ -199,54 +200,42 @@ def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
     raise ExtractionFailure("could not pick a representative from the candidate subspace")
 
 
-def _family_filter(A: Hermitian3, m: int, cols: np.ndarray) -> np.ndarray:
-    filtered = np.empty_like(cols)
-    for k in range(cols.shape[1]):
-        vec = OctVector3.from_coords(cols[:, k])
-        filtered[:, k] = project_km_vec(A, m, vec).to_coords()
-    return filtered
+def _family_pairs(labelled: np.ndarray, m: int, lam: float,
+                  multiplicity: int) -> list[EigenPair]:
+    """`multiplicity` orthonormal eigenpairs spanned by family-projected columns.
+
+    For repeated eigenvalues a Gram-Schmidt sweep subtracts the rank-one
+    projection (v v^dagger) y, which is idempotent on this K eigenspace.
+    """
+    space = _column_basis(labelled)
+    if space.shape[1] < 4 * multiplicity:
+        raise ExtractionFailure(
+            f"family-{m} eigenspace at lambda={lam:.6g} has dimension "
+            f"{space.shape[1]}, expected {4 * multiplicity}"
+        )
+    pairs = []
+    for k in range(multiplicity):
+        rep = _pick_representative(space, 8)
+        pairs.append(EigenPair(lam=lam, v=OctVector3.from_coords(rep), family=m))
+        if k + 1 < multiplicity:
+            space = _column_basis(space - realify_rank_one(rep[:, None])[0] @ space)
+            if space.shape[1] < 4 * (multiplicity - k - 1):
+                raise ExtractionFailure(
+                    f"generalized orthogonalization at lambda={lam:.6g} lost rank"
+                )
+    return pairs
 
 
 def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
                  multiplicity: int = 1) -> list[EigenPair]:
     """Extract `multiplicity` orthonormal eigenpairs for one family eigenvalue.
 
-    Pipeline: nullspace of the realified shifted matrix, componentwise K
-    projection to isolate the family (expected real dimension is 4 per
-    requested eigenvector), a deterministic unit representative, and for
-    repeated eigenvalues a Gram-Schmidt sweep that subtracts the rank-one
-    projection (v v^dagger) y, which is idempotent on this K eigenspace.
+    Reference path: the nullspace of the realified shifted matrix, with the
+    family projector P_m applied blockwise (real dimension 4 per eigenvector).
     """
-    M = realify24(A) - lam * np.eye(24)
-    null = real_nullspace(M)
-    if null.shape[1] < 4 * multiplicity:
-        raise ExtractionFailure(
-            f"nullspace at lambda={lam:.6g} has dimension {null.shape[1]}, "
-            f"expected at least {4 * multiplicity}"
-        )
-    space = _column_basis(_family_filter(A, fam.m, null))
-    if space.shape[1] < 4 * multiplicity:
-        raise ExtractionFailure(
-            f"family-{fam.m} eigenspace at lambda={lam:.6g} has dimension "
-            f"{space.shape[1]}, expected {4 * multiplicity}"
-        )
-    pairs = []
-    for k in range(multiplicity):
-        rep = _pick_representative(space, 8)
-        v = OctVector3.from_coords(rep)
-        pairs.append(EigenPair(lam=lam, v=v, family=fam.m))
-        if k + 1 < multiplicity:
-            proj = outer(v)
-            reduced = np.empty_like(space)
-            for j in range(space.shape[1]):
-                y = OctVector3.from_coords(space[:, j])
-                reduced[:, j] = (y - mat_vec(proj, y)).to_coords()
-            space = _column_basis(reduced)
-            if space.shape[1] < 4 * (multiplicity - k - 1):
-                raise ExtractionFailure(
-                    f"generalized orthogonalization at lambda={lam:.6g} lost rank"
-                )
-    return pairs
+    null = real_nullspace(realify24(A) - lam * np.eye(24))
+    labelled = apply_blockwise(fam.projector(k_matrix(A)), null)
+    return _family_pairs(labelled, fam.m, lam, multiplicity)
 
 
 def _cluster(values) -> list[list[float]]:
@@ -261,45 +250,62 @@ def _cluster(values) -> list[list[float]]:
     return groups
 
 
-def _family_residuals(A: Hermitian3, fam: FamilyContext, pairs) -> dict:
+def _real_forms(A: Hermitian3) -> tuple[np.ndarray, np.ndarray]:
+    """realify24(A), and the real form R^3 - tr R^2 + sigma R - det of k_vector."""
+    R = realify24(A)
+    R2 = R @ R
+    return R, R2 @ R - trace(A) * R2 + sigma(A) * R - det(A) * np.eye(24)
+
+
+def _hermitian_norm(dia: np.ndarray, off: np.ndarray) -> float:
+    """Frobenius norm of a Hermitian matrix given by its diagonal and a, b, c."""
+    return float(np.sqrt(dia @ dia + 2.0 * np.vdot(off, off)))
+
+
+def _family_residuals(A: Hermitian3, forms, fam: FamilyContext, pairs) -> dict:
+    """Residuals of one family's eigenpairs, on the real forms of `_real_forms`."""
+    R, K24 = forms
     scale = max(1.0, A.frobenius())
-    eig = 0.0
-    keig = 0.0
-    for p in pairs:
-        eig = max(eig, (mat_vec(A, p.v) - p.v.scale(p.lam)).norm() / scale ** 1)
-        keig = max(keig, (k_vector(A, p.v) - p.v.scale(fam.r)).norm() / scale ** 3)
-    ident = Hermitian3.identity()
-    acc = Hermitian3.diagonal(0.0, 0.0, 0.0)
-    amat = Hermitian3.diagonal(0.0, 0.0, 0.0)
-    for p in pairs:
-        vv = outer(p.v)
-        acc = acc + vv
-        amat = amat + vv.scale(p.lam)
-    ortho = 0.0
-    for i, pi in enumerate(pairs):
-        for pj in pairs[i + 1:]:
-            ortho = max(ortho, mat_vec(outer(pi.v), pj.v).norm())
+    V = np.array([p.v.to_coords() for p in pairs]).T
+    lams = np.array([p.lam for p in pairs])
+    dia, off = outer_entries(V)
+    ident = _hermitian_norm(dia.sum(0) - 1.0, off.sum(0))
+    amat = _hermitian_norm(lams @ dia - [A.d, A.e, A.f],
+                           (lams @ off.reshape(-1, 24)).reshape(3, 8)
+                           - [A.a.coords, A.b.coords, A.c.coords])
+    # |(v_i v_i^dagger) v_j| for every i < j
+    cross = np.linalg.norm(real_form(dia, off) @ V, axis=1)
     return {
-        "eigen": eig,
-        "k_eigen": keig,
-        "identity_decomposition": (acc - ident).frobenius(),
-        "matrix_decomposition": (amat - A).frobenius() / scale,
-        "generalized_orthogonality": ortho,
+        "eigen": float(np.linalg.norm(R @ V - V * lams, axis=0).max()) / scale,
+        "k_eigen": float(np.linalg.norm(K24 @ V - fam.r * V, axis=0).max()) / scale ** 3,
+        "identity_decomposition": ident,
+        "matrix_decomposition": amat / scale,
+        "generalized_orthogonality": float(np.triu(cross, 1).max()),
     }
 
 
 def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
+    """Both families from one eigh of the real form, labelled by P_m.
+
+    The eigh columns within _RANK_TOL ||A|| of a polished cubic root span its
+    real eigenspace, 8-dimensional when the other family has an eigenvalue
+    that close too; P_m keeps the family's part.
+    """
+    forms = _real_forms(A)
+    w, U = np.linalg.eigh(forms[0])
+    K = k_matrix(A)
+    tol = _RANK_TOL * A.frobenius()
     families = []
-    for m in (1, 2):
-        fam = family_context(A, m)
-        roots = lambda_roots(A, fam.r)
+    for fam in family_contexts(A):
+        P = fam.projector(K)
         pairs = []
-        for group in _cluster(roots):
+        for group in _cluster(lambda_roots(A, fam.r)):
             lam = float(np.mean(group))
-            pairs.extend(eigenvectors(A, fam, lam, multiplicity=len(group)))
+            labelled = apply_blockwise(P, U[:, np.abs(w - lam) <= tol])
+            pairs.extend(_family_pairs(labelled, fam.m, lam, len(group)))
         pairs.sort(key=lambda p: p.lam)
         families.append(FamilyEigensystem(
-            context=fam, pairs=tuple(pairs), residuals=_family_residuals(A, fam, pairs),
+            context=fam, pairs=tuple(pairs), residuals=_family_residuals(A, forms, fam, pairs),
         ))
     return EigenSystem(matrix_class=cls, families=tuple(families))
 
@@ -378,7 +384,8 @@ def _quaternionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
     fams = []
     pairs1 = [EigenPair(lam, v, 1) for lam, v in _quat_hermitian_eig(A, hbasis)]
     ctx1 = FamilyContext(m=1, r=0.0, phi=0.0, alpha=zero, s=None)
-    fams.append(FamilyEigensystem(ctx1, tuple(pairs1), _family_residuals(A, ctx1, pairs1)))
+    forms = _real_forms(A)
+    fams.append(FamilyEigensystem(ctx1, tuple(pairs1), _family_residuals(A, forms, ctx1, pairs1)))
     Abar = conj_matrix(A)
     lifted = []
     for lam, u in _quat_hermitian_eig(Abar, hbasis):
@@ -387,7 +394,7 @@ def _quaternionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
     # conjugate matrix, which shifts the constant term: K picks up the
     # determinant gap as its eigenvalue on this family
     ctx2 = FamilyContext(m=2, r=det(Abar) - det(A), phi=0.0, alpha=zero, s=None)
-    fams.append(FamilyEigensystem(ctx2, tuple(lifted), _family_residuals(A, ctx2, lifted)))
+    fams.append(FamilyEigensystem(ctx2, tuple(lifted), _family_residuals(A, forms, ctx2, lifted)))
     return EigenSystem(matrix_class=cls, families=tuple(fams))
 
 
@@ -423,7 +430,7 @@ def _complex_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
         )
         pairs.append(EigenPair(float(evals[k]), OctVector3(comps), 1))
     ctx = FamilyContext(m=1, r=0.0, phi=0.0, alpha=Octonion.zero(), s=None)
-    fam = FamilyEigensystem(ctx, tuple(pairs), _family_residuals(A, ctx, pairs))
+    fam = FamilyEigensystem(ctx, tuple(pairs), _family_residuals(A, _real_forms(A), ctx, pairs))
     return EigenSystem(matrix_class=cls, families=(fam,))
 
 
@@ -447,27 +454,16 @@ def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:
 
     Defined for normalized u with a non-complex projector u u^dagger.
     """
-    B = outer(u)
-    if classify(B).tag in (REAL, COMPLEX):
+    if classify(outer(u)).tag in (REAL, COMPLEX):
         raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
-    n2 = u.norm2()
-    bw = mat_vec(B, w)
-    resid = (mat_vec(B, bw) - bw.scale(n2)).norm()
-    return resid <= tol * max(w.norm(), 1e-300) * max(1.0, n2) ** 2
+    resid = np.linalg.norm(_membership_operator(u) @ w.to_coords())
+    return bool(resid <= tol * max(w.norm(), 1e-300) * max(1.0, u.norm2()) ** 2)
 
 
 def _membership_operator(v: OctVector3) -> np.ndarray:
     """24x24 matrix of w -> (vv^t)((vv^t) w) - (v^t v)(vv^t) w."""
-    B = outer(v)
-    n2 = v.norm2()
-    cols = np.empty((24, 24))
-    for j in range(24):
-        e = np.zeros(24)
-        e[j] = 1.0
-        w = OctVector3.from_coords(e)
-        bw = mat_vec(B, w)
-        cols[:, j] = (mat_vec(B, bw) - bw.scale(n2)).to_coords()
-    return cols
+    B = realify_rank_one(v.to_coords()[:, None])[0]
+    return B @ B - v.norm2() * B
 
 
 def family_dimension_probe(v: OctVector3, samples: int = 24, seed: int = 0) -> int:

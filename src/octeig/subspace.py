@@ -22,7 +22,7 @@ from .hermitian import (
     classify,
     phi,
 )
-from .octonion import Octonion, inner
+from .octonion import Octonion, inner, left_mul_matrix
 
 __all__ = [
     "TBasis",
@@ -31,7 +31,11 @@ __all__ = [
     "r_roots",
     "s_elements",
     "family_context",
+    "family_contexts",
     "k_scalar",
+    "k_matrix",
+    "family_projector",
+    "apply_blockwise",
     "project_km",
     "project_km_vec",
     "cd_table_check",
@@ -68,6 +72,10 @@ class FamilyContext:
             "s": None if self.s is None else self.s.to_json(),
         }
 
+    def projector(self, K: np.ndarray) -> np.ndarray:
+        """P_m = (K + r_m + 4 phi) / (2 (r_m + 2 phi)) from the 8x8 matrix K."""
+        return (K + (self.r + 4.0 * self.phi) * np.eye(8)) / (2.0 * (self.r + 2.0 * self.phi))
+
 
 def orthonormalize(octs, tol: float = 1e-9) -> tuple:
     """Classical Gram-Schmidt with one re-orthogonalization pass.
@@ -87,15 +95,11 @@ def orthonormalize(octs, tol: float = 1e-9) -> tuple:
     return tuple(basis)
 
 
-def _span_matrix(basis) -> np.ndarray:
-    return np.array([b.coords for b in basis])
-
-
 def span_distance(q: Octonion, basis) -> float:
     """Euclidean distance from q to the real span of the given octonions."""
     if not basis:
         return q.norm()
-    m = _span_matrix(basis)
+    m = np.array([b.coords for b in basis])
     proj = m.T @ (m @ q.coords)
     return float(np.linalg.norm(q.coords - proj))
 
@@ -106,7 +110,8 @@ def t_basis(A: Hermitian3) -> TBasis:
     return TBasis(vectors=basis, dim=len(basis))
 
 
-def _require_octonionic(A: Hermitian3) -> tuple[float, Octonion]:
+def _invariants(A: Hermitian3) -> tuple[float, Octonion, tuple[float, float]]:
+    """phi, alpha and the family roots (r1, r2), derived once for the matrix."""
     ph = phi(A)
     al = alpha(A)
     scale = (1.0 + A.a.norm()) * (1.0 + A.b.norm()) * (1.0 + A.c.norm())
@@ -114,34 +119,32 @@ def _require_octonionic(A: Hermitian3) -> tuple[float, Octonion]:
         raise DegenerateFamily(
             "associator vanishes; families are not labeled by r (use the quaternionic path)"
         )
-    return ph, al
+    disc = np.sqrt(4.0 * ph * ph + al.norm2())
+    return ph, al, (-2.0 * ph + disc, -2.0 * ph - disc)
 
 
 def r_roots(A: Hermitian3) -> tuple[float, float]:
     """Roots r1 >= r2 of r^2 + 4 phi r - |alpha|^2 = 0, distinct when alpha != 0."""
-    ph, al = _require_octonionic(A)
-    disc = np.sqrt(4.0 * ph * ph + al.norm2())
-    return (-2.0 * ph + disc, -2.0 * ph - disc)
+    return _invariants(A)[2]
 
 
 def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
     """Family generators s_m = (r_m + 4 phi + alpha) / (2 (r_m + 2 phi)); s1 + s2 = 1."""
-    ph, al = _require_octonionic(A)
-    r1, r2 = r_roots(A)
-    out = []
-    for r in (r1, r2):
-        denom = 2.0 * (r + 2.0 * ph)
-        num = Octonion.from_real(r + 4.0 * ph) + al
-        out.append(num / denom)
-    return tuple(out)
+    return tuple(fam.s for fam in family_contexts(A))
+
+
+def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
+    """Both family contexts, m = 1 and m = 2, from one derivation of phi, alpha, r."""
+    ph, al, rs = _invariants(A)
+    return tuple(FamilyContext(m=m, r=r, phi=ph, alpha=al,
+                               s=(Octonion.from_real(r + 4.0 * ph) + al) / (2.0 * (r + 2.0 * ph)))
+                 for m, r in zip((1, 2), rs))
 
 
 def family_context(A: Hermitian3, m: int) -> FamilyContext:
     if m not in (1, 2):
         raise ValueError("family index must be 1 or 2")
-    r = r_roots(A)[m - 1]
-    s = s_elements(A)[m - 1]
-    return FamilyContext(m=m, r=r, phi=phi(A), alpha=alpha(A), s=s)
+    return family_contexts(A)[m - 1]
 
 
 def k_scalar(A: Hermitian3, p: Octonion) -> Octonion:
@@ -158,18 +161,35 @@ def k_scalar(A: Hermitian3, p: Octonion) -> Octonion:
     return c * (b * (a * p)) + a.conj() * (b.conj() * (c.conj() * p)) - p * bracket
 
 
+def k_matrix(A: Hermitian3) -> np.ndarray:
+    """8x8 matrix of k_scalar: L_c L_b L_a + L_abar L_bbar L_cbar - 2 Re((cb)a) I.
+
+    Left multiplication by a conjugate is the transpose, L_abar = L_a^T.
+    """
+    la, lb, lc = (left_mul_matrix(q) for q in (A.a, A.b, A.c))
+    bracket = 2.0 * ((A.c * A.b) * A.a).real
+    return lc @ (lb @ la) + la.T @ (lb.T @ lc.T) - bracket * np.eye(8)
+
+
+def family_projector(A: Hermitian3, m: int) -> np.ndarray:
+    """8x8 projector P_m onto the K eigenspace T_m."""
+    return family_context(A, m).projector(k_matrix(A))
+
+
+def apply_blockwise(P: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Apply an 8x8 map to each octonion slot of a 24-vector or of 24 x n columns."""
+    coords = np.asarray(coords)
+    return (P @ coords.reshape(3, 8, -1)).reshape(coords.shape)
+
+
 def project_km(A: Hermitian3, m: int, p: Octonion) -> Octonion:
     """Projector onto the K eigenspace T_m: (K + r_m + 4 phi) / (2 (r_m + 2 phi))."""
-    if m not in (1, 2):
-        raise ValueError("family index must be 1 or 2")
-    ph, _ = _require_octonionic(A)
-    r = r_roots(A)[m - 1]
-    return (k_scalar(A, p) + p * (r + 4.0 * ph)) / (2.0 * (r + 2.0 * ph))
+    return Octonion(family_projector(A, m) @ p.coords)
 
 
 def project_km_vec(A: Hermitian3, m: int, x: OctVector3) -> OctVector3:
     """Componentwise family projection of a vector."""
-    return OctVector3(tuple(project_km(A, m, p) for p in x.components))
+    return OctVector3.from_coords(apply_blockwise(family_projector(A, m), x.to_coords()))
 
 
 def cd_table_check(A: Hermitian3, t1: Octonion, t2: Octonion) -> tuple[float, float, float]:

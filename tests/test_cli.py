@@ -139,3 +139,23 @@ def test_tolerance_flag_beats_env(files, monkeypatch, capsys):
 def test_missing_file(files, capsys):
     assert main(["eigen", str(files["tmp"] / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_eigen_rejects_nan_entry(files, capsys):
+    data = json.loads(open(files["oct"]).read())
+    data["d"] = float("nan")
+    path = files["tmp"] / "nan.json"
+    path.write_text(json.dumps(data))
+    assert main(["eigen", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: field 'd': must be a finite number" in err
+
+
+def test_project_rejects_inf_coordinate(files, capsys):
+    rows = json.loads(open(files["vec"]).read())
+    rows[1][4] = float("inf")
+    path = files["tmp"] / "inf.json"
+    path.write_text(json.dumps(rows))
+    assert main(["project", files["oct"], str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: component 1: octonion coordinates must be finite" in err

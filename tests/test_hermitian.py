@@ -13,7 +13,9 @@ from octeig.hermitian import (
     det,
     mat_vec,
     outer,
+    outer_entries,
     phi,
+    real_form,
     sigma,
     trace,
 )
@@ -208,3 +210,39 @@ def test_vector_json(rng):
     assert (x - y).norm() == 0.0
     with pytest.raises(ValueError):
         OctVector3.from_json([[0.0] * 8, [0.0] * 8])
+
+
+def test_json_rejects_non_finite(rng):
+    data = rand_herm(rng).to_json()
+    data["d"] = float("nan")
+    with pytest.raises(ValueError, match="field 'd': must be a finite number"):
+        Hermitian3.from_json(data)
+    data = rand_herm(rng).to_json()
+    data["b"][3] = float("-inf")
+    with pytest.raises(ValueError, match="field 'b': octonion coordinates must be finite"):
+        Hermitian3.from_json(data)
+    data = rand_herm(rng).to_json()
+    data["e"] = None
+    with pytest.raises(ValueError, match="field 'e'"):
+        Hermitian3.from_json(data)
+    rows = rand_vec(rng).to_json()
+    rows[2][0] = float("inf")
+    with pytest.raises(ValueError, match="component 2: octonion coordinates must be finite"):
+        OctVector3.from_json(rows)
+
+
+def test_outer_entries_match_outer(rng):
+    vs = [rand_vec(rng) for _ in range(5)]
+    dia, off = outer_entries(np.array([v.to_coords() for v in vs]).T)
+    for k, v in enumerate(vs):
+        B = outer(v)
+        assert np.allclose(dia[k], [B.d, B.e, B.f], rtol=0, atol=1e-14)
+        assert np.allclose(off[k], [B.a.coords, B.b.coords, B.c.coords], rtol=0, atol=1e-14)
+
+
+def test_real_form_is_realify24(rng):
+    A = rand_herm(rng)
+    M = real_form(np.array([A.d, A.e, A.f]), np.array([A.a.coords, A.b.coords, A.c.coords]))
+    assert np.array_equal(M, realify24(A))
+    stacked = real_form(np.zeros((2, 5, 3)), np.zeros((2, 5, 3, 8)))
+    assert stacked.shape == (2, 5, 24, 24)

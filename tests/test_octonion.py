@@ -175,3 +175,16 @@ def test_immutability(rng):
     p = rand_oct(rng)
     with pytest.raises(ValueError):
         p.coords[0] = 5.0
+
+
+def test_left_mul_matrix_batched(rng):
+    coords = rng.uniform(-1, 1, (2, 3, 8))
+    stack = left_mul_matrix(coords)
+    assert stack.shape == (2, 3, 8, 8)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(stack[idx], left_mul_matrix(Octonion(coords[idx])))
+
+
+def test_json_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        Octonion.from_json([0.0] * 7 + [float("nan")])

@@ -9,6 +9,7 @@ from octeig.projection import (
     project_along,
     quaternionic_six_way,
     six_way,
+    subalgebra_part,
 )
 from octeig.subspace import project_km_vec, quaternionic_split
 
@@ -246,3 +247,17 @@ def test_serialization(rng, octonionic_pool):
     assert data["fingerprint"] == matrix_fingerprint(A)
     assert len(data["parts"][0]["component"]) == 3
     assert data["reconstruction_residual"] < 1e-8
+
+
+def test_subalgebra_part(rng):
+    A = rand_herm(rng, mask=(0, 1, 2, 4))
+    hbasis, ell = quaternionic_split(A)
+    x = rand_vec(rng)
+    x1 = subalgebra_part(hbasis, x)
+    for q, q1 in zip(x.components, x1.components):
+        ref = Octonion.zero()
+        for h in hbasis:
+            ref = ref + h * inner(h, q)
+        assert (q1 - ref).norm() < 1e-14
+        # the remainder is orthogonal to the subalgebra
+        assert max(abs(inner(h, q - q1)) for h in hbasis) < 1e-14

@@ -1,18 +1,27 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octeig.errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from octeig.hermitian import (
     Hermitian3,
     OctVector3,
     det,
+    hermitian_combination,
     mat_vec,
     outer,
     sigma,
     trace,
 )
+from octeig.harness import random_hermitian
 from octeig.octonion import Octonion
 from octeig.spectral import (
+    EigenPair,
+    _family_residuals,
+    _real_forms,
     eigensystem,
     eigenvectors,
     family_dimension_probe,
@@ -20,6 +29,7 @@ from octeig.spectral import (
     lambda_roots,
     real_nullspace,
     realify24,
+    realify_rank_one,
     same_family,
 )
 from octeig.subspace import family_context, k_scalar, project_km_vec, r_roots
@@ -292,3 +302,98 @@ def test_eigensystem_json(octonionic_pool):
         "eigen", "k_eigen", "identity_decomposition",
         "matrix_decomposition", "generalized_orthogonality",
     }
+
+
+def assert_matches_nullspace_reference(A, es):
+    # eigenvectors() keeps the SVD nullspace as the extraction source;
+    # pairs of one repeated eigenvalue share its (mean) lambda
+    for fam in es.families:
+        for lam, group in groupby(fam.pairs, key=lambda p: p.lam):
+            group = list(group)
+            ref = eigenvectors(A, fam.context, lam, multiplicity=len(group))
+            for got, want in zip(group, ref):
+                assert np.abs(got.v.to_coords() - want.v.to_coords()).max() < 1e-10
+
+
+def test_eigensystem_matches_nullspace_reference(octonionic_pool):
+    for A, es in octonionic_pool:
+        assert_matches_nullspace_reference(A, es)
+    # two eigenvalues near 2, one per family, 4e-9 apart: the eigh columns
+    # of both form one 8-dimensional cluster that only P_m tells apart
+    A = Hermitian3(1.0, 2.0, 3.0, E[1] * 1e-3, E[2] * 1e-3, E[3] * 1e-3)
+    assert_matches_nullspace_reference(A, eigensystem(A))
+
+
+def test_eigensystem_rank_one_matches_nullspace_reference(rng):
+    for m in (1, 2, 1, 2, 1, 2):
+        v = project_km_vec(rand_herm(rng), m, rand_vec(rng))
+        B = outer(v.scale(1.0 / v.norm()))
+        es = eigensystem(B)
+        assert sorted(len(list(g)) for fam in es.families
+                      for _, g in groupby(fam.pairs, key=lambda p: p.lam)) == [1, 1, 1, 1, 2]
+        assert_matches_nullspace_reference(B, es)
+
+
+def reference_residuals(A, fam, pairs):
+    """The residuals of `eigensystem`, evaluated with octonion products."""
+    scale = max(1.0, A.frobenius())
+    ident = hermitian_combination((1.0, p.v) for p in pairs) - Hermitian3.identity()
+    amat = hermitian_combination((p.lam, p.v) for p in pairs) - A
+    return {
+        "eigen": max((mat_vec(A, p.v) - p.v.scale(p.lam)).norm() for p in pairs) / scale,
+        "k_eigen": max((k_vector(A, p.v) - p.v.scale(fam.r)).norm() for p in pairs) / scale ** 3,
+        "identity_decomposition": ident.frobenius(),
+        "matrix_decomposition": amat.frobenius() / scale,
+        "generalized_orthogonality": max(
+            mat_vec(outer(p.v), q.v).norm() for i, p in enumerate(pairs) for q in pairs[i + 1:]),
+    }
+
+
+def test_residuals_match_octonion_reference(rng, octonionic_pool, quaternionic_pool):
+    cases = octonionic_pool[:50] + quaternionic_pool[:20]
+    for _ in range(10):
+        A = rand_herm(rng, mask=(0, 1))
+        cases.append((A, eigensystem(A)))
+    for A, es in cases:
+        for fam in es.families:
+            ref = reference_residuals(A, fam.context, fam.pairs)
+            assert set(ref) == set(fam.residuals)
+            for key, want in ref.items():
+                assert abs(fam.residuals[key] - want) <= 1e-12 + 1e-9 * want
+
+
+def test_residual_formulas_off_the_spectrum(rng, octonionic_pool):
+    # on arbitrary unit vectors every residual is of order one, so the
+    # array formulas are compared with the reference at full scale
+    for A, es in octonionic_pool[:10]:
+        pairs = [EigenPair(lam, rand_vec(rng).normalized(), 1) for lam in rng.uniform(-2, 2, 3)]
+        fam = es.families[0].context
+        ref = reference_residuals(A, fam, pairs)
+        got = _family_residuals(A, _real_forms(A), fam, pairs)
+        for key, want in ref.items():
+            assert want > 1e-3
+            assert abs(got[key] - want) <= 1e-12 * want
+
+
+def test_realify_rank_one(rng):
+    V = np.array([rand_vec(rng).to_coords() for _ in range(4)]).T
+    forms = realify_rank_one(V)
+    assert forms.shape == (4, 24, 24)
+    for k in range(4):
+        v = OctVector3.from_coords(V[:, k])
+        assert np.abs(forms[k] - realify24(outer(v))).max() < 1e-14
+        y = rand_vec(rng)
+        assert np.allclose(forms[k] @ y.to_coords(), mat_vec(outer(v), y).to_coords(), atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-2.5, 3.0))
+def test_eigensystem_scales_linearly(seed, exponent):
+    A = random_hermitian(np.random.default_rng(seed), "octonionic")
+    s = 10.0 ** exponent
+    es, es_s = eigensystem(A), eigensystem(A.scale(s))
+    assert es_s.matrix_class.tag == "octonionic"
+    for fam, fam_s in zip(es.families, es_s.families):
+        for p, p_s in zip(fam.pairs, fam_s.pairs):
+            assert abs(p_s.lam - s * p.lam) <= 1e-12 * s * A.frobenius()
+        assert max(fam_s.residuals.values()) <= 1e-8

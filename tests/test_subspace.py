@@ -14,9 +14,13 @@ from octeig.subspace import (
     cd_table_check,
     conj_matrix,
     family_context,
+    family_contexts,
+    family_projector,
+    k_matrix,
     k_scalar,
     orthonormalize,
     project_km,
+    project_km_vec,
     quaternionic_split,
     r_roots,
     s_elements,
@@ -289,3 +293,43 @@ def test_prop41_multiplier_independent_of_q(rng):
             pa = associator(p1, p2, qa) * qa.inverse()
             pb = associator(p1, p2, qb) * qb.inverse()
             assert (pa - pb).norm() < 1e-8 * max(1.0, p1.norm() * p2.norm())
+
+
+def test_k_matrix_matches_k_scalar_on_units(rng):
+    for _ in range(50):
+        A = rand_herm(rng)
+        K = k_matrix(A)
+        scale = max(1.0, A.frobenius()) ** 3
+        for i in range(8):
+            assert np.abs(K[:, i] - k_scalar(A, E[i]).coords).max() < 1e-13 * scale
+
+
+def test_family_projector_on_units(rng):
+    for _ in range(50):
+        A = rand_herm(rng)
+        ph = phi(A)
+        for m, r in zip((1, 2), r_roots(A)):
+            P = family_projector(A, m)
+            for i in range(8):
+                ref = (k_scalar(A, E[i]) + E[i] * (r + 4 * ph)) / (2 * (r + 2 * ph))
+                assert np.abs(P[:, i] - ref.coords).max() < 1e-12
+            assert np.abs(P @ P - P).max() < 1e-10
+        assert np.abs(family_projector(A, 1) + family_projector(A, 2) - np.eye(8)).max() < 1e-12
+
+
+def test_project_km_vec_is_componentwise(rng):
+    A = rand_herm(rng)
+    x = OctVector3(tuple(rand_oct(rng) for _ in range(3)))
+    for m in (1, 2):
+        y = project_km_vec(A, m, x)
+        for got, comp in zip(y.components, x.components):
+            assert (got - project_km(A, m, comp)).norm() < 1e-14
+
+
+def test_family_contexts_match_family_context(rng):
+    A = rand_herm(rng)
+    both = family_contexts(A)
+    for m in (1, 2):
+        assert both[m - 1].to_json() == family_context(A, m).to_json()
+    with pytest.raises(ValueError):
+        family_context(A, 3)
