@@ -6,6 +6,7 @@ real path).  Reports are deterministic given the same seed and flags.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -165,7 +166,9 @@ def _cmd_fuzz(args) -> int:
     return _EXIT_OK if ok else _EXIT_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="octeig",
         description="Two-family eigenstructure of 3x3 octonionic Hermitian matrices.",

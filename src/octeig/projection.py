@@ -24,7 +24,7 @@ from .hermitian import (
     outer,
 )
 from .spectral import EigenSystem, eigensystem, k_vector, realify24, realify_rank_one
-from .subspace import apply_blockwise, k_matrix, quaternionic_split
+from .subspace import _quaternionic_basis, apply_blockwise, k_matrix
 
 __all__ = [
     "DecompositionPart",
@@ -159,13 +159,15 @@ def quaternionic_six_way(A: Hermitian3, x: OctVector3,
     """Six-part decomposition through the split O = H + ell H.
 
     The quaternionic piece of x is expanded along the eigenvectors of A,
-    the purely octonionic piece along the lifted eigenvectors.
+    the purely octonionic piece along the lifted eigenvectors.  A supplied
+    system's class stands for the class of A.
     """
-    if classify(A).tag != QUATERNIONIC:
+    tag = classify(A).tag if system is None else system.matrix_class.tag
+    if tag != QUATERNIONIC:
         raise NotQuaternionic("matrix entries are not quaternionic")
     if system is None:
         system = eigensystem(A)
-    hbasis, _ = quaternionic_split(A)
+    hbasis, _ = _quaternionic_basis(A)
     x1 = subalgebra_part(hbasis, x).to_coords()
     fam1, fam2 = system.families
     return _decompose(A, x, QUATERNIONIC,

@@ -6,8 +6,9 @@ The real eigenvalues come from the cubic
 
 with r a root of the family quadratic, so each matrix carries two
 3-eigenvalue families.  Octonionic eigenvectors come from one eigh of the
-real 24x24 form, labelled into families with the K projectors; the
-generic quaternionic and complex routes are handled separately.
+real 24x24 form, labelled into families with the K projectors;
+quaternionic ones from two 12x12 blocks of that form, on H^3 and ell H^3;
+complex and real ones from a 3x3 complex eigh.
 """
 
 import math
@@ -33,14 +34,14 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import Octonion, inner
+from .octonion import Octonion, inner, left_mul_matrix
 from .subspace import (
     FamilyContext,
+    _conj_entries,
+    _quaternionic_basis,
     apply_blockwise,
-    conj_matrix,
     family_contexts,
     k_matrix,
-    quaternionic_split,
 )
 
 __all__ = [
@@ -60,6 +61,10 @@ __all__ = [
 
 _RANK_TOL = 1e-7
 _CLUSTER_TOL = 1e-6
+_NEWTON_TOL = 1e-12
+# rounding error of the Horner evaluation of the cubic, relative to s^3
+_HORNER_EPS = 8.0 * np.finfo(float).eps
+_EYE24 = np.eye(24)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +113,18 @@ def lambda_roots(A: Hermitian3, r: float) -> tuple[float, float, float]:
     """Three real roots, ascending, of lam^3 - tr lam^2 + sigma lam - (det + r) = 0.
 
     Solved with the trigonometric method for the all-real-roots case (the
-    acos argument is clamped to absorb rounding), then each root gets two
-    Newton polish steps on the original cubic.  A discriminant that is
+    acos argument is clamped to absorb rounding), then each root gets up to
+    two Newton polish steps on the original cubic.  A discriminant that is
     negative beyond tolerance means the supplied r does not belong to this
     matrix and raises ComplexRoots.
     """
-    b = -trace(A)
-    c = sigma(A)
-    d = -(det(A) + r)
+    return _cubic_roots((trace(A), sigma(A), det(A)), r)
+
+
+def _cubic_roots(invariants, r: float) -> tuple[float, float, float]:
+    """`lambda_roots` from the invariants (tr, sigma, det) of the matrix."""
+    tr, sg, dt = invariants
+    b, c, d = -tr, sg, -(dt + r)
     # depressed form t^3 + p t + q, lam = t - b/3
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
@@ -136,13 +145,19 @@ def lambda_roots(A: Hermitian3, r: float) -> tuple[float, float, float]:
         arg = min(1.0, max(-1.0, arg))
         theta = math.acos(arg) / 3.0
         roots = [shift + m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    # at a double root f' is rounding noise: a step needs f' above _NEWTON_TOL s^2,
+    # s the size of the roots, and is kept only if |f| grows by no more than rounding
+    s = max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
     polished = []
     for x in roots:
+        fx = ((x + b) * x + c) * x + d
         for _ in range(2):
-            fx = ((x + b) * x + c) * x + d
             dfx = (3.0 * x + 2.0 * b) * x + c
-            if abs(dfx) > 1e-12:
-                x -= fx / dfx
+            if abs(dfx) > _NEWTON_TOL * s * s:
+                xn = x - fx / dfx
+                fn = ((xn + b) * xn + c) * xn + d
+                if abs(fn) <= abs(fx) + _HORNER_EPS * s ** 3:
+                    x, fx = xn, fn
         polished.append(x)
     return tuple(sorted(polished))
 
@@ -200,30 +215,39 @@ def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
     raise ExtractionFailure("could not pick a representative from the candidate subspace")
 
 
+def _sweep(space: np.ndarray, lam: float, multiplicity: int, H: np.ndarray) -> list[np.ndarray]:
+    """`multiplicity` representatives from an orthonormal basis of one eigenspace.
+
+    H (24 x dim) maps the coordinates of `space`, dim/3 per vector component,
+    into O^3.  For repeated eigenvalues a Gram-Schmidt sweep subtracts the
+    rank-one projection (v v^dagger) y, which is idempotent on this K
+    eigenspace.
+    """
+    reps = []
+    for k in range(multiplicity):
+        rep = _pick_representative(space, len(space) // 3)
+        reps.append(rep)
+        if k + 1 < multiplicity:
+            B = H.T @ realify_rank_one(H @ rep[:, None])[0] @ H
+            space = _column_basis(space - B @ space)
+            if space.shape[1] < 4 * (multiplicity - k - 1):
+                raise ExtractionFailure(
+                    f"generalized orthogonalization at lambda={lam:.6g} lost rank"
+                )
+    return reps
+
+
 def _family_pairs(labelled: np.ndarray, m: int, lam: float,
                   multiplicity: int) -> list[EigenPair]:
-    """`multiplicity` orthonormal eigenpairs spanned by family-projected columns.
-
-    For repeated eigenvalues a Gram-Schmidt sweep subtracts the rank-one
-    projection (v v^dagger) y, which is idempotent on this K eigenspace.
-    """
+    """`multiplicity` orthonormal eigenpairs spanned by family-projected columns."""
     space = _column_basis(labelled)
     if space.shape[1] < 4 * multiplicity:
         raise ExtractionFailure(
             f"family-{m} eigenspace at lambda={lam:.6g} has dimension "
             f"{space.shape[1]}, expected {4 * multiplicity}"
         )
-    pairs = []
-    for k in range(multiplicity):
-        rep = _pick_representative(space, 8)
-        pairs.append(EigenPair(lam=lam, v=OctVector3.from_coords(rep), family=m))
-        if k + 1 < multiplicity:
-            space = _column_basis(space - realify_rank_one(rep[:, None])[0] @ space)
-            if space.shape[1] < 4 * (multiplicity - k - 1):
-                raise ExtractionFailure(
-                    f"generalized orthogonalization at lambda={lam:.6g} lost rank"
-                )
-    return pairs
+    return [EigenPair(lam=lam, v=OctVector3.from_coords(rep), family=m)
+            for rep in _sweep(space, lam, multiplicity, _EYE24)]
 
 
 def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
@@ -250,11 +274,12 @@ def _cluster(values) -> list[list[float]]:
     return groups
 
 
-def _real_forms(A: Hermitian3) -> tuple[np.ndarray, np.ndarray]:
+def _real_forms(A: Hermitian3, invariants) -> tuple[np.ndarray, np.ndarray]:
     """realify24(A), and the real form R^3 - tr R^2 + sigma R - det of k_vector."""
+    tr, sg, dt = invariants
     R = realify24(A)
     R2 = R @ R
-    return R, R2 @ R - trace(A) * R2 + sigma(A) * R - det(A) * np.eye(24)
+    return R, R2 @ R - tr * R2 + sg * R - dt * _EYE24
 
 
 def _hermitian_norm(dia: np.ndarray, off: np.ndarray) -> float:
@@ -284,14 +309,14 @@ def _family_residuals(A: Hermitian3, forms, fam: FamilyContext, pairs) -> dict:
     }
 
 
-def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
+def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass, invariants) -> EigenSystem:
     """Both families from one eigh of the real form, labelled by P_m.
 
     The eigh columns within _RANK_TOL ||A|| of a polished cubic root span its
     real eigenspace, 8-dimensional when the other family has an eigenvalue
     that close too; P_m keeps the family's part.
     """
-    forms = _real_forms(A)
+    forms = _real_forms(A, invariants)
     w, U = np.linalg.eigh(forms[0])
     K = k_matrix(A)
     tol = _RANK_TOL * A.frobenius()
@@ -299,7 +324,7 @@ def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
     for fam in family_contexts(A):
         P = fam.projector(K)
         pairs = []
-        for group in _cluster(lambda_roots(A, fam.r)):
+        for group in _cluster(_cubic_roots(invariants, fam.r)):
             lam = float(np.mean(group))
             labelled = apply_blockwise(P, U[:, np.abs(w - lam) <= tol])
             pairs.extend(_family_pairs(labelled, fam.m, lam, len(group)))
@@ -310,92 +335,50 @@ def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
     return EigenSystem(matrix_class=cls, families=tuple(families))
 
 
-def _subalgebra_coords(q: Octonion, basis) -> np.ndarray:
-    return np.array([inner(h, q) for h in basis])
+def _quat_pairs(M12: np.ndarray, H: np.ndarray, Q: np.ndarray, m: int) -> list[EigenPair]:
+    """Eigenpairs of a 12x12 form in the coordinates of H, mapped into O^3 by Q.
 
-
-def _subalgebra_left_mul(q: Octonion, basis) -> np.ndarray:
-    dim = len(basis)
-    out = np.empty((dim, dim))
-    for j, h in enumerate(basis):
-        out[:, j] = _subalgebra_coords(q * h, basis)
-    return out
-
-
-def _from_subalgebra_coords(coords: np.ndarray, basis) -> Octonion:
-    acc = Octonion.zero()
-    for x, h in zip(coords, basis):
-        acc = acc + h * float(x)
-    return acc
-
-
-def _quat_hermitian_eig(A: Hermitian3, hbasis) -> list[tuple[float, OctVector3]]:
-    """Right eigenpairs of a quaternionic Hermitian matrix via 12x12 realification.
-
-    Each eigenvalue shows up with real multiplicity 4 (right multiples);
-    within repeated eigenvalues the usual quaternionic projection
-    v (v^dagger y) drives the Gram-Schmidt sweep.
+    Each eigenvalue shows up with real multiplicity 4 (right multiples); H
+    (24x12) embeds the coordinates in H^3 for the sweep of repeated ones.
     """
-    rows = A.entries()
-    M = np.zeros((12, 12))
-    for i in range(3):
-        for j in range(3):
-            M[4 * i:4 * i + 4, 4 * j:4 * j + 4] = _subalgebra_left_mul(rows[i][j], hbasis)
-    M = 0.5 * (M + M.T)
-    evals, evecs = np.linalg.eigh(M)
-    out = []
-    groups = _cluster(evals)
+    w, U = np.linalg.eigh(M12)
+    pairs = []
     start = 0
-    for group in groups:
+    for group in _cluster(w):
         size = len(group)
         if size % 4 != 0:
             raise ExtractionFailure(
                 f"quaternionic eigenvalue cluster of size {size} is not a multiple of 4"
             )
         lam = float(np.mean(group))
-        space = evecs[:, start:start + size]
+        reps = _sweep(U[:, start:start + size], lam, size // 4, H)
         start += size
-
-        def to_vec(col):
-            return OctVector3(tuple(
-                _from_subalgebra_coords(col[4 * i:4 * i + 4], hbasis) for i in range(3)
-            ))
-
-        for k in range(size // 4):
-            rep = _pick_representative(space, 4)
-            v = to_vec(rep)
-            out.append((lam, v))
-            if 4 * (k + 1) < size:
-                reduced = np.empty_like(space)
-                for j in range(space.shape[1]):
-                    y = to_vec(space[:, j])
-                    proj = v.right_mul(v.dagger_dot(y))
-                    reduced[:, j] = np.concatenate([
-                        _subalgebra_coords(comp, hbasis) for comp in (y - proj).components
-                    ])
-                space = _column_basis(reduced)
-    out.sort(key=lambda t: t[0])
-    return out
+        pairs.extend(EigenPair(lam, OctVector3.from_coords(Q @ rep), m) for rep in reps)
+    return pairs
 
 
-def _quaternionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
-    hbasis, ell = quaternionic_split(A)
-    zero = Octonion.zero()
-    fams = []
-    pairs1 = [EigenPair(lam, v, 1) for lam, v in _quat_hermitian_eig(A, hbasis)]
-    ctx1 = FamilyContext(m=1, r=0.0, phi=0.0, alpha=zero, s=None)
-    forms = _real_forms(A)
-    fams.append(FamilyEigensystem(ctx1, tuple(pairs1), _family_residuals(A, forms, ctx1, pairs1)))
-    Abar = conj_matrix(A)
-    lifted = []
-    for lam, u in _quat_hermitian_eig(Abar, hbasis):
-        lifted.append(EigenPair(lam, OctVector3(tuple(ell * comp for comp in u.components)), 2))
+def _quaternionic_eigensystem(A: Hermitian3, cls: MatrixClass, invariants) -> EigenSystem:
+    """The plain family on H^3 and the lifted one on ell H^3, from the real form.
+
+    With H and L the 24x12 maps of the bases h and ell h of each slot,
+    H^T R H is the form of A on H^3, and, since A (ell v) = ell (Abar v),
+    L^T R L is the form of the conjugate matrix Abar in the h-basis.
+    """
+    hbasis, ell = _quaternionic_basis(A)
+    Hb = np.array([h.coords for h in hbasis])
+    H = np.kron(np.eye(3), Hb.T)
+    L = np.kron(np.eye(3), left_mul_matrix(ell) @ Hb.T)
+    forms = _real_forms(A, invariants)
+    families = []
     # the lifted eigenvectors solve the characteristic cubic of the
     # conjugate matrix, which shifts the constant term: K picks up the
     # determinant gap as its eigenvalue on this family
-    ctx2 = FamilyContext(m=2, r=det(Abar) - det(A), phi=0.0, alpha=zero, s=None)
-    fams.append(FamilyEigensystem(ctx2, tuple(lifted), _family_residuals(A, forms, ctx2, lifted)))
-    return EigenSystem(matrix_class=cls, families=tuple(fams))
+    for m, r, Q in ((1, 0.0, H), (2, det(_conj_entries(A)) - invariants[2], L)):
+        ctx = FamilyContext(m=m, r=r, phi=0.0, alpha=Octonion.zero(), s=None)
+        pairs = _quat_pairs(Q.T @ forms[0] @ Q, H, Q, m)
+        residuals = _family_residuals(A, forms, ctx, pairs)
+        families.append(FamilyEigensystem(ctx, tuple(pairs), residuals))
+    return EigenSystem(matrix_class=cls, families=tuple(families))
 
 
 def _complex_unit(A: Hermitian3) -> Octonion:
@@ -410,7 +393,7 @@ def _complex_unit(A: Hermitian3) -> Octonion:
     return Octonion.unit(1)
 
 
-def _complex_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
+def _complex_eigensystem(A: Hermitian3, cls: MatrixClass, invariants) -> EigenSystem:
     i0 = _complex_unit(A)
 
     def to_c(q: Octonion) -> complex:
@@ -430,7 +413,8 @@ def _complex_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
         )
         pairs.append(EigenPair(float(evals[k]), OctVector3(comps), 1))
     ctx = FamilyContext(m=1, r=0.0, phi=0.0, alpha=Octonion.zero(), s=None)
-    fam = FamilyEigensystem(ctx, tuple(pairs), _family_residuals(A, _real_forms(A), ctx, pairs))
+    forms = _real_forms(A, invariants)
+    fam = FamilyEigensystem(ctx, tuple(pairs), _family_residuals(A, forms, ctx, pairs))
     return EigenSystem(matrix_class=cls, families=(fam,))
 
 
@@ -442,11 +426,12 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     single family and are flagged as such.
     """
     cls = classify(A)
+    invariants = (trace(A), sigma(A), det(A))
     if cls.tag == OCTONIONIC:
-        return _octonionic_eigensystem(A, cls)
+        return _octonionic_eigensystem(A, cls, invariants)
     if cls.tag == QUATERNIONIC:
-        return _quaternionic_eigensystem(A, cls)
-    return _complex_eigensystem(A, cls)
+        return _quaternionic_eigensystem(A, cls, invariants)
+    return _complex_eigensystem(A, cls, invariants)
 
 
 def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:

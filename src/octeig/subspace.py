@@ -221,6 +221,11 @@ def quaternionic_split(A: Hermitian3):
         raise AmbiguousSubalgebra(
             "matrix is complex: the containing quaternionic subalgebra is not unique"
         )
+    return _quaternionic_basis(A)
+
+
+def _quaternionic_basis(A: Hermitian3):
+    """`quaternionic_split` for a matrix already classified as quaternionic."""
     imag_basis = orthonormalize([A.a.imag(), A.b.imag(), A.c.imag()])
     if len(imag_basis) < 2:
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
@@ -242,6 +247,11 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
     """Entrywise conjugate; requires an associative (non-octonionic) matrix."""
     if classify(A).tag == OCTONIONIC:
         raise NotQuaternionic("entrywise conjugation is only used on quaternionic matrices")
+    return _conj_entries(A)
+
+
+def _conj_entries(A: Hermitian3) -> Hermitian3:
+    """`conj_matrix` for a matrix already classified as non-octonionic."""
     return Hermitian3(A.d, A.e, A.f, A.a.conj(), A.b.conj(), A.c.conj())
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from octeig.cli import main
+from octeig.cli import _build_parser, main
 from octeig.harness import random_hermitian, random_vector
 
 
@@ -159,3 +159,50 @@ def test_project_rejects_inf_coordinate(files, capsys):
     assert main(["project", files["oct"], str(path)]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: component 1: octonion coordinates must be finite" in err
+
+
+def test_shared_parser_keeps_no_state(files, capsys):
+    # one parser serves every call of a process: a flag of one call must not
+    # reach the next, so the sequence matches the same calls each made with
+    # a freshly built parser
+    calls = [
+        ["eigen", files["quat"], "--tolerance", "1e-30"],
+        ["eigen", files["quat"]],
+        ["project", files["oct"], files["vec"]],
+        ["fuzz", "--seed", "3", "--samples", "2", "--tolerance", "1e-30"],
+        ["fuzz", "--seed", "3", "--samples", "2"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 2, 0, 1, 0]
+
+
+def test_env_tolerance_read_on_every_call(files, monkeypatch, capsys):
+    argv = ["eigen", files["oct"]]
+    monkeypatch.delenv("OCTO_TOLERANCE", raising=False)
+    assert main(argv) == 0
+    monkeypatch.setenv("OCTO_TOLERANCE", "1e-30")
+    assert main(argv) == 1
+    monkeypatch.setenv("OCTO_TOLERANCE", "1e-8")
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_help_matches_a_fresh_parser(capsys):
+    expected = _build_parser.__wrapped__().format_help()
+    assert expected.startswith("usage: octeig [-h] {eigen,project,verify,fuzz}")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected

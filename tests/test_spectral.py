@@ -17,10 +17,13 @@ from octeig.hermitian import (
     trace,
 )
 from octeig.harness import random_hermitian
-from octeig.octonion import Octonion
+from octeig.octonion import Octonion, inner
 from octeig.spectral import (
     EigenPair,
+    _cluster,
+    _column_basis,
     _family_residuals,
+    _pick_representative,
     _real_forms,
     eigensystem,
     eigenvectors,
@@ -32,7 +35,14 @@ from octeig.spectral import (
     realify_rank_one,
     same_family,
 )
-from octeig.subspace import family_context, k_scalar, project_km_vec, r_roots
+from octeig.subspace import (
+    conj_matrix,
+    family_context,
+    k_scalar,
+    project_km_vec,
+    quaternionic_split,
+    r_roots,
+)
 
 E = [Octonion.unit(i) for i in range(8)]
 
@@ -369,7 +379,7 @@ def test_residual_formulas_off_the_spectrum(rng, octonionic_pool):
         pairs = [EigenPair(lam, rand_vec(rng).normalized(), 1) for lam in rng.uniform(-2, 2, 3)]
         fam = es.families[0].context
         ref = reference_residuals(A, fam, pairs)
-        got = _family_residuals(A, _real_forms(A), fam, pairs)
+        got = _family_residuals(A, _real_forms(A, (trace(A), sigma(A), det(A))), fam, pairs)
         for key, want in ref.items():
             assert want > 1e-3
             assert abs(got[key] - want) <= 1e-12 * want
@@ -397,3 +407,117 @@ def test_eigensystem_scales_linearly(seed, exponent):
         for p, p_s in zip(fam.pairs, fam_s.pairs):
             assert abs(p_s.lam - s * p.lam) <= 1e-12 * s * A.frobenius()
         assert max(fam_s.residuals.values()) <= 1e-8
+
+
+def test_lambda_roots_keep_scaled_double_roots():
+    # at a double root f' is rounding noise; a Newton step on it used to
+    # jump from -100 to -109 once the matrix was scaled by 100
+    for s in (1.0, 1e2, 1e3, 1e4, 1e6):
+        A = Hermitian3(0.0, 0.0, 0.0, E[1], E[2], E[3]).scale(s)
+        r1, r2 = r_roots(A)
+        assert lambda_roots(A, r1) == pytest.approx((-s, -s, 2 * s), rel=1e-12)
+        assert lambda_roots(A, r2) == pytest.approx((-2 * s, s, s), rel=1e-12)
+        es = eigensystem(A)
+        assert max(max(fam.residuals.values()) for fam in es.families) < 1e-8
+
+
+def test_eigensystem_scaled_rank_one(rng):
+    # the repeated eigenvalue 0 of s v v^dagger survives the polish at s = 1e3
+    for _ in range(100):
+        B = outer(rand_vec(rng).normalized()).scale(1e3)
+        es = eigensystem(B)
+        lams = sorted(p.lam for p in es.all_pairs())
+        assert max(max(fam.residuals.values()) for fam in es.families) < 1e-8
+        assert lams[-1] == pytest.approx(1e3, rel=1e-12)
+
+
+# The quaternionic route as it was before it moved onto the real 24x24
+# form: the 12x12 form of A and of conj(A) built by octonion products in
+# the basis h, with the sweep on Octonion objects.  Reference only.
+
+def _subalgebra_coords(q, basis):
+    return np.array([inner(h, q) for h in basis])
+
+
+def _subalgebra_left_mul(q, basis):
+    return np.array([_subalgebra_coords(q * h, basis) for h in basis]).T
+
+
+def _from_subalgebra_coords(coords, basis):
+    acc = Octonion.zero()
+    for x, h in zip(coords, basis):
+        acc = acc + h * float(x)
+    return acc
+
+
+def _quat_hermitian_eig(A, hbasis):
+    rows = A.entries()
+    M = np.zeros((12, 12))
+    for i in range(3):
+        for j in range(3):
+            M[4 * i:4 * i + 4, 4 * j:4 * j + 4] = _subalgebra_left_mul(rows[i][j], hbasis)
+    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
+    out = []
+    start = 0
+    for group in _cluster(evals):
+        size = len(group)
+        assert size % 4 == 0
+        lam = float(np.mean(group))
+        space = evecs[:, start:start + size]
+        start += size
+
+        def to_vec(col):
+            return OctVector3(tuple(
+                _from_subalgebra_coords(col[4 * i:4 * i + 4], hbasis) for i in range(3)))
+
+        for k in range(size // 4):
+            rep = _pick_representative(space, 4)
+            v = to_vec(rep)
+            out.append((lam, v))
+            if 4 * (k + 1) < size:
+                reduced = np.empty_like(space)
+                for j in range(space.shape[1]):
+                    y = to_vec(space[:, j])
+                    proj = v.right_mul(v.dagger_dot(y))
+                    reduced[:, j] = np.concatenate([
+                        _subalgebra_coords(comp, hbasis) for comp in (y - proj).components])
+                space = _column_basis(reduced)
+    out.sort(key=lambda t: t[0])
+    return out
+
+
+def reference_quaternionic(A):
+    """(lambda, coordinates) per family: A on H^3, then conj(A) lifted by ell."""
+    hbasis, ell = quaternionic_split(A)
+    fam1 = [(lam, v.to_coords()) for lam, v in _quat_hermitian_eig(A, hbasis)]
+    fam2 = [(lam, OctVector3(tuple(ell * c for c in u.components)).to_coords())
+            for lam, u in _quat_hermitian_eig(conj_matrix(A), hbasis)]
+    return fam1, fam2
+
+
+def assert_matches_quaternionic_reference(A):
+    es = eigensystem(A)
+    assert es.matrix_class.tag == "quaternionic"
+    for fam, ref in zip(es.families, reference_quaternionic(A)):
+        assert len(fam.pairs) == len(ref) == 3
+        for pair, (lam, coords) in zip(fam.pairs, ref):
+            assert abs(pair.lam - lam) <= 1e-12
+            assert np.abs(pair.v.to_coords() - coords).max() <= 1e-12
+
+
+def test_quaternionic_eigensystem_matches_reference(rng, quaternionic_pool):
+    for A, _ in quaternionic_pool:
+        assert_matches_quaternionic_reference(A)
+    # nudged off the subalgebra by 1e-12..1e-10: still routed quaternionic
+    for eps in 10.0 ** np.linspace(-12, -10, 12):
+        A = rand_herm(rng, mask=(0, 1, 2, 4))
+        coords = A.c.coords.copy()
+        coords[rng.choice((3, 5, 6, 7))] += eps
+        assert_matches_quaternionic_reference(Hermitian3(A.d, A.e, A.f, A.a, A.b, Octonion(coords)))
+    # rank one: the repeated eigenvalue 0 is an 8-column cluster in each family
+    for _ in range(12):
+        v = OctVector3(tuple(rand_oct(rng, mask=(0, 1, 2, 4)) for _ in range(3)))
+        B = outer(v.normalized())
+        es = eigensystem(B)
+        assert [len(list(g)) for _, g in groupby(es.families[0].pairs, key=lambda p: p.lam)] == [2, 1]
+        assert_matches_quaternionic_reference(B)
