@@ -8,6 +8,7 @@ real path).  Reports are deterministic given the same seed and flags.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -64,14 +65,27 @@ def _emit(payload: dict, out: str):
 
 def _resolve_tolerance(args) -> float:
     if args.tolerance is not None:
-        return args.tolerance
+        return _positive_tolerance("--tolerance", args.tolerance)
     env = os.environ.get("OCTO_TOLERANCE")
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
             raise OcteigError(f"OCTO_TOLERANCE={env!r} is not a number")
+        return _positive_tolerance("OCTO_TOLERANCE", value)
     return DEFAULT_TOLERANCE
+
+
+def _positive_tolerance(source: str, tol: float) -> float:
+    # nan compares false with everything and inf passes every residual
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise OcteigError(f"{source} must be a finite number > 0, got {tol!r}")
+    return tol
+
+
+def _check_samples(args):
+    if args.samples < 1:
+        raise OcteigError(f"--samples must be at least 1, got {args.samples}")
 
 
 def _print_checks(checks) -> bool:
@@ -142,6 +156,7 @@ def _report(command: str, args, tol: float, checks, extra=None) -> dict:
 
 def _cmd_verify(args) -> int:
     tol = _resolve_tolerance(args)
+    _check_samples(args)
     checks = run_verification(seed=args.seed, samples=args.samples,
                               tolerance=tol, det_offset=args.det_offset)
     ok = _print_checks(checks)
@@ -155,6 +170,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     tol = _resolve_tolerance(args)
+    _check_samples(args)
     checks = run_fuzz(seed=args.seed, samples=args.samples,
                       kind=args.matrix_class, tolerance=tol)
     ok = _print_checks(checks)

@@ -126,12 +126,18 @@ def _t_element(rng, A) -> Octonion:
     return acc
 
 
+def _check_samples(samples: int) -> int:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return samples
+
+
 class _Context:
     """Shared sampled instances so eigensystem work is done once per run."""
 
     def __init__(self, seed: int, samples: int, det_offset: float = 0.0):
         self.rng = np.random.default_rng(seed)
-        self.n = max(1, samples)
+        self.n = _check_samples(samples)
         self.det_offset = det_offset
         self._oct_pool = None
         self._quat_pool = None
@@ -758,11 +764,12 @@ def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
     """End-to-end eigensystem plus projection on random matrices of one class."""
     if kind not in _COORD_MASKS:
         raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     names = {"eigen-equation": "eigen", "identity-decomposition": "identity_decomposition",
              "matrix-decomposition": "matrix_decomposition"}
     worst = dict.fromkeys([*names, "six-way-reconstruction", "six-way-eigen-residuals"], 0.0)
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         A = random_hermitian(rng, kind)
         es = eigensystem(A)
         dec = six_way(A, random_vector(rng), system=es)

@@ -10,6 +10,7 @@ octonions (a, b, c) laid out as
 so hermiticity holds by construction.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -212,6 +213,31 @@ def _parse(label: str, parse, value):
         raise ValueError(f"{label}: {exc}") from exc
 
 
+def _per_matrix(fn):
+    """Compute fn(A, *args) once per matrix A and keep it in A's instance dict.
+
+    Sound because a Hermitian3 is frozen and its octonion coordinates are
+    read-only, so the value can never go stale; it goes away with A.  The
+    key is fn's name and args.  Arrays are cached read-only, since every
+    later caller gets the same one.  An exception is not cached: it is
+    raised again on every call.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(A, *args):
+        key = (name, args)
+        memo = A.__dict__
+        if key not in memo:
+            value = fn(A, *args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
+    return cached
+
+
 class MatrixClass(NamedTuple):
     tag: str
     dim_t: int
@@ -232,12 +258,14 @@ def _trace_sq(A: Hermitian3) -> float:
     return total
 
 
+@_per_matrix
 def sigma(A: Hermitian3) -> float:
     """Second characteristic invariant ((tr A)^2 - tr(A^2)) / 2."""
     t = trace(A)
     return 0.5 * (t * t - _trace_sq(A))
 
 
+@_per_matrix
 def det(A: Hermitian3) -> float:
     """Determinant def - d|c|^2 - e|b|^2 - f|a|^2 + 2 Re((cb)a).
 
@@ -253,11 +281,13 @@ def det(A: Hermitian3) -> float:
     )
 
 
+@_per_matrix
 def phi(A: Hermitian3) -> float:
     """Associative 3-form of the off-diagonal entries."""
     return assoc3form(A.a, A.b, A.c)
 
 
+@_per_matrix
 def alpha(A: Hermitian3) -> Octonion:
     """Associator [a, b, c] of the off-diagonal entries."""
     return associator(A.a, A.b, A.c)
@@ -271,6 +301,7 @@ def _rank(rows: list[np.ndarray], tol: float = _CLASS_TOL) -> int:
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
+@_per_matrix
 def classify(A: Hermitian3) -> MatrixClass:
     """Classify by the smallest subalgebra containing the off-diagonal entries.
 

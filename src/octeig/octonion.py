@@ -10,6 +10,7 @@ Any valid table would satisfy the identities implemented here; frozen
 test values assume this one.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -62,21 +63,30 @@ class Octonion:
         object.__setattr__(self, "coords", c)
 
     @classmethod
+    def _of(cls, c: np.ndarray) -> "Octonion":
+        """Wrap a float array of shape (8,) that the caller just allocated
+        and holds no other reference to; the array becomes read-only."""
+        q = object.__new__(cls)
+        c.flags.writeable = False
+        object.__setattr__(q, "coords", c)
+        return q
+
+    @classmethod
     def from_real(cls, x: float) -> "Octonion":
         c = np.zeros(8)
         c[0] = x
-        return cls(c)
+        return cls._of(c)
 
     @classmethod
     def unit(cls, i: int) -> "Octonion":
         """Basis unit e_i; unit(0) is the real identity."""
         c = np.zeros(8)
         c[i] = 1.0
-        return cls(c)
+        return cls._of(c)
 
     @classmethod
     def zero(cls) -> "Octonion":
-        return cls(np.zeros(8))
+        return cls._of(np.zeros(8))
 
     @property
     def real(self) -> float:
@@ -85,50 +95,51 @@ class Octonion:
     def imag(self) -> "Octonion":
         c = self.coords.copy()
         c[0] = 0.0
-        return Octonion(c)
+        return Octonion._of(c)
 
     def conj(self) -> "Octonion":
         c = -self.coords
         c[0] = self.coords[0]
-        return Octonion(c)
+        return Octonion._of(c)
 
     def norm2(self) -> float:
         return float(self.coords @ self.coords)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        # what np.linalg.norm computes for a real vector, sqrt(x . x)
+        return math.sqrt(self.coords @ self.coords)
 
     def inverse(self) -> "Octonion":
         n2 = self.norm2()
         if n2 == 0.0:
             raise ZeroDivisionError("zero octonion has no inverse")
-        return Octonion(self.conj().coords / n2)
+        return Octonion._of(self.conj().coords / n2)
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.coords + other.coords)
+        return Octonion._of(self.coords + other.coords)
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.coords - other.coords)
+        return Octonion._of(self.coords - other.coords)
 
     def __neg__(self) -> "Octonion":
-        return Octonion(-self.coords)
+        return Octonion._of(-self.coords)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
             lhs = (self.coords @ _TABLE_2D).reshape(8, 8)
-            return Octonion(other.coords @ lhs)
+            return Octonion._of(other.coords @ lhs)
         if isinstance(other, numbers.Real):
-            return Octonion(self.coords * float(other))
+            return Octonion._of(self.coords * float(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Real):
-            return Octonion(self.coords * float(other))
+            return Octonion._of(self.coords * float(other))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Real):
-            return Octonion(self.coords / float(other))
+            return Octonion._of(self.coords / float(other))
         return NotImplemented
 
     def __repr__(self):

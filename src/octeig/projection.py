@@ -24,7 +24,7 @@ from .hermitian import (
     outer,
 )
 from .spectral import EigenSystem, eigensystem, k_vector, realify24, realify_rank_one
-from .subspace import _quaternionic_basis, apply_blockwise, k_matrix
+from .subspace import apply_blockwise, family_projector, quaternionic_split
 
 __all__ = [
     "DecompositionPart",
@@ -146,8 +146,7 @@ def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayD
         return quaternionic_six_way(A, x, system=system)
     coords = x.to_coords()
     if tag == OCTONIONIC:
-        K = k_matrix(A)
-        splits = [(fam.pairs, apply_blockwise(fam.context.projector(K), coords))
+        splits = [(fam.pairs, apply_blockwise(family_projector(A, fam.context.m), coords))
                   for fam in system.families]
     else:
         splits = [(system.families[0].pairs, coords)]
@@ -167,7 +166,7 @@ def quaternionic_six_way(A: Hermitian3, x: OctVector3,
         raise NotQuaternionic("matrix entries are not quaternionic")
     if system is None:
         system = eigensystem(A)
-    hbasis, _ = _quaternionic_basis(A)
+    hbasis, _ = quaternionic_split(A)
     x1 = subalgebra_part(hbasis, x).to_coords()
     fam1, fam2 = system.families
     return _decompose(A, x, QUATERNIONIC,

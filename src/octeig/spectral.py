@@ -25,6 +25,7 @@ from .hermitian import (
     Hermitian3,
     MatrixClass,
     OctVector3,
+    _per_matrix,
     classify,
     det,
     mat_vec,
@@ -37,11 +38,12 @@ from .hermitian import (
 from .octonion import Octonion, inner, left_mul_matrix
 from .subspace import (
     FamilyContext,
-    _conj_entries,
-    _quaternionic_basis,
     apply_blockwise,
+    conj_matrix,
     family_contexts,
+    family_projector,
     k_matrix,
+    quaternionic_split,
 )
 
 __all__ = [
@@ -118,13 +120,7 @@ def lambda_roots(A: Hermitian3, r: float) -> tuple[float, float, float]:
     negative beyond tolerance means the supplied r does not belong to this
     matrix and raises ComplexRoots.
     """
-    return _cubic_roots((trace(A), sigma(A), det(A)), r)
-
-
-def _cubic_roots(invariants, r: float) -> tuple[float, float, float]:
-    """`lambda_roots` from the invariants (tr, sigma, det) of the matrix."""
-    tr, sg, dt = invariants
-    b, c, d = -tr, sg, -(dt + r)
+    b, c, d = -trace(A), sigma(A), -(det(A) + r)
     # depressed form t^3 + p t + q, lam = t - b/3
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
@@ -170,6 +166,7 @@ def k_vector(A: Hermitian3, x: OctVector3) -> OctVector3:
     return a3x - a2x.scale(trace(A)) + ax.scale(sigma(A)) - x.scale(det(A))
 
 
+@_per_matrix
 def realify24(A: Hermitian3) -> np.ndarray:
     """Real 24x24 matrix of x -> A x under O^3 = R^24; symmetric for Hermitian A."""
     return real_form(np.array([A.d, A.e, A.f]), np.array([A.a.coords, A.b.coords, A.c.coords]))
@@ -274,12 +271,11 @@ def _cluster(values) -> list[list[float]]:
     return groups
 
 
-def _real_forms(A: Hermitian3, invariants) -> tuple[np.ndarray, np.ndarray]:
+def _real_forms(A: Hermitian3) -> tuple[np.ndarray, np.ndarray]:
     """realify24(A), and the real form R^3 - tr R^2 + sigma R - det of k_vector."""
-    tr, sg, dt = invariants
     R = realify24(A)
     R2 = R @ R
-    return R, R2 @ R - tr * R2 + sg * R - dt * _EYE24
+    return R, R2 @ R - trace(A) * R2 + sigma(A) * R - det(A) * _EYE24
 
 
 def _hermitian_norm(dia: np.ndarray, off: np.ndarray) -> float:
@@ -309,22 +305,21 @@ def _family_residuals(A: Hermitian3, forms, fam: FamilyContext, pairs) -> dict:
     }
 
 
-def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass, invariants) -> EigenSystem:
+def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
     """Both families from one eigh of the real form, labelled by P_m.
 
     The eigh columns within _RANK_TOL ||A|| of a polished cubic root span its
     real eigenspace, 8-dimensional when the other family has an eigenvalue
     that close too; P_m keeps the family's part.
     """
-    forms = _real_forms(A, invariants)
+    forms = _real_forms(A)
     w, U = np.linalg.eigh(forms[0])
-    K = k_matrix(A)
     tol = _RANK_TOL * A.frobenius()
     families = []
     for fam in family_contexts(A):
-        P = fam.projector(K)
+        P = family_projector(A, fam.m)
         pairs = []
-        for group in _cluster(_cubic_roots(invariants, fam.r)):
+        for group in _cluster(lambda_roots(A, fam.r)):
             lam = float(np.mean(group))
             labelled = apply_blockwise(P, U[:, np.abs(w - lam) <= tol])
             pairs.extend(_family_pairs(labelled, fam.m, lam, len(group)))
@@ -357,23 +352,23 @@ def _quat_pairs(M12: np.ndarray, H: np.ndarray, Q: np.ndarray, m: int) -> list[E
     return pairs
 
 
-def _quaternionic_eigensystem(A: Hermitian3, cls: MatrixClass, invariants) -> EigenSystem:
+def _quaternionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
     """The plain family on H^3 and the lifted one on ell H^3, from the real form.
 
     With H and L the 24x12 maps of the bases h and ell h of each slot,
     H^T R H is the form of A on H^3, and, since A (ell v) = ell (Abar v),
     L^T R L is the form of the conjugate matrix Abar in the h-basis.
     """
-    hbasis, ell = _quaternionic_basis(A)
+    hbasis, ell = quaternionic_split(A)
     Hb = np.array([h.coords for h in hbasis])
     H = np.kron(np.eye(3), Hb.T)
     L = np.kron(np.eye(3), left_mul_matrix(ell) @ Hb.T)
-    forms = _real_forms(A, invariants)
+    forms = _real_forms(A)
     families = []
     # the lifted eigenvectors solve the characteristic cubic of the
     # conjugate matrix, which shifts the constant term: K picks up the
     # determinant gap as its eigenvalue on this family
-    for m, r, Q in ((1, 0.0, H), (2, det(_conj_entries(A)) - invariants[2], L)):
+    for m, r, Q in ((1, 0.0, H), (2, det(conj_matrix(A)) - det(A), L)):
         ctx = FamilyContext(m=m, r=r, phi=0.0, alpha=Octonion.zero(), s=None)
         pairs = _quat_pairs(Q.T @ forms[0] @ Q, H, Q, m)
         residuals = _family_residuals(A, forms, ctx, pairs)
@@ -393,7 +388,7 @@ def _complex_unit(A: Hermitian3) -> Octonion:
     return Octonion.unit(1)
 
 
-def _complex_eigensystem(A: Hermitian3, cls: MatrixClass, invariants) -> EigenSystem:
+def _complex_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
     i0 = _complex_unit(A)
 
     def to_c(q: Octonion) -> complex:
@@ -413,7 +408,7 @@ def _complex_eigensystem(A: Hermitian3, cls: MatrixClass, invariants) -> EigenSy
         )
         pairs.append(EigenPair(float(evals[k]), OctVector3(comps), 1))
     ctx = FamilyContext(m=1, r=0.0, phi=0.0, alpha=Octonion.zero(), s=None)
-    forms = _real_forms(A, invariants)
+    forms = _real_forms(A)
     fam = FamilyEigensystem(ctx, tuple(pairs), _family_residuals(A, forms, ctx, pairs))
     return EigenSystem(matrix_class=cls, families=(fam,))
 
@@ -426,12 +421,11 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     single family and are flagged as such.
     """
     cls = classify(A)
-    invariants = (trace(A), sigma(A), det(A))
     if cls.tag == OCTONIONIC:
-        return _octonionic_eigensystem(A, cls, invariants)
+        return _octonionic_eigensystem(A, cls)
     if cls.tag == QUATERNIONIC:
-        return _quaternionic_eigensystem(A, cls, invariants)
-    return _complex_eigensystem(A, cls, invariants)
+        return _quaternionic_eigensystem(A, cls)
+    return _complex_eigensystem(A, cls)
 
 
 def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:

@@ -18,6 +18,7 @@ from .hermitian import (
     REAL,
     Hermitian3,
     OctVector3,
+    _per_matrix,
     alpha,
     classify,
     phi,
@@ -104,12 +105,14 @@ def span_distance(q: Octonion, basis) -> float:
     return float(np.linalg.norm(q.coords - proj))
 
 
+@_per_matrix
 def t_basis(A: Hermitian3) -> TBasis:
     """Orthonormal basis of span{1, a, b, c}, in that deterministic order."""
     basis = orthonormalize([Octonion.from_real(1.0), A.a, A.b, A.c])
     return TBasis(vectors=basis, dim=len(basis))
 
 
+@_per_matrix
 def _invariants(A: Hermitian3) -> tuple[float, Octonion, tuple[float, float]]:
     """phi, alpha and the family roots (r1, r2), derived once for the matrix."""
     ph = phi(A)
@@ -133,6 +136,7 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
     return tuple(fam.s for fam in family_contexts(A))
 
 
+@_per_matrix
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
     """Both family contexts, m = 1 and m = 2, from one derivation of phi, alpha, r."""
     ph, al, rs = _invariants(A)
@@ -161,6 +165,7 @@ def k_scalar(A: Hermitian3, p: Octonion) -> Octonion:
     return c * (b * (a * p)) + a.conj() * (b.conj() * (c.conj() * p)) - p * bracket
 
 
+@_per_matrix
 def k_matrix(A: Hermitian3) -> np.ndarray:
     """8x8 matrix of k_scalar: L_c L_b L_a + L_abar L_bbar L_cbar - 2 Re((cb)a) I.
 
@@ -171,6 +176,7 @@ def k_matrix(A: Hermitian3) -> np.ndarray:
     return lc @ (lb @ la) + la.T @ (lb.T @ lc.T) - bracket * np.eye(8)
 
 
+@_per_matrix
 def family_projector(A: Hermitian3, m: int) -> np.ndarray:
     """8x8 projector P_m onto the K eigenspace T_m."""
     return family_context(A, m).projector(k_matrix(A))
@@ -206,6 +212,7 @@ def cd_table_check(A: Hermitian3, t1: Octonion, t2: Octonion) -> tuple[float, fl
     return (res1, res2, res3)
 
 
+@_per_matrix
 def quaternionic_split(A: Hermitian3):
     """Basis (1, h1, h2, h1 h2) of the quaternionic subalgebra holding a, b, c,
     plus the lowest-index unit direction orthogonal to it.
@@ -221,11 +228,6 @@ def quaternionic_split(A: Hermitian3):
         raise AmbiguousSubalgebra(
             "matrix is complex: the containing quaternionic subalgebra is not unique"
         )
-    return _quaternionic_basis(A)
-
-
-def _quaternionic_basis(A: Hermitian3):
-    """`quaternionic_split` for a matrix already classified as quaternionic."""
     imag_basis = orthonormalize([A.a.imag(), A.b.imag(), A.c.imag()])
     if len(imag_basis) < 2:
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
@@ -247,11 +249,6 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
     """Entrywise conjugate; requires an associative (non-octonionic) matrix."""
     if classify(A).tag == OCTONIONIC:
         raise NotQuaternionic("entrywise conjugation is only used on quaternionic matrices")
-    return _conj_entries(A)
-
-
-def _conj_entries(A: Hermitian3) -> Hermitian3:
-    """`conj_matrix` for a matrix already classified as non-octonionic."""
     return Hermitian3(A.d, A.e, A.f, A.a.conj(), A.b.conj(), A.c.conj())
 
 

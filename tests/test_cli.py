@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from octeig.cli import _build_parser, main
-from octeig.harness import random_hermitian, random_vector
+from octeig.harness import random_hermitian, random_vector, run_fuzz, run_verification
 
 
 @pytest.fixture
@@ -206,3 +206,30 @@ def test_help_matches_a_fresh_parser(capsys):
             main(["--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["eigen", "verify"])
+def test_bad_tolerance_rejected(files, monkeypatch, capsys, command, value):
+    out = files["tmp"] / "out.json"
+    args = [files["oct"]] if command == "eigen" else ["--samples", "2"]
+    argv = [command, *args, "--out", str(out)]
+    monkeypatch.delenv("OCTO_TOLERANCE", raising=False)
+    assert main(argv + ["--tolerance", value]) == 1
+    assert "error: --tolerance must be a finite number > 0" in capsys.readouterr().err
+    monkeypatch.setenv("OCTO_TOLERANCE", value)
+    assert main(argv) == 1
+    assert "error: OCTO_TOLERANCE must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("command", ["verify", "fuzz"])
+def test_samples_below_one_rejected(files, capsys, command, samples):
+    out = files["tmp"] / "report.json"
+    assert main([command, "--samples", str(samples), "--out", str(out)]) == 1
+    assert f"error: --samples must be at least 1, got {samples}" in capsys.readouterr().err
+    assert not out.exists()
+    run = run_verification if command == "verify" else run_fuzz
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        run(seed=0, samples=samples)

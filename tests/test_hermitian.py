@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,32 @@ def test_real_form_is_realify24(rng):
     assert np.array_equal(M, realify24(A))
     stacked = real_form(np.zeros((2, 5, 3)), np.zeros((2, 5, 3, 8)))
     assert stacked.shape == (2, 5, 24, 24)
+
+
+def test_constructors_copy_their_input(rng):
+    # the per-matrix cache relies on a matrix never changing after it is built
+    arr = rng.uniform(-1, 1, 8)
+    coords = rng.uniform(-1, 1, 24)
+    q = Octonion(arr)
+    v = OctVector3.from_coords(coords)
+    A = Hermitian3(1.0, 2.0, 3.0, q, *v.components[:2])
+    want_q, want_v, want_det = arr.copy(), coords.copy(), det(A)
+    arr[:] = 0.0
+    coords[:] = 0.0
+    assert np.array_equal(q.coords, want_q)
+    assert np.array_equal(v.to_coords(), want_v)
+    assert det(A) == want_det == det.__wrapped__(A)
+
+
+def test_derived_matrices_do_not_share_the_cache(rng):
+    A = rand_herm(rng)
+    B = rand_herm(rng)
+    R = realify24(A)
+    det(A), sigma(A), classify(A), alpha(A)
+    for C in (A.scale(2.0), A + B, A - B, dataclasses.replace(A, d=A.d + 1.0)):
+        assert realify24(C) is not R
+        assert np.array_equal(realify24(C), realify24.__wrapped__(C))
+        assert det(C) == det.__wrapped__(C)
+        assert sigma(C) == sigma.__wrapped__(C)
+        assert classify(C) == classify.__wrapped__(C)
+        assert np.array_equal(alpha(C).coords, alpha.__wrapped__(C).coords)

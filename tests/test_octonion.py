@@ -173,8 +173,10 @@ def test_json_roundtrip(rng):
 
 def test_immutability(rng):
     p = rand_oct(rng)
-    with pytest.raises(ValueError):
-        p.coords[0] = 5.0
+    q = rand_oct(rng)
+    for r in (p, p + q, p - q, -p, p * q, p * 2.0, 2.0 * p, p / 2.0, p.conj(), p.imag()):
+        with pytest.raises(ValueError):
+            r.coords[0] = 5.0
 
 
 def test_left_mul_matrix_batched(rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,23 @@ from octeig.errors import (
     AmbiguousSubalgebra,
     DegenerateFamily,
     NotQuaternionic,
+    OcteigError,
     SingularChange,
 )
-from octeig.hermitian import Hermitian3, OctVector3, alpha, mat_vec, phi
+from octeig.hermitian import (
+    Hermitian3,
+    OctVector3,
+    alpha,
+    classify,
+    det,
+    mat_vec,
+    phi,
+    sigma,
+)
 from octeig.octonion import Octonion, associator, inner
+from octeig.spectral import realify24
 from octeig.subspace import (
+    _invariants,
     basis_invariance_check,
     cd_table_check,
     conj_matrix,
@@ -333,3 +347,57 @@ def test_family_contexts_match_family_context(rng):
         assert both[m - 1].to_json() == family_context(A, m).to_json()
     with pytest.raises(ValueError):
         family_context(A, 3)
+
+
+# every function cached per matrix, with the extra arguments it is keyed on
+CACHED = (
+    (classify, ()), (sigma, ()), (det, ()), (phi, ()), (alpha, ()),
+    (_invariants, ()), (family_contexts, ()), (k_matrix, ()),
+    (family_projector, (1,)), (family_projector, (2,)),
+    (t_basis, ()), (quaternionic_split, ()), (realify24, ()),
+)
+
+
+def bits(value):
+    """A cached value as nested tuples of exact bit patterns, for equality."""
+    if isinstance(value, Octonion):
+        return value.coords.tobytes()
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+@pytest.mark.parametrize("mask", [None, (0, 1, 2, 4), (0, 1), (0,)])
+def test_cached_values_equal_a_fresh_computation(rng, mask):
+    A = rand_herm(rng, mask)
+    for fn, args in CACHED:
+        try:
+            want = fn.__wrapped__(A, *args)
+        except OcteigError as exc:
+            for _ in range(2):
+                with pytest.raises(type(exc)):
+                    fn(A, *args)
+            continue
+        got = fn(A, *args)
+        assert fn(A, *args) is got
+        assert bits(got) == bits(want)
+
+
+def test_cached_arrays_are_read_only(rng):
+    A = rand_herm(rng)
+    for value in (realify24(A), k_matrix(A), family_projector(A, 1), family_projector(A, 2)):
+        with pytest.raises(ValueError):
+            value[0, 0] = 1.0
+
+
+def test_degenerate_family_raised_on_every_call(rng):
+    A = rand_herm(rng, mask=(0, 1, 2, 4))
+    for _ in range(2):
+        with pytest.raises(DegenerateFamily):
+            family_contexts(A)
