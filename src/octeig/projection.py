@@ -1,7 +1,8 @@
 """Six-way decomposition of arbitrary vectors into eigenvector components.
 
-A vector is first split by the two K projectors and each half is then
-expanded along that family's orthonormal eigenvectors with the rank-one
+A vector is first split along the families' subspaces (the two K
+eigenspaces of an octonionic matrix) and each piece is then expanded
+along that family's orthonormal eigenvectors with the rank-one
 generalized projectors (v v^dagger) y, so a generic vector ends up with
 six components, every one an eigenvector of the matrix.
 """
@@ -14,7 +15,6 @@ import numpy as np
 
 from .errors import FamilyMismatch, NotQuaternionic
 from .hermitian import (
-    OCTONIONIC,
     QUATERNIONIC,
     Hermitian3,
     OctVector3,
@@ -24,7 +24,7 @@ from .hermitian import (
     outer,
 )
 from .spectral import EigenSystem, eigensystem, k_vector, realify24, realify_rank_one
-from .subspace import apply_blockwise, family_projector, quaternionic_split
+from .subspace import apply_blockwise, family_bases
 
 __all__ = [
     "DecompositionPart",
@@ -102,16 +102,28 @@ def subalgebra_part(hbasis, x: OctVector3) -> OctVector3:
     return OctVector3.from_coords(apply_blockwise(H.T @ H, x.to_coords()))
 
 
-def _decompose(A: Hermitian3, x: OctVector3, tag: str, splits) -> SixWayDecomposition:
-    """Expand each piece xm of x along its pairs, (v v^dagger) xm, for (pairs, xm) in splits."""
+def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:
+    """Decompose x into one eigenvector component per family eigenvalue.
+
+    x is split along the families' subspaces: x_m = Q_m Q_m^T x with Q_m
+    from `family_bases`, the last family taking the rest, so a complex or
+    real matrix (one family) keeps all of x.  Each piece is then expanded
+    along its family's pairs, (v v^dagger) x_m: six parts for octonionic
+    and quaternionic matrices, three for complex and real ones.
+    """
+    if system is None:
+        system = eigensystem(A)
+    coords = x.to_coords()
+    pieces = [Q @ (Q.T @ coords) for _, Q in family_bases(A)[:-1]]
+    pieces.append(coords - sum(pieces))
     R = realify24(A)
     scale = max(1.0, A.frobenius())
     zero_tol = _ZERO_PART_TOL * max(x.norm(), 1e-300)
     parts = []
     residuals = []
-    for pairs, xm in splits:
-        comps = realify_rank_one(np.array([p.v.to_coords() for p in pairs]).T) @ xm
-        for pair, comp in zip(pairs, comps):
+    for fam, xm in zip(system.families, pieces):
+        comps = realify_rank_one(np.array([p.v.to_coords() for p in fam.pairs]).T) @ xm
+        for pair, comp in zip(fam.pairs, comps):
             n = np.linalg.norm(comp)
             if n < zero_tol:
                 comp = np.zeros(24)
@@ -121,41 +133,19 @@ def _decompose(A: Hermitian3, x: OctVector3, tag: str, splits) -> SixWayDecompos
             parts.append(DecompositionPart(family=pair.family, lam=pair.lam,
                                            component=OctVector3.from_coords(comp)))
     total = sum(p.component.to_coords() for p in parts)
-    recon = np.linalg.norm(total - x.to_coords()) / max(x.norm(), 1e-300)
+    recon = np.linalg.norm(total - coords) / max(x.norm(), 1e-300)
     return SixWayDecomposition(
         parts=tuple(parts),
         reconstruction_residual=float(recon),
         eigen_residuals=tuple(residuals),
-        matrix_class=tag,
+        matrix_class=system.matrix_class.tag,
         fingerprint=matrix_fingerprint(A),
     )
 
 
-def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:
-    """Decompose x into one eigenvector component per family eigenvalue.
-
-    Octonionic matrices produce six parts (two K projections, then three
-    rank-one projections each); quaternionic ones route through the
-    Cayley-Dickson split; complex and real matrices have a single family
-    and hence three parts.
-    """
-    if system is None:
-        system = eigensystem(A)
-    tag = system.matrix_class.tag
-    if tag == QUATERNIONIC:
-        return quaternionic_six_way(A, x, system=system)
-    coords = x.to_coords()
-    if tag == OCTONIONIC:
-        splits = [(fam.pairs, apply_blockwise(family_projector(A, fam.context.m), coords))
-                  for fam in system.families]
-    else:
-        splits = [(system.families[0].pairs, coords)]
-    return _decompose(A, x, tag, splits)
-
-
 def quaternionic_six_way(A: Hermitian3, x: OctVector3,
                          system: EigenSystem = None) -> SixWayDecomposition:
-    """Six-part decomposition through the split O = H + ell H.
+    """`six_way` for a quaternionic matrix: the split O = H + ell H.
 
     The quaternionic piece of x is expanded along the eigenvectors of A,
     the purely octonionic piece along the lifted eigenvectors.  A supplied
@@ -164,10 +154,4 @@ def quaternionic_six_way(A: Hermitian3, x: OctVector3,
     tag = classify(A).tag if system is None else system.matrix_class.tag
     if tag != QUATERNIONIC:
         raise NotQuaternionic("matrix entries are not quaternionic")
-    if system is None:
-        system = eigensystem(A)
-    hbasis, _ = quaternionic_split(A)
-    x1 = subalgebra_part(hbasis, x).to_coords()
-    fam1, fam2 = system.families
-    return _decompose(A, x, QUATERNIONIC,
-                      [(fam1.pairs, x1), (fam2.pairs, x.to_coords() - x1)])
+    return six_way(A, x, system=system)

@@ -1,14 +1,18 @@
 """Eigenvalues and orthonormal eigenbases, one per family.
 
-The real eigenvalues come from the cubic
+The real eigenvalues solve the cubic
 
     lam^3 - tr(A) lam^2 + sigma(A) lam - det(A) = r
 
 with r a root of the family quadratic, so each matrix carries two
-3-eigenvalue families.  Octonionic eigenvectors come from one eigh of the
-real 24x24 form, labelled into families with the K projectors;
-quaternionic ones from two 12x12 blocks of that form, on H^3 and ell H^3;
-complex and real ones from a 3x3 complex eigh.
+3-eigenvalue families.  Every class takes one route: each family is one
+eigh of A on its invariant subspace, spanned by the orthonormal columns of
+the 24 x 3k map Q from `subspace.family_bases` (T_m in each slot for
+octonionic matrices, H and ell H for quaternionic ones, span{1, i0} for
+complex and real ones), followed by the coordinate rule and a rank-one
+sweep for repeated eigenvalues.  `eigenvectors` keeps the SVD nullspace
+of R - lam I as the reference path; `lambda_roots` is a cross-check of
+the cubic for the harness.
 """
 
 import math
@@ -19,8 +23,6 @@ import numpy as np
 from .errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from .hermitian import (
     COMPLEX,
-    OCTONIONIC,
-    QUATERNIONIC,
     REAL,
     Hermitian3,
     MatrixClass,
@@ -35,16 +37,7 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import Octonion, inner, left_mul_matrix
-from .subspace import (
-    FamilyContext,
-    apply_blockwise,
-    conj_matrix,
-    family_contexts,
-    family_projector,
-    k_matrix,
-    quaternionic_split,
-)
+from .subspace import FamilyContext, apply_blockwise, family_bases, k_matrix
 
 __all__ = [
     "EigenPair",
@@ -198,9 +191,9 @@ def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
     """Deterministic unit representative from an orthonormal column basis.
 
     Maximizes the coordinate functional of the first usable slot, trying
-    the real parts of the vector components first (coordinates 0, block,
-    2*block, ...); the construction makes that coordinate positive, which
-    fixes the sign.
+    the first coordinate of each vector component first (coordinates 0,
+    block, 2*block, ...); the construction makes that coordinate positive,
+    which fixes the sign.
     """
     dim = space.shape[0]
     order = list(range(0, dim, block)) + [i for i in range(dim) if i % block != 0]
@@ -212,39 +205,27 @@ def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
     raise ExtractionFailure("could not pick a representative from the candidate subspace")
 
 
-def _sweep(space: np.ndarray, lam: float, multiplicity: int, H: np.ndarray) -> list[np.ndarray]:
+def _sweep(space: np.ndarray, lam: float, multiplicity: int, Q: np.ndarray) -> list[np.ndarray]:
     """`multiplicity` representatives from an orthonormal basis of one eigenspace.
 
-    H (24 x dim) maps the coordinates of `space`, dim/3 per vector component,
+    Q (24 x dim) maps the coordinates of `space`, dim/3 per vector component,
     into O^3.  For repeated eigenvalues a Gram-Schmidt sweep subtracts the
     rank-one projection (v v^dagger) y, which is idempotent on this K
     eigenspace.
     """
+    per = space.shape[1] // multiplicity
     reps = []
     for k in range(multiplicity):
         rep = _pick_representative(space, len(space) // 3)
         reps.append(rep)
         if k + 1 < multiplicity:
-            B = H.T @ realify_rank_one(H @ rep[:, None])[0] @ H
+            B = Q.T @ realify_rank_one(Q @ rep[:, None])[0] @ Q
             space = _column_basis(space - B @ space)
-            if space.shape[1] < 4 * (multiplicity - k - 1):
+            if space.shape[1] < per * (multiplicity - k - 1):
                 raise ExtractionFailure(
                     f"generalized orthogonalization at lambda={lam:.6g} lost rank"
                 )
     return reps
-
-
-def _family_pairs(labelled: np.ndarray, m: int, lam: float,
-                  multiplicity: int) -> list[EigenPair]:
-    """`multiplicity` orthonormal eigenpairs spanned by family-projected columns."""
-    space = _column_basis(labelled)
-    if space.shape[1] < 4 * multiplicity:
-        raise ExtractionFailure(
-            f"family-{m} eigenspace at lambda={lam:.6g} has dimension "
-            f"{space.shape[1]}, expected {4 * multiplicity}"
-        )
-    return [EigenPair(lam=lam, v=OctVector3.from_coords(rep), family=m)
-            for rep in _sweep(space, lam, multiplicity, _EYE24)]
 
 
 def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
@@ -254,14 +235,20 @@ def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
     Reference path: the nullspace of the realified shifted matrix, with the
     family projector P_m applied blockwise (real dimension 4 per eigenvector).
     """
-    null = real_nullspace(realify24(A) - lam * np.eye(24))
-    labelled = apply_blockwise(fam.projector(k_matrix(A)), null)
-    return _family_pairs(labelled, fam.m, lam, multiplicity)
+    null = real_nullspace(realify24(A) - lam * _EYE24)
+    space = _column_basis(apply_blockwise(fam.projector(k_matrix(A)), null))
+    if space.shape[1] < 4 * multiplicity:
+        raise ExtractionFailure(
+            f"family-{fam.m} eigenspace at lambda={lam:.6g} has dimension "
+            f"{space.shape[1]}, expected {4 * multiplicity}"
+        )
+    return [EigenPair(lam=lam, v=OctVector3.from_coords(rep), family=fam.m)
+            for rep in _sweep(space, lam, multiplicity, _EYE24)]
 
 
 def _cluster(values) -> list[list[float]]:
     vals = sorted(values)
-    tol = _CLUSTER_TOL * max(1.0, max(abs(v) for v in vals))
+    tol = _CLUSTER_TOL * max(abs(v) for v in vals)
     groups = [[vals[0]]]
     for v in vals[1:]:
         if v - groups[-1][-1] <= tol:
@@ -305,127 +292,43 @@ def _family_residuals(A: Hermitian3, forms, fam: FamilyContext, pairs) -> dict:
     }
 
 
-def _octonionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
-    """Both families from one eigh of the real form, labelled by P_m.
+def _family_pairs(R: np.ndarray, fam: FamilyContext, Q: np.ndarray) -> list[EigenPair]:
+    """The family's eigenpairs, ascending, from one eigh of R = realify24(A) on the span of Q.
 
-    The eigh columns within _RANK_TOL ||A|| of a polished cubic root span its
-    real eigenspace, 8-dimensional when the other family has an eigenvalue
-    that close too; P_m keeps the family's part.
+    Q (24 x 3k) has orthonormal columns spanning an A-invariant subspace on
+    which every eigenvalue has real multiplicity k; the coordinate rule and
+    the sweep run on the 3k coordinates and Q maps the result into O^3.
     """
-    forms = _real_forms(A)
-    w, U = np.linalg.eigh(forms[0])
-    tol = _RANK_TOL * A.frobenius()
-    families = []
-    for fam in family_contexts(A):
-        P = family_projector(A, fam.m)
-        pairs = []
-        for group in _cluster(lambda_roots(A, fam.r)):
-            lam = float(np.mean(group))
-            labelled = apply_blockwise(P, U[:, np.abs(w - lam) <= tol])
-            pairs.extend(_family_pairs(labelled, fam.m, lam, len(group)))
-        pairs.sort(key=lambda p: p.lam)
-        families.append(FamilyEigensystem(
-            context=fam, pairs=tuple(pairs), residuals=_family_residuals(A, forms, fam, pairs),
-        ))
-    return EigenSystem(matrix_class=cls, families=tuple(families))
-
-
-def _quat_pairs(M12: np.ndarray, H: np.ndarray, Q: np.ndarray, m: int) -> list[EigenPair]:
-    """Eigenpairs of a 12x12 form in the coordinates of H, mapped into O^3 by Q.
-
-    Each eigenvalue shows up with real multiplicity 4 (right multiples); H
-    (24x12) embeds the coordinates in H^3 for the sweep of repeated ones.
-    """
-    w, U = np.linalg.eigh(M12)
+    w, U = np.linalg.eigh(Q.T @ R @ Q)
+    k = Q.shape[1] // 3
     pairs = []
     start = 0
     for group in _cluster(w):
         size = len(group)
-        if size % 4 != 0:
+        if size % k != 0:
             raise ExtractionFailure(
-                f"quaternionic eigenvalue cluster of size {size} is not a multiple of 4"
+                f"family-{fam.m} eigenvalue cluster of size {size} is not a multiple of {k}"
             )
         lam = float(np.mean(group))
-        reps = _sweep(U[:, start:start + size], lam, size // 4, H)
+        reps = _sweep(U[:, start:start + size], lam, size // k, Q)
         start += size
-        pairs.extend(EigenPair(lam, OctVector3.from_coords(Q @ rep), m) for rep in reps)
+        pairs.extend(EigenPair(lam, OctVector3.from_coords(Q @ rep), fam.m) for rep in reps)
     return pairs
 
 
-def _quaternionic_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
-    """The plain family on H^3 and the lifted one on ell H^3, from the real form.
-
-    With H and L the 24x12 maps of the bases h and ell h of each slot,
-    H^T R H is the form of A on H^3, and, since A (ell v) = ell (Abar v),
-    L^T R L is the form of the conjugate matrix Abar in the h-basis.
-    """
-    hbasis, ell = quaternionic_split(A)
-    Hb = np.array([h.coords for h in hbasis])
-    H = np.kron(np.eye(3), Hb.T)
-    L = np.kron(np.eye(3), left_mul_matrix(ell) @ Hb.T)
-    forms = _real_forms(A)
-    families = []
-    # the lifted eigenvectors solve the characteristic cubic of the
-    # conjugate matrix, which shifts the constant term: K picks up the
-    # determinant gap as its eigenvalue on this family
-    for m, r, Q in ((1, 0.0, H), (2, det(conj_matrix(A)) - det(A), L)):
-        ctx = FamilyContext(m=m, r=r, phi=0.0, alpha=Octonion.zero(), s=None)
-        pairs = _quat_pairs(Q.T @ forms[0] @ Q, H, Q, m)
-        residuals = _family_residuals(A, forms, ctx, pairs)
-        families.append(FamilyEigensystem(ctx, tuple(pairs), residuals))
-    return EigenSystem(matrix_class=cls, families=tuple(families))
-
-
-def _complex_unit(A: Hermitian3) -> Octonion:
-    for q in (A.a, A.b, A.c):
-        im = q.imag()
-        if im.norm() > 1e-12:
-            u = im * (1.0 / im.norm())
-            nz = np.nonzero(np.abs(u.coords) > 1e-12)[0]
-            if nz.size and u.coords[nz[0]] < 0:
-                u = -u
-            return u
-    return Octonion.unit(1)
-
-
-def _complex_eigensystem(A: Hermitian3, cls: MatrixClass) -> EigenSystem:
-    i0 = _complex_unit(A)
-
-    def to_c(q: Octonion) -> complex:
-        return complex(q.real, inner(i0, q))
-
-    rows = A.entries()
-    H = np.array([[to_c(rows[i][j]) for j in range(3)] for i in range(3)])
-    evals, evecs = np.linalg.eigh(H)
-    pairs = []
-    for k in range(3):
-        col = evecs[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-9)[0]
-        ph = col[nz[0]] / abs(col[nz[0]]) if nz.size else 1.0
-        col = col / ph
-        comps = tuple(
-            Octonion.from_real(z.real) + i0 * z.imag for z in col
-        )
-        pairs.append(EigenPair(float(evals[k]), OctVector3(comps), 1))
-    ctx = FamilyContext(m=1, r=0.0, phi=0.0, alpha=Octonion.zero(), s=None)
-    forms = _real_forms(A)
-    fam = FamilyEigensystem(ctx, tuple(pairs), _family_residuals(A, forms, ctx, pairs))
-    return EigenSystem(matrix_class=cls, families=(fam,))
-
-
 def eigensystem(A: Hermitian3) -> EigenSystem:
-    """Full eigenstructure with routing by matrix class.
+    """Full eigenstructure: one eigh of A on each family's invariant subspace.
 
     Octonionic matrices get the two r-labeled families; quaternionic ones
     the plain family plus the lifted one; complex and real matrices have a
     single family and are flagged as such.
     """
-    cls = classify(A)
-    if cls.tag == OCTONIONIC:
-        return _octonionic_eigensystem(A, cls)
-    if cls.tag == QUATERNIONIC:
-        return _quaternionic_eigensystem(A, cls)
-    return _complex_eigensystem(A, cls)
+    forms = _real_forms(A)
+    families = []
+    for fam, Q in family_bases(A):
+        pairs = _family_pairs(forms[0], fam, Q)
+        families.append(FamilyEigensystem(fam, tuple(pairs), _family_residuals(A, forms, fam, pairs)))
+    return EigenSystem(matrix_class=classify(A), families=tuple(families))
 
 
 def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:

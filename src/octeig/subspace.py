@@ -3,9 +3,11 @@
 For a matrix whose off-diagonal entries have nonvanishing associator,
 the octonions split into two orthogonal 4-spaces T_m = T s_m picked out
 by the characteristic operator K; everything here builds and exercises
-that split, plus the quaternionic fallback where it collapses.
+that split, plus the quaternionic fallback where it collapses, and
+`family_bases`, the per-family subspaces every eigensystem is taken on.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,12 +17,14 @@ from .errors import AmbiguousSubalgebra, DegenerateFamily, NotQuaternionic, Sing
 from .hermitian import (
     COMPLEX,
     OCTONIONIC,
+    QUATERNIONIC,
     REAL,
     Hermitian3,
     OctVector3,
     _per_matrix,
     alpha,
     classify,
+    det,
     phi,
 )
 from .octonion import Octonion, inner, left_mul_matrix
@@ -36,6 +40,7 @@ __all__ = [
     "k_scalar",
     "k_matrix",
     "family_projector",
+    "family_bases",
     "apply_blockwise",
     "project_km",
     "project_km_vec",
@@ -122,8 +127,10 @@ def _invariants(A: Hermitian3) -> tuple[float, Octonion, tuple[float, float]]:
         raise DegenerateFamily(
             "associator vanishes; families are not labeled by r (use the quaternionic path)"
         )
-    disc = np.sqrt(4.0 * ph * ph + al.norm2())
-    return ph, al, (-2.0 * ph + disc, -2.0 * ph - disc)
+    # the root of sign opposite to phi does not cancel; Vieta gives the other
+    far = -2.0 * ph - math.copysign(np.sqrt(4.0 * ph * ph + al.norm2()), ph)
+    near = -al.norm2() / far
+    return ph, al, (max(far, near), min(far, near))
 
 
 def r_roots(A: Hermitian3) -> tuple[float, float]:
@@ -140,9 +147,10 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
     """Both family contexts, m = 1 and m = 2, from one derivation of phi, alpha, r."""
     ph, al, rs = _invariants(A)
+    # r_m + 4 phi = -r_other, without the cancellation of the sum
     return tuple(FamilyContext(m=m, r=r, phi=ph, alpha=al,
-                               s=(Octonion.from_real(r + 4.0 * ph) + al) / (2.0 * (r + 2.0 * ph)))
-                 for m, r in zip((1, 2), rs))
+                               s=(Octonion.from_real(-other) + al) / (2.0 * (r + 2.0 * ph)))
+                 for m, r, other in zip((1, 2), rs, rs[::-1]))
 
 
 def family_context(A: Hermitian3, m: int) -> FamilyContext:
@@ -250,6 +258,64 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
     if classify(A).tag == OCTONIONIC:
         raise NotQuaternionic("entrywise conjugation is only used on quaternionic matrices")
     return Hermitian3(A.d, A.e, A.f, A.a.conj(), A.b.conj(), A.c.conj())
+
+
+def _complex_unit(A: Hermitian3) -> Octonion:
+    """Unit imaginary direction i0 with a, b, c in span{1, i0}; e1 for a real matrix."""
+    for q in (A.a, A.b, A.c):
+        im = q.imag()
+        if im.norm() > 1e-12:
+            u = im * (1.0 / im.norm())
+            nz = np.nonzero(np.abs(u.coords) > 1e-12)[0]
+            if nz.size and u.coords[nz[0]] < 0:
+                u = -u
+            return u
+    return Octonion.unit(1)
+
+
+def _range_basis(P: np.ndarray) -> np.ndarray:
+    """Orthonormal 8x4 basis of the range of the rank-4 projector P, first column P 1 / |P 1|."""
+    U = np.linalg.eigh(P)[1][:, 4:]
+    c = U[0] / np.linalg.norm(U[0])
+    G = np.linalg.qr(np.column_stack([c, np.eye(4)]))[0]
+    return U @ G * math.copysign(1.0, G[:, 0] @ c)
+
+
+def _slots(B: np.ndarray) -> np.ndarray:
+    """The 24 x 3k map that applies the 8 x k basis B in each octonion slot, read-only."""
+    Q = np.kron(np.eye(3), B)
+    Q.flags.writeable = False
+    return Q
+
+
+@_per_matrix
+def family_bases(A: Hermitian3) -> tuple:
+    """Per family, its context and an orthonormal 24 x 3k basis Q of its subspace of O^3.
+
+    A maps each subspace into itself, with every eigenvalue of real
+    multiplicity k there; the first column of each slot's k is the
+    direction the coordinate rule of the extraction tries first.
+    Octonionic: Q = kron(I3, B_m) with B_m a basis of T_m = range P_m
+    that starts with P_m 1.  Quaternionic: the bases h of H and ell h of
+    ell H; the lifted family's K eigenvalue is the determinant gap.
+    Complex and real: one family on (1, i0).
+    """
+    tag = classify(A).tag
+    if tag == OCTONIONIC:
+        return tuple((fam, _slots(_range_basis(family_projector(A, fam.m))))
+                     for fam in family_contexts(A))
+    if tag == QUATERNIONIC:
+        hbasis, ell = quaternionic_split(A)
+        Hb = np.array([h.coords for h in hbasis]).T
+        return ((_associative_context(1, 0.0), _slots(Hb)),
+                (_associative_context(2, det(conj_matrix(A)) - det(A)),
+                 _slots(left_mul_matrix(ell) @ Hb)))
+    i0 = np.array([Octonion.from_real(1.0).coords, _complex_unit(A).coords]).T
+    return ((_associative_context(1, 0.0), _slots(i0)),)
+
+
+def _associative_context(m: int, r: float) -> FamilyContext:
+    return FamilyContext(m=m, r=r, phi=0.0, alpha=Octonion.zero(), s=None)
 
 
 def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:

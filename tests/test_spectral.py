@@ -9,6 +9,7 @@ from octeig.errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from octeig.hermitian import (
     Hermitian3,
     OctVector3,
+    classify,
     det,
     hermitian_combination,
     mat_vec,
@@ -396,17 +397,47 @@ def test_realify_rank_one(rng):
         assert np.allclose(forms[k] @ y.to_coords(), mat_vec(outer(v), y).to_coords(), atol=1e-13)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-2.5, 3.0))
-def test_eigensystem_scales_linearly(seed, exponent):
-    A = random_hermitian(np.random.default_rng(seed), "octonionic")
+def assert_scales_linearly(kind, seed, exponent):
+    A = random_hermitian(np.random.default_rng(seed), kind)
     s = 10.0 ** exponent
     es, es_s = eigensystem(A), eigensystem(A.scale(s))
-    assert es_s.matrix_class.tag == "octonionic"
+    assert es_s.matrix_class.tag == kind
     for fam, fam_s in zip(es.families, es_s.families):
         for p, p_s in zip(fam.pairs, fam_s.pairs):
             assert abs(p_s.lam - s * p.lam) <= 1e-12 * s * A.frobenius()
         assert max(fam_s.residuals.values()) <= 1e-8
+
+
+# small octonionic matrices are still routed by an absolute class cut
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-2.5, 3.0))
+def test_eigensystem_scales_linearly(seed, exponent):
+    assert_scales_linearly("octonionic", seed, exponent)
+
+
+@pytest.mark.parametrize("kind", ["quaternionic", "complex", "real"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 3.0))
+def test_eigensystem_scales_linearly_in_every_class(kind, seed, exponent):
+    # eigenvalues 1e-6 apart used to fall into one cluster at s = 1e-6
+    assert_scales_linearly(kind, seed, exponent)
+
+
+def test_eigensystem_near_quaternionic_boundary(rng):
+    # nudged off the subalgebra by 1e-9..1e-6: routed octonionic, with one
+    # family root r ~ |alpha|^2 / phi tiny against the other
+    nudges = 0
+    for eps in 10.0 ** np.linspace(-9, -6, 150):
+        A = rand_herm(rng, mask=(0, 1, 2, 4))
+        coords = A.c.coords.copy()
+        coords[rng.choice((3, 5, 6, 7))] += eps
+        A = Hermitian3(A.d, A.e, A.f, A.a, A.b, Octonion(coords))
+        if classify(A).tag != "octonionic":
+            continue
+        nudges += 1
+        es = eigensystem(A)
+        assert max(max(fam.residuals.values()) for fam in es.families) <= 1e-12
+    assert nudges >= 100
 
 
 def test_lambda_roots_keep_scaled_double_roots():

@@ -27,6 +27,7 @@ from octeig.subspace import (
     basis_invariance_check,
     cd_table_check,
     conj_matrix,
+    family_bases,
     family_context,
     family_contexts,
     family_projector,
@@ -104,6 +105,22 @@ def test_r_roots_vieta(rng):
         scale = max(1.0, abs(r1), abs(r2))
         assert abs(r1 + r2 + 4 * phi(A)) < 1e-9 * scale
         assert abs(r1 * r2 + alpha(A).norm2()) < 1e-9 * scale ** 2
+    # nudged off a quaternionic subalgebra, one root is |alpha|^2 / (4 phi)
+    # against -4 phi: taken as -2 phi + sqrt(4 phi^2 + |alpha|^2) it cancels
+    nudged = 0
+    for eps in (1e-6, 1e-7, 1e-8) * 20:
+        A = rand_herm(rng, mask=(0, 1, 2, 4))
+        coords = A.c.coords.copy()
+        coords[rng.choice((3, 5, 6, 7))] += eps
+        A = Hermitian3(A.d, A.e, A.f, A.a, A.b, Octonion(coords))
+        if classify(A).tag != "octonionic":
+            continue
+        nudged += 1
+        r1, r2 = r_roots(A)
+        al2 = alpha(A).norm2()
+        assert r1 > 0 > r2
+        assert abs(r1 * r2 + al2) <= 1e-12 * al2
+    assert nudged >= 40
 
 
 def test_s_elements_flat_case():
@@ -354,7 +371,7 @@ CACHED = (
     (classify, ()), (sigma, ()), (det, ()), (phi, ()), (alpha, ()),
     (_invariants, ()), (family_contexts, ()), (k_matrix, ()),
     (family_projector, (1,)), (family_projector, (2,)),
-    (t_basis, ()), (quaternionic_split, ()), (realify24, ()),
+    (t_basis, ()), (quaternionic_split, ()), (realify24, ()), (family_bases, ()),
 )
 
 
@@ -391,7 +408,8 @@ def test_cached_values_equal_a_fresh_computation(rng, mask):
 
 def test_cached_arrays_are_read_only(rng):
     A = rand_herm(rng)
-    for value in (realify24(A), k_matrix(A), family_projector(A, 1), family_projector(A, 2)):
+    arrays = (realify24(A), k_matrix(A), family_projector(A, 1), family_projector(A, 2))
+    for value in arrays + tuple(Q for _, Q in family_bases(A)):
         with pytest.raises(ValueError):
             value[0, 0] = 1.0
 
@@ -401,3 +419,25 @@ def test_degenerate_family_raised_on_every_call(rng):
     for _ in range(2):
         with pytest.raises(DegenerateFamily):
             family_contexts(A)
+
+
+@pytest.mark.parametrize("mask, families", [(None, 2), ((0, 1, 2, 4), 2), ((0, 1), 1), ((0,), 1)])
+def test_family_bases_span_invariant_subspaces(rng, mask, families):
+    for _ in range(10):
+        A = rand_herm(rng, mask)
+        bases = family_bases(A)
+        assert len(bases) == families
+        R = realify24(A)
+        for m, (fam, Q) in enumerate(bases, start=1):
+            k = Q.shape[1] // 3
+            assert fam.m == m and Q.shape == (24, 3 * k)
+            assert np.abs(Q.T @ Q - np.eye(3 * k)).max() < 1e-13
+            # A maps the span of Q into itself
+            assert np.abs(R @ Q - Q @ (Q.T @ R @ Q)).max() < 1e-13 * A.frobenius()
+            if mask is None:
+                # octonionic: T_m in each slot, starting with P_m 1 = s_m
+                P = family_projector(A, m)
+                assert np.abs(Q @ Q.T - np.kron(np.eye(3), P)).max() < 1e-12
+                assert np.abs(Q[:8, 0] - fam.s.coords / fam.s.norm()).max() < 1e-12
+        if families == 1:
+            assert bases[0][1].shape[1] == 6
