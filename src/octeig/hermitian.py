@@ -16,7 +16,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .octonion import Octonion, assoc3form, associator, left_mul_matrix
+from .octonion import (
+    _CONJ,
+    Octonion,
+    _norm,
+    _product,
+    assoc3form,
+    associator,
+    conj,
+    left_mul_matrix,
+)
 
 __all__ = [
     "OctVector3",
@@ -43,6 +52,8 @@ COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 OCTONIONIC = "octonionic"
 
+# indexed by the stacked class test's codes
+_TAGS = (REAL, COMPLEX, QUATERNIONIC, OCTONIONIC)
 _CLASS_TOL = 1e-9
 
 
@@ -243,26 +254,63 @@ class MatrixClass(NamedTuple):
     dim_t: int
 
 
+@_per_matrix
+def _arrays(A: Hermitian3) -> tuple[np.ndarray, np.ndarray]:
+    """A's diagonal (3,) and off-diagonal entries a, b, c (3, 8), read-only.
+
+    The stacked functions below take diagonals (..., 3) and off-diagonals
+    (..., 3, 8); one matrix is their unstacked case.
+    """
+    dia, off = np.array([A.d, A.e, A.f]), np.array([A.a.coords, A.b.coords, A.c.coords])
+    dia.flags.writeable = off.flags.writeable = False
+    return dia, off
+
+
+def _vnorm(y: np.ndarray) -> np.ndarray:
+    """Norm of each stacked vector y (..., 3, 8)."""
+    return np.sqrt(np.vecdot(y, y).sum(-1))
+
+
 def trace(A: Hermitian3) -> float:
     return A.d + A.e + A.f
 
 
-def _trace_sq(A: Hermitian3) -> float:
-    # tr(A^2) from the reconstructed entrywise products; no hand-derived
-    # closed form, only Re(A_ij A_ji) summed over the 9 entries.
-    rows = A.entries()
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            total += (rows[i][j] * rows[j][i]).real
-    return total
+def _sigma(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """`sigma` of stacked matrices, diagonals (..., 3) and off-diagonals (..., 3, 8)."""
+    # tr(A^2) as the sum of Re(A_ij A_ji) over the 9 entries in row order; no
+    # hand-derived closed form.  aa = Re(a abar), aa_ = Re(abar a), and so on.
+    sq = dia * dia
+    d, e, f = sq[..., 0], sq[..., 1], sq[..., 2]
+    same, swapped = _product(off, off * _CONJ)[..., 0], _product(off * _CONJ, off)[..., 0]
+    aa, bb, cc = same[..., 0], same[..., 1], same[..., 2]
+    aa_, bb_, cc_ = swapped[..., 0], swapped[..., 1], swapped[..., 2]
+    t = dia.sum(-1)
+    return 0.5 * (t * t - (d + aa + bb_ + aa_ + e + cc + bb + cc_ + f))
+
+
+def _det(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """`det` of stacked matrices."""
+    d, e, f = dia[..., 0], dia[..., 1], dia[..., 2]
+    a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
+    n2 = np.vecdot(off, off)
+    return (d * e * f - d * n2[..., 2] - e * n2[..., 1] - f * n2[..., 0]
+            + 2.0 * _product(_product(c, b), a)[..., 0])
+
+
+def _phi(off: np.ndarray) -> np.ndarray:
+    """`phi` of stacked off-diagonals (..., 3, 8)."""
+    return assoc3form(off[..., 0, :], off[..., 1, :], off[..., 2, :])
+
+
+def _alpha(off: np.ndarray) -> np.ndarray:
+    """`alpha` of stacked off-diagonals, (..., 8)."""
+    return associator(off[..., 0, :], off[..., 1, :], off[..., 2, :])
 
 
 @_per_matrix
 def sigma(A: Hermitian3) -> float:
     """Second characteristic invariant ((tr A)^2 - tr(A^2)) / 2."""
-    t = trace(A)
-    return 0.5 * (t * t - _trace_sq(A))
+    return float(_sigma(*_arrays(A)))
 
 
 @_per_matrix
@@ -272,55 +320,56 @@ def det(A: Hermitian3) -> float:
     Validated against the diagonality of the characteristic operator; a
     wrong sign on the Re((cb)a) term breaks that identity immediately.
     """
-    return (
-        A.d * A.e * A.f
-        - A.d * A.c.norm2()
-        - A.e * A.b.norm2()
-        - A.f * A.a.norm2()
-        + 2.0 * ((A.c * A.b) * A.a).real
-    )
+    return float(_det(*_arrays(A)))
 
 
 @_per_matrix
 def phi(A: Hermitian3) -> float:
     """Associative 3-form of the off-diagonal entries."""
-    return assoc3form(A.a, A.b, A.c)
+    return float(_phi(_arrays(A)[1]))
 
 
 @_per_matrix
 def alpha(A: Hermitian3) -> Octonion:
     """Associator [a, b, c] of the off-diagonal entries."""
-    return associator(A.a, A.b, A.c)
+    return Octonion._of(_alpha(_arrays(A)[1]))
 
 
-def _rank(rows: list[np.ndarray], tol: float = _CLASS_TOL) -> int:
-    m = np.array(rows)
-    if not m.size:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))
+def _associative(off: np.ndarray, al: np.ndarray) -> np.ndarray:
+    """Where |alpha| <= tol |a||b||c|: both sides are homogeneous of degree 3,
+    so the test does not depend on the matrix's scale."""
+    n = _norm(off)
+    return _norm(al) <= _CLASS_TOL * n[..., 0] * n[..., 1] * n[..., 2]
+
+
+def _rank(rows: np.ndarray, tol: float = _CLASS_TOL) -> np.ndarray:
+    """Rank of each stacked row set (..., k, 8), relative to its largest singular value."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    return (s > tol * s[..., :1]).sum(-1)
+
+
+def _classes(off: np.ndarray, al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index into _TAGS and dim T for off-diagonals (..., 3, 8) with associators al (..., 8)."""
+    # one svd call: the rows (1, a, b, c), and the imaginary parts padded with a zero row
+    rows = np.zeros(off.shape[:-2] + (2, 4, 8))
+    rows[..., 0, 0, 0] = 1.0
+    rows[..., 0, 1:, :] = off
+    rows[..., 1, 1:, 1:] = off[..., 1:]
+    ranks = _rank(rows)
+    dim_t, imag_rank = ranks[..., 0], ranks[..., 1]
+    return np.where(_associative(off, al), np.minimum(imag_rank, 2), 3), dim_t
 
 
 @_per_matrix
 def classify(A: Hermitian3) -> MatrixClass:
     """Classify by the smallest subalgebra containing the off-diagonal entries.
 
-    The octonionic test is |alpha| against the scaled tolerance; matrices
-    routed below it land on the quaternionic/complex/real paths, which are
-    exact there and a limit elsewhere.
+    The octonionic test is |alpha| against tol |a||b||c|; matrices routed
+    below it land on the quaternionic/complex/real paths, which are exact
+    there and a limit elsewhere.
     """
-    scale = (1.0 + A.a.norm()) * (1.0 + A.b.norm()) * (1.0 + A.c.norm())
-    one = np.zeros(8)
-    one[0] = 1.0
-    dim_t = _rank([one, A.a.coords, A.b.coords, A.c.coords])
-    if alpha(A).norm() > _CLASS_TOL * scale:
-        return MatrixClass(OCTONIONIC, dim_t)
-    imag_rank = _rank([A.a.imag().coords, A.b.imag().coords, A.c.imag().coords])
-    if imag_rank == 0:
-        return MatrixClass(REAL, dim_t)
-    if imag_rank == 1:
-        return MatrixClass(COMPLEX, dim_t)
-    return MatrixClass(QUATERNIONIC, dim_t)
+    code, dim_t = _classes(_arrays(A)[1], alpha(A).coords)
+    return MatrixClass(_TAGS[code], int(dim_t))
 
 
 def mat_vec(A: Hermitian3, x: OctVector3) -> OctVector3:
@@ -338,14 +387,11 @@ def outer(v: OctVector3) -> Hermitian3:
     return v.outer()
 
 
-_CONJ = np.array([1.0] + [-1.0] * 7)
-
-
 def outer_entries(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (n, 3) and a, b, c (n, 3, 8) of v v^dagger for each column v of V (24, n)."""
     X = V.T.reshape(-1, 3, 8)
     # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
-    off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
+    off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), conj(X[:, [1, 0, 2]]))
     return np.einsum("nsi,nsi->ns", X, X), off
 
 

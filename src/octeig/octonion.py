@@ -8,8 +8,13 @@ e1..e7.  The table follows the cyclic convention e_i e_{i+1} = e_{i+3}
 
 Any valid table would satisfy the identities implemented here; frozen
 test values assume this one.
+
+`mul`, `conj`, `inner`, `associator`, `assoc3form` and `left_mul_matrix`
+also take coordinate arrays of shape (..., 8), one octonion per stacked
+row, and then return arrays; an Octonion is the unstacked case.
 """
 
+import functools
 import math
 import numbers
 
@@ -48,6 +53,20 @@ _TABLE.flags.writeable = False
 # flattened view used by the hot multiply path
 _TABLE_2D = np.ascontiguousarray(_TABLE.reshape(8, 64))
 _TABLE_2D.flags.writeable = False
+# coordinates of 1 and the sign pattern of conjugation
+_ONE = np.eye(8)[0]
+_CONJ = np.array([1.0] + [-1.0] * 7)
+_ONE.flags.writeable = _CONJ.flags.writeable = False
+
+
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coordinates of p*q for coordinate arrays (..., 8), broadcast along the stack."""
+    return np.vecmat(q, (p @ _TABLE_2D).reshape(*p.shape[:-1], 8, 8))
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each coordinate row of x (..., 8)."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 class Octonion:
@@ -98,9 +117,7 @@ class Octonion:
         return Octonion._of(c)
 
     def conj(self) -> "Octonion":
-        c = -self.coords
-        c[0] = self.coords[0]
-        return Octonion._of(c)
+        return Octonion._of(self.coords * _CONJ)
 
     def norm2(self) -> float:
         return float(self.coords @ self.coords)
@@ -126,8 +143,7 @@ class Octonion:
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            lhs = (self.coords @ _TABLE_2D).reshape(8, 8)
-            return Octonion._of(other.coords @ lhs)
+            return Octonion._of(_product(self.coords, other.coords))
         if isinstance(other, numbers.Real):
             return Octonion._of(self.coords * float(other))
         return NotImplemented
@@ -162,30 +178,51 @@ class Octonion:
         return q
 
 
-def mul(p: Octonion, q: Octonion) -> Octonion:
+def _on_arrays(fn):
+    """Let fn, written for coordinate arrays (..., 8), take Octonions too.
+
+    Octonion arguments go in as their coordinates; an (8,) result comes
+    back as an Octonion and a scalar one as a float.
+    """
+    @functools.wraps(fn)
+    def wrapped(*args):
+        if not isinstance(args[0], Octonion):
+            return fn(*(np.asarray(a, dtype=float) for a in args))
+        out = fn(*(a.coords for a in args))
+        return Octonion._of(out) if out.ndim else float(out)
+
+    return wrapped
+
+
+@_on_arrays
+def mul(p, q):
     """Octonion product p*q."""
-    return p * q
+    return _product(p, q)
 
 
-def conj(p: Octonion) -> Octonion:
+@_on_arrays
+def conj(p):
     """Conjugate: real part kept, imaginary coordinates negated."""
-    return p.conj()
+    return p * _CONJ
 
 
-def inner(p: Octonion, q: Octonion) -> float:
+@_on_arrays
+def inner(p, q):
     """Euclidean inner product of coordinates; equals Re(p qbar) = (p qbar + q pbar)/2."""
-    return float(p.coords @ q.coords)
+    return np.vecdot(p, q)
 
 
-def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
+@_on_arrays
+def associator(a, b, c):
     """(ab)c - a(bc), totally antisymmetric and purely imaginary."""
-    return (a * b) * c - a * (b * c)
+    return _product(_product(a, b), c) - _product(a, _product(b, c))
 
 
-def assoc3form(a: Octonion, b: Octonion, c: Octonion) -> float:
+@_on_arrays
+def assoc3form(a, b, c):
     """Associative 3-form: Re(a x b x c) = Re(a(bbar c) - c(bbar a))/2."""
-    bc = b.conj()
-    return 0.5 * ((a * (bc * c)).real - (c * (bc * a)).real)
+    bc = b * _CONJ
+    return 0.5 * (_product(a, _product(bc, c)) - _product(c, _product(bc, a)))[..., 0]
 
 
 def left_mul_matrix(q) -> np.ndarray:

@@ -15,29 +15,39 @@ of R - lam I as the reference path; `lambda_roots` is a cross-check of
 the cubic for the harness.
 """
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from .hermitian import (
-    COMPLEX,
-    REAL,
+    QUATERNIONIC,
+    _TAGS,
     Hermitian3,
     MatrixClass,
     OctVector3,
+    _alpha,
+    _arrays,
+    _classes,
     _per_matrix,
     classify,
     det,
     mat_vec,
-    outer,
     outer_entries,
     real_form,
     sigma,
     trace,
 )
-from .subspace import FamilyContext, apply_blockwise, family_bases, k_matrix
+from .octonion import Octonion
+from .subspace import (
+    FamilyContext,
+    _Stack,
+    apply_blockwise,
+    family_bases,
+    k_matrix,
+    quaternionic_split,
+)
 
 __all__ = [
     "EigenPair",
@@ -107,48 +117,53 @@ class EigenSystem:
 def lambda_roots(A: Hermitian3, r: float) -> tuple[float, float, float]:
     """Three real roots, ascending, of lam^3 - tr lam^2 + sigma lam - (det + r) = 0.
 
+    The unstacked case of `_lambda_roots`; raises ComplexRoots when the
+    supplied r does not belong to this matrix.
+    """
+    return tuple(float(x) for x in _lambda_roots(trace(A), sigma(A), det(A) + r))
+
+
+def _lambda_roots(tr, sg, target) -> np.ndarray:
+    """Ascending real roots (..., 3) of lam^3 - tr lam^2 + sg lam - target, stacked.
+
     Solved with the trigonometric method for the all-real-roots case (the
     acos argument is clamped to absorb rounding), then each root gets up to
     two Newton polish steps on the original cubic.  A discriminant that is
-    negative beyond tolerance means the supplied r does not belong to this
+    negative beyond tolerance means the target does not belong to the
     matrix and raises ComplexRoots.
     """
-    b, c, d = -trace(A), sigma(A), -(det(A) + r)
+    b, c, d = (np.asarray(x, dtype=float) for x in (-tr, sg, -target))
     # depressed form t^3 + p t + q, lam = t - b/3
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
     disc = -4.0 * p ** 3 - 27.0 * q * q
-    scale = max(1.0, abs(p) ** 3, q * q)
-    if disc < -1e-9 * scale:
-        raise ComplexRoots(
-            f"cubic discriminant {disc:.3e} is negative: r={r!r} is inconsistent with this matrix"
-        )
+    bad = disc < -1e-9 * np.maximum(1.0, np.maximum(np.abs(p) ** 3, q * q))
+    if np.any(bad):
+        raise ComplexRoots(f"cubic discriminant {np.min(disc[bad]):.3e} is negative: "
+                           "the family root r is inconsistent with this matrix")
     shift = -b / 3.0
-    if p >= 0.0:
-        # all roots collapse within rounding
-        t0 = math.copysign(abs(q) ** (1.0 / 3.0), -q)
-        roots = [shift + t0] * 3
-    else:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        roots = [shift + m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    m = 2.0 * np.sqrt(np.maximum(-p, 0.0) / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
+        trig = shift[..., None] + m[..., None] * np.cos(
+            theta[..., None] - 2.0 * np.pi * np.arange(3) / 3.0)
+    # p >= 0: all roots collapse within rounding
+    t0 = np.copysign(np.abs(q) ** (1.0 / 3.0), -q)
+    x = np.where((p >= 0.0)[..., None], (shift + t0)[..., None], trig)
     # at a double root f' is rounding noise: a step needs f' above _NEWTON_TOL s^2,
     # s the size of the roots, and is kept only if |f| grows by no more than rounding
-    s = max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
-    polished = []
-    for x in roots:
-        fx = ((x + b) * x + c) * x + d
-        for _ in range(2):
-            dfx = (3.0 * x + 2.0 * b) * x + c
-            if abs(dfx) > _NEWTON_TOL * s * s:
-                xn = x - fx / dfx
-                fn = ((xn + b) * xn + c) * xn + d
-                if abs(fn) <= abs(fx) + _HORNER_EPS * s ** 3:
-                    x, fx = xn, fn
-        polished.append(x)
-    return tuple(sorted(polished))
+    s = np.maximum(np.abs(b), np.maximum(np.sqrt(np.abs(c)), np.abs(d) ** (1.0 / 3.0)))[..., None]
+    b, c, d = b[..., None], c[..., None], d[..., None]
+    fx = ((x + b) * x + c) * x + d
+    for _ in range(2):
+        dfx = (3.0 * x + 2.0 * b) * x + c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - fx / dfx
+        fn = ((xn + b) * xn + c) * xn + d
+        step = ((np.abs(dfx) > _NEWTON_TOL * s * s)
+                & (np.abs(fn) <= np.abs(fx) + _HORNER_EPS * s ** 3))
+        x, fx = np.where(step, xn, x), np.where(step, fn, fx)
+    return np.sort(x, axis=-1)
 
 
 def k_vector(A: Hermitian3, x: OctVector3) -> OctVector3:
@@ -162,7 +177,7 @@ def k_vector(A: Hermitian3, x: OctVector3) -> OctVector3:
 @_per_matrix
 def realify24(A: Hermitian3) -> np.ndarray:
     """Real 24x24 matrix of x -> A x under O^3 = R^24; symmetric for Hermitian A."""
-    return real_form(np.array([A.d, A.e, A.f]), np.array([A.a.coords, A.b.coords, A.c.coords]))
+    return real_form(*_arrays(A))
 
 
 def realify_rank_one(V: np.ndarray) -> np.ndarray:
@@ -278,9 +293,8 @@ def _family_residuals(A: Hermitian3, forms, fam: FamilyContext, pairs) -> dict:
     lams = np.array([p.lam for p in pairs])
     dia, off = outer_entries(V)
     ident = _hermitian_norm(dia.sum(0) - 1.0, off.sum(0))
-    amat = _hermitian_norm(lams @ dia - [A.d, A.e, A.f],
-                           (lams @ off.reshape(-1, 24)).reshape(3, 8)
-                           - [A.a.coords, A.b.coords, A.c.coords])
+    a_dia, a_off = _arrays(A)
+    amat = _hermitian_norm(lams @ dia - a_dia, (lams @ off.reshape(-1, 24)).reshape(3, 8) - a_off)
     # |(v_i v_i^dagger) v_j| for every i < j
     cross = np.linalg.norm(real_form(dia, off) @ V, axis=1)
     return {
@@ -331,14 +345,34 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     return EigenSystem(matrix_class=classify(A), families=tuple(families))
 
 
+class _Systems(_Stack):
+    """Stacked matrices with their eigensystems, one `eigensystem` call each;
+    V (n, F, 3, 3, 8) and lams (n, F, 3) hold each family's eigenpairs in order."""
+
+    def __init__(self, dia: np.ndarray, off: np.ndarray):
+        super().__init__(dia, off)
+        self.mats = [Hermitian3(*map(float, d), *map(Octonion, o)) for d, o in zip(dia, off)]
+        self.systems = [eigensystem(A) for A in self.mats]
+        fams = [[f.pairs for f in es.families] for es in self.systems]
+        self.V = np.array([[[p.v.to_coords().reshape(3, 8) for p in f] for f in fs] for fs in fams])
+        self.lams = np.array([[[p.lam for p in f] for f in fs] for fs in fams])
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """H (n, 4, 8) and ell (n, 8) of each matrix's `quaternionic_split`."""
+        H, ell = zip(*map(quaternionic_split, self.mats))
+        return np.array([[h.coords for h in hb] for hb in H]), np.array([e.coords for e in ell])
+
+
 def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:
     """Family membership predicate: u u^dagger (u u^dagger w) = (u^dagger u)(u u^dagger w).
 
     Defined for normalized u with a non-complex projector u u^dagger.
     """
-    if classify(outer(u)).tag in (REAL, COMPLEX):
+    B = _Stack.outer(u.to_coords().reshape(1, 3, 8))
+    if _classes(B.off, _alpha(B.off))[0][0] < _TAGS.index(QUATERNIONIC):
         raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
-    resid = np.linalg.norm(_membership_operator(u) @ w.to_coords())
+    resid = B.membership(w.to_coords().reshape(1, 3, 8))[0]
     return bool(resid <= tol * max(w.norm(), 1e-300) * max(1.0, u.norm2()) ** 2)
 
 

@@ -9,6 +9,7 @@ that split, plus the quaternionic fallback where it collapses, and
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,13 +22,22 @@ from .hermitian import (
     REAL,
     Hermitian3,
     OctVector3,
+    _alpha,
+    _arrays,
+    _associative,
+    _det,
     _per_matrix,
+    _phi,
+    _sigma,
+    _vnorm,
     alpha,
     classify,
     det,
+    outer_entries,
     phi,
+    real_form,
 )
-from .octonion import Octonion, inner, left_mul_matrix
+from .octonion import _ONE, Octonion, _norm, _product, conj, inner, left_mul_matrix, mul
 
 __all__ = [
     "TBasis",
@@ -52,7 +62,7 @@ __all__ = [
     "span_distance",
 ]
 
-_DEGENERATE_TOL = 1e-9
+_EYE8 = np.eye(8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,57 +90,108 @@ class FamilyContext:
 
     def projector(self, K: np.ndarray) -> np.ndarray:
         """P_m = (K + r_m + 4 phi) / (2 (r_m + 2 phi)) from the 8x8 matrix K."""
-        return (K + (self.r + 4.0 * self.phi) * np.eye(8)) / (2.0 * (self.r + 2.0 * self.phi))
+        return _projector(K, self.r, self.phi)
+
+
+def _projector(K: np.ndarray, r, ph) -> np.ndarray:
+    """(K + r + 4 phi) / (2 (r + 2 phi)) for stacked K (..., 8, 8), r and phi (...)."""
+    r, ph = np.asarray(r)[..., None, None], np.asarray(ph)[..., None, None]
+    return (K + (r + 4.0 * ph) * _EYE8) / (2.0 * (r + 2.0 * ph))
+
+
+def _gram_schmidt(X: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows of each stacked row set X (..., k, 8), and which rows were kept.
+
+    Classical Gram-Schmidt with one re-orthogonalization pass.  A row whose
+    residual falls to tol times its own norm or below is dropped and left
+    zero, which later rows then project on exactly as on nothing.
+    """
+    Q = np.zeros(X.shape)
+    keep = np.zeros(X.shape[:-1], dtype=bool)
+    for j in range(X.shape[-2]):
+        x = X[..., j, :]
+        v = x
+        for _ in range(2):
+            for i in range(j):
+                v = v - Q[..., i, :] * inner(Q[..., i, :], v)[..., None]
+        n = _norm(v)
+        keep[..., j] = n > tol * _norm(x)
+        inv = 1.0 / np.where(keep[..., j], n, 1.0)
+        Q[..., j, :] = np.where(keep[..., j, None], v * inv[..., None], 0.0)
+    return Q, keep
 
 
 def orthonormalize(octs, tol: float = 1e-9) -> tuple:
-    """Classical Gram-Schmidt with one re-orthogonalization pass.
+    """Orthonormal basis of the span of the given octonions, by `_gram_schmidt`.
 
-    Drops vectors whose residual falls below tol relative to the input
-    norm, so the result is an orthonormal basis of the span.
+    Drops vectors whose residual falls to tol times their norm or below.
     """
-    basis = []
-    for q in octs:
-        scale = max(1.0, q.norm())
-        v = q
-        for _ in range(2):
-            for b in basis:
-                v = v - b * inner(b, v)
-        if v.norm() > tol * scale:
-            basis.append(v * (1.0 / v.norm()))
-    return tuple(basis)
+    Q, keep = _gram_schmidt(np.array([q.coords for q in octs]).reshape(-1, 8), tol)
+    return tuple(Octonion(q) for q in Q[keep])
 
 
 def span_distance(q: Octonion, basis) -> float:
-    """Euclidean distance from q to the real span of the given octonions."""
-    if not basis:
-        return q.norm()
-    m = np.array([b.coords for b in basis])
-    proj = m.T @ (m @ q.coords)
-    return float(np.linalg.norm(q.coords - proj))
+    """Euclidean distance from q to the real span of the given orthonormal octonions."""
+    return float(_span_distance(q.coords, np.array([b.coords for b in basis]).reshape(-1, 8)))
+
+
+def _span_distance(q: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Distance from each q (..., 8) to the span of the orthonormal or zero rows S (..., k, 8)."""
+    return _norm(q - np.vecmat(np.matvec(S, q), S))
+
+
+def _t_rows(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_gram_schmidt` of the rows (1, a, b, c) for stacked off-diagonals (..., 3, 8)."""
+    one = np.broadcast_to(_ONE, off.shape[:-2] + (1, 8))
+    return _gram_schmidt(np.concatenate([one, off], axis=-2))
 
 
 @_per_matrix
 def t_basis(A: Hermitian3) -> TBasis:
     """Orthonormal basis of span{1, a, b, c}, in that deterministic order."""
-    basis = orthonormalize([Octonion.from_real(1.0), A.a, A.b, A.c])
-    return TBasis(vectors=basis, dim=len(basis))
+    Q, keep = _t_rows(_arrays(A)[1])
+    return TBasis(vectors=tuple(Octonion(q) for q in Q[keep]), dim=int(keep.sum()))
+
+
+def _degenerate():
+    return DegenerateFamily(
+        "associator vanishes; families are not labeled by r (use the quaternionic path)")
+
+
+def _roots(ph: np.ndarray, al: np.ndarray) -> np.ndarray:
+    """Family roots (..., 2), r1 >= r2, from stacked phi (...) and alpha (..., 8)."""
+    al2 = inner(al, al)
+    # the root of sign opposite to phi does not cancel; Vieta gives the other
+    far = -2.0 * ph - np.copysign(np.sqrt(4.0 * ph * ph + al2), ph)
+    near = -al2 / far
+    return np.stack([np.maximum(far, near), np.minimum(far, near)], axis=-1)
+
+
+def _generators(ph: np.ndarray, al: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """s_m (..., 2, 8) from phi (...), alpha (..., 8) and the roots (..., 2)."""
+    # r_m + 4 phi = -r_other, without the cancellation of the sum
+    num = -rs[..., ::-1, None] * _ONE + al[..., None, :]
+    return num / (2.0 * (rs + 2.0 * ph[..., None]))[..., None]
+
+
+def _families(off: np.ndarray) -> tuple:
+    """phi, alpha, the roots (r1, r2) and the generators (s1, s2) for stacked off-diagonals."""
+    ph, al = _phi(off), _alpha(off)
+    if np.any(_associative(off, al)):
+        raise _degenerate()
+    rs = _roots(ph, al)
+    return ph, al, rs, _generators(ph, al, rs)
 
 
 @_per_matrix
 def _invariants(A: Hermitian3) -> tuple[float, Octonion, tuple[float, float]]:
     """phi, alpha and the family roots (r1, r2), derived once for the matrix."""
-    ph = phi(A)
-    al = alpha(A)
-    scale = (1.0 + A.a.norm()) * (1.0 + A.b.norm()) * (1.0 + A.c.norm())
-    if al.norm() <= _DEGENERATE_TOL * scale:
-        raise DegenerateFamily(
-            "associator vanishes; families are not labeled by r (use the quaternionic path)"
-        )
-    # the root of sign opposite to phi does not cancel; Vieta gives the other
-    far = -2.0 * ph - math.copysign(np.sqrt(4.0 * ph * ph + al.norm2()), ph)
-    near = -al.norm2() / far
-    return ph, al, (max(far, near), min(far, near))
+    # the octonionic class test is the degenerate test, `_associative`
+    if classify(A).tag != OCTONIONIC:
+        raise _degenerate()
+    ph, al = phi(A), alpha(A)
+    r1, r2 = _roots(np.float64(ph), al.coords)
+    return ph, al, (float(r1), float(r2))
 
 
 def r_roots(A: Hermitian3) -> tuple[float, float]:
@@ -147,10 +208,9 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
     """Both family contexts, m = 1 and m = 2, from one derivation of phi, alpha, r."""
     ph, al, rs = _invariants(A)
-    # r_m + 4 phi = -r_other, without the cancellation of the sum
-    return tuple(FamilyContext(m=m, r=r, phi=ph, alpha=al,
-                               s=(Octonion.from_real(-other) + al) / (2.0 * (r + 2.0 * ph)))
-                 for m, r, other in zip((1, 2), rs, rs[::-1]))
+    s = _generators(np.float64(ph), al.coords, np.array(rs))
+    return tuple(FamilyContext(m=m, r=r, phi=ph, alpha=al, s=Octonion(s_m))
+                 for m, r, s_m in zip((1, 2), rs, s))
 
 
 def family_context(A: Hermitian3, m: int) -> FamilyContext:
@@ -173,15 +233,22 @@ def k_scalar(A: Hermitian3, p: Octonion) -> Octonion:
     return c * (b * (a * p)) + a.conj() * (b.conj() * (c.conj() * p)) - p * bracket
 
 
+def _k(off: np.ndarray) -> np.ndarray:
+    """K (..., 8, 8) for stacked off-diagonals (..., 3, 8)."""
+    a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
+    la, lb, lc = (left_mul_matrix(q) for q in (a, b, c))
+    lat, lbt, lct = (L.swapaxes(-1, -2) for L in (la, lb, lc))
+    bracket = 2.0 * _product(_product(c, b), a)[..., 0, None, None]
+    return lc @ (lb @ la) + lat @ (lbt @ lct) - bracket * _EYE8
+
+
 @_per_matrix
 def k_matrix(A: Hermitian3) -> np.ndarray:
     """8x8 matrix of k_scalar: L_c L_b L_a + L_abar L_bbar L_cbar - 2 Re((cb)a) I.
 
     Left multiplication by a conjugate is the transpose, L_abar = L_a^T.
     """
-    la, lb, lc = (left_mul_matrix(q) for q in (A.a, A.b, A.c))
-    bracket = 2.0 * ((A.c * A.b) * A.a).real
-    return lc @ (lb @ la) + la.T @ (lb.T @ lc.T) - bracket * np.eye(8)
+    return _k(_arrays(A)[1])
 
 
 @_per_matrix
@@ -212,12 +279,18 @@ def cd_table_check(A: Hermitian3, t1: Octonion, t2: Octonion) -> tuple[float, fl
     Diagnostic only: meaningful when t1, t2 lie in T, generically nonzero
     otherwise.
     """
-    al = alpha(A)
-    n2 = al.norm2()
-    res1 = (t1 * (t2 * al) - (t2 * t1) * al).norm()
-    res2 = ((t1 * al) * t2 - (t1 * t2.conj()) * al).norm()
-    res3 = ((t1 * al) * (t2 * al) + (t2.conj() * t1) * n2).norm()
-    return (res1, res2, res3)
+    return tuple(float(x) for x in _cd_residuals(alpha(A).coords, t1.coords, t2.coords))
+
+
+def _cd_residuals(al: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The three residual norms (..., 3) of `cd_table_check`, for stacked alpha, t1, t2."""
+    t1a = mul(t1, al)
+    res = np.stack([
+        mul(t1, mul(t2, al)) - mul(mul(t2, t1), al),
+        mul(t1a, t2) - mul(mul(t1, conj(t2)), al),
+        mul(t1a, mul(t2, al)) + mul(conj(t2), t1) * inner(al, al)[..., None],
+    ], axis=-2)
+    return _norm(res)
 
 
 @_per_matrix
@@ -262,9 +335,10 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
 
 def _complex_unit(A: Hermitian3) -> Octonion:
     """Unit imaginary direction i0 with a, b, c in span{1, i0}; e1 for a real matrix."""
+    scale = max(q.norm() for q in (A.a, A.b, A.c))
     for q in (A.a, A.b, A.c):
         im = q.imag()
-        if im.norm() > 1e-12:
+        if im.norm() > 1e-12 * scale:
             u = im * (1.0 / im.norm())
             nz = np.nonzero(np.abs(u.coords) > 1e-12)[0]
             if nz.size and u.coords[nz[0]] < 0:
@@ -331,16 +405,84 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
     detm = float(np.linalg.det(M))
     if abs(detm) < 1e-12 * max(1.0, float(np.abs(M).max()) ** 3):
         raise SingularChange("change of basis has numerically vanishing determinant")
-    old = (A.a, A.b, A.c)
-    new = []
-    for i in range(3):
-        q = Octonion.from_real(float(shifts[i]))
-        for j in range(3):
-            q = q + old[j] * M[i, j]
-        new.append(q)
-    A2 = Hermitian3(A.d, A.e, A.f, *new)
-    s1, s2 = s_elements(A)
-    s1p, s2p = s_elements(A2)
-    if detm > 0:
-        return max((s1p - s1).norm(), (s2p - s2).norm())
-    return max((s1p - s2).norm(), (s2p - s1).norm())
+    return float(_basis_change_deviation(_arrays(A)[1], M, np.asarray(shifts, dtype=float)))
+
+
+def _basis_change_deviation(off: np.ndarray, M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """`basis_invariance_check` for stacked off-diagonals, M (..., 3, 3) and shifts (..., 3)."""
+    s = _families(off)[3]
+    moved = _families(M @ off + shifts[..., None] * _ONE)[3]
+    # det M < 0 swaps the two family labels
+    moved = np.where((np.linalg.det(M) < 0)[..., None, None], moved[..., ::-1, :], moved)
+    return _norm(moved - s).max(-1)
+
+
+class _Stack:
+    """Stacked matrices, diagonals (n, 3) and off-diagonals (n, 3, 8), with the
+    invariants of this module, each computed on first use."""
+
+    def __init__(self, dia: np.ndarray, off: np.ndarray):
+        self.dia, self.off = dia, off
+        self.rows = np.arange(len(dia))
+
+    @classmethod
+    def outer(cls, v: np.ndarray) -> "_Stack":
+        """The rank-one matrices v v^dagger of vectors v (n, 3, 8)."""
+        return cls(*outer_entries(v.reshape(-1, 24).T))
+
+    @cached_property
+    def families(self) -> tuple:
+        """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8)."""
+        return _families(self.off)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return _k(self.off)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """The family projectors (n, 2, 8, 8)."""
+        ph, _, rs, _ = self.families
+        return _projector(self.K[:, None], rs, ph[:, None])
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """Orthonormal rows (n, 4, 8) spanning T, zero where dropped."""
+        return _t_rows(self.off)[0]
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return real_form(self.dia, self.off)
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        return self.dia.sum(-1)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return _sigma(self.dia, self.off)
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        return _det(self.dia, self.off)
+
+    @cached_property
+    def frobenius(self) -> np.ndarray:
+        return np.sqrt((self.dia * self.dia).sum(-1) + 2.0 * inner(self.off, self.off).sum(-1))
+
+    def act(self, y: np.ndarray) -> np.ndarray:
+        """A y for vectors y (n, 3, 8)."""
+        return np.matvec(self.R, y.reshape(-1, 24)).reshape(y.shape)
+
+    def membership(self, w: np.ndarray) -> np.ndarray:
+        """|A(Aw) - tr(A) Aw| for vectors w (n, 3, 8); for A = u u^dagger, tr(A) = |u|^2
+        and the residual vanishes exactly when w lies in the family of u."""
+        aw = self.act(w)
+        return _vnorm(self.act(aw) - aw * self.trace[:, None, None])
+
+    def k_act(self, y: np.ndarray, det_offset: float = 0.0) -> np.ndarray:
+        """The matrix characteristic operator, A(A(Ay)) - tr A(Ay) + sigma Ay - det y."""
+        ay = self.act(y)
+        a2y = self.act(ay)
+        tr, sg, dt = (c[:, None, None] for c in (self.trace, self.sigma, self.det + det_offset))
+        return self.act(a2y) - tr * a2y + sg * ay - dt * y

@@ -408,11 +408,34 @@ def assert_scales_linearly(kind, seed, exponent):
         assert max(fam_s.residuals.values()) <= 1e-8
 
 
-# small octonionic matrices are still routed by an absolute class cut
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-2.5, 3.0))
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0))
 def test_eigensystem_scales_linearly(seed, exponent):
     assert_scales_linearly("octonionic", seed, exponent)
+
+
+def assert_backward_stable(A, kind):
+    es = eigensystem(A)
+    assert es.matrix_class.tag == kind
+    R = realify24(A)
+    for p in es.all_pairs():
+        v = p.v.to_coords()
+        assert np.linalg.norm(R @ v - p.lam * v) <= 1e-13 * A.frobenius() * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("kind, seed, scale", [("octonionic", 1, 1e-6), ("quaternionic", 3, 1e-10)])
+def test_small_matrices_keep_their_class(kind, seed, scale):
+    # an absolute class cut routed these to the quaternionic and the real
+    # path, whose eigenpairs had a backward error of 0.19 and 0.42 while the
+    # reported residuals, divided by max(1, |A|), stayed tiny
+    assert_backward_stable(random_hermitian(np.random.default_rng(seed), kind).scale(scale), kind)
+
+
+def test_small_complex_matrix_keeps_its_direction(rng):
+    # an absolute cut on the imaginary parts fell back to e1 below 1e-12,
+    # a wrong direction for entries in span{1, e2}
+    for scale in (1.0, 1e-13, 1e-20):
+        assert_backward_stable(rand_herm(rng, mask=(0, 2)).scale(scale), "complex")
 
 
 @pytest.mark.parametrize("kind", ["quaternionic", "complex", "real"])
