@@ -3,8 +3,8 @@
 Every check draws its instances from a seeded PCG64 generator as whole stacks,
 one row per sample, computes one scaled residual per sample with array code,
 and reports the worst, so a report is reproducible bit-for-bit from (seed,
-samples, flags).  A check of a library routine that takes one matrix at a time
-(eigensystem, six_way, same_family, ...) calls it once per pool matrix.
+samples, flags).  The eigensystem checks share two pools of matrices whose
+eigensystems and six-way splits are computed as one stack each.
 """
 
 from dataclasses import dataclass
@@ -21,13 +21,13 @@ from .hermitian import (
     Hermitian3,
     OctVector3,
     _alpha,
+    _arrays,
     _classes,
     _vnorm,
-    classify,
 )
 from .octonion import _ONE, _norm, Octonion, associator, conj, inner, left_mul_matrix, mul
-from .projection import quaternionic_six_way, six_way
-from .spectral import _Systems, _lambda_roots, eigensystem, family_dimension_probe, same_family
+from .projection import _six_way
+from .spectral import _RESIDUALS, _Systems, _family_dimensions, _lambda_roots, _same_family
 from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance, _Stack
 
 __all__ = [
@@ -85,16 +85,8 @@ def random_vector(rng, mask=None) -> OctVector3:
 
 def random_hermitian(rng, kind: str = OCTONIONIC) -> Hermitian3:
     """Random matrix of the requested class; entries uniform in [-1, 1]."""
-    mask = _COORD_MASKS[kind]
-    for _ in range(100):
-        d, e, f = rng.uniform(-1.0, 1.0, 3)
-        A = Hermitian3(d, e, f,
-                       random_octonion(rng, mask),
-                       random_octonion(rng, mask),
-                       random_octonion(rng, mask))
-        if classify(A).tag == kind:
-            return A
-    raise RuntimeError(f"failed to sample a {kind} matrix")
+    (d, e, f), (a, b, c) = (x[0] for x in _draw_hermitian(rng, 1, kind))
+    return Hermitian3(d, e, f, Octonion(a), Octonion(b), Octonion(c))
 
 
 def _draw_hermitian(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +158,8 @@ def _scale(*terms):
 
 
 def _pool_residual(key: str):
-    """Check reading the worst `key` residual of the octonionic pool's eigensystems."""
-    return lambda ctx: max(max(f.residuals[key] for f in es.families)
-                           for es in ctx.oct_pool.systems)
+    """Check reading the `key` residual of the octonionic pool's eigensystems, per family."""
+    return lambda ctx: ctx.oct_pool.residuals[..., _RESIDUALS.index(key)]
 
 
 class _Checks(_Context):
@@ -404,17 +395,15 @@ class _Checks(_Context):
     same_family_accept = eigen_projection_idempotence
 
     def same_family_reject(self):
-        wrong = 0
-        for es, i, j in zip(self.oct_pool.systems, *self.rng.integers(0, 3, (2, self.n))):
-            u, w = es.families[0].pairs[i].v, es.families[1].pairs[j].v
-            wrong += same_family(u, w) + (not same_family(u, u))
-        return float(wrong)
+        pool = self.oct_pool
+        i, j = self.rng.integers(0, 3, (2, self.n))
+        u, w = pool.V[pool.rows, 0, i], pool.V[pool.rows, 1, j]
+        return float(_same_family(u, w).sum() + (~_same_family(u, u)).sum())
 
     def family_dimension(self):
-        systems = self.oct_pool.systems[:8]
-        fams = self.rng.integers(0, 2, len(systems))
-        return max(abs(family_dimension_probe(es.families[f].pairs[0].v, samples=24) - 12)
-                   for es, f in zip(systems, fams))
+        V = self.oct_pool.V[:8]
+        v = V[np.arange(len(V)), self.rng.integers(0, 2, len(V)), 0]
+        return np.abs(_family_dimensions(v, samples=24) - 12)
 
     def quaternionic_lift(self):
         pool = self.quat_pool
@@ -437,28 +426,23 @@ class _Checks(_Context):
 
     def quaternionic_six_way(self):
         pool = self.quat_pool
-        H, x = pool.split[0], self.uniform(3, 8, n=len(pool.mats))
-        decs = [quaternionic_six_way(A, OctVector3.from_coords(xi), system=es)
-                for A, es, xi in zip(pool.mats, pool.systems, x)]
-        own = [max(dec.reconstruction_residual, *dec.eigen_residuals) for dec in decs]
+        H, x = pool.split[0], self.uniform(3, 8, n=len(pool.dia))
+        parts, residuals, recon = _six_way(pool, x.reshape(-1, 24))
+        own = np.maximum(recon, residuals.max((-2, -1)))
         # family-1 parts agree with the plain quaternionic expansion v (v^dagger x1)
-        parts = np.array([[p.component.to_coords().reshape(3, 8) for p in dec.parts[:3]]
-                          for dec in decs])
         x1, v = np.matvec((H.swapaxes(-1, -2) @ H)[:, None], x)[:, None], pool.V[:, 0]
         classic = mul(v, mul(conj(v), x1).sum(-2)[:, :, None])
-        return np.maximum(own, _vnorm(classic - parts).max(-1) / _scale(_vnorm(x)))
+        return np.maximum(own, _vnorm(classic - parts[:, 0].reshape(-1, 3, 3, 8)).max(-1)
+                          / _scale(_vnorm(x)))
 
     def six_way_reconstruction(self):
-        return max(dec.reconstruction_residual if len(dec.parts) == 6 else np.inf
-                   for dec in self._six_ways())
+        return np.where(self.oct_pool.nfam == 2, self._six_ways()[2], np.inf)
 
     def six_way_eigen_residuals(self):
-        return max(max(dec.eigen_residuals) for dec in self._six_ways())
+        return self._six_ways()[1]
 
     def _six_ways(self):
-        pool = self.oct_pool
-        return [six_way(A, OctVector3.from_coords(xi), system=es)
-                for A, es, xi in zip(pool.mats, pool.systems, self.uniform(3, 8))]
+        return _six_way(self.oct_pool, self.uniform(3, 8).reshape(-1, 24))
 
 
 _CHECKS = tuple((name, fn, _FACTORS.get(name, 1.0)) for name, fn in (
@@ -483,17 +467,12 @@ def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
         raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
     _check_samples(samples)
     rng = np.random.default_rng(seed)
-    names = {"eigen-equation": "eigen", "identity-decomposition": "identity_decomposition",
-             "matrix-decomposition": "matrix_decomposition"}
-    worst = dict.fromkeys([*names, "six-way-reconstruction", "six-way-eigen-residuals"], 0.0)
-    for _ in range(samples):
-        A = random_hermitian(rng, kind)
-        es = eigensystem(A)
-        dec = six_way(A, random_vector(rng), system=es)
-        found = {name: max(f.residuals[key] for f in es.families) for name, key in names.items()}
-        found["six-way-reconstruction"] = dec.reconstruction_residual
-        found["six-way-eigen-residuals"] = max(dec.eigen_residuals)
-        for name, value in found.items():
-            worst[name] = max(worst[name], value)
-    return [CheckResult(name=k, residual=v, tolerance=tolerance, passed=v <= tolerance)
+    mats, vecs = zip(*((random_hermitian(rng, kind), random_vector(rng)) for _ in range(samples)))
+    pool = _Systems(*(np.array(a) for a in zip(*map(_arrays, mats))))
+    _, residuals, recon = _six_way(pool, np.array([v.to_coords() for v in vecs]))
+    worst = {name: pool.residuals[..., _RESIDUALS.index(key)].max() for name, key in (
+        ("eigen-equation", "eigen"), ("identity-decomposition", "identity_decomposition"),
+        ("matrix-decomposition", "matrix_decomposition"))}
+    worst["six-way-reconstruction"], worst["six-way-eigen-residuals"] = recon.max(), residuals.max()
+    return [CheckResult(name=k, residual=float(v), tolerance=tolerance, passed=bool(v <= tolerance))
             for k, v in worst.items()]

@@ -18,13 +18,23 @@ from .hermitian import (
     QUATERNIONIC,
     Hermitian3,
     OctVector3,
+    _vnorm,
     classify,
     det,
     mat_vec,
     outer,
 )
-from .spectral import EigenSystem, eigensystem, k_vector, realify24, realify_rank_one
-from .subspace import apply_blockwise, family_bases
+from .spectral import (
+    EigenSystem,
+    _norm_scale,
+    _slotwise,
+    _systems,
+    _Systems,
+    eigensystem,
+    k_vector,
+    realify_rank_one,
+)
+from .subspace import apply_blockwise
 
 __all__ = [
     "DecompositionPart",
@@ -103,44 +113,50 @@ def subalgebra_part(hbasis, x: OctVector3) -> OctVector3:
 
 
 def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:
-    """Decompose x into one eigenvector component per family eigenvalue.
-
-    x is split along the families' subspaces: x_m = Q_m Q_m^T x with Q_m
-    from `family_bases`, the last family taking the rest, so a complex or
-    real matrix (one family) keeps all of x.  Each piece is then expanded
-    along its family's pairs, (v v^dagger) x_m: six parts for octonionic
-    and quaternionic matrices, three for complex and real ones.
-    """
-    if system is None:
-        system = eigensystem(A)
-    coords = x.to_coords()
-    pieces = [Q @ (Q.T @ coords) for _, Q in family_bases(A)[:-1]]
-    pieces.append(coords - sum(pieces))
-    R = realify24(A)
-    scale = max(1.0, A.frobenius())
-    zero_tol = _ZERO_PART_TOL * max(x.norm(), 1e-300)
-    parts = []
-    residuals = []
-    for fam, xm in zip(system.families, pieces):
-        comps = realify_rank_one(np.array([p.v.to_coords() for p in fam.pairs]).T) @ xm
-        for pair, comp in zip(fam.pairs, comps):
-            n = np.linalg.norm(comp)
-            if n < zero_tol:
-                comp = np.zeros(24)
-                residuals.append(0.0)
-            else:
-                residuals.append(float(np.linalg.norm(R @ comp - pair.lam * comp) / (scale * n)))
-            parts.append(DecompositionPart(family=pair.family, lam=pair.lam,
-                                           component=OctVector3.from_coords(comp)))
-    total = sum(p.component.to_coords() for p in parts)
-    recon = np.linalg.norm(total - coords) / max(x.norm(), 1e-300)
+    """Decompose x into one eigenvector component per family eigenvalue: the n = 1 case
+    of `_six_way` on the pairs of `system` (A's eigensystem by default), six parts for
+    octonionic and quaternionic matrices, three for complex and real ones."""
+    system = eigensystem(A) if system is None else system
+    V, lams = np.zeros((1, 2, 3, 24)), np.zeros((1, 2, 3))
+    for f, fam in enumerate(system.families):
+        V[0, f], lams[0, f] = [p.v.to_coords() for p in fam.pairs], [p.lam for p in fam.pairs]
+    comps, residuals, recon = _six_way(_systems(A), x.to_coords()[None], V, lams)
+    pairs = system.all_pairs()
     return SixWayDecomposition(
-        parts=tuple(parts),
-        reconstruction_residual=float(recon),
-        eigen_residuals=tuple(residuals),
+        parts=tuple(DecompositionPart(p.family, p.lam, OctVector3.from_coords(c))
+                    for p, c in zip(pairs, comps[0].reshape(6, 24))),
+        reconstruction_residual=float(recon[0]),
+        eigen_residuals=tuple(float(r) for r in residuals[0].ravel()[:len(pairs)]),
         matrix_class=system.matrix_class.tag,
         fingerprint=matrix_fingerprint(A),
     )
+
+
+def _six_way(S: _Systems, x: np.ndarray, V: np.ndarray = None, lams: np.ndarray = None):
+    """Parts (n, 2, 3, 24), their eigen residuals (n, 2, 3) and the reconstruction
+    residuals (n,) of vectors x (n, 24) on stacked systems S, with eigenpairs
+    V (n, 2, 3, 24) and lams (n, 2, 3), by default S's own.
+
+    x_1 = Q_1 Q_1^T x, Q_1 = kron(I3, B_1), and family 2 takes the rest (none
+    for complex and real rows); each piece is expanded along its family's
+    pairs, (v v^dagger) x_m.  A part below 1e-10 |x| is zero with residual 0;
+    the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).
+    """
+    V = S.V.reshape(-1, 2, 3, 24) if V is None else V
+    lams = S.lams if lams is None else lams
+    Q = _slotwise(S.B[:, 0])
+    x1 = np.where((S.nfam == 2)[:, None], np.matvec(Q, np.matvec(Q.swapaxes(-1, -2), x)), x)
+    pieces = np.stack([x1, x - x1], axis=1)[:, :, None]
+    comps = np.matvec(realify_rank_one(V.reshape(-1, 24).T).reshape(V.shape + (24,)), pieces)
+    size = np.sqrt(np.vecdot(comps, comps))
+    xnorm = np.maximum(_vnorm(x.reshape(-1, 3, 8)), 1e-300)
+    zero = size < _ZERO_PART_TOL * xnorm[:, None, None]
+    comps = np.where(zero[..., None], 0.0, comps)
+    err = np.matvec(S.R[:, None, None], comps) - lams[..., None] * comps
+    denom = _norm_scale(S)[:, None, None] * np.where(zero, 1.0, size)
+    residuals = np.where(zero, 0.0, np.sqrt(np.vecdot(err, err)) / denom)
+    total = comps.reshape(-1, 6, 24).sum(1) - x
+    return comps, residuals, np.sqrt(np.vecdot(total, total)) / xnorm
 
 
 def quaternionic_six_way(A: Hermitian3, x: OctVector3,

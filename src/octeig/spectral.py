@@ -5,33 +5,30 @@ The real eigenvalues solve the cubic
     lam^3 - tr(A) lam^2 + sigma(A) lam - det(A) = r
 
 with r a root of the family quadratic, so each matrix carries two
-3-eigenvalue families.  Every class takes one route: each family is one
-eigh of A on its invariant subspace, spanned by the orthonormal columns of
-the 24 x 3k map Q from `subspace.family_bases` (T_m in each slot for
-octonionic matrices, H and ell H for quaternionic ones, span{1, i0} for
-complex and real ones), followed by the coordinate rule and a rank-one
-sweep for repeated eigenvalues.  `eigenvectors` keeps the SVD nullspace
+3-eigenvalue families.  Every class takes one route, stacked over whole
+arrays of matrices (`_Systems`; `eigensystem` is its case of one): each
+family is one eigh of A on its invariant subspace, Q = kron(I3, B) with B
+from `_Stack.bases`, then the coordinate rule, and a rank-one sweep for
+repeated eigenvalues.  `eigenvectors` keeps the SVD nullspace
 of R - lam I as the reference path; `lambda_roots` is a cross-check of
 the cubic for the harness.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from .hermitian import (
+    OCTONIONIC,
     QUATERNIONIC,
     _TAGS,
     Hermitian3,
     MatrixClass,
     OctVector3,
-    _alpha,
     _arrays,
-    _classes,
     _per_matrix,
-    classify,
+    _vnorm,
     det,
     mat_vec,
     outer_entries,
@@ -39,15 +36,8 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import Octonion
-from .subspace import (
-    FamilyContext,
-    _Stack,
-    apply_blockwise,
-    family_bases,
-    k_matrix,
-    quaternionic_split,
-)
+from .octonion import Octonion, inner
+from .subspace import FamilyContext, _Stack, apply_blockwise, k_matrix
 
 __all__ = [
     "EigenPair",
@@ -70,6 +60,9 @@ _NEWTON_TOL = 1e-12
 # rounding error of the Horner evaluation of the cubic, relative to s^3
 _HORNER_EPS = 8.0 * np.finfo(float).eps
 _EYE24 = np.eye(24)
+# the keys of FamilyEigensystem.residuals, in the order of `_family_residuals`
+_RESIDUALS = ("eigen", "k_eigen", "identity_decomposition", "matrix_decomposition",
+              "generalized_orthogonality")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +179,10 @@ def realify_rank_one(V: np.ndarray) -> np.ndarray:
 
 
 def real_nullspace(M: np.ndarray, rel_threshold: float = _RANK_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) by SVD with a relative rank cut."""
+    """Orthonormal nullspace basis (columns) by SVD with a relative rank cut (rank 0 for M = 0)."""
     _, s, vh = np.linalg.svd(M)
-    cut = rel_threshold * max(1.0, s[0] if s.size else 0.0)
-    return vh[int(np.sum(s >= cut)):].T
+    rank = int(np.sum(s > rel_threshold * s[0])) if s.size else 0
+    return vh[rank:].T
 
 
 def _column_basis(cols: np.ndarray, rel_threshold: float = _RANK_TOL) -> np.ndarray:
@@ -197,27 +190,24 @@ def _column_basis(cols: np.ndarray, rel_threshold: float = _RANK_TOL) -> np.ndar
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0))
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    cut = rel_threshold * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cut))
-    return u[:, :rank]
+    return u[:, :int(np.sum(s > rel_threshold * s[0]))]
 
 
 def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
-    """Deterministic unit representative from an orthonormal column basis.
+    """Deterministic unit representative from each stacked orthonormal column basis (..., d, j).
 
-    Maximizes the coordinate functional of the first usable slot, trying
-    the first coordinate of each vector component first (coordinates 0,
-    block, 2*block, ...); the construction makes that coordinate positive,
-    which fixes the sign.
+    The first projection space @ space[idx] of norm above 1e-6 (that of row
+    idx), trying coordinates 0, block, 2*block, ... first; the construction
+    makes that coordinate positive, which fixes the sign.
     """
-    dim = space.shape[0]
-    order = list(range(0, dim, block)) + [i for i in range(dim) if i % block != 0]
-    for idx in order:
-        w = space @ space[idx, :]
-        n = np.linalg.norm(w)
-        if n > 1e-6:
-            return w / n
-    raise ExtractionFailure("could not pick a representative from the candidate subspace")
+    order = np.argsort(np.arange(space.shape[-2]) % block != 0, stable=True)
+    rows = space.reshape((-1,) + space.shape[-2:])[:, order]
+    usable = np.sqrt(np.vecdot(rows, rows)) > 1e-6
+    if not usable.any(-1).all():
+        raise ExtractionFailure("could not pick a representative from the candidate subspace")
+    row = rows[np.arange(len(rows)), usable.argmax(-1)]
+    w = np.matvec(space, row.reshape(space.shape[:-2] + row.shape[-1:]))
+    return w / np.sqrt(np.vecdot(w, w))[..., None]
 
 
 def _sweep(space: np.ndarray, lam: float, multiplicity: int, Q: np.ndarray) -> list[np.ndarray]:
@@ -238,8 +228,7 @@ def _sweep(space: np.ndarray, lam: float, multiplicity: int, Q: np.ndarray) -> l
             space = _column_basis(space - B @ space)
             if space.shape[1] < per * (multiplicity - k - 1):
                 raise ExtractionFailure(
-                    f"generalized orthogonalization at lambda={lam:.6g} lost rank"
-                )
+                    f"generalized orthogonalization at lambda={lam:.6g} lost rank")
     return reps
 
 
@@ -261,107 +250,136 @@ def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
             for rep in _sweep(space, lam, multiplicity, _EYE24)]
 
 
-def _cluster(values) -> list[list[float]]:
-    vals = sorted(values)
-    tol = _CLUSTER_TOL * max(abs(v) for v in vals)
-    groups = [[vals[0]]]
-    for v in vals[1:]:
-        if v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
+def _slotwise(B: np.ndarray) -> np.ndarray:
+    """Q = kron(I3, B) (..., 24, 3k): the bases B (..., 8, k) applied in each octonion slot."""
+    Q = np.einsum("ij,...ab->...iajb", np.eye(3), B)
+    return Q.reshape(B.shape[:-2] + (24, 3 * B.shape[-1]))
 
 
-def _real_forms(A: Hermitian3) -> tuple[np.ndarray, np.ndarray]:
-    """realify24(A), and the real form R^3 - tr R^2 + sigma R - det of k_vector."""
-    R = realify24(A)
+def _eigenpairs(R: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., F, 3), ascending, and eigenvectors (..., F, 3, 24) of each family,
+    from one stacked eigh of R (..., 1, 24, 24) on the span of Q (..., F, 24, 3k).
+
+    Q spans an A-invariant subspace, each eigenvalue of real multiplicity k.
+    Where each eigenvalue is its own cluster of k columns, the coordinate rule
+    picks its eigenvector; a family with a larger cluster, a repeated
+    eigenvalue, is swept cluster by cluster.
+    """
+    k = Q.shape[-1] // 3
+    w, U = np.linalg.eigh(Q.swapaxes(-1, -2) @ R @ Q)
+    tol = _CLUSTER_TOL * np.abs(w).max(-1, keepdims=True)
+    simple = ((np.diff(w) > tol) == (np.arange(1, 3 * k) % k == 0)).all(-1)
+    lams = np.add.reduce(w.reshape(w.shape[:-1] + (3, k)), -1) / k
+    Us = U[simple]
+    spaces = np.stack([Us[..., k * j:k * j + k] for j in range(3)], axis=-3)
+    V = np.empty(lams.shape + (24,))
+    V[simple] = np.matvec(Q[simple][..., None, :, :], _pick_representative(spaces, k))
+    for i in zip(*np.nonzero(~simple)):
+        groups = np.split(w[i], np.flatnonzero(np.diff(w[i]) > tol[i]) + 1)
+        if any(len(g) % k for g in groups):
+            raise ExtractionFailure(f"family-{i[-1] + 1} eigenvalue clusters of sizes "
+                                    f"{[len(g) for g in groups]} are not all multiples of {k}")
+        ends = np.cumsum([len(g) for g in groups])
+        reps = [rep for g, end in zip(groups, ends)
+                for rep in _sweep(U[i][:, end - len(g):end], np.mean(g), len(g) // k, Q[i])]
+        lams[i] = [np.mean(g) for g in groups for _ in range(len(g) // k)]
+        V[i] = np.matvec(Q[i], np.array(reps))
+    return lams, V
+
+
+def _hermitian_norm(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Frobenius norm of Hermitian matrices from diagonals (..., 3) and a, b, c (..., 24)."""
+    return np.sqrt(np.vecdot(dia, dia) + 2.0 * np.vecdot(off, off))
+
+
+def _norm_scale(A: _Stack) -> np.ndarray:
+    """||A||_F (n,), the residuals' scale, and 1 for A = 0, whose residuals are exact zeros."""
+    return np.where(A.frobenius > 0.0, A.frobenius, 1.0)
+
+
+def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The `_RESIDUALS` (n, F, 5) of eigenpairs lams (n, F, 3) and V (n, F, 3, 24)
+    of stacked matrices A with family roots r (n, F).
+
+    Normwise: the eigen and matrix residuals are divided by ||A||_F and the
+    K residual by ||A||_F^3, so they do not change when A is scaled.
+    """
+    R = A.R[:, None]
     R2 = R @ R
-    return R, R2 @ R - trace(A) * R2 + sigma(A) * R - det(A) * _EYE24
-
-
-def _hermitian_norm(dia: np.ndarray, off: np.ndarray) -> float:
-    """Frobenius norm of a Hermitian matrix given by its diagonal and a, b, c."""
-    return float(np.sqrt(dia @ dia + 2.0 * np.vdot(off, off)))
-
-
-def _family_residuals(A: Hermitian3, forms, fam: FamilyContext, pairs) -> dict:
-    """Residuals of one family's eigenpairs, on the real forms of `_real_forms`."""
-    R, K24 = forms
-    scale = max(1.0, A.frobenius())
-    V = np.array([p.v.to_coords() for p in pairs]).T
-    lams = np.array([p.lam for p in pairs])
-    dia, off = outer_entries(V)
-    ident = _hermitian_norm(dia.sum(0) - 1.0, off.sum(0))
-    a_dia, a_off = _arrays(A)
-    amat = _hermitian_norm(lams @ dia - a_dia, (lams @ off.reshape(-1, 24)).reshape(3, 8) - a_off)
+    tr, sg, dt = (x[:, None, None, None] for x in (A.trace, A.sigma, A.det))
+    K24 = R2 @ R - tr * R2 + sg * R - dt * _EYE24
+    scale = _norm_scale(A)[:, None]
+    Vc = V.swapaxes(-1, -2)
+    dia, off = outer_entries(V.reshape(-1, 24).T)
+    dia, off = dia.reshape(V.shape[:-1] + (3,)), off.reshape(V.shape[:-1] + (24,))
+    ident = _hermitian_norm(dia.sum(-2) - 1.0, off.sum(-2))
+    a_dia, a_off = A.dia[:, None], A.off.reshape(-1, 1, 24)
+    amat = _hermitian_norm(np.vecmat(lams, dia) - a_dia, np.vecmat(lams, off) - a_off)
     # |(v_i v_i^dagger) v_j| for every i < j
-    cross = np.linalg.norm(real_form(dia, off) @ V, axis=1)
-    return {
-        "eigen": float(np.linalg.norm(R @ V - V * lams, axis=0).max()) / scale,
-        "k_eigen": float(np.linalg.norm(K24 @ V - fam.r * V, axis=0).max()) / scale ** 3,
-        "identity_decomposition": ident,
-        "matrix_decomposition": amat / scale,
-        "generalized_orthogonality": float(np.triu(cross, 1).max()),
-    }
-
-
-def _family_pairs(R: np.ndarray, fam: FamilyContext, Q: np.ndarray) -> list[EigenPair]:
-    """The family's eigenpairs, ascending, from one eigh of R = realify24(A) on the span of Q.
-
-    Q (24 x 3k) has orthonormal columns spanning an A-invariant subspace on
-    which every eigenvalue has real multiplicity k; the coordinate rule and
-    the sweep run on the 3k coordinates and Q maps the result into O^3.
-    """
-    w, U = np.linalg.eigh(Q.T @ R @ Q)
-    k = Q.shape[1] // 3
-    pairs = []
-    start = 0
-    for group in _cluster(w):
-        size = len(group)
-        if size % k != 0:
-            raise ExtractionFailure(
-                f"family-{fam.m} eigenvalue cluster of size {size} is not a multiple of {k}"
-            )
-        lam = float(np.mean(group))
-        reps = _sweep(U[:, start:start + size], lam, size // k, Q)
-        start += size
-        pairs.extend(EigenPair(lam, OctVector3.from_coords(Q @ rep), fam.m) for rep in reps)
-    return pairs
-
-
-def eigensystem(A: Hermitian3) -> EigenSystem:
-    """Full eigenstructure: one eigh of A on each family's invariant subspace.
-
-    Octonionic matrices get the two r-labeled families; quaternionic ones
-    the plain family plus the lifted one; complex and real matrices have a
-    single family and are flagged as such.
-    """
-    forms = _real_forms(A)
-    families = []
-    for fam, Q in family_bases(A):
-        pairs = _family_pairs(forms[0], fam, Q)
-        families.append(FamilyEigensystem(fam, tuple(pairs), _family_residuals(A, forms, fam, pairs)))
-    return EigenSystem(matrix_class=classify(A), families=tuple(families))
+    rank_one = real_form(dia, off.reshape(off.shape[:-1] + (3, 8)))
+    cross = np.linalg.norm(rank_one @ Vc[..., None, :, :], axis=-2)
+    return np.stack([
+        np.linalg.norm(R @ Vc - Vc * lams[..., None, :], axis=-2).max(-1) / scale,
+        np.linalg.norm(K24 @ Vc - r[..., None, None] * Vc, axis=-2).max(-1)
+        / np.float_power(scale, 3),
+        ident,
+        amat / scale,
+        cross[..., [0, 0, 1], [1, 2, 2]].max(-1),
+    ], axis=-1)
 
 
 class _Systems(_Stack):
-    """Stacked matrices with their eigensystems, one `eigensystem` call each;
-    V (n, F, 3, 3, 8) and lams (n, F, 3) hold each family's eigenpairs in order."""
+    """Stacked matrices with their eigensystems: the rows of each class go through
+    `_Stack.bases`, `_eigenpairs` and `_family_residuals` together.  nfam (n,) is 2,
+    or 1 for complex and real rows, which fill only the first family; per family
+    (axis 1): the root r (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams
+    (n, 2, 3), eigenvectors V (n, 2, 3, 3, 8) and `_RESIDUALS` (n, 2, 5)."""
 
     def __init__(self, dia: np.ndarray, off: np.ndarray):
         super().__init__(dia, off)
-        self.mats = [Hermitian3(*map(float, d), *map(Octonion, o)) for d, o in zip(dia, off)]
-        self.systems = [eigensystem(A) for A in self.mats]
-        fams = [[f.pairs for f in es.families] for es in self.systems]
-        self.V = np.array([[[p.v.to_coords().reshape(3, 8) for p in f] for f in fs] for fs in fams])
-        self.lams = np.array([[[p.lam for p in f] for f in fs] for fs in fams])
+        n, code = len(dia), self.classes[0]
+        self.nfam = np.where(code >= _TAGS.index(QUATERNIONIC), 2, 1)
+        self.r, self.lams, self.residuals = (np.zeros((n, 2) + s) for s in ((), (3,), (5,)))
+        self.B, self.V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
+        for c in sorted(set(code.tolist())):
+            rows = code == c
+            A = self if rows.all() else _Stack(dia[rows], off[rows])
+            r, B = A.bases
+            F, k = B.shape[1], B.shape[-1]
+            lams, V = _eigenpairs(A.R[:, None], _slotwise(B))
+            self.r[rows, :F], self.B[rows, :F, :, :k], self.lams[rows, :F] = r, B, lams
+            self.V[rows, :F], self.residuals[rows, :F] = V, _family_residuals(A, r, lams, V)
+        self.V = self.V.reshape(n, 2, 3, 3, 8)
 
-    @cached_property
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """H (n, 4, 8) and ell (n, 8) of each matrix's `quaternionic_split`."""
-        H, ell = zip(*map(quaternionic_split, self.mats))
-        return np.array([[h.coords for h in hb] for hb in H]), np.array([e.coords for e in ell])
+
+@_per_matrix
+def _systems(A: Hermitian3) -> _Systems:
+    """A's eigensystem as a stack of one matrix."""
+    dia, off = _arrays(A)
+    return _Systems(dia[None], off[None])
+
+
+def eigensystem(A: Hermitian3) -> EigenSystem:
+    """Full eigenstructure, the n = 1 case of `_Systems`: two families for octonionic
+    (r-labeled) and quaternionic (plain and lifted) matrices, one, flagged as such,
+    for complex and real ones."""
+    S = _systems(A)
+    code, dim_t = (int(x[0]) for x in S.classes)
+    contexts = S.contexts(0) if _TAGS[code] == OCTONIONIC else tuple(
+        FamilyContext(m=m, r=float(r), phi=0.0, alpha=Octonion.zero(), s=None)
+        for m, r in zip((1, 2), S.r[0, :S.nfam[0]]))
+    families = tuple(
+        FamilyEigensystem(fam, tuple(EigenPair(float(lam), OctVector3.from_coords(v), fam.m)
+                                     for lam, v in zip(S.lams[0, f], S.V[0, f])),
+                          dict(zip(_RESIDUALS, map(float, S.residuals[0, f]))))
+        for f, fam in enumerate(contexts))
+    return EigenSystem(matrix_class=MatrixClass(_TAGS[code], dim_t), families=families)
+
+
+def _same_family(u: np.ndarray, w: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """`same_family` of stacked vectors u, w (n, 3, 8), without its class check."""
+    resid = _Stack.outer(u).membership(w)
+    return resid <= tol * np.maximum(_vnorm(w), 1e-300) * np.maximum(1.0, inner(u, u).sum(-1)) ** 2
 
 
 def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:
@@ -369,30 +387,26 @@ def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:
 
     Defined for normalized u with a non-complex projector u u^dagger.
     """
-    B = _Stack.outer(u.to_coords().reshape(1, 3, 8))
-    if _classes(B.off, _alpha(B.off))[0][0] < _TAGS.index(QUATERNIONIC):
+    u, w = u.to_coords().reshape(1, 3, 8), w.to_coords().reshape(1, 3, 8)
+    if _Stack.outer(u).classes[0][0] < _TAGS.index(QUATERNIONIC):
         raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
-    resid = B.membership(w.to_coords().reshape(1, 3, 8))[0]
-    return bool(resid <= tol * max(w.norm(), 1e-300) * max(1.0, u.norm2()) ** 2)
+    return bool(_same_family(u, w, tol)[0])
 
 
-def _membership_operator(v: OctVector3) -> np.ndarray:
-    """24x24 matrix of w -> (vv^t)((vv^t) w) - (v^t v)(vv^t) w."""
-    B = realify_rank_one(v.to_coords()[:, None])[0]
-    return B @ B - v.norm2() * B
+def _family_dimensions(v: np.ndarray, samples: int = 24, seed: int = 0) -> np.ndarray:
+    """`family_dimension_probe` of each stacked vector v (n, 3, 8), by stacked SVDs."""
+    B = _Stack.outer(v)
+    _, s, vh = np.linalg.svd(B.R @ B.R - B.trace[:, None, None] * B.R)
+    # the rows of vh past each rank span the nullspace; the others are zeroed
+    null = vh * (s <= _RANK_TOL * s[:, :1])[..., None]
+    gauss = np.random.default_rng(seed).standard_normal((24, samples))
+    pts = null.swapaxes(-1, -2) @ (null @ gauss)
+    s = np.linalg.svd(pts, compute_uv=False)
+    return (s > _RANK_TOL * s[:, :1]).sum(-1)
 
 
 def family_dimension_probe(v: OctVector3, samples: int = 24, seed: int = 0) -> int:
-    """Estimated real dimension of the family determined by v.
-
-    Samples random vectors, projects them onto the nullspace of the
-    linear membership conditions, and returns the rank of the sampled
-    solution set (12 for a generic non-complex v).
-    """
-    null = real_nullspace(_membership_operator(v), rel_threshold=1e-7)
-    if null.shape[1] == 0 or samples < 1:
-        return 0
-    rng = np.random.default_rng(seed)
-    pts = null @ (null.T @ rng.standard_normal((24, samples)))
-    s = np.linalg.svd(pts, compute_uv=False)
-    return int(np.sum(s > 1e-7 * max(1.0, s[0])))
+    """Estimated real dimension of the family determined by v: the rank, relative to its
+    largest singular value, of random vectors projected onto the nullspace of the linear
+    membership conditions (12 for a generic non-complex v)."""
+    return int(_family_dimensions(v.to_coords().reshape(1, 3, 8), samples, seed)[0])

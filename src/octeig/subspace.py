@@ -4,10 +4,9 @@ For a matrix whose off-diagonal entries have nonvanishing associator,
 the octonions split into two orthogonal 4-spaces T_m = T s_m picked out
 by the characteristic operator K; everything here builds and exercises
 that split, plus the quaternionic fallback where it collapses, and
-`family_bases`, the per-family subspaces every eigensystem is taken on.
+`_Stack.bases`, the per-family subspaces every eigensystem is taken on.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -20,11 +19,13 @@ from .hermitian import (
     OCTONIONIC,
     QUATERNIONIC,
     REAL,
+    _TAGS,
     Hermitian3,
     OctVector3,
     _alpha,
     _arrays,
     _associative,
+    _classes,
     _det,
     _per_matrix,
     _phi,
@@ -32,9 +33,7 @@ from .hermitian import (
     _vnorm,
     alpha,
     classify,
-    det,
     outer_entries,
-    phi,
     real_form,
 )
 from .octonion import _ONE, Octonion, _norm, _product, conj, inner, left_mul_matrix, mul
@@ -50,7 +49,6 @@ __all__ = [
     "k_scalar",
     "k_matrix",
     "family_projector",
-    "family_bases",
     "apply_blockwise",
     "project_km",
     "project_km_vec",
@@ -63,6 +61,8 @@ __all__ = [
 ]
 
 _EYE8 = np.eye(8)
+# the imaginary coordinates
+_IMAG = np.arange(8) > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,20 +183,9 @@ def _families(off: np.ndarray) -> tuple:
     return ph, al, rs, _generators(ph, al, rs)
 
 
-@_per_matrix
-def _invariants(A: Hermitian3) -> tuple[float, Octonion, tuple[float, float]]:
-    """phi, alpha and the family roots (r1, r2), derived once for the matrix."""
-    # the octonionic class test is the degenerate test, `_associative`
-    if classify(A).tag != OCTONIONIC:
-        raise _degenerate()
-    ph, al = phi(A), alpha(A)
-    r1, r2 = _roots(np.float64(ph), al.coords)
-    return ph, al, (float(r1), float(r2))
-
-
 def r_roots(A: Hermitian3) -> tuple[float, float]:
     """Roots r1 >= r2 of r^2 + 4 phi r - |alpha|^2 = 0, distinct when alpha != 0."""
-    return _invariants(A)[2]
+    return tuple(fam.r for fam in family_contexts(A))
 
 
 def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
@@ -206,11 +195,8 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
 
 @_per_matrix
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
-    """Both family contexts, m = 1 and m = 2, from one derivation of phi, alpha, r."""
-    ph, al, rs = _invariants(A)
-    s = _generators(np.float64(ph), al.coords, np.array(rs))
-    return tuple(FamilyContext(m=m, r=r, phi=ph, alpha=al, s=Octonion(s_m))
-                 for m, r, s_m in zip((1, 2), rs, s))
+    """Both family contexts, m = 1 and m = 2, of the one matrix."""
+    return _Stack(*(x[None] for x in _arrays(A))).contexts(0)
 
 
 def family_context(A: Hermitian3, m: int) -> FamilyContext:
@@ -295,35 +281,41 @@ def _cd_residuals(al: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 @_per_matrix
 def quaternionic_split(A: Hermitian3):
-    """Basis (1, h1, h2, h1 h2) of the quaternionic subalgebra holding a, b, c,
-    plus the lowest-index unit direction orthogonal to it.
-
-    The third imaginary basis element is taken as the product h1 h2 so the
-    quaternion relations hold exactly; the orthogonal unit ell satisfies
-    ell^2 = -1 and ell H orthogonal to H.
-    """
+    """Basis (1, h1, h2, h1 h2) of the quaternionic subalgebra holding a, b, c, plus
+    the lowest-index unit direction orthogonal to it: `_quaternionic_split` of A."""
     tag = classify(A).tag
     if tag == OCTONIONIC:
         raise NotQuaternionic("entries do not lie in a quaternionic subalgebra")
     if tag in (REAL, COMPLEX):
         raise AmbiguousSubalgebra(
-            "matrix is complex: the containing quaternionic subalgebra is not unique"
-        )
-    imag_basis = orthonormalize([A.a.imag(), A.b.imag(), A.c.imag()])
-    if len(imag_basis) < 2:
+            "matrix is complex: the containing quaternionic subalgebra is not unique")
+    H, ell = _quaternionic_split(_arrays(A)[1][None])
+    return tuple(Octonion._of(h) for h in H[0]), Octonion._of(ell[0])
+
+
+def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H (n, 4, 8), the rows (1, h1, h2, h1 h2), and ell (n, 8) for off-diagonals (n, 3, 8).
+
+    h1, h2: the first two imaginary directions of a, b, c that `_gram_schmidt` keeps (h1 h2
+    completes the quaternion relations exactly); ell: the first unit e_i with residual
+    against H above 1e-6, normalized."""
+    imag, keep = _gram_schmidt(np.where(_IMAG, off, 0.0))
+    if np.any(keep.sum(-1) < 2):
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
-    h1, h2 = imag_basis[0], imag_basis[1]
-    h3 = h1 * h2
-    hbasis = (Octonion.from_real(1.0), h1, h2, h3)
-    for i in range(1, 8):
-        cand = Octonion.unit(i)
-        resid = cand
-        for _ in range(2):
-            for h in hbasis:
-                resid = resid - h * inner(h, resid)
-        if resid.norm() > 1e-6:
-            return hbasis, resid * (1.0 / resid.norm())
-    raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
+    rows = np.arange(len(off))[:, None]
+    h1, h2 = np.moveaxis(imag[rows, np.argsort(~keep, axis=-1, stable=True)[:, :2]], 1, 0)
+    H = np.stack([np.broadcast_to(_ONE, h1.shape), h1, h2, _product(h1, h2)], axis=-2)
+    resid = np.broadcast_to(_EYE8[1:], (len(off), 7, 8))
+    for _ in range(2):
+        for j in range(4):
+            h = H[:, None, j]
+            resid = resid - h * inner(h, resid)[..., None]
+    n = _norm(resid)
+    found = n > 1e-6
+    if not found.any(-1).all():
+        raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
+    i = rows[:, 0], found.argmax(-1)
+    return H, resid[i] * (1.0 / n[i])[:, None]
 
 
 def conj_matrix(A: Hermitian3) -> Hermitian3:
@@ -333,63 +325,27 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
     return Hermitian3(A.d, A.e, A.f, A.a.conj(), A.b.conj(), A.c.conj())
 
 
-def _complex_unit(A: Hermitian3) -> Octonion:
-    """Unit imaginary direction i0 with a, b, c in span{1, i0}; e1 for a real matrix."""
-    scale = max(q.norm() for q in (A.a, A.b, A.c))
-    for q in (A.a, A.b, A.c):
-        im = q.imag()
-        if im.norm() > 1e-12 * scale:
-            u = im * (1.0 / im.norm())
-            nz = np.nonzero(np.abs(u.coords) > 1e-12)[0]
-            if nz.size and u.coords[nz[0]] < 0:
-                u = -u
-            return u
-    return Octonion.unit(1)
+def _complex_unit(off: np.ndarray) -> np.ndarray:
+    """Unit imaginary direction i0 (n, 8) with a, b, c in span{1, i0}, e1 for a real matrix:
+    the first imaginary part above 1e-12 max(|a|, |b|, |c|), its leading coordinate positive."""
+    imag = np.where(_IMAG, off, 0.0)
+    n = _norm(imag)
+    found = n > 1e-12 * _norm(off).max(-1, keepdims=True)
+    rows = np.arange(len(off))
+    i = rows, found.argmax(-1)
+    u = imag[i] * (1.0 / np.where(found.any(-1), n[i], 1.0))[:, None]
+    lead = u[rows, (np.abs(u) > 1e-12).argmax(-1)][:, None]
+    return np.where(found.any(-1)[:, None], np.where(lead < 0, -u, u), _EYE8[1])
 
 
 def _range_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal 8x4 basis of the range of the rank-4 projector P, first column P 1 / |P 1|."""
-    U = np.linalg.eigh(P)[1][:, 4:]
-    c = U[0] / np.linalg.norm(U[0])
-    G = np.linalg.qr(np.column_stack([c, np.eye(4)]))[0]
-    return U @ G * math.copysign(1.0, G[:, 0] @ c)
-
-
-def _slots(B: np.ndarray) -> np.ndarray:
-    """The 24 x 3k map that applies the 8 x k basis B in each octonion slot, read-only."""
-    Q = np.kron(np.eye(3), B)
-    Q.flags.writeable = False
-    return Q
-
-
-@_per_matrix
-def family_bases(A: Hermitian3) -> tuple:
-    """Per family, its context and an orthonormal 24 x 3k basis Q of its subspace of O^3.
-
-    A maps each subspace into itself, with every eigenvalue of real
-    multiplicity k there; the first column of each slot's k is the
-    direction the coordinate rule of the extraction tries first.
-    Octonionic: Q = kron(I3, B_m) with B_m a basis of T_m = range P_m
-    that starts with P_m 1.  Quaternionic: the bases h of H and ell h of
-    ell H; the lifted family's K eigenvalue is the determinant gap.
-    Complex and real: one family on (1, i0).
-    """
-    tag = classify(A).tag
-    if tag == OCTONIONIC:
-        return tuple((fam, _slots(_range_basis(family_projector(A, fam.m))))
-                     for fam in family_contexts(A))
-    if tag == QUATERNIONIC:
-        hbasis, ell = quaternionic_split(A)
-        Hb = np.array([h.coords for h in hbasis]).T
-        return ((_associative_context(1, 0.0), _slots(Hb)),
-                (_associative_context(2, det(conj_matrix(A)) - det(A)),
-                 _slots(left_mul_matrix(ell) @ Hb)))
-    i0 = np.array([Octonion.from_real(1.0).coords, _complex_unit(A).coords]).T
-    return ((_associative_context(1, 0.0), _slots(i0)),)
-
-
-def _associative_context(m: int, r: float) -> FamilyContext:
-    return FamilyContext(m=m, r=r, phi=0.0, alpha=Octonion.zero(), s=None)
+    """Orthonormal bases (..., 8, 4) of the ranges of rank-4 projectors P (..., 8, 8),
+    each with first column P 1 / |P 1|."""
+    U = np.linalg.eigh(P)[1][..., 4:]
+    c = U[..., 0, :] / _norm(U[..., 0, :])[..., None]
+    eye = np.broadcast_to(np.eye(4), U.shape[:-2] + (4, 4))
+    G = np.linalg.qr(np.concatenate([c[..., None], eye], axis=-1))[0]
+    return U @ G * np.copysign(1.0, np.vecdot(G[..., 0], c))[..., None, None]
 
 
 def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
@@ -431,9 +387,43 @@ class _Stack:
         return cls(*outer_entries(v.reshape(-1, 24).T))
 
     @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,)."""
+        return _classes(self.off, _alpha(self.off))
+
+    @cached_property
     def families(self) -> tuple:
         """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8)."""
         return _families(self.off)
+
+    def contexts(self, i: int) -> tuple[FamilyContext, FamilyContext]:
+        """Row i's two FamilyContexts, from `families`."""
+        ph, al, rs, s = (x[i] for x in self.families)
+        return tuple(FamilyContext(m=m, r=float(r), phi=float(ph), alpha=Octonion(al),
+                                   s=Octonion(s_m)) for m, r, s_m in zip((1, 2), rs, s))
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """H (n, 4, 8) and ell (n, 8) of `_quaternionic_split`."""
+        return _quaternionic_split(self.off)
+
+    @cached_property
+    def bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """For a stack of one class, the family roots r (n, F) and orthonormal bases B
+        (n, F, 8, k) of subspaces of O whose span in each slot A maps into itself, each
+        eigenvalue of real multiplicity k there.  Octonionic: T_m = range P_m, starting
+        with P_m 1 = s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
+        determinant gap det(Abar) - det(A) (k = 4).  Complex and real: (1, i0) (k = 2)."""
+        tag = _TAGS[self.classes[0][0]]
+        if tag == OCTONIONIC:
+            return self.families[2], _range_basis(self.P)
+        zero = np.zeros((len(self.dia), 1))
+        if tag == QUATERNIONIC:
+            Hb, ell = self.split[0].swapaxes(-1, -2), self.split[1]
+            gap = _det(self.dia, conj(self.off)) - self.det
+            return np.column_stack([zero, gap]), np.stack([Hb, left_mul_matrix(ell) @ Hb], axis=1)
+        one = np.broadcast_to(_ONE, (len(self.dia), 8))
+        return zero, np.stack([one, _complex_unit(self.off)], axis=-1)[:, None]
 
     @cached_property
     def K(self) -> np.ndarray:

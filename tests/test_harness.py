@@ -33,7 +33,13 @@ from octeig.hermitian import (
 )
 from octeig.octonion import Octonion, associator, inner, left_mul_matrix
 from octeig.projection import quaternionic_six_way, six_way, subalgebra_part
-from octeig.spectral import family_dimension_probe, k_vector, lambda_roots, same_family
+from octeig.spectral import (
+    eigensystem,
+    family_dimension_probe,
+    k_vector,
+    lambda_roots,
+    same_family,
+)
 from octeig.subspace import (
     _Stack,
     basis_invariance_check,
@@ -367,13 +373,18 @@ def ref_basis_invariance(ctx):
                for A, m, s in zip(As, M, ctx.uniform(3)))
 
 
+def systems(stack):
+    """Each matrix of a pool with its eigensystem, one `eigensystem` call per matrix."""
+    return [(A, eigensystem(A)) for A in mats(stack)]
+
+
 def pool_residual(key):
     return lambda ctx: max(max(f.residuals[key] for f in es.families)
-                           for es in ctx.oct_pool.systems)
+                           for _, es in pool(ctx))
 
 
 def pool(ctx):
-    return zip(ctx.oct_pool.mats, ctx.oct_pool.systems)
+    return systems(ctx.oct_pool)
 
 
 def ref_theorem_eigen_projection(ctx):
@@ -499,7 +510,7 @@ def ref_family_triple_contraction(ctx):
 
 def ref_same_family_reject(ctx):
     wrong = 0
-    for es, i, j in zip(ctx.oct_pool.systems, *ctx.rng.integers(0, 3, (2, ctx.n))):
+    for (_, es), i, j in zip(pool(ctx), *ctx.rng.integers(0, 3, (2, ctx.n))):
         u = es.families[0].pairs[i].v
         w = es.families[1].pairs[j].v
         wrong += same_family(u, w) + (not same_family(u, u))
@@ -507,19 +518,19 @@ def ref_same_family_reject(ctx):
 
 
 def ref_family_dimension(ctx):
-    systems = ctx.oct_pool.systems[:8]
-    fams = ctx.rng.integers(0, 2, len(systems))
+    first = [es for _, es in pool(ctx)][:8]
+    fams = ctx.rng.integers(0, 2, len(first))
     return max(abs(family_dimension_probe(es.families[f].pairs[0].v, samples=24) - 12)
-               for es, f in zip(systems, fams))
+               for es, f in zip(first, fams))
 
 
 def quat_pool(ctx):
-    return zip(ctx.quat_pool.mats, ctx.quat_pool.systems)
+    return systems(ctx.quat_pool)
 
 
 def ref_quaternionic_lift(ctx):
     worst = 0.0
-    nq = len(ctx.quat_pool.mats)
+    nq = len(ctx.quat_pool.dia)
     for (A, es), coeffs in zip(quat_pool(ctx), ctx.uniform(3, 4, n=nq)):
         hbasis, ell = quaternionic_split(A)
         Ab = conj_matrix(A)
@@ -550,7 +561,7 @@ def ref_quaternionic_split_orthogonality(ctx):
 
 def ref_quaternionic_six_way(ctx):
     worst = 0.0
-    nq = len(ctx.quat_pool.mats)
+    nq = len(ctx.quat_pool.dia)
     for (A, es), x in zip(quat_pool(ctx), vecs(ctx.uniform(3, 8, n=nq))):
         dec = quaternionic_six_way(A, x, system=es)
         worst = max(worst, dec.reconstruction_residual, max(dec.eigen_residuals))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from octeig.errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from octeig.hermitian import (
     Hermitian3,
+    _arrays,
     OctVector3,
     classify,
     det,
@@ -21,11 +22,10 @@ from octeig.harness import random_hermitian
 from octeig.octonion import Octonion, inner
 from octeig.spectral import (
     EigenPair,
-    _cluster,
     _column_basis,
+    _RESIDUALS,
     _family_residuals,
     _pick_representative,
-    _real_forms,
     eigensystem,
     eigenvectors,
     family_dimension_probe,
@@ -37,6 +37,7 @@ from octeig.spectral import (
     same_family,
 )
 from octeig.subspace import (
+    _Stack,
     conj_matrix,
     family_context,
     k_scalar,
@@ -346,8 +347,8 @@ def test_eigensystem_rank_one_matches_nullspace_reference(rng):
 
 
 def reference_residuals(A, fam, pairs):
-    """The residuals of `eigensystem`, evaluated with octonion products."""
-    scale = max(1.0, A.frobenius())
+    """The residuals of `eigensystem`, evaluated with octonion products; normwise."""
+    scale = A.frobenius()
     ident = hermitian_combination((1.0, p.v) for p in pairs) - Hermitian3.identity()
     amat = hermitian_combination((p.lam, p.v) for p in pairs) - A
     return {
@@ -380,7 +381,10 @@ def test_residual_formulas_off_the_spectrum(rng, octonionic_pool):
         pairs = [EigenPair(lam, rand_vec(rng).normalized(), 1) for lam in rng.uniform(-2, 2, 3)]
         fam = es.families[0].context
         ref = reference_residuals(A, fam, pairs)
-        got = _family_residuals(A, _real_forms(A), fam, pairs)
+        stack = _Stack(*(x[None] for x in _arrays(A)))
+        V = np.array([[[p.v.to_coords() for p in pairs]]])
+        lams = np.array([[[p.lam for p in pairs]]])
+        got = dict(zip(_RESIDUALS, _family_residuals(stack, np.array([[fam.r]]), lams, V)[0, 0]))
         for key, want in ref.items():
             assert want > 1e-3
             assert abs(got[key] - want) <= 1e-12 * want
@@ -504,6 +508,18 @@ def _from_subalgebra_coords(coords, basis):
     return acc
 
 
+def _cluster(values):
+    vals = sorted(values)
+    tol = 1e-6 * max(abs(v) for v in vals)
+    groups = [[vals[0]]]
+    for v in vals[1:]:
+        if v - groups[-1][-1] <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return groups
+
+
 def _quat_hermitian_eig(A, hbasis):
     rows = A.entries()
     M = np.zeros((12, 12))
@@ -575,3 +591,23 @@ def test_quaternionic_eigensystem_matches_reference(rng, quaternionic_pool):
         es = eigensystem(B)
         assert [len(list(g)) for _, g in groupby(es.families[0].pairs, key=lambda p: p.lam)] == [2, 1]
         assert_matches_quaternionic_reference(B)
+
+
+def test_reference_eigenvectors_of_a_small_matrix():
+    # the nullspace and column-space cuts were tol * max(1, s[0]), an absolute
+    # floor: at this scale every singular value fell under it, and the
+    # reference returned vectors with backward error up to 0.96
+    A = random_hermitian(np.random.default_rng(1)).scale(1e-8)
+    R = realify24(A)
+    for fam in eigensystem(A).families:
+        for p in fam.pairs:
+            v = eigenvectors(A, fam.context, p.lam)[0].v.to_coords()
+            assert np.linalg.norm(R @ v - p.lam * v) <= 1e-13 * A.frobenius() * np.linalg.norm(v)
+
+
+def test_family_dimension_probe_does_not_depend_on_the_scale(octonionic_pool):
+    # with the absolute floor a vector scaled by 1e-3 had a 24-dimensional family
+    for _, es in octonionic_pool[:4]:
+        v = es.families[1].pairs[2].v
+        assert [family_dimension_probe(v.scale(s)) for s in (1e-6, 1e-3, 1.0, 1e3)] == [12] * 4
+    assert real_nullspace(np.zeros((3, 3))).shape == (3, 3)

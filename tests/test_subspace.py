@@ -13,6 +13,7 @@ from octeig.errors import (
 from octeig.hermitian import (
     Hermitian3,
     OctVector3,
+    _arrays,
     alpha,
     classify,
     det,
@@ -21,13 +22,12 @@ from octeig.hermitian import (
     sigma,
 )
 from octeig.octonion import Octonion, associator, inner
-from octeig.spectral import realify24
+from octeig.spectral import _slotwise, realify24
 from octeig.subspace import (
-    _invariants,
+    _Stack,
     basis_invariance_check,
     cd_table_check,
     conj_matrix,
-    family_bases,
     family_context,
     family_contexts,
     family_projector,
@@ -369,9 +369,9 @@ def test_family_contexts_match_family_context(rng):
 # every function cached per matrix, with the extra arguments it is keyed on
 CACHED = (
     (classify, ()), (sigma, ()), (det, ()), (phi, ()), (alpha, ()),
-    (_invariants, ()), (family_contexts, ()), (k_matrix, ()),
+    (family_contexts, ()), (k_matrix, ()),
     (family_projector, (1,)), (family_projector, (2,)),
-    (t_basis, ()), (quaternionic_split, ()), (realify24, ()), (family_bases, ()),
+    (t_basis, ()), (quaternionic_split, ()), (realify24, ()),
 )
 
 
@@ -409,7 +409,7 @@ def test_cached_values_equal_a_fresh_computation(rng, mask):
 def test_cached_arrays_are_read_only(rng):
     A = rand_herm(rng)
     arrays = (realify24(A), k_matrix(A), family_projector(A, 1), family_projector(A, 2))
-    for value in arrays + tuple(Q for _, Q in family_bases(A)):
+    for value in arrays:
         with pytest.raises(ValueError):
             value[0, 0] = 1.0
 
@@ -423,14 +423,16 @@ def test_degenerate_family_raised_on_every_call(rng):
 
 @pytest.mark.parametrize("mask, families", [(None, 2), ((0, 1, 2, 4), 2), ((0, 1), 1), ((0,), 1)])
 def test_family_bases_span_invariant_subspaces(rng, mask, families):
-    for _ in range(10):
-        A = rand_herm(rng, mask)
-        bases = family_bases(A)
-        assert len(bases) == families
+    As = [rand_herm(rng, mask) for _ in range(10)]
+    r, B = _Stack(*(np.array(x) for x in zip(*map(_arrays, As)))).bases
+    k = 4 if families == 2 else 2
+    assert r.shape == (10, families) and B.shape == (10, families, 8, k)
+    for A, rs, bs in zip(As, r, B):
         R = realify24(A)
-        for m, (fam, Q) in enumerate(bases, start=1):
-            k = Q.shape[1] // 3
-            assert fam.m == m and Q.shape == (24, 3 * k)
+        roots = r_roots(A) if mask is None else (0.0, det(conj_matrix(A)) - det(A))
+        for m, (r_m, b) in enumerate(zip(rs, bs), start=1):
+            assert r_m == roots[m - 1]
+            Q = _slotwise(b)
             assert np.abs(Q.T @ Q - np.eye(3 * k)).max() < 1e-13
             # A maps the span of Q into itself
             assert np.abs(R @ Q - Q @ (Q.T @ R @ Q)).max() < 1e-13 * A.frobenius()
@@ -438,6 +440,5 @@ def test_family_bases_span_invariant_subspaces(rng, mask, families):
                 # octonionic: T_m in each slot, starting with P_m 1 = s_m
                 P = family_projector(A, m)
                 assert np.abs(Q @ Q.T - np.kron(np.eye(3), P)).max() < 1e-12
-                assert np.abs(Q[:8, 0] - fam.s.coords / fam.s.norm()).max() < 1e-12
-        if families == 1:
-            assert bases[0][1].shape[1] == 6
+                s_m = family_context(A, m).s
+                assert np.abs(b[:, 0] - s_m.coords / s_m.norm()).max() < 1e-12
