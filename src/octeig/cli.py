@@ -99,11 +99,11 @@ def _print_checks(checks) -> bool:
     return all_pass
 
 
-def _conclude(payload: dict, es, worst: float, tol: float, out: str) -> int:
+def _conclude(payload: dict, tag: str, worst: float, tol: float, out: str) -> int:
     """Record the worst residual against the tolerance, write the result, pick the exit code."""
-    routed = es.matrix_class.tag != OCTONIONIC
+    routed = tag != OCTONIONIC
     if routed:
-        payload["routed_path"] = es.matrix_class.tag
+        payload["routed_path"] = tag
     payload["worst_residual"] = worst
     payload["tolerance"] = tol
     payload["pass"] = worst <= tol
@@ -112,7 +112,7 @@ def _conclude(payload: dict, es, worst: float, tol: float, out: str) -> int:
         print(f"residuals exceed tolerance {tol:g}", file=sys.stderr)
         return _EXIT_FAIL
     if routed:
-        print(f"note: degenerate class, routed through the {es.matrix_class.tag} path",
+        print(f"note: degenerate class, routed through the {tag} path",
               file=sys.stderr)
         return _EXIT_DEGENERATE
     return _EXIT_OK
@@ -125,20 +125,19 @@ def _cmd_eigen(args) -> int:
     payload = es.to_json()
     payload["fingerprint"] = matrix_fingerprint(A)
     worst = max(max(f.residuals.values()) for f in es.families)
-    return _conclude(payload, es, worst, tol, args.out)
+    return _conclude(payload, es.matrix_class.tag, worst, tol, args.out)
 
 
 def _cmd_project(args) -> int:
     tol = _resolve_tolerance(args)
     A = _load_matrix(args.matrix)
     x = _load_vector(args.vector)
-    es = eigensystem(A)
-    dec = six_way(A, x, system=es)
+    dec = six_way(A, x)
     payload = dec.to_json()
-    if es.matrix_class.tag != OCTONIONIC:
-        payload["single_family"] = es.single_family
+    if dec.matrix_class != OCTONIONIC:
+        payload["single_family"] = len(dec.parts) == 3
     worst = max([dec.reconstruction_residual, *dec.eigen_residuals])
-    return _conclude(payload, es, worst, tol, args.out)
+    return _conclude(payload, dec.matrix_class, worst, tol, args.out)
 
 
 def _report(command: str, args, tol: float, checks, extra=None) -> dict:

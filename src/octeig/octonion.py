@@ -166,7 +166,7 @@ class Octonion:
         return "Octonion<" + (" + ".join(terms) if terms else "0") + ">"
 
     def to_json(self) -> list:
-        return [float(x) for x in self.coords]
+        return self.coords.tolist()
 
     @classmethod
     def from_json(cls, data) -> "Octonion":

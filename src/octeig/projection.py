@@ -16,6 +16,7 @@ import numpy as np
 from .errors import FamilyMismatch, NotQuaternionic
 from .hermitian import (
     QUATERNIONIC,
+    _TAGS,
     Hermitian3,
     OctVector3,
     _vnorm,
@@ -30,7 +31,6 @@ from .spectral import (
     _slotwise,
     _systems,
     _Systems,
-    eigensystem,
     k_vector,
     realify_rank_one,
 )
@@ -114,36 +114,32 @@ def subalgebra_part(hbasis, x: OctVector3) -> OctVector3:
 
 def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:
     """Decompose x into one eigenvector component per family eigenvalue: the n = 1 case
-    of `_six_way` on the pairs of `system` (A's eigensystem by default), six parts for
-    octonionic and quaternionic matrices, three for complex and real ones."""
-    system = eigensystem(A) if system is None else system
-    V, lams = np.zeros((1, 2, 3, 24)), np.zeros((1, 2, 3))
-    for f, fam in enumerate(system.families):
-        V[0, f], lams[0, f] = [p.v.to_coords() for p in fam.pairs], [p.lam for p in fam.pairs]
-    comps, residuals, recon = _six_way(_systems(A), x.to_coords()[None], V, lams)
-    pairs = system.all_pairs()
+    of `_six_way`, six parts for octonionic and quaternionic matrices, three for complex
+    and real ones.  The pairs, class and family labels are those of A's stack, which
+    `eigensystem(A)` reads too; `system`, A's eigensystem, is accepted and not needed."""
+    S = _systems(A)
+    labels = [(f + 1, lam) for f in range(S.nfam[0]) for lam in S.lams[0, f].tolist()]
+    comps, residuals, recon = _six_way(S, x.to_coords()[None])
     return SixWayDecomposition(
-        parts=tuple(DecompositionPart(p.family, p.lam, OctVector3.from_coords(c))
-                    for p, c in zip(pairs, comps[0].reshape(6, 24))),
+        parts=tuple(DecompositionPart(m, lam, OctVector3.from_coords(c))
+                    for (m, lam), c in zip(labels, comps[0].reshape(6, 24))),
         reconstruction_residual=float(recon[0]),
-        eigen_residuals=tuple(float(r) for r in residuals[0].ravel()[:len(pairs)]),
-        matrix_class=system.matrix_class.tag,
+        eigen_residuals=tuple(float(r) for r in residuals[0].ravel()[:len(labels)]),
+        matrix_class=_TAGS[S.classes[0][0]],
         fingerprint=matrix_fingerprint(A),
     )
 
 
-def _six_way(S: _Systems, x: np.ndarray, V: np.ndarray = None, lams: np.ndarray = None):
+def _six_way(S: _Systems, x: np.ndarray):
     """Parts (n, 2, 3, 24), their eigen residuals (n, 2, 3) and the reconstruction
-    residuals (n,) of vectors x (n, 24) on stacked systems S, with eigenpairs
-    V (n, 2, 3, 24) and lams (n, 2, 3), by default S's own.
+    residuals (n,) of vectors x (n, 24) on stacked systems S.
 
     x_1 = Q_1 Q_1^T x, Q_1 = kron(I3, B_1), and family 2 takes the rest (none
     for complex and real rows); each piece is expanded along its family's
     pairs, (v v^dagger) x_m.  A part below 1e-10 |x| is zero with residual 0;
     the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).
     """
-    V = S.V.reshape(-1, 2, 3, 24) if V is None else V
-    lams = S.lams if lams is None else lams
+    V = S.V.reshape(-1, 2, 3, 24)
     Q = _slotwise(S.B[:, 0])
     x1 = np.where((S.nfam == 2)[:, None], np.matvec(Q, np.matvec(Q.swapaxes(-1, -2), x)), x)
     pieces = np.stack([x1, x - x1], axis=1)[:, :, None]
@@ -152,7 +148,7 @@ def _six_way(S: _Systems, x: np.ndarray, V: np.ndarray = None, lams: np.ndarray 
     xnorm = np.maximum(_vnorm(x.reshape(-1, 3, 8)), 1e-300)
     zero = size < _ZERO_PART_TOL * xnorm[:, None, None]
     comps = np.where(zero[..., None], 0.0, comps)
-    err = np.matvec(S.R[:, None, None], comps) - lams[..., None] * comps
+    err = np.matvec(S.R[:, None, None], comps) - S.lams[..., None] * comps
     denom = _norm_scale(S)[:, None, None] * np.where(zero, 1.0, size)
     residuals = np.where(zero, 0.0, np.sqrt(np.vecdot(err, err)) / denom)
     total = comps.reshape(-1, 6, 24).sum(1) - x

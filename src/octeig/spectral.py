@@ -15,6 +15,7 @@ the cubic for the harness.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -330,17 +331,18 @@ def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray)
 
 class _Systems(_Stack):
     """Stacked matrices with their eigensystems: the rows of each class go through
-    `_Stack.bases`, `_eigenpairs` and `_family_residuals` together.  nfam (n,) is 2,
-    or 1 for complex and real rows, which fill only the first family; per family
-    (axis 1): the root r (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams
-    (n, 2, 3), eigenvectors V (n, 2, 3, 3, 8) and `_RESIDUALS` (n, 2, 5)."""
+    `_Stack.bases` and `_eigenpairs` together.  nfam (n,) is 2, or 1 for complex and
+    real rows, which fill only the first family; per family (axis 1): the root r
+    (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3), eigenvectors V
+    (n, 2, 3, 3, 8) and, on first read, `_RESIDUALS` (n, 2, 5) of the `_groups`."""
 
     def __init__(self, dia: np.ndarray, off: np.ndarray):
         super().__init__(dia, off)
         n, code = len(dia), self.classes[0]
         self.nfam = np.where(code >= _TAGS.index(QUATERNIONIC), 2, 1)
-        self.r, self.lams, self.residuals = (np.zeros((n, 2) + s) for s in ((), (3,), (5,)))
+        self.r, self.lams = np.zeros((n, 2)), np.zeros((n, 2, 3))
         self.B, self.V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
+        self._groups = []
         for c in sorted(set(code.tolist())):
             rows = code == c
             A = self if rows.all() else _Stack(dia[rows], off[rows])
@@ -348,8 +350,18 @@ class _Systems(_Stack):
             F, k = B.shape[1], B.shape[-1]
             lams, V = _eigenpairs(A.R[:, None], _slotwise(B))
             self.r[rows, :F], self.B[rows, :F, :, :k], self.lams[rows, :F] = r, B, lams
-            self.V[rows, :F], self.residuals[rows, :F] = V, _family_residuals(A, r, lams, V)
+            self.V[rows, :F] = V
+            self._groups.append((rows, F, r, lams, V))
         self.V = self.V.reshape(n, 2, 3, 3, 8)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        # a mixed stack builds each class's stack again rather than keep it alive
+        out = np.zeros((len(self.dia), 2, 5))
+        for rows, F, *args in self._groups:
+            A = self if rows.all() else _Stack(self.dia[rows], self.off[rows])
+            out[rows, :F] = _family_residuals(A, *args)
+        return out
 
 
 @_per_matrix

@@ -174,9 +174,9 @@ def _generators(ph: np.ndarray, al: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return num / (2.0 * (rs + 2.0 * ph[..., None]))[..., None]
 
 
-def _families(off: np.ndarray) -> tuple:
-    """phi, alpha, the roots (r1, r2) and the generators (s1, s2) for stacked off-diagonals."""
-    ph, al = _phi(off), _alpha(off)
+def _families(off: np.ndarray, al: np.ndarray = None) -> tuple:
+    """phi, alpha (unless given), roots r_m and generators s_m for stacked off-diagonals."""
+    ph, al = _phi(off), _alpha(off) if al is None else al
     if np.any(_associative(off, al)):
         raise _degenerate()
     rs = _roots(ph, al)
@@ -387,14 +387,19 @@ class _Stack:
         return cls(*outer_entries(v.reshape(-1, 24).T))
 
     @cached_property
+    def alpha(self) -> np.ndarray:
+        """The associators [a, b, c] (n, 8)."""
+        return _alpha(self.off)
+
+    @cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,)."""
-        return _classes(self.off, _alpha(self.off))
+        return _classes(self.off, self.alpha)
 
     @cached_property
     def families(self) -> tuple:
         """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8)."""
-        return _families(self.off)
+        return _families(self.off, self.alpha)
 
     def contexts(self, i: int) -> tuple[FamilyContext, FamilyContext]:
         """Row i's two FamilyContexts, from `families`."""

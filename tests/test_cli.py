@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octeig.cli import _build_parser, main
 from octeig.harness import random_hermitian, random_vector, run_fuzz, run_verification
@@ -233,3 +235,39 @@ def test_samples_below_one_rejected(files, capsys, command, samples):
     run = run_verification if command == "verify" else run_fuzz
     with pytest.raises(ValueError, match="samples must be at least 1"):
         run(seed=0, samples=samples)
+
+
+# the imaginary units kept per class: 1, e1, e2, e4 span a quaternionic subalgebra
+MASKS = {"octonionic": range(8), "quaternionic": (0, 1, 2, 4), "complex": (0, 1), "real": (0,)}
+
+
+@pytest.mark.parametrize("kind", MASKS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0))
+def test_class_and_exit_code_do_not_depend_on_the_scale(tmp_path_factory, kind, seed, exponent):
+    rng = np.random.default_rng(seed)
+    dia = rng.uniform(-1, 1, 3)
+    off = rng.uniform(-1, 1, (3, 8)) * np.isin(np.arange(8), MASKS[kind])
+    tmp = tmp_path_factory.mktemp("scaled")
+    vec = tmp / "x.json"
+    vec.write_text(json.dumps(rng.uniform(-1, 1, (3, 8)).tolist()))
+
+    def answers(s):
+        mat, out = tmp / "m.json", tmp / "out.json"
+        mat.write_text(json.dumps({"d": s * dia[0], "e": s * dia[1], "f": s * dia[2],
+                                   "a": (s * off[0]).tolist(), "b": (s * off[1]).tolist(),
+                                   "c": (s * off[2]).tolist()}))
+        got = []
+        for argv, key in ((["eigen", str(mat)], "class"),
+                          (["project", str(mat), str(vec)], "matrix_class")):
+            code = main([*argv, "--out", str(out)])
+            data = json.loads(out.read_text())
+            got.append((data[key], data.get("routed_path"), code))
+        return got
+
+    routed = None if kind == "octonionic" else kind
+    want = [(kind, routed, 0 if routed is None else 2)] * 2
+    assert answers(1.0) == want
+    # a power of two scales every floating-point step exactly
+    assert answers(2.0 ** round(exponent * np.log2(10.0))) == want
+    assert answers(10.0 ** exponent) == want

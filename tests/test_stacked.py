@@ -16,7 +16,7 @@ from octeig.harness import random_hermitian, random_vector
 from octeig.hermitian import _TAGS, Hermitian3, OctVector3, _arrays, outer
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
-from octeig.spectral import _RESIDUALS, _Systems, eigensystem, eigenvectors
+from octeig.spectral import _RESIDUALS, _systems, _Systems, eigensystem, eigenvectors
 
 KINDS = ("octonionic", "quaternionic", "complex", "real")
 SCALES = (1e-8, 1e-3, 1.0, 1e3, 1e8)
@@ -91,6 +91,37 @@ def test_octonionic_rows_match_the_nullspace_reference():
                 ref = eigenvectors(A, fam.context, lam, multiplicity=len(group))
                 for (j, _), want in zip(group, ref):
                     assert np.abs(S.V[i, f, j].ravel() - want.v.to_coords()).max() <= 1e-12
+
+
+def test_six_way_from_the_stack_equals_six_way_on_the_eigensystem():
+    rng = np.random.default_rng(43)
+    mats = [random_hermitian(rng, kind).scale(s) for kind in KINDS for s in (1e-3, 1.0, 1e3)]
+    for A in mats + cluster_cases(rng):
+        x = random_vector(rng)
+        es = eigensystem(A)
+        got, want = six_way(A, x), six_way(A, x, system=es)
+        # the split reads the stack's pairs, which are the eigensystem's bit for bit
+        assert got.matrix_class == want.matrix_class == es.matrix_class.tag
+        assert [(p.family, p.lam) for p in got.parts] == [(p.family, p.lam) for p in es.all_pairs()]
+        for f, fam in enumerate(es.families):
+            assert bits([p.v.to_coords() for p in fam.pairs]) == bits(_systems(A).V[0, f].reshape(3, 24))
+        assert [p.family for p in got.parts] == [p.family for p in want.parts]
+        assert bits([p.lam for p in got.parts]) == bits([p.lam for p in want.parts])
+        assert bits([p.component.to_coords() for p in got.parts]) == bits(
+            [p.component.to_coords() for p in want.parts])
+        assert bits(got.eigen_residuals) == bits(want.eigen_residuals)
+        assert bits(got.reconstruction_residual) == bits(want.reconstruction_residual)
+        assert got.to_json() == want.to_json()
+
+
+def test_six_way_leaves_the_family_residuals_unread():
+    # the split reports part residuals only; the family residuals wait for eigensystem
+    rng = np.random.default_rng(44)
+    for A in [random_hermitian(rng, kind) for kind in KINDS] + cluster_cases(rng):
+        six_way(A, random_vector(rng))
+        assert "residuals" not in _systems(A).__dict__
+        eigensystem(A)
+        assert "residuals" in _systems(A).__dict__
 
 
 def residuals(A, x):
