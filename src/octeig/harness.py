@@ -4,7 +4,10 @@ Every check draws its instances from a seeded PCG64 generator as whole stacks,
 one row per sample, computes one scaled residual per sample with array code,
 and reports the worst, so a report is reproducible bit-for-bit from (seed,
 samples, flags).  The eigensystem checks share two pools of matrices whose
-eigensystems and six-way splits are computed as one stack each.
+eigensystems and six-way splits are computed as one stack each.  `fuzz` draws
+all its (matrix, vector) samples as one block of the doubles that alternating
+`random_hermitian`/`random_vector` calls would draw, classifies them as one
+stack, and redraws from the first matrix of another class on.
 """
 
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from .hermitian import (
     Hermitian3,
     OctVector3,
     _alpha,
-    _arrays,
+    _associative,
     _classes,
     _vnorm,
 )
@@ -89,21 +92,67 @@ def random_hermitian(rng, kind: str = OCTONIONIC) -> Hermitian3:
     return Hermitian3(d, e, f, Octonion(a), Octonion(b), Octonion(c))
 
 
+def _rejected(off: np.ndarray, code: int) -> np.ndarray:
+    """Where off-diagonals (..., 3, 8) are not of class `code`, an index into _TAGS: the
+    same decision as `_classes(off, alpha)[0] != code`.  Code 3, octonionic, is decided
+    by the associator alone, so only the lower classes pay for the rank SVD."""
+    al = _alpha(off)
+    if code == _TAGS.index(OCTONIONIC):
+        return _associative(off, al)
+    return _classes(off, al)[0] != code
+
+
 def _draw_hermitian(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (n, 3) and off-diagonals (n, 3, 8) of n random matrices of class
     `kind`; as in `random_hermitian`, a draw of another class is drawn again."""
-    mask = _COORD_MASKS[kind]
+    mask, code = _COORD_MASKS[kind], _TAGS.index(kind)
     keep = 1.0 if mask is None else np.bincount(mask, minlength=8)
     dia, off = np.empty((n, 3)), np.empty((n, 3, 8))
     todo = np.arange(n)
     for _ in range(100):
         dia[todo] = rng.uniform(-1.0, 1.0, (todo.size, 3))
         off[todo] = rng.uniform(-1.0, 1.0, (todo.size, 3, 8)) * keep
-        drawn = off[todo]
-        todo = todo[_classes(drawn, _alpha(drawn))[0] != _TAGS.index(kind)]
+        todo = todo[_rejected(off[todo], code)]
         if not todo.size:
             return dia, off
     raise RuntimeError(f"failed to sample a {kind} matrix")
+
+
+# doubles per fuzz sample: a matrix (3 diagonal, then a, b, c) and a vector
+_MATRIX, _SAMPLE = 27, 51
+
+
+def _draw_samples(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals (n, 3), off-diagonals (n, 3, 8) and vectors (n, 24) of n fuzz samples:
+    the doubles of n alternating `random_hermitian(rng, kind)` and `random_vector(rng)`
+    calls, drawn as one (n, 51) block and classified as one stack.
+
+    At the first row j whose matrix is of another class, rows < j are kept, the
+    generator is put back to its state before the block and replays j * 51 + 27
+    doubles, which redraws that matrix as `random_hermitian` does, and the rows
+    from j on are drawn again; 100 draws of one matrix fail as there.
+    """
+    mask, code = _COORD_MASKS[kind], _TAGS.index(kind)
+    keep = 1.0 if mask is None else np.tile(np.bincount(mask, minlength=8), 3)
+    rows = np.empty((n, _SAMPLE))
+    done, tries = 0, 0
+    while True:
+        state = rng.bit_generator.state
+        block = rows[done:]
+        block[:] = rng.uniform(-1.0, 1.0, block.shape)
+        block[:, 3:_MATRIX] *= keep
+        bad = np.flatnonzero(_rejected(block[:, 3:_MATRIX].reshape(-1, 3, 8), code))
+        if not bad.size:
+            break
+        j = int(bad[0])
+        tries = tries + 1 if j == 0 else 1
+        if tries == 100:
+            raise RuntimeError(f"failed to sample a {kind} matrix")
+        done += j
+        rng.bit_generator.state = state
+        rng.random(j * _SAMPLE + _MATRIX)
+    return (rows[:, :3].copy(), rows[:, 3:_MATRIX].reshape(n, 3, 8).copy(),
+            rows[:, _MATRIX:].copy())
 
 
 def _check_samples(samples: int) -> int:
@@ -466,10 +515,9 @@ def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
     if kind not in _COORD_MASKS:
         raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
     _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    mats, vecs = zip(*((random_hermitian(rng, kind), random_vector(rng)) for _ in range(samples)))
-    pool = _Systems(*(np.array(a) for a in zip(*map(_arrays, mats))))
-    _, residuals, recon = _six_way(pool, np.array([v.to_coords() for v in vecs]))
+    dia, off, x = _draw_samples(np.random.default_rng(seed), samples, kind)
+    pool = _Systems(dia, off)
+    _, residuals, recon = _six_way(pool, x)
     worst = {name: pool.residuals[..., _RESIDUALS.index(key)].max() for name, key in (
         ("eigen-equation", "eigen"), ("identity-decomposition", "identity_decomposition"),
         ("matrix-decomposition", "matrix_decomposition"))}
