@@ -19,6 +19,7 @@ from .hermitian import (
     OCTONIONIC,
     QUATERNIONIC,
     REAL,
+    _CLASS_TOL,
     _TAGS,
     Hermitian3,
     OctVector3,
@@ -282,7 +283,8 @@ def _cd_residuals(al: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 @_per_matrix
 def quaternionic_split(A: Hermitian3):
     """Basis (1, h1, h2, h1 h2) of the quaternionic subalgebra holding a, b, c, plus
-    the lowest-index unit direction orthogonal to it: `_quaternionic_split` of A."""
+    the lowest-index unit direction orthogonal to it: `_quaternionic_split` of A, which
+    takes h1 along the largest imaginary part and h2 along the largest residual."""
     tag = classify(A).tag
     if tag == OCTONIONIC:
         raise NotQuaternionic("entries do not lie in a quaternionic subalgebra")
@@ -296,14 +298,27 @@ def quaternionic_split(A: Hermitian3):
 def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H (n, 4, 8), the rows (1, h1, h2, h1 h2), and ell (n, 8) for off-diagonals (n, 3, 8).
 
-    h1, h2: the first two imaginary directions of a, b, c that `_gram_schmidt` keeps (h1 h2
-    completes the quaternion relations exactly); ell: the first unit e_i with residual
+    h1, h2 by pivoting: h1 along the largest imaginary part of a, b, c, h2 along the
+    largest residual of the other two against h1, which must exceed 1e-9 of the largest
+    part, the cut of `_rank`.  So h2 never comes from a nearly parallel pair, whose tiny
+    residual would amplify any component of the entries outside the subalgebra.  h1 h2
+    completes the quaternion relations exactly; ell: the first unit e_i with residual
     against H above 1e-6, normalized."""
-    imag, keep = _gram_schmidt(np.where(_IMAG, off, 0.0))
-    if np.any(keep.sum(-1) < 2):
-        raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
+    imag = np.where(_IMAG, off, 0.0)
     rows = np.arange(len(off))[:, None]
-    h1, h2 = np.moveaxis(imag[rows, np.argsort(~keep, axis=-1, stable=True)[:, :2]], 1, 0)
+    sizes = _norm(imag)
+    first = rows[:, 0], sizes.argmax(-1)
+    top = sizes[first]
+    h1 = imag[first] * (1.0 / np.where(top > 0.0, top, 1.0))[:, None]
+    resid = imag
+    for _ in range(2):
+        resid = resid - h1[:, None] * inner(h1[:, None], resid)[..., None]
+    left = _norm(resid)
+    left[first] = 0.0
+    second = rows[:, 0], left.argmax(-1)
+    if np.any(left[second] <= _CLASS_TOL * top):
+        raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
+    h2 = resid[second] * (1.0 / left[second])[:, None]
     H = np.stack([np.broadcast_to(_ONE, h1.shape), h1, h2, _product(h1, h2)], axis=-2)
     resid = np.broadcast_to(_EYE8[1:], (len(off), 7, 8))
     for _ in range(2):

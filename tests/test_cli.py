@@ -271,3 +271,24 @@ def test_class_and_exit_code_do_not_depend_on_the_scale(tmp_path_factory, kind, 
     # a power of two scales every floating-point step exactly
     assert answers(2.0 ** round(exponent * np.log2(10.0))) == want
     assert answers(10.0 ** exponent) == want
+
+
+def test_nearly_parallel_imaginary_parts_route_quaternionic_accurately(tmp_path):
+    # a quaternionic matrix nudged by -2.08e-11 in e6 of b, whose imaginary part is off the
+    # line of a's by 6e-4 of its norm (boundary-cli seed 1104, round 38, slot 10): taking h2
+    # from b's residual against a amplified the nudge to residuals of 4.5e-8, exit 1
+    mat, vec, out = tmp_path / "m.json", tmp_path / "x.json", tmp_path / "out.json"
+    mat.write_text(json.dumps({
+        "d": -0.8578368855244025, "e": 0.4394311440672838, "f": 0.32946208308844493,
+        "a": [-0.6012141516608456, -0.5967407325693499, 0.006744255993690107, 0.0,
+              0.0827917056023435, 0.0, 0.0, -0.0],
+        "b": [0.2779619186921485, 0.46760959211722697, -0.005093450194722182, 0.0,
+              -0.065107992542774, 0.0, -2.082018823631777e-11, 0.0],
+        "c": [-0.35719854383447114, 0.7724368689461285, -0.6057496875605737, -0.0,
+              0.9835751778083033, 0.0, 0.0, -0.0]}))
+    vec.write_text(json.dumps(np.random.default_rng(0).uniform(-1, 1, (3, 8)).tolist()))
+    for argv in (["eigen", str(mat)], ["project", str(mat), str(vec)]):
+        assert main([*argv, "--out", str(out)]) == 2
+        data = json.loads(out.read_text())
+        assert data["routed_path"] == "quaternionic"
+        assert data["worst_residual"] <= 1e-8

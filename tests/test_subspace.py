@@ -24,6 +24,7 @@ from octeig.hermitian import (
 from octeig.octonion import Octonion, associator, inner
 from octeig.spectral import _slotwise, realify24
 from octeig.subspace import (
+    _quaternionic_split,
     _Stack,
     basis_invariance_check,
     cd_table_check,
@@ -262,6 +263,21 @@ def test_quaternionic_split_rejects_real_and_complex(rng):
         quaternionic_split(rand_herm(rng, mask=(0, 1)))
     with pytest.raises(NotQuaternionic):
         quaternionic_split(rand_herm(rng))
+
+
+def test_quaternionic_split_pivots_on_the_largest_parts():
+    # a's and b's imaginary parts are nearly parallel, c's is the largest: h1 follows c and
+    # h2 the residual of a, not the 3e-4 residual of b against a
+    a = np.array([0.0, -0.6, 0.0, 0.0, 0.08, 0.0, 0.0, 0.0])
+    b = -0.78 * a + 3e-4 * E[2].coords
+    c = np.array([0.0, 0.77, -0.61, 0.0, 0.98, 0.0, 0.0, 0.0])
+    H, _ = _quaternionic_split(np.array([[a, b, c]]))
+    assert np.allclose(H[0, 1], c / np.linalg.norm(c), rtol=0.0, atol=1e-15)
+    assert abs(inner(H[0, 2], a)) > 0.5 * np.linalg.norm(a)
+    # a second direction at or below 1e-9 of the largest part is no direction
+    flat = np.array([[a, -0.78 * a + 1e-10 * E[2].coords, 2.0 * a]])
+    with pytest.raises(AmbiguousSubalgebra):
+        _quaternionic_split(flat)
 
 
 def test_conj_matrix(rng):
