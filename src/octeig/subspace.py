@@ -305,9 +305,9 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     completes the quaternion relations exactly; ell: the first unit e_i with residual
     against H above 1e-6, normalized."""
     imag = np.where(_IMAG, off, 0.0)
-    rows = np.arange(len(off))[:, None]
+    rows = np.arange(len(off))
     sizes = _norm(imag)
-    first = rows[:, 0], sizes.argmax(-1)
+    first = rows, sizes.argmax(-1)
     top = sizes[first]
     h1 = imag[first] * (1.0 / np.where(top > 0.0, top, 1.0))[:, None]
     resid = imag
@@ -315,7 +315,7 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         resid = resid - h1[:, None] * inner(h1[:, None], resid)[..., None]
     left = _norm(resid)
     left[first] = 0.0
-    second = rows[:, 0], left.argmax(-1)
+    second = rows, left.argmax(-1)
     if np.any(left[second] <= _CLASS_TOL * top):
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
     h2 = resid[second] * (1.0 / left[second])[:, None]
@@ -329,7 +329,7 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     found = n > 1e-6
     if not found.any(-1).all():
         raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
-    i = rows[:, 0], found.argmax(-1)
+    i = rows, found.argmax(-1)
     return H, resid[i] * (1.0 / n[i])[:, None]
 
 
