@@ -151,7 +151,7 @@ def _draw_samples(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.nd
         done += j
         rng.bit_generator.state = state
         rng.random(j * _SAMPLE + _MATRIX)
-    # contiguous, as the per-sample path built them, so every kernel sees the same layout
+    # contiguous copies, so the stacked kernels see the layout of freshly built arrays
     return (rows[:, :3].copy(), rows[:, 3:_MATRIX].reshape(n, 3, 8).copy(),
             rows[:, _MATRIX:].copy())
 
