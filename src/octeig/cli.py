@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import OcteigError
 from .harness import (
@@ -36,6 +37,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise OcteigError(f"{path}: file not found")
+    except OSError as exc:
+        raise OcteigError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise OcteigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
@@ -54,13 +57,53 @@ def _load_vector(path: str) -> OctVector3:
         raise OcteigError(f"{path}: {exc}")
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _encode(x, indent: str = "\n") -> str:
+    """`json.dumps(x, indent=2, sort_keys=True)` for str keys, written without the
+    stdlib's pure-Python encoder, which it falls back to whenever indent is set."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return _CONSTANTS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NONFINITE.get(text, text)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(x.items())]
+        return "{" + inner + sep.join(items) + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        try:   # a list of finite floats is one join
+            text = sep.join(map(float.__repr__, x))
+            floats = "n" not in text   # only inf and nan have an "n"
+        except TypeError:   # an item that is not a float
+            floats = False
+        if not floats:
+            text = sep.join([_encode(v, inner) for v in x])
+        return "[" + inner + text + indent + "]"
+    return json.dumps(x)   # raises the stdlib's TypeError
+
+
 def _emit(payload: dict, out: str):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
+    text = _encode(payload)
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise OcteigError(f"{out}: {exc.strerror or exc}")
 
 
 def _resolve_tolerance(args) -> float:

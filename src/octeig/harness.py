@@ -199,7 +199,7 @@ class _Context:
     @cached_property
     def quat_pool(self) -> _Systems:
         return _Systems(*_draw_hermitian(np.random.default_rng(self.rng.integers(2 ** 63)),
-                                         max(1, self.n // 4), QUATERNIONIC))
+                                         max(1, self.n // 4), QUATERNIONIC), QUATERNIONIC)
 
 
 def _scale(*terms):
@@ -517,7 +517,7 @@ def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
         raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
     _check_samples(samples)
     dia, off, x = _draw_samples(np.random.default_rng(seed), samples, kind)
-    pool = _Systems(dia, off)
+    pool = _Systems(dia, off, kind)
     _, residuals, recon = _six_way(pool, x)
     worst = {name: pool.residuals[..., _RESIDUALS.index(key)].max() for name, key in (
         ("eigen-equation", "eigen"), ("identity-decomposition", "identity_decomposition"),

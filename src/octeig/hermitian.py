@@ -70,8 +70,9 @@ class OctVector3:
 
     @classmethod
     def from_coords(cls, coords) -> "OctVector3":
-        c = np.asarray(coords, dtype=float).reshape(24)
-        return cls((Octonion(c[0:8]), Octonion(c[8:16]), Octonion(c[16:24])))
+        """The vector of 24 coordinates, copied once; each component is a read-only row."""
+        c = np.array(coords, dtype=float).reshape(3, 8)
+        return cls(tuple(map(Octonion._of, c)))
 
     def to_coords(self) -> np.ndarray:
         return np.concatenate([v.coords for v in self.components])

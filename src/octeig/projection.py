@@ -125,7 +125,7 @@ def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayD
                     for (m, lam), c in zip(labels, comps[0].reshape(6, 24))),
         reconstruction_residual=float(recon[0]),
         eigen_residuals=tuple(float(r) for r in residuals[0].ravel()[:len(labels)]),
-        matrix_class=_TAGS[S.classes[0][0]],
+        matrix_class=_TAGS[S.codes[0]],
         fingerprint=matrix_fingerprint(A),
     )
 

@@ -16,6 +16,7 @@ the cubic for the harness.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -336,16 +337,16 @@ class _Systems(_Stack):
     (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3), eigenvectors V
     (n, 2, 3, 3, 8) and, on first read, `_RESIDUALS` (n, 2, 5) of the `_groups`."""
 
-    def __init__(self, dia: np.ndarray, off: np.ndarray):
-        super().__init__(dia, off)
-        n, code = len(dia), self.classes[0]
+    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: Optional[str] = None):
+        super().__init__(dia, off, kind)
+        n, code = len(dia), self.codes
         self.nfam = np.where(code >= _TAGS.index(QUATERNIONIC), 2, 1)
         self.r, self.lams = np.zeros((n, 2)), np.zeros((n, 2, 3))
         self.B, self.V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
         self._groups = []
         for c in sorted(set(code.tolist())):
             rows = code == c
-            A = self if rows.all() else _Stack(dia[rows], off[rows])
+            A = self if rows.all() else _Stack(dia[rows], off[rows], _TAGS[c])
             r, B = A.bases
             F, k = B.shape[1], B.shape[-1]
             lams, V = _eigenpairs(A.R[:, None], _slotwise(B))

@@ -390,11 +390,14 @@ def _basis_change_deviation(off: np.ndarray, M: np.ndarray, shifts: np.ndarray) 
 
 class _Stack:
     """Stacked matrices, diagonals (n, 3) and off-diagonals (n, 3, 8), with the
-    invariants of this module, each computed on first use."""
+    invariants of this module, each computed on first use.  A caller that has already
+    tested every row's class passes it as `kind`."""
 
-    def __init__(self, dia: np.ndarray, off: np.ndarray):
+    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: Optional[str] = None):
         self.dia, self.off = dia, off
         self.rows = np.arange(len(dia))
+        if kind is not None:
+            self.codes = np.full(len(dia), _TAGS.index(kind))
 
     @classmethod
     def outer(cls, v: np.ndarray) -> "_Stack":
@@ -410,6 +413,14 @@ class _Stack:
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,)."""
         return _classes(self.off, self.alpha)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Each matrix's class, as an index into `_TAGS` (n,).  A stack with no associative
+        row is octonionic throughout, decided without the rank SVD of `classes`."""
+        if _associative(self.off, self.alpha).any():
+            return self.classes[0]
+        return np.full(len(self.dia), _TAGS.index(OCTONIONIC))
 
     @cached_property
     def families(self) -> tuple:
@@ -434,7 +445,7 @@ class _Stack:
         eigenvalue of real multiplicity k there.  Octonionic: T_m = range P_m, starting
         with P_m 1 = s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
         determinant gap det(Abar) - det(A) (k = 4).  Complex and real: (1, i0) (k = 2)."""
-        tag = _TAGS[self.classes[0][0]]
+        tag = _TAGS[self.codes[0]]
         if tag == OCTONIONIC:
             return self.families[2], _range_basis(self.P)
         zero = np.zeros((len(self.dia), 1))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octeig.cli import _build_parser, main
+from octeig import cli
+from octeig.cli import _build_parser, _encode, main
 from octeig.harness import random_hermitian, random_vector, run_fuzz, run_verification
 
 
@@ -141,6 +142,35 @@ def test_tolerance_flag_beats_env(files, monkeypatch, capsys):
 def test_missing_file(files, capsys):
     assert main(["eigen", str(files["tmp"] / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_unreadable_inputs_are_errors(files, capsys, monkeypatch):
+    # a directory, then a file the process may not read: exit 1 with the reason, no traceback
+    tmp = str(files["tmp"])
+    assert main(["eigen", tmp]) == 1
+    assert capsys.readouterr().err == f"error: {tmp}: Is a directory\n"
+    assert main(["project", files["oct"], tmp]) == 1
+    assert capsys.readouterr().err == f"error: {tmp}: Is a directory\n"
+
+    # chmod does not stop a privileged process from reading, so open itself refuses
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    assert main(["eigen", files["oct"]]) == 1
+    assert capsys.readouterr().err == f"error: {files['oct']}: Permission denied\n"
+
+
+def test_unwritable_out_is_an_error(files, capsys):
+    # the result is computed, then writing it fails: exit 1 with the reason, no traceback
+    out = files["tmp"] / "missing" / "o.json"
+    assert main(["eigen", files["oct"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+    tmp = str(files["tmp"])
+    for argv in (["project", files["oct"], files["vec"]], ["verify", "--samples", "2"],
+                 ["fuzz", "--samples", "2"]):
+        assert main([*argv, "--out", tmp]) == 1
+        assert capsys.readouterr().err == f"error: {tmp}: Is a directory\n"
 
 
 def test_eigen_rejects_nan_entry(files, capsys):
@@ -292,3 +322,67 @@ def test_nearly_parallel_imaginary_parts_route_quaternionic_accurately(tmp_path)
         data = json.loads(out.read_text())
         assert data["routed_path"] == "quaternionic"
         assert data["worst_residual"] <= 1e-8
+
+
+# floats whose repr takes each form: signed zeros, subnormals, the exponent switch
+# at 1e-5 and 1e16, and the non-finite values the stdlib writes as Infinity and NaN
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.999999999999999e-05,
+               1e-4, 1e16, 9999999999999998.0, 1e300, float("inf"), float("-inf"), float("nan"))
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+STRINGS = st.text() | st.sampled_from(['"', '\\"\\', "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", ""])
+LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+          | FLOATS | FLOATS.map(np.float64) | STRINGS)
+TREES = st.recursive(LEAVES, lambda inner: (
+    st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(STRINGS, inner, max_size=5) | st.lists(FLOATS, max_size=8)), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(TREES)
+def test_writer_is_the_indented_stdlib_encoder(tree):
+    assert _encode(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_writer_rejects_what_the_stdlib_rejects():
+    for bad in ({"a": [1.0, object()]}, [np.int64(1)], {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _encode(bad)
+
+
+@pytest.fixture
+def report_inputs(tmp_path):
+    rng = np.random.default_rng(46)
+    paths = {}
+    for kind in MASKS:
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(random_hermitian(rng, kind).to_json()))
+    paths["zero"] = tmp_path / "zero.json"
+    paths["zero"].write_text(json.dumps({"d": 0.0, "e": 0.0, "f": 0.0,
+                                         "a": [0.0] * 8, "b": [0.0] * 8, "c": [0.0] * 8}))
+    paths["x"] = tmp_path / "x.json"
+    paths["x"].write_text(json.dumps(random_vector(rng).to_json()))
+    return {k: str(v) for k, v in paths.items()}
+
+
+def test_every_report_is_what_the_indented_stdlib_encoder_writes(report_inputs, tmp_path,
+                                                                monkeypatch, capsys):
+    payloads, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, out: (payloads.append(payload),
+                                                             emit(payload, out)))
+    matrices = [report_inputs[k] for k in (*MASKS, "zero")]
+    printed = [(["eigen", m], {0, 2}) for m in matrices]
+    printed += [(["project", m, report_inputs["x"]], {0, 2}) for m in matrices]
+    runs = printed + [(["fuzz", "--class", k, "--samples", "3"], {0}) for k in MASKS]
+    runs += [(["verify", "--samples", "3"], {0}),
+             (["verify", "--samples", "3", "--det-offset", "1e-3"], {1})]
+    out = tmp_path / "out.json"
+    for argv, codes in runs:
+        assert main([*argv, "--out", str(out)]) in codes
+        assert out.read_text() == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+    # eigen and project print the report when no --out is given
+    capsys.readouterr()
+    for argv, codes in printed:
+        assert main(argv) in codes
+        assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"

@@ -268,6 +268,20 @@ def test_constructors_copy_their_input(rng):
     assert det(A) == want_det == det.__wrapped__(A)
 
 
+def test_from_coords_wraps_one_read_only_copy(rng):
+    for coords in (rng.uniform(-1, 1, 24), rng.uniform(-1, 1, (8, 3)).T):
+        want = coords.copy()
+        v = OctVector3.from_coords(coords)
+        coords[...] = 0.0
+        assert np.array_equal(v.to_coords(), want.ravel())
+        for q in v.components:
+            assert not q.coords.flags.writeable
+            with pytest.raises(ValueError):
+                q.coords[0] = 1.0
+    with pytest.raises(ValueError):
+        OctVector3.from_coords(np.zeros(23))
+
+
 def test_derived_matrices_do_not_share_the_cache(rng):
     A = rand_herm(rng)
     B = rand_herm(rng)

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octeig.harness import random_hermitian, random_vector
-from octeig.hermitian import _TAGS, Hermitian3, OctVector3, _arrays, outer
+from octeig.hermitian import _TAGS, Hermitian3, OctVector3, _arrays, classify, outer
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
 from octeig.spectral import _RESIDUALS, _systems, _Systems, eigensystem, eigenvectors
+from octeig.subspace import _Stack
 
 KINDS = ("octonionic", "quaternionic", "complex", "real")
 SCALES = (1e-8, 1e-3, 1.0, 1e3, 1e8)
@@ -122,6 +123,41 @@ def test_six_way_leaves_the_family_residuals_unread():
         assert "residuals" not in _systems(A).__dict__
         eigensystem(A)
         assert "residuals" in _systems(A).__dict__
+
+
+def test_octonionic_stacks_skip_the_class_svd(monkeypatch):
+    # project reports no dim T, so an octonionic split never needs the rank SVD of `classes`
+    rng = np.random.default_rng(45)
+    for _ in range(3):
+        A, x = random_hermitian(rng, "octonionic"), random_vector(rng)
+        six_way(A, x)
+        assert "classes" not in _systems(A).__dict__
+        assert eigensystem(A).matrix_class == classify(A)
+        assert "classes" in _systems(A).__dict__
+    dia, off = stack([random_hermitian(rng, "octonionic") for _ in range(5)])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("rank SVD on an octonionic stack")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    S = _Systems(dia, off)
+    assert S.codes.tolist() == [_TAGS.index("octonionic")] * 5
+    _six_way(S, rng.uniform(-1, 1, (5, 24)))
+
+
+def test_codes_agree_with_the_class_test():
+    rng = np.random.default_rng(47)
+    mats = [random_hermitian(rng, kind) for kind in KINDS for _ in range(3)] + cluster_cases(rng)
+    nudged = Hermitian3.from_json({**mats[3].to_json(), "b": [*mats[3].b.coords[:6], 1e-11, 0.0]})
+    zero = Hermitian3.diagonal(0, 0, 0)
+    for rows in (mats, mats[:3], mats[:4], mats[3:], [nudged], [zero], [zero, mats[0]]):
+        dia, off = stack(rows)
+        assert np.array_equal(_Stack(dia, off).codes, _Stack(dia, off).classes[0])
+    # a caller's class is taken as given, and the eigensystems are those of the class test
+    dia, off = stack(mats[3:6])
+    given_, tested = _Systems(dia, off, "quaternionic"), _Systems(dia, off)
+    assert "classes" not in given_.__dict__
+    assert bits(given_.V) == bits(tested.V) and bits(given_.residuals) == bits(tested.residuals)
 
 
 def residuals(A, x):
