@@ -57,7 +57,6 @@ def _load_vector(path: str) -> OctVector3:
         raise OcteigError(f"{path}: {exc}")
 
 
-_CONSTANTS = {None: "null", True: "true", False: "false"}
 _NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
@@ -66,8 +65,8 @@ def _encode(x, indent: str = "\n") -> str:
     stdlib's pure-Python encoder, which it falls back to whenever indent is set."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
-    if x is None or x is True or x is False:
-        return _CONSTANTS[x]
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
     if isinstance(x, int):
         return int.__repr__(x)
     if isinstance(x, float):
@@ -76,22 +75,18 @@ def _encode(x, indent: str = "\n") -> str:
     inner = indent + "  "
     sep = "," + inner
     if isinstance(x, dict):
-        if not x:
-            return "{}"
         items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(x.items())]
-        return "{" + inner + sep.join(items) + indent + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        try:   # a list of finite floats is one join
-            text = sep.join(map(float.__repr__, x))
-            floats = "n" not in text   # only inf and nan have an "n"
-        except TypeError:   # an item that is not a float
-            floats = False
-        if not floats:
-            text = sep.join([_encode(v, inner) for v in x])
-        return "[" + inner + text + indent + "]"
-    return json.dumps(x)   # raises the stdlib's TypeError
+        return "{" + inner + sep.join(items) + indent + "}" if x else "{}"
+    if not isinstance(x, (list, tuple)):
+        return json.dumps(x)   # raises the stdlib's TypeError
+    try:   # a list of finite floats is one join
+        text = sep.join(map(float.__repr__, x))
+        floats = "n" not in text   # only inf and nan have an "n"
+    except TypeError:   # an item that is not a float
+        floats = False
+    if not floats:
+        text = sep.join([_encode(v, inner) for v in x])
+    return "[" + inner + text + indent + "]" if x else "[]"
 
 
 def _emit(payload: dict, out: str):

@@ -16,7 +16,6 @@ the cubic for the harness.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -337,7 +336,7 @@ class _Systems(_Stack):
     (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3), eigenvectors V
     (n, 2, 3, 3, 8) and, on first read, `_RESIDUALS` (n, 2, 5) of the `_groups`."""
 
-    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: Optional[str] = None):
+    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: str = None):
         super().__init__(dia, off, kind)
         n, code = len(dia), self.codes
         self.nfam = np.where(code >= _TAGS.index(QUATERNIONIC), 2, 1)

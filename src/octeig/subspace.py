@@ -393,7 +393,7 @@ class _Stack:
     invariants of this module, each computed on first use.  A caller that has already
     tested every row's class passes it as `kind`."""
 
-    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: Optional[str] = None):
+    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: str = None):
         self.dia, self.off = dia, off
         self.rows = np.arange(len(dia))
         if kind is not None:

@@ -379,10 +379,14 @@ def test_every_report_is_what_the_indented_stdlib_encoder_writes(report_inputs, 
              (["verify", "--samples", "3", "--det-offset", "1e-3"], {1})]
     out = tmp_path / "out.json"
     for argv, codes in runs:
+        payloads.clear()
         assert main([*argv, "--out", str(out)]) in codes
-        assert out.read_text() == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+        [payload] = payloads
+        assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     # eigen and project print the report when no --out is given
     capsys.readouterr()
     for argv, codes in printed:
+        payloads.clear()
         assert main(argv) in codes
-        assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+        [payload] = payloads
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -116,24 +116,20 @@ def test_six_way_from_the_stack_equals_six_way_on_the_eigensystem():
 
 
 def test_six_way_leaves_the_family_residuals_unread():
-    # the split reports part residuals only; the family residuals wait for eigensystem
+    # the split reports part residuals only; the family residuals wait for eigensystem,
+    # and so does an octonionic matrix's rank SVD, which only the reported dim T needs
     rng = np.random.default_rng(44)
     for A in [random_hermitian(rng, kind) for kind in KINDS] + cluster_cases(rng):
         six_way(A, random_vector(rng))
-        assert "residuals" not in _systems(A).__dict__
-        eigensystem(A)
-        assert "residuals" in _systems(A).__dict__
-
-
-def test_octonionic_stacks_skip_the_class_svd(monkeypatch):
-    # project reports no dim T, so an octonionic split never needs the rank SVD of `classes`
-    rng = np.random.default_rng(45)
-    for _ in range(3):
-        A, x = random_hermitian(rng, "octonionic"), random_vector(rng)
-        six_way(A, x)
-        assert "classes" not in _systems(A).__dict__
+        S = _systems(A)
+        assert "residuals" not in S.__dict__
+        assert ("classes" in S.__dict__) == (_TAGS[S.codes[0]] != "octonionic")
         assert eigensystem(A).matrix_class == classify(A)
-        assert "classes" in _systems(A).__dict__
+        assert "residuals" in S.__dict__ and "classes" in S.__dict__
+
+
+def test_octonionic_stacks_run_no_svd(monkeypatch):
+    rng = np.random.default_rng(45)
     dia, off = stack([random_hermitian(rng, "octonionic") for _ in range(5)])
 
     def no_svd(*args, **kwargs):
