@@ -168,6 +168,7 @@ class _Context:
     def __init__(self, seed: int, samples: int, det_offset: float = 0.0):
         self.rng = np.random.default_rng(seed)
         self.n = _check_samples(samples)
+        self.rows = np.arange(self.n)
         self.det_offset = det_offset
 
     def uniform(self, *shape, n=None) -> np.ndarray:
@@ -184,7 +185,7 @@ class _Context:
     def family(self) -> tuple:
         """Each pool matrix's projector, eigenvectors and eigenvalues for a random family."""
         pool, fam = self.oct_pool, self.rng.integers(0, 2, self.n)
-        return pool.P[pool.rows, fam], pool.V[pool.rows, fam], pool.lams[pool.rows, fam]
+        return pool.P[self.rows, fam], pool.V[self.rows, fam], pool.lams[self.rows, fam]
 
     def project(self, P: np.ndarray, *shape) -> np.ndarray:
         """Fresh octonions (n, 8) or vectors (n, 3, 8) mapped by P (n, 8, 8) slotwise."""
@@ -447,7 +448,7 @@ class _Checks(_Context):
     def same_family_reject(self):
         pool = self.oct_pool
         i, j = self.rng.integers(0, 3, (2, self.n))
-        u, w = pool.V[pool.rows, 0, i], pool.V[pool.rows, 1, j]
+        u, w = pool.V[self.rows, 0, i], pool.V[self.rows, 1, j]
         return float(_same_family(u, w).sum() + (~_same_family(u, u)).sum())
 
     def family_dimension(self):

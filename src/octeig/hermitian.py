@@ -10,8 +10,8 @@ octonions (a, b, c) laid out as
 so hermiticity holds by construction.
 """
 
-import functools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .octonion import (
     _CONJ,
     Octonion,
+    _Immutable,
     _norm,
     _product,
     assoc3form,
@@ -57,7 +58,7 @@ _TAGS = (REAL, COMPLEX, QUATERNIONIC, OCTONIONIC)
 _CLASS_TOL = 1e-9
 
 
-class OctVector3:
+class OctVector3(_Immutable):
     """Column vector in O^3, immutable."""
 
     __slots__ = ("components",)
@@ -205,12 +206,22 @@ class Hermitian3:
         octs = (_parse(f"field {k!r}", Octonion.from_json, data[k]) for k in ("a", "b", "c"))
         return cls(*reals, *octs)
 
+    @cached_property
+    def _stack(self):
+        """This matrix as a `spectral._Systems` stack of one, built on first use: every
+        per-matrix helper reads its row 0.  It holds arrays only, no reference back."""
+        from .spectral import _Systems   # spectral imports this module
+        dia = np.array([[self.d, self.e, self.f]])
+        return _Systems(dia, np.array([[self.a.coords, self.b.coords, self.c.coords]]))
+
     def __repr__(self):
         return (f"Hermitian3(d={self.d:g}, e={self.e:g}, f={self.f:g}, "
                 f"a={self.a!r}, b={self.b!r}, c={self.c!r})")
 
 
 def _finite_real(x) -> float:
+    if isinstance(x, (bool, str)):
+        raise ValueError(f"must be a number, got {x!r}")
     t = float(x)
     if not np.isfinite(t):
         raise ValueError(f"must be a finite number, got {x!r}")
@@ -221,50 +232,13 @@ def _parse(label: str, parse, value):
     """parse(value), with a ValueError naming where in the JSON the value sat."""
     try:
         return parse(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{label}: {exc}") from exc
-
-
-def _per_matrix(fn):
-    """Compute fn(A, *args) once per matrix A and keep it in A's instance dict.
-
-    Sound because a Hermitian3 is frozen and its octonion coordinates are
-    read-only, so the value can never go stale; it goes away with A.  The
-    key is fn's name and args.  Arrays are cached read-only, since every
-    later caller gets the same one.  An exception is not cached: it is
-    raised again on every call.
-    """
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def cached(A, *args):
-        key = (name, args)
-        memo = A.__dict__
-        if key not in memo:
-            value = fn(A, *args)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            memo[key] = value
-        return memo[key]
-
-    return cached
 
 
 class MatrixClass(NamedTuple):
     tag: str
     dim_t: int
-
-
-@_per_matrix
-def _arrays(A: Hermitian3) -> tuple[np.ndarray, np.ndarray]:
-    """A's diagonal (3,) and off-diagonal entries a, b, c (3, 8), read-only.
-
-    The stacked functions below take diagonals (..., 3) and off-diagonals
-    (..., 3, 8); one matrix is their unstacked case.
-    """
-    dia, off = np.array([A.d, A.e, A.f]), np.array([A.a.coords, A.b.coords, A.c.coords])
-    dia.flags.writeable = off.flags.writeable = False
-    return dia, off
 
 
 def _vnorm(y: np.ndarray) -> np.ndarray:
@@ -308,32 +282,28 @@ def _alpha(off: np.ndarray) -> np.ndarray:
     return associator(off[..., 0, :], off[..., 1, :], off[..., 2, :])
 
 
-@_per_matrix
 def sigma(A: Hermitian3) -> float:
     """Second characteristic invariant ((tr A)^2 - tr(A^2)) / 2."""
-    return float(_sigma(*_arrays(A)))
+    return float(A._stack.sigma[0])
 
 
-@_per_matrix
 def det(A: Hermitian3) -> float:
     """Determinant def - d|c|^2 - e|b|^2 - f|a|^2 + 2 Re((cb)a).
 
     Validated against the diagonality of the characteristic operator; a
     wrong sign on the Re((cb)a) term breaks that identity immediately.
     """
-    return float(_det(*_arrays(A)))
+    return float(A._stack.det[0])
 
 
-@_per_matrix
 def phi(A: Hermitian3) -> float:
     """Associative 3-form of the off-diagonal entries."""
-    return float(_phi(_arrays(A)[1]))
+    return float(A._stack.phi[0])
 
 
-@_per_matrix
 def alpha(A: Hermitian3) -> Octonion:
     """Associator [a, b, c] of the off-diagonal entries."""
-    return Octonion._of(_alpha(_arrays(A)[1]))
+    return Octonion._of(A._stack.alpha[0])
 
 
 def _associative(off: np.ndarray, al: np.ndarray) -> np.ndarray:
@@ -361,7 +331,6 @@ def _classes(off: np.ndarray, al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(_associative(off, al), np.minimum(imag_rank, 2), 3), dim_t
 
 
-@_per_matrix
 def classify(A: Hermitian3) -> MatrixClass:
     """Classify by the smallest subalgebra containing the off-diagonal entries.
 
@@ -369,8 +338,8 @@ def classify(A: Hermitian3) -> MatrixClass:
     below it land on the quaternionic/complex/real paths, which are exact
     there and a limit elsewhere.
     """
-    code, dim_t = _classes(_arrays(A)[1], alpha(A).coords)
-    return MatrixClass(_TAGS[code], int(dim_t))
+    code, dim_t = (int(x[0]) for x in A._stack.classes)
+    return MatrixClass(_TAGS[code], dim_t)
 
 
 def mat_vec(A: Hermitian3, x: OctVector3) -> OctVector3:

@@ -69,7 +69,23 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-class Octonion:
+class _Immutable:
+    """Base of value types whose constructors set their slots with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which takes the slots in order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Octonion(_Immutable):
     """A real octonion, immutable after construction."""
 
     __slots__ = ("coords",)
@@ -83,8 +99,8 @@ class Octonion:
 
     @classmethod
     def _of(cls, c: np.ndarray) -> "Octonion":
-        """Wrap a float array of shape (8,) that the caller just allocated
-        and holds no other reference to; the array becomes read-only."""
+        """Wrap a float array of shape (8,) that nothing writes to again: one the caller
+        just allocated, or a row of an array cached for one matrix.  It becomes read-only."""
         q = object.__new__(cls)
         c.flags.writeable = False
         object.__setattr__(q, "coords", c)
@@ -172,6 +188,9 @@ class Octonion:
     def from_json(cls, data) -> "Octonion":
         if not isinstance(data, (list, tuple)) or len(data) != 8:
             raise ValueError(f"octonion JSON must be an array of 8 numbers, got {data!r}")
+        for i, x in enumerate(data):
+            if isinstance(x, (bool, str)):
+                raise ValueError(f"coordinate {i} must be a number, got {x!r}")
         q = cls(data)
         if not np.isfinite(q.coords).all():
             raise ValueError(f"octonion coordinates must be finite, got {data!r}")

@@ -29,7 +29,6 @@ from .spectral import (
     EigenSystem,
     _norm_scale,
     _slotwise,
-    _systems,
     _Systems,
     k_vector,
     realify_rank_one,
@@ -117,7 +116,7 @@ def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayD
     of `_six_way`, six parts for octonionic and quaternionic matrices, three for complex
     and real ones.  The pairs, class and family labels are those of A's stack, which
     `eigensystem(A)` reads too; `system`, A's eigensystem, is accepted and not needed."""
-    S = _systems(A)
+    S = A._stack
     labels = [(f + 1, lam) for f in range(S.nfam[0]) for lam in S.lams[0, f].tolist()]
     comps, residuals, recon = _six_way(S, x.to_coords()[None])
     return SixWayDecomposition(

@@ -27,8 +27,6 @@ from .hermitian import (
     Hermitian3,
     MatrixClass,
     OctVector3,
-    _arrays,
-    _per_matrix,
     _vnorm,
     det,
     mat_vec,
@@ -38,7 +36,7 @@ from .hermitian import (
     trace,
 )
 from .octonion import Octonion, inner
-from .subspace import FamilyContext, _Stack, apply_blockwise, k_matrix
+from .subspace import FamilyContext, _read_only, _Stack, apply_blockwise, k_matrix
 
 __all__ = [
     "EigenPair",
@@ -168,10 +166,9 @@ def k_vector(A: Hermitian3, x: OctVector3) -> OctVector3:
     return a3x - a2x.scale(trace(A)) + ax.scale(sigma(A)) - x.scale(det(A))
 
 
-@_per_matrix
 def realify24(A: Hermitian3) -> np.ndarray:
     """Real 24x24 matrix of x -> A x under O^3 = R^24; symmetric for Hermitian A."""
-    return real_form(*_arrays(A))
+    return _read_only(A._stack.R[0])
 
 
 def realify_rank_one(V: np.ndarray) -> np.ndarray:
@@ -330,52 +327,53 @@ def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray)
 
 
 class _Systems(_Stack):
-    """Stacked matrices with their eigensystems: the rows of each class go through
-    `_Stack.bases` and `_eigenpairs` together.  nfam (n,) is 2, or 1 for complex and
-    real rows, which fill only the first family; per family (axis 1): the root r
-    (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3), eigenvectors V
-    (n, 2, 3, 3, 8) and, on first read, `_RESIDUALS` (n, 2, 5) of the `_groups`."""
+    """Stacked matrices with their eigensystems, solved on first read: the rows of each
+    class go through `_Stack.bases` and `_eigenpairs` together.  nfam (n,) is 2, or 1
+    for complex and real rows, which fill only the first family; per family (axis 1):
+    the root r (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3),
+    eigenvectors V (n, 2, 3, 3, 8) and `_RESIDUALS` (n, 2, 5) of the groups."""
 
-    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: str = None):
-        super().__init__(dia, off, kind)
-        n, code = len(dia), self.codes
-        self.nfam = np.where(code >= _TAGS.index(QUATERNIONIC), 2, 1)
-        self.r, self.lams = np.zeros((n, 2)), np.zeros((n, 2, 3))
-        self.B, self.V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
-        self._groups = []
+    @cached_property
+    def nfam(self) -> np.ndarray:
+        return np.where(self.codes >= _TAGS.index(QUATERNIONIC), 2, 1)
+
+    @cached_property
+    def _solved(self) -> tuple:
+        """r, B, lams, V and the groups, (rows, F, r, lams, V) per class."""
+        n, code = len(self.dia), self.codes
+        r, lams = np.zeros((n, 2)), np.zeros((n, 2, 3))
+        B, V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
+        groups = []
         for c in sorted(set(code.tolist())):
             rows = code == c
-            A = self if rows.all() else _Stack(dia[rows], off[rows], _TAGS[c])
-            r, B = A.bases
-            F, k = B.shape[1], B.shape[-1]
-            lams, V = _eigenpairs(A.R[:, None], _slotwise(B))
-            self.r[rows, :F], self.B[rows, :F, :, :k], self.lams[rows, :F] = r, B, lams
-            self.V[rows, :F] = V
-            self._groups.append((rows, F, r, lams, V))
-        self.V = self.V.reshape(n, 2, 3, 3, 8)
+            A = self if rows.all() else _Stack(self.dia[rows], self.off[rows], _TAGS[c])
+            r_c, B_c = A.bases
+            F, k = B_c.shape[1], B_c.shape[-1]
+            lams_c, V_c = _eigenpairs(A.R[:, None], _slotwise(B_c))
+            r[rows, :F], B[rows, :F, :, :k], lams[rows, :F], V[rows, :F] = r_c, B_c, lams_c, V_c
+            groups.append((rows, F, r_c, lams_c, V_c))
+        return r, B, lams, V.reshape(n, 2, 3, 3, 8), groups
+
+    r = property(lambda self: self._solved[0])
+    B = property(lambda self: self._solved[1])
+    lams = property(lambda self: self._solved[2])
+    V = property(lambda self: self._solved[3])
 
     @cached_property
     def residuals(self) -> np.ndarray:
         # a mixed stack builds each class's stack again rather than keep it alive
         out = np.zeros((len(self.dia), 2, 5))
-        for rows, F, *args in self._groups:
+        for rows, F, *args in self._solved[4]:
             A = self if rows.all() else _Stack(self.dia[rows], self.off[rows])
             out[rows, :F] = _family_residuals(A, *args)
         return out
-
-
-@_per_matrix
-def _systems(A: Hermitian3) -> _Systems:
-    """A's eigensystem as a stack of one matrix."""
-    dia, off = _arrays(A)
-    return _Systems(dia[None], off[None])
 
 
 def eigensystem(A: Hermitian3) -> EigenSystem:
     """Full eigenstructure, the n = 1 case of `_Systems`: two families for octonionic
     (r-labeled) and quaternionic (plain and lifted) matrices, one, flagged as such,
     for complex and real ones."""
-    S = _systems(A)
+    S = A._stack
     code, dim_t = (int(x[0]) for x in S.classes)
     contexts = S.contexts(0) if _TAGS[code] == OCTONIONIC else tuple(
         FamilyContext(m=m, r=float(r), phi=0.0, alpha=Octonion.zero(), s=None)

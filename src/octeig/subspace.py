@@ -24,11 +24,9 @@ from .hermitian import (
     Hermitian3,
     OctVector3,
     _alpha,
-    _arrays,
     _associative,
     _classes,
     _det,
-    _per_matrix,
     _phi,
     _sigma,
     _vnorm,
@@ -147,11 +145,11 @@ def _t_rows(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _gram_schmidt(np.concatenate([one, off], axis=-2))
 
 
-@_per_matrix
 def t_basis(A: Hermitian3) -> TBasis:
     """Orthonormal basis of span{1, a, b, c}, in that deterministic order."""
-    Q, keep = _t_rows(_arrays(A)[1])
-    return TBasis(vectors=tuple(Octonion(q) for q in Q[keep]), dim=int(keep.sum()))
+    Q = A._stack.T[0]
+    Q = Q[Q.any(-1)]   # `_gram_schmidt` leaves exactly the dropped rows zero
+    return TBasis(vectors=tuple(map(Octonion._of, Q)), dim=len(Q))
 
 
 def _degenerate():
@@ -175,9 +173,10 @@ def _generators(ph: np.ndarray, al: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return num / (2.0 * (rs + 2.0 * ph[..., None]))[..., None]
 
 
-def _families(off: np.ndarray, al: np.ndarray = None) -> tuple:
+def _families(off: np.ndarray, al: np.ndarray = None, ph: np.ndarray = None) -> tuple:
     """phi, alpha (unless given), roots r_m and generators s_m for stacked off-diagonals."""
-    ph, al = _phi(off), _alpha(off) if al is None else al
+    ph = _phi(off) if ph is None else ph
+    al = _alpha(off) if al is None else al
     if np.any(_associative(off, al)):
         raise _degenerate()
     rs = _roots(ph, al)
@@ -194,10 +193,9 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
     return tuple(fam.s for fam in family_contexts(A))
 
 
-@_per_matrix
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
     """Both family contexts, m = 1 and m = 2, of the one matrix."""
-    return _Stack(*(x[None] for x in _arrays(A))).contexts(0)
+    return A._stack.contexts(0)
 
 
 def family_context(A: Hermitian3, m: int) -> FamilyContext:
@@ -229,19 +227,25 @@ def _k(off: np.ndarray) -> np.ndarray:
     return lc @ (lb @ la) + lat @ (lbt @ lct) - bracket * _EYE8
 
 
-@_per_matrix
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """x, a view of an array that every caller of one matrix shares, made read-only."""
+    x.flags.writeable = False
+    return x
+
+
 def k_matrix(A: Hermitian3) -> np.ndarray:
     """8x8 matrix of k_scalar: L_c L_b L_a + L_abar L_bbar L_cbar - 2 Re((cb)a) I.
 
     Left multiplication by a conjugate is the transpose, L_abar = L_a^T.
     """
-    return _k(_arrays(A)[1])
+    return _read_only(A._stack.K[0])
 
 
-@_per_matrix
 def family_projector(A: Hermitian3, m: int) -> np.ndarray:
     """8x8 projector P_m onto the K eigenspace T_m."""
-    return family_context(A, m).projector(k_matrix(A))
+    if m not in (1, 2):
+        raise ValueError("family index must be 1 or 2")
+    return _read_only(A._stack.P[0, m - 1])
 
 
 def apply_blockwise(P: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -280,7 +284,6 @@ def _cd_residuals(al: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return _norm(res)
 
 
-@_per_matrix
 def quaternionic_split(A: Hermitian3):
     """Basis (1, h1, h2, h1 h2) of the quaternionic subalgebra holding a, b, c, plus
     the lowest-index unit direction orthogonal to it: `_quaternionic_split` of A, which
@@ -291,8 +294,8 @@ def quaternionic_split(A: Hermitian3):
     if tag in (REAL, COMPLEX):
         raise AmbiguousSubalgebra(
             "matrix is complex: the containing quaternionic subalgebra is not unique")
-    H, ell = _quaternionic_split(_arrays(A)[1][None])
-    return tuple(Octonion._of(h) for h in H[0]), Octonion._of(ell[0])
+    H, ell = A._stack.split
+    return tuple(map(Octonion._of, H[0])), Octonion._of(ell[0])
 
 
 def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +379,7 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
     detm = float(np.linalg.det(M))
     if abs(detm) < 1e-12 * max(1.0, float(np.abs(M).max()) ** 3):
         raise SingularChange("change of basis has numerically vanishing determinant")
-    return float(_basis_change_deviation(_arrays(A)[1], M, np.asarray(shifts, dtype=float)))
+    return float(_basis_change_deviation(A._stack.off[0], M, np.asarray(shifts, dtype=float)))
 
 
 def _basis_change_deviation(off: np.ndarray, M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -395,7 +398,6 @@ class _Stack:
 
     def __init__(self, dia: np.ndarray, off: np.ndarray, kind: str = None):
         self.dia, self.off = dia, off
-        self.rows = np.arange(len(dia))
         if kind is not None:
             self.codes = np.full(len(dia), _TAGS.index(kind))
 
@@ -423,9 +425,13 @@ class _Stack:
         return np.full(len(self.dia), _TAGS.index(OCTONIONIC))
 
     @cached_property
+    def phi(self) -> np.ndarray:
+        return _phi(self.off)
+
+    @cached_property
     def families(self) -> tuple:
         """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8)."""
-        return _families(self.off, self.alpha)
+        return _families(self.off, self.alpha, self.phi)
 
     def contexts(self, i: int) -> tuple[FamilyContext, FamilyContext]:
         """Row i's two FamilyContexts, from `families`."""

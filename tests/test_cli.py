@@ -193,6 +193,44 @@ def test_project_rejects_inf_coordinate(files, capsys):
     assert f"error: {path}: component 1: octonion coordinates must be finite" in err
 
 
+@pytest.mark.parametrize("field, index, value, message", [
+    ("d", None, True, "field 'd': must be a number, got True"),
+    ("e", None, "1.5", "field 'e': must be a number, got '1.5'"),
+    ("f", None, " 2 ", "field 'f': must be a number, got ' 2 '"),
+    ("a", 3, "1e3", "field 'a': coordinate 3 must be a number, got '1e3'"),
+    ("c", 0, False, "field 'c': coordinate 0 must be a number, got False"),
+    # an integer beyond the float range was a traceback
+    ("d", None, 10 ** 400, "field 'd': int too large to convert to float"),
+    ("b", 5, 10 ** 400, "field 'b': int too large to convert to float"),
+], ids=["true", "string", "padded-string", "string-coordinate", "false-coordinate", "huge-int",
+        "huge-int-coordinate"])
+def test_eigen_rejects_what_is_not_a_float(files, capsys, field, index, value, message):
+    # JSON true and numeric strings are not numbers, although float() takes them
+    data = json.loads(open(files["oct"]).read())
+    if index is None:
+        data[field] = value
+    else:
+        data[field][index] = value
+    path = files["tmp"] / "typed.json"
+    path.write_text(json.dumps(data))
+    assert main(["eigen", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "coordinate 7 must be a number, got True"),
+    ("0.5", "coordinate 7 must be a number, got '0.5'"),
+    (10 ** 400, "int too large to convert to float"),
+], ids=["true", "string", "huge-int"])
+def test_project_rejects_what_is_not_a_float(files, capsys, value, message):
+    rows = json.loads(open(files["vec"]).read())
+    rows[2][7] = value
+    path = files["tmp"] / "typed.json"
+    path.write_text(json.dumps(rows))
+    assert main(["project", files["oct"], str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: component 2: {message}\n"
+
+
 def test_shared_parser_keeps_no_state(files, capsys):
     # one parser serves every call of a process: a flag of one call must not
     # reach the next, so the sequence matches the same calls each made with

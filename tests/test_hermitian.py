@@ -1,8 +1,11 @@
 import dataclasses
+import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
+from octeig.harness import random_hermitian
 from octeig.hermitian import (
     COMPLEX,
     OCTONIONIC,
@@ -254,7 +257,7 @@ def test_real_form_is_realify24(rng):
 
 
 def test_constructors_copy_their_input(rng):
-    # the per-matrix cache relies on a matrix never changing after it is built
+    # the per-matrix stack relies on a matrix never changing after it is built
     arr = rng.uniform(-1, 1, 8)
     coords = rng.uniform(-1, 1, 24)
     q = Octonion(arr)
@@ -265,7 +268,8 @@ def test_constructors_copy_their_input(rng):
     coords[:] = 0.0
     assert np.array_equal(q.coords, want_q)
     assert np.array_equal(v.to_coords(), want_v)
-    assert det(A) == want_det == det.__wrapped__(A)
+    # a copy of the fields builds a fresh stack
+    assert det(A) == want_det == det(dataclasses.replace(A))
 
 
 def test_from_coords_wraps_one_read_only_copy(rng):
@@ -288,9 +292,32 @@ def test_derived_matrices_do_not_share_the_cache(rng):
     R = realify24(A)
     det(A), sigma(A), classify(A), alpha(A)
     for C in (A.scale(2.0), A + B, A - B, dataclasses.replace(A, d=A.d + 1.0)):
-        assert realify24(C) is not R
-        assert np.array_equal(realify24(C), realify24.__wrapped__(C))
-        assert det(C) == det.__wrapped__(C)
-        assert sigma(C) == sigma.__wrapped__(C)
-        assert classify(C) == classify.__wrapped__(C)
-        assert np.array_equal(alpha(C).coords, alpha.__wrapped__(C).coords)
+        fresh = dataclasses.replace(C)
+        assert C._stack is not A._stack and not np.shares_memory(realify24(C), R)
+        assert np.array_equal(realify24(C), realify24(fresh))
+        assert det(C) == det(fresh)
+        assert sigma(C) == sigma(fresh)
+        assert classify(C) == classify(fresh)
+        assert np.array_equal(alpha(C).coords, alpha(fresh).coords)
+
+
+def test_octonions_and_vectors_cannot_be_changed(rng):
+    # rebinding a and b to zero would leave this octonionic matrix's stack stale:
+    # a fresh one is complex, with another determinant
+    A = random_hermitian(np.random.default_rng(3))
+    want = det(A), classify(A)
+    v = OctVector3.from_coords(rng.uniform(-1, 1, 24))
+    for obj, name, value in ((A.a, "coords", np.zeros(8)), (A.b, "coords", np.zeros(8)),
+                             (v, "components", v.components[::-1]), (A.a, "other", 1.0)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert (det(A), classify(A)) == want == (det(dataclasses.replace(A)),
+                                             classify(dataclasses.replace(A)))
+    # copies are rebuilt through the constructors
+    for copy in (lambda x: pickle.loads(pickle.dumps(x)), deepcopy):
+        q, w, B = copy(A.a), copy(v), copy(A)
+        assert np.array_equal(q.coords, A.a.coords) and not q.coords.flags.writeable
+        assert np.array_equal(w.to_coords(), v.to_coords())
+        assert (det(B), classify(B)) == want

@@ -17,13 +17,13 @@ from octeig.harness import (
     random_vector,
     run_fuzz,
 )
-from octeig.hermitian import _TAGS, _alpha, _arrays, _classes
+from octeig.hermitian import _TAGS, _alpha, _classes
 
 
 def interleaved(rng, n, kind):
     """The arrays of n alternating random_hermitian / random_vector calls."""
     mats, vecs = zip(*((random_hermitian(rng, kind), random_vector(rng)) for _ in range(n)))
-    dia, off = (np.array(a) for a in zip(*map(_arrays, mats)))
+    dia, off = (np.concatenate([getattr(A._stack, a) for A in mats]) for a in ("dia", "off"))
     return dia, off, np.array([v.to_coords() for v in vecs])
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from octeig.errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from octeig.hermitian import (
     Hermitian3,
-    _arrays,
     OctVector3,
     classify,
     det,
@@ -37,7 +36,6 @@ from octeig.spectral import (
     same_family,
 )
 from octeig.subspace import (
-    _Stack,
     conj_matrix,
     family_context,
     k_scalar,
@@ -381,10 +379,9 @@ def test_residual_formulas_off_the_spectrum(rng, octonionic_pool):
         pairs = [EigenPair(lam, rand_vec(rng).normalized(), 1) for lam in rng.uniform(-2, 2, 3)]
         fam = es.families[0].context
         ref = reference_residuals(A, fam, pairs)
-        stack = _Stack(*(x[None] for x in _arrays(A)))
         V = np.array([[[p.v.to_coords() for p in pairs]]])
         lams = np.array([[[p.lam for p in pairs]]])
-        got = dict(zip(_RESIDUALS, _family_residuals(stack, np.array([[fam.r]]), lams, V)[0, 0]))
+        got = dict(zip(_RESIDUALS, _family_residuals(A._stack, np.array([[fam.r]]), lams, V)[0, 0]))
         for key, want in ref.items():
             assert want > 1e-3
             assert abs(got[key] - want) <= 1e-12 * want

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octeig import subspace
 from octeig.harness import random_hermitian, random_vector
-from octeig.hermitian import _TAGS, Hermitian3, OctVector3, _arrays, classify, outer
+from octeig.hermitian import _TAGS, Hermitian3, OctVector3, classify, det, outer, sigma
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
-from octeig.spectral import _RESIDUALS, _systems, _Systems, eigensystem, eigenvectors
+from octeig.spectral import _RESIDUALS, _Systems, eigensystem, eigenvectors
 from octeig.subspace import _Stack
 
 KINDS = ("octonionic", "quaternionic", "complex", "real")
@@ -37,8 +38,9 @@ def cluster_cases(rng):
 
 
 def stack(mats):
-    dia, off = zip(*map(_arrays, mats))
-    return np.array(dia), np.array(off)
+    """The matrices' diagonals (n, 3) and off-diagonals (n, 3, 8), from their stacks of one."""
+    return (np.concatenate([A._stack.dia for A in mats]),
+            np.concatenate([A._stack.off for A in mats]))
 
 
 def bits(x):
@@ -105,7 +107,7 @@ def test_six_way_from_the_stack_equals_six_way_on_the_eigensystem():
         assert got.matrix_class == want.matrix_class == es.matrix_class.tag
         assert [(p.family, p.lam) for p in got.parts] == [(p.family, p.lam) for p in es.all_pairs()]
         for f, fam in enumerate(es.families):
-            assert bits([p.v.to_coords() for p in fam.pairs]) == bits(_systems(A).V[0, f].reshape(3, 24))
+            assert bits([p.v.to_coords() for p in fam.pairs]) == bits(A._stack.V[0, f].reshape(3, 24))
         assert [p.family for p in got.parts] == [p.family for p in want.parts]
         assert bits([p.lam for p in got.parts]) == bits([p.lam for p in want.parts])
         assert bits([p.component.to_coords() for p in got.parts]) == bits(
@@ -121,7 +123,7 @@ def test_six_way_leaves_the_family_residuals_unread():
     rng = np.random.default_rng(44)
     for A in [random_hermitian(rng, kind) for kind in KINDS] + cluster_cases(rng):
         six_way(A, random_vector(rng))
-        S = _systems(A)
+        S = A._stack
         assert "residuals" not in S.__dict__
         assert ("classes" in S.__dict__) == (_TAGS[S.codes[0]] != "octonionic")
         assert eigensystem(A).matrix_class == classify(A)
@@ -154,6 +156,36 @@ def test_codes_agree_with_the_class_test():
     given_, tested = _Systems(dia, off, "quaternionic"), _Systems(dia, off)
     assert "classes" not in given_.__dict__
     assert bits(given_.V) == bits(tested.V) and bits(given_.residuals) == bits(tested.residuals)
+
+
+def test_one_stack_per_matrix(monkeypatch):
+    # every helper reads the matrix's one stack: one class SVD and one K per matrix
+    calls = {"stack": 0, "svd": 0, "k": 0, "eigh": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(_Stack, "__init__", counted("stack", _Stack.__init__))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(subspace, "_k", counted("k", subspace._k))
+    rng = np.random.default_rng(48)
+    for kind in KINDS:
+        A, x = random_hermitian(rng, kind), random_vector(rng)
+        calls.update(stack=0, svd=0, k=0, eigh=0)
+        classify(A), det(A), sigma(A)
+        # the stack solves its eigensystem only when one is read
+        assert calls == {"stack": 1, "svd": 1, "k": 0, "eigh": 0}, kind
+        if kind == "octonionic":
+            subspace.family_contexts(A), subspace.k_matrix(A)
+            subspace.family_projector(A, 1), subspace.family_projector(A, 2)
+        eigensystem(A)
+        if kind == "octonionic":
+            six_way(A, x)
+        assert (calls["stack"], calls["svd"], calls["k"]) == (1, 1, int(kind == "octonionic")), kind
 
 
 def residuals(A, x):

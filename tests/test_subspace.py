@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from octeig import subspace
 from octeig.errors import (
     AmbiguousSubalgebra,
     DegenerateFamily,
@@ -13,7 +14,6 @@ from octeig.errors import (
 from octeig.hermitian import (
     Hermitian3,
     OctVector3,
-    _arrays,
     alpha,
     classify,
     det,
@@ -382,7 +382,7 @@ def test_family_contexts_match_family_context(rng):
         family_context(A, 3)
 
 
-# every function cached per matrix, with the extra arguments it is keyed on
+# every function that reads the matrix's stack, with its extra arguments
 CACHED = (
     (classify, ()), (sigma, ()), (det, ()), (phi, ()), (alpha, ()),
     (family_contexts, ()), (k_matrix, ()),
@@ -406,20 +406,42 @@ def bits(value):
     return value
 
 
+# where the arrays a function returns sit in the stack: it returns views of them
+SHARED = {
+    realify24: lambda S, got: (got, S.R), k_matrix: lambda S, got: (got, S.K),
+    family_projector: lambda S, got: (got, S.P), alpha: lambda S, got: (got.coords, S.alpha),
+    quaternionic_split: lambda S, got: (got[0][1].coords, S.split[0]),
+}
+
+
+def stack_state(A):
+    """What the matrix's stack holds: each attribute and the identity of its value."""
+    return {k: id(v) for k, v in vars(A._stack).items()}
+
+
 @pytest.mark.parametrize("mask", [None, (0, 1, 2, 4), (0, 1), (0,)])
-def test_cached_values_equal_a_fresh_computation(rng, mask):
+def test_cached_values_equal_a_fresh_computation(rng, mask, monkeypatch):
     A = rand_herm(rng, mask)
     for fn, args in CACHED:
         try:
-            want = fn.__wrapped__(A, *args)
+            # a copy of the fields builds a fresh stack
+            want = fn(dataclasses.replace(A), *args)
         except OcteigError as exc:
             for _ in range(2):
                 with pytest.raises(type(exc)):
                     fn(A, *args)
             continue
         got = fn(A, *args)
-        assert fn(A, *args) is got
-        assert bits(got) == bits(want)
+        with monkeypatch.context() as patch:
+            # a second call does no new work: no SVD, eigh or K, nothing new in the stack
+            state = stack_state(A)
+            for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"), (subspace, "_k")):
+                patch.setattr(owner, name, lambda *a, **k: pytest.fail("recomputed"))
+            again = fn(A, *args)
+            assert stack_state(A) == state
+        assert bits(again) == bits(got) == bits(want)
+        if fn in SHARED:
+            assert np.shares_memory(*SHARED[fn](A._stack, got))
 
 
 def test_cached_arrays_are_read_only(rng):
@@ -440,7 +462,8 @@ def test_degenerate_family_raised_on_every_call(rng):
 @pytest.mark.parametrize("mask, families", [(None, 2), ((0, 1, 2, 4), 2), ((0, 1), 1), ((0,), 1)])
 def test_family_bases_span_invariant_subspaces(rng, mask, families):
     As = [rand_herm(rng, mask) for _ in range(10)]
-    r, B = _Stack(*(np.array(x) for x in zip(*map(_arrays, As)))).bases
+    dia, off = (np.concatenate([getattr(A._stack, a) for A in As]) for a in ("dia", "off"))
+    r, B = _Stack(dia, off).bases
     k = 4 if families == 2 else 2
     assert r.shape == (10, families) and B.shape == (10, families, 8, k)
     for A, rs, bs in zip(As, r, B):
