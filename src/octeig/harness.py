@@ -6,8 +6,9 @@ and reports the worst, so a report is reproducible bit-for-bit from (seed,
 samples, flags).  The eigensystem checks share two pools of matrices whose
 eigensystems and six-way splits are computed as one stack each.  `fuzz` draws
 all its (matrix, vector) samples as one block of the doubles that alternating
-`random_hermitian`/`random_vector` calls would draw, classifies them as one
-stack, and redraws from the first matrix of another class on.
+`random_hermitian`/`random_vector` calls would draw, and classifies them as one
+stack.  A masked uniform draw has its mask's class with probability one, so each
+sampler draws once and raises on a matrix of another class.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .octonion import _ONE, _norm, Octonion, associator, conj, inner, left_mul_m
 from .projection import _six_way
 from .spectral import _RESIDUALS, _Systems, _family_dimensions, _lambda_roots, _same_family
 from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance, _Stack
+from .tolerances import ALGEBRA_FACTOR, DEFAULT_TOLERANCE, NORM_FLOOR, NORMALIZE_TOL
 
 __all__ = [
     "CheckResult",
@@ -44,12 +46,10 @@ __all__ = [
     "FUZZ_CLASSES",
 ]
 
-DEFAULT_TOLERANCE = 1e-8
-# tolerance factors other than 1: the core algebra identities are a few floating
-# ops, so they get four extra digits, and the two counting checks must count 0
+# tolerance factors other than 1; the two counting checks must count 0
 _FACTORS = {**dict.fromkeys(("composition-norm", "alternativity", "conjugation-antihomomorphism",
                              "inner-product-coincidence", "trace-form-associativity",
-                             "left-mul-isometry"), 1e-4),
+                             "left-mul-isometry"), ALGEBRA_FACTOR),
             "same-family-reject": 0.0, "family-dimension": 0.0}
 
 _COORD_MASKS = {
@@ -87,7 +87,8 @@ def random_vector(rng, mask=None) -> OctVector3:
 
 
 def random_hermitian(rng, kind: str = OCTONIONIC) -> Hermitian3:
-    """Random matrix of the requested class; entries uniform in [-1, 1]."""
+    """Random matrix of the requested class, entries uniform in [-1, 1]; raises if masking
+    the coordinates to the class gave another class."""
     (d, e, f), (a, b, c) = (x[0] for x in _draw_hermitian(rng, 1, kind))
     return Hermitian3(d, e, f, Octonion(a), Octonion(b), Octonion(c))
 
@@ -104,18 +105,14 @@ def _rejected(off: np.ndarray, code: int) -> np.ndarray:
 
 def _draw_hermitian(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (n, 3) and off-diagonals (n, 3, 8) of n random matrices of class
-    `kind`; as in `random_hermitian`, a draw of another class is drawn again."""
-    mask, code = _COORD_MASKS[kind], _TAGS.index(kind)
-    keep = 1.0 if mask is None else np.bincount(mask, minlength=8)
-    dia, off = np.empty((n, 3)), np.empty((n, 3, 8))
-    todo = np.arange(n)
-    for _ in range(100):
-        dia[todo] = rng.uniform(-1.0, 1.0, (todo.size, 3))
-        off[todo] = rng.uniform(-1.0, 1.0, (todo.size, 3, 8)) * keep
-        todo = todo[_rejected(off[todo], code)]
-        if not todo.size:
-            return dia, off
-    raise RuntimeError(f"failed to sample a {kind} matrix")
+    `kind`, drawn once; a matrix of another class raises, as in `random_hermitian`."""
+    mask = _COORD_MASKS[kind]
+    dia, off = rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3, 8))
+    if mask is not None:
+        off *= np.bincount(mask, minlength=8)
+    if _rejected(off, _TAGS.index(kind)).any():
+        raise RuntimeError(f"failed to sample a {kind} matrix")
+    return dia, off
 
 
 # doubles per fuzz sample: a matrix (3 diagonal, then a, b, c) and a vector
@@ -125,32 +122,15 @@ _MATRIX, _SAMPLE = 27, 51
 def _draw_samples(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonals (n, 3), off-diagonals (n, 3, 8) and vectors (n, 24) of n fuzz samples:
     the doubles of n alternating `random_hermitian(rng, kind)` and `random_vector(rng)`
-    calls, drawn as one (n, 51) block and classified as one stack.
-
-    At the first row j whose matrix is of another class, rows < j are kept, the
-    generator is put back to its state before the block and replays j * 51 + 27
-    doubles, which redraws that matrix as `random_hermitian` does, and the rows
-    from j on are drawn again; 100 draws of one matrix fail as there.
+    calls, drawn as one (n, 51) block and classified as one stack, which raises as
+    `random_hermitian` does if a matrix is of another class.
     """
-    mask, code = _COORD_MASKS[kind], _TAGS.index(kind)
-    keep = 1.0 if mask is None else np.tile(np.bincount(mask, minlength=8), 3)
-    rows = np.empty((n, _SAMPLE))
-    done, tries = 0, 0
-    while True:
-        state = rng.bit_generator.state
-        block = rows[done:]
-        block[:] = rng.uniform(-1.0, 1.0, block.shape)
-        block[:, 3:_MATRIX] *= keep
-        bad = np.flatnonzero(_rejected(block[:, 3:_MATRIX].reshape(-1, 3, 8), code))
-        if not bad.size:
-            break
-        j = int(bad[0])
-        tries = tries + 1 if j == 0 else 1
-        if tries == 100:
-            raise RuntimeError(f"failed to sample a {kind} matrix")
-        done += j
-        rng.bit_generator.state = state
-        rng.random(j * _SAMPLE + _MATRIX)
+    mask = _COORD_MASKS[kind]
+    rows = rng.uniform(-1.0, 1.0, (n, _SAMPLE))
+    if mask is not None:
+        rows[:, 3:_MATRIX] *= np.tile(np.bincount(mask, minlength=8), 3)
+    if _rejected(rows[:, 3:_MATRIX].reshape(n, 3, 8), _TAGS.index(kind)).any():
+        raise RuntimeError(f"failed to sample a {kind} matrix")
     # contiguous copies, so the stacked kernels see the layout of freshly built arrays
     return (rows[:, :3].copy(), rows[:, 3:_MATRIX].reshape(n, 3, 8).copy(),
             rows[:, _MATRIX:].copy())
@@ -220,7 +200,7 @@ class _Checks(_Context):
     def composition_norm(self):
         p, q = self.uniform(8), self.uniform(8)
         pq = _norm(p) * _norm(q)
-        return np.abs(_norm(mul(p, q)) - pq) / np.maximum(1e-300, pq)
+        return np.abs(_norm(mul(p, q)) - pq) / np.maximum(NORM_FLOOR, pq)
 
     def alternativity(self):
         p, q = self.uniform(8), self.uniform(8)
@@ -360,7 +340,7 @@ class _Checks(_Context):
         p1, p2 = self.t_element(A)[:, None], self.t_element(A)[:, None]
         qa, qb = np.matvec(A.P, self.uniform(2, 8)), np.matvec(A.P, self.uniform(2, 8))
         pa, pb = (mul(associator(p1, p2, q), conj(q) / inner(q, q)[..., None]) for q in (qa, qb))
-        usable = (_norm(qa) >= 1e-6) & (_norm(qb) >= 1e-6)
+        usable = (_norm(qa) >= NORMALIZE_TOL) & (_norm(qb) >= NORMALIZE_TOL)
         return (np.where(usable, _norm(pa - pb), 0.0) / _scale(_norm(p1) * _norm(p2))).max(-1)
 
     def basis_invariance(self):
@@ -415,11 +395,11 @@ class _Checks(_Context):
     def rank_one_invariants(self):
         v = self.project(self.family()[0], 3)
         n = _vnorm(v)
-        v = v * (1.0 / np.where(n >= 1e-6, n, 1.0))[:, None, None]
+        v = v * (1.0 / np.where(n >= NORMALIZE_TOL, n, 1.0))[:, None, None]
         B = _Stack.outer(v)
         resid = np.maximum.reduce([np.abs(B.trace - 1.0), np.abs(B.sigma),
                                    _vnorm(B.k_act(v) + v * B.det[:, None, None])])
-        return np.where(n >= 1e-6, resid, 0.0)
+        return np.where(n >= NORMALIZE_TOL, resid, 0.0)
 
     def outer_entry_identities(self):
         y = self.project(self.family()[0], 3)

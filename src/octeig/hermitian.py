@@ -27,6 +27,7 @@ from .octonion import (
     conj,
     left_mul_matrix,
 )
+from .tolerances import ASSOCIATOR_TOL, SPAN_TOL
 
 __all__ = [
     "OctVector3",
@@ -55,7 +56,6 @@ OCTONIONIC = "octonionic"
 
 # indexed by the stacked class test's codes
 _TAGS = (REAL, COMPLEX, QUATERNIONIC, OCTONIONIC)
-_CLASS_TOL = 1e-9
 
 
 class OctVector3(_Immutable):
@@ -307,24 +307,26 @@ def alpha(A: Hermitian3) -> Octonion:
 
 
 def _associative(off: np.ndarray, al: np.ndarray) -> np.ndarray:
-    """Where |alpha| <= tol |a||b||c|: both sides are homogeneous of degree 3,
+    """Where |alpha| <= ASSOCIATOR_TOL |a||b||c|: both sides are homogeneous of degree 3,
     so the test does not depend on the matrix's scale."""
     n = _norm(off)
-    return _norm(al) <= _CLASS_TOL * n[..., 0] * n[..., 1] * n[..., 2]
+    return _norm(al) <= ASSOCIATOR_TOL * n[..., 0] * n[..., 1] * n[..., 2]
 
 
-def _rank(rows: np.ndarray, tol: float = _CLASS_TOL) -> np.ndarray:
+def _rank(rows: np.ndarray) -> np.ndarray:
     """Rank of each stacked row set (..., k, 8), relative to its largest singular value."""
     s = np.linalg.svd(rows, compute_uv=False)
-    return (s > tol * s[..., :1]).sum(-1)
+    return (s > SPAN_TOL * s[..., :1]).sum(-1)
 
 
 def _classes(off: np.ndarray, al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index into _TAGS and dim T for off-diagonals (..., 3, 8) with associators al (..., 8)."""
-    # one svd call: the rows (1, a, b, c), and the imaginary parts padded with a zero row
+    # one svd call: the rows (1, a, b, c), each nonzero one of unit norm so that dim T does
+    # not depend on the scale, and the imaginary parts padded with a zero row
     rows = np.zeros(off.shape[:-2] + (2, 4, 8))
     rows[..., 0, 0, 0] = 1.0
-    rows[..., 0, 1:, :] = off
+    n = _norm(off)[..., None]
+    rows[..., 0, 1:, :] = off / np.where(n > 0.0, n, 1.0)
     rows[..., 1, 1:, 1:] = off[..., 1:]
     ranks = _rank(rows)
     dim_t, imag_rank = ranks[..., 0], ranks[..., 1]
@@ -334,7 +336,7 @@ def _classes(off: np.ndarray, al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def classify(A: Hermitian3) -> MatrixClass:
     """Classify by the smallest subalgebra containing the off-diagonal entries.
 
-    The octonionic test is |alpha| against tol |a||b||c|; matrices routed
+    The octonionic test is |alpha| against ASSOCIATOR_TOL |a||b||c|; matrices routed
     below it land on the quaternionic/complex/real paths, which are exact
     there and a limit elsewhere.
     """

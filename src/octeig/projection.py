@@ -34,6 +34,7 @@ from .spectral import (
     realify_rank_one,
 )
 from .subspace import apply_blockwise
+from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
 
 __all__ = [
     "DecompositionPart",
@@ -43,8 +44,6 @@ __all__ = [
     "quaternionic_six_way",
     "subalgebra_part",
 ]
-
-_ZERO_PART_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +85,19 @@ def matrix_fingerprint(A: Hermitian3) -> str:
 
 
 def project_along(v: OctVector3, y: OctVector3, check: bool = True,
-                  tol: float = 1e-8) -> OctVector3:
+                  tol: float = FAMILY_TOL) -> OctVector3:
     """Generalized projection (v v^dagger) y for y in the same K eigenspace as v.
 
     On that eigenspace the map is idempotent and returns an eigenvector of
     the rank-one matrix v v^dagger.  With check enabled, membership is
     tested through the characteristic operator of v v^dagger, whose
-    eigenvalue on the family of v is minus its determinant.
+    eigenvalue on the family of v is minus its determinant; the residual,
+    of degree 6 in v and 1 in y, is compared with tol |v|^6 |y|.
     """
     B = outer(v)
     if check:
-        scale = max(1.0, v.norm2()) ** 3 * max(y.norm(), 1e-300)
         resid = (k_vector(B, y) + y.scale(det(B))).norm()
-        if resid > tol * scale:
+        if resid > tol * v.norm2() ** 3 * y.norm():
             raise FamilyMismatch(
                 f"vector is not in the K eigenspace of the projector (residual {resid:.3e})"
             )
@@ -135,7 +134,7 @@ def _six_way(S: _Systems, x: np.ndarray):
 
     x_1 = Q_1 Q_1^T x, Q_1 = kron(I3, B_1), and family 2 takes the rest (none
     for complex and real rows); each piece is expanded along its family's
-    pairs, (v v^dagger) x_m.  A part below 1e-10 |x| is zero with residual 0;
+    pairs, (v v^dagger) x_m.  A part below ZERO_PART_TOL |x| is zero with residual 0;
     the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).
     """
     V = S.V.reshape(-1, 2, 3, 24)
@@ -144,8 +143,8 @@ def _six_way(S: _Systems, x: np.ndarray):
     pieces = np.stack([x1, x - x1], axis=1)[:, :, None]
     comps = np.matvec(realify_rank_one(V.reshape(-1, 24).T).reshape(V.shape + (24,)), pieces)
     size = np.sqrt(np.vecdot(comps, comps))
-    xnorm = np.maximum(_vnorm(x.reshape(-1, 3, 8)), 1e-300)
-    zero = size < _ZERO_PART_TOL * xnorm[:, None, None]
+    xnorm = np.maximum(_vnorm(x.reshape(-1, 3, 8)), NORM_FLOOR)
+    zero = size < ZERO_PART_TOL * xnorm[:, None, None]
     comps = np.where(zero[..., None], 0.0, comps)
     err = np.matvec(S.R[:, None, None], comps) - S.lams[..., None] * comps
     denom = _norm_scale(S)[:, None, None] * np.where(zero, 1.0, size)

@@ -37,6 +37,8 @@ from .hermitian import (
 )
 from .octonion import Octonion, inner
 from .subspace import FamilyContext, _read_only, _Stack, apply_blockwise, k_matrix
+from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
+                         REAL_RANK_TOL)
 
 __all__ = [
     "EigenPair",
@@ -53,11 +55,6 @@ __all__ = [
     "family_dimension_probe",
 ]
 
-_RANK_TOL = 1e-7
-_CLUSTER_TOL = 1e-6
-_NEWTON_TOL = 1e-12
-# rounding error of the Horner evaluation of the cubic, relative to s^3
-_HORNER_EPS = 8.0 * np.finfo(float).eps
 _EYE24 = np.eye(24)
 # the keys of FamilyEigensystem.residuals, in the order of `_family_residuals`
 _RESIDUALS = ("eigen", "k_eigen", "identity_decomposition", "matrix_decomposition",
@@ -120,16 +117,17 @@ def _lambda_roots(tr, sg, target) -> np.ndarray:
 
     Solved with the trigonometric method for the all-real-roots case (the
     acos argument is clamped to absorb rounding), then each root gets up to
-    two Newton polish steps on the original cubic.  A discriminant that is
-    negative beyond tolerance means the target does not belong to the
-    matrix and raises ComplexRoots.
+    two Newton polish steps on the original cubic.  A discriminant below
+    -DISC_TOL s^6, s the size of the roots, means the target does not belong
+    to the matrix and raises ComplexRoots.
     """
     b, c, d = (np.asarray(x, dtype=float) for x in (-tr, sg, -target))
+    s = np.maximum(np.abs(b), np.maximum(np.sqrt(np.abs(c)), np.abs(d) ** (1.0 / 3.0)))
     # depressed form t^3 + p t + q, lam = t - b/3
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
     disc = -4.0 * p ** 3 - 27.0 * q * q
-    bad = disc < -1e-9 * np.maximum(1.0, np.maximum(np.abs(p) ** 3, q * q))
+    bad = disc < -DISC_TOL * s ** 6
     if np.any(bad):
         raise ComplexRoots(f"cubic discriminant {np.min(disc[bad]):.3e} is negative: "
                            "the family root r is inconsistent with this matrix")
@@ -142,18 +140,17 @@ def _lambda_roots(tr, sg, target) -> np.ndarray:
     # p >= 0: all roots collapse within rounding
     t0 = np.copysign(np.abs(q) ** (1.0 / 3.0), -q)
     x = np.where((p >= 0.0)[..., None], (shift + t0)[..., None], trig)
-    # at a double root f' is rounding noise: a step needs f' above _NEWTON_TOL s^2,
-    # s the size of the roots, and is kept only if |f| grows by no more than rounding
-    s = np.maximum(np.abs(b), np.maximum(np.sqrt(np.abs(c)), np.abs(d) ** (1.0 / 3.0)))[..., None]
-    b, c, d = b[..., None], c[..., None], d[..., None]
+    # at a double root f' is rounding noise: a step needs f' above NEWTON_TOL s^2,
+    # and is kept only if |f| grows by no more than rounding
+    s, b, c, d = s[..., None], b[..., None], c[..., None], d[..., None]
     fx = ((x + b) * x + c) * x + d
     for _ in range(2):
         dfx = (3.0 * x + 2.0 * b) * x + c
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - fx / dfx
         fn = ((xn + b) * xn + c) * xn + d
-        step = ((np.abs(dfx) > _NEWTON_TOL * s * s)
-                & (np.abs(fn) <= np.abs(fx) + _HORNER_EPS * s ** 3))
+        step = ((np.abs(dfx) > NEWTON_TOL * s * s)
+                & (np.abs(fn) <= np.abs(fx) + HORNER_EPS * s ** 3))
         x, fx = np.where(step, xn, x), np.where(step, fn, fx)
     return np.sort(x, axis=-1)
 
@@ -176,31 +173,31 @@ def realify_rank_one(V: np.ndarray) -> np.ndarray:
     return real_form(*outer_entries(V))
 
 
-def real_nullspace(M: np.ndarray, rel_threshold: float = _RANK_TOL) -> np.ndarray:
+def real_nullspace(M: np.ndarray, rel_threshold: float = REAL_RANK_TOL) -> np.ndarray:
     """Orthonormal nullspace basis (columns) by SVD with a relative rank cut (rank 0 for M = 0)."""
     _, s, vh = np.linalg.svd(M)
     rank = int(np.sum(s > rel_threshold * s[0])) if s.size else 0
     return vh[rank:].T
 
 
-def _column_basis(cols: np.ndarray, rel_threshold: float = _RANK_TOL) -> np.ndarray:
+def _column_basis(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column space, rank by relative SVD cut."""
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0))
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, :int(np.sum(s > rel_threshold * s[0]))]
+    return u[:, :int(np.sum(s > REAL_RANK_TOL * s[0]))]
 
 
 def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
     """Deterministic unit representative from each stacked orthonormal column basis (..., d, j).
 
-    The first projection space @ space[idx] of norm above 1e-6 (that of row
+    The first projection space @ space[idx] of norm above NORMALIZE_TOL (that of row
     idx), trying coordinates 0, block, 2*block, ... first; the construction
     makes that coordinate positive, which fixes the sign.
     """
     order = np.argsort(np.arange(space.shape[-2]) % block != 0, stable=True)
     rows = space.reshape((-1,) + space.shape[-2:])[:, order]
-    usable = np.sqrt(np.vecdot(rows, rows)) > 1e-6
+    usable = np.sqrt(np.vecdot(rows, rows)) > NORMALIZE_TOL
     if not usable.any(-1).all():
         raise ExtractionFailure("could not pick a representative from the candidate subspace")
     row = rows[np.arange(len(rows)), usable.argmax(-1)]
@@ -265,7 +262,7 @@ def _eigenpairs(R: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k = Q.shape[-1] // 3
     w, U = np.linalg.eigh(Q.swapaxes(-1, -2) @ R @ Q)
-    tol = _CLUSTER_TOL * np.abs(w).max(-1, keepdims=True)
+    tol = CLUSTER_TOL * np.abs(w).max(-1, keepdims=True)
     simple = ((np.diff(w) > tol) == (np.arange(1, 3 * k) % k == 0)).all(-1)
     lams = np.add.reduce(w.reshape(w.shape[:-1] + (3, k)), -1) / k
     Us = U[simple]
@@ -386,13 +383,13 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     return EigenSystem(matrix_class=MatrixClass(_TAGS[code], dim_t), families=families)
 
 
-def _same_family(u: np.ndarray, w: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """`same_family` of stacked vectors u, w (n, 3, 8), without its class check."""
+def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.ndarray:
+    """`same_family` of stacked vectors u, w (n, 3, 8) without its class check, by tol |u|^4 |w|."""
     resid = _Stack.outer(u).membership(w)
-    return resid <= tol * np.maximum(_vnorm(w), 1e-300) * np.maximum(1.0, inner(u, u).sum(-1)) ** 2
+    return resid <= tol * _vnorm(w) * inner(u, u).sum(-1) ** 2
 
 
-def same_family(u: OctVector3, w: OctVector3, tol: float = 1e-8) -> bool:
+def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
     """Family membership predicate: u u^dagger (u u^dagger w) = (u^dagger u)(u u^dagger w).
 
     Defined for normalized u with a non-complex projector u u^dagger.
@@ -408,11 +405,11 @@ def _family_dimensions(v: np.ndarray, samples: int = 24, seed: int = 0) -> np.nd
     B = _Stack.outer(v)
     _, s, vh = np.linalg.svd(B.R @ B.R - B.trace[:, None, None] * B.R)
     # the rows of vh past each rank span the nullspace; the others are zeroed
-    null = vh * (s <= _RANK_TOL * s[:, :1])[..., None]
+    null = vh * (s <= REAL_RANK_TOL * s[:, :1])[..., None]
     gauss = np.random.default_rng(seed).standard_normal((24, samples))
     pts = null.swapaxes(-1, -2) @ (null @ gauss)
     s = np.linalg.svd(pts, compute_uv=False)
-    return (s > _RANK_TOL * s[:, :1]).sum(-1)
+    return (s > REAL_RANK_TOL * s[:, :1]).sum(-1)
 
 
 def family_dimension_probe(v: OctVector3, samples: int = 24, seed: int = 0) -> int:

@@ -19,7 +19,6 @@ from .hermitian import (
     OCTONIONIC,
     QUATERNIONIC,
     REAL,
-    _CLASS_TOL,
     _TAGS,
     Hermitian3,
     OctVector3,
@@ -36,6 +35,7 @@ from .hermitian import (
     real_form,
 )
 from .octonion import _ONE, Octonion, _norm, _product, conj, inner, left_mul_matrix, mul
+from .tolerances import COMPLEX_UNIT_TOL, NORMALIZE_TOL, SINGULAR_CHANGE_TOL, SPAN_TOL
 
 __all__ = [
     "TBasis",
@@ -98,7 +98,7 @@ def _projector(K: np.ndarray, r, ph) -> np.ndarray:
     return (K + (r + 4.0 * ph) * _EYE8) / (2.0 * (r + 2.0 * ph))
 
 
-def _gram_schmidt(X: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def _gram_schmidt(X: np.ndarray, tol: float = SPAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal rows of each stacked row set X (..., k, 8), and which rows were kept.
 
     Classical Gram-Schmidt with one re-orthogonalization pass.  A row whose
@@ -120,7 +120,7 @@ def _gram_schmidt(X: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
     return Q, keep
 
 
-def orthonormalize(octs, tol: float = 1e-9) -> tuple:
+def orthonormalize(octs, tol: float = SPAN_TOL) -> tuple:
     """Orthonormal basis of the span of the given octonions, by `_gram_schmidt`.
 
     Drops vectors whose residual falls to tol times their norm or below.
@@ -302,11 +302,11 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H (n, 4, 8), the rows (1, h1, h2, h1 h2), and ell (n, 8) for off-diagonals (n, 3, 8).
 
     h1, h2 by pivoting: h1 along the largest imaginary part of a, b, c, h2 along the
-    largest residual of the other two against h1, which must exceed 1e-9 of the largest
+    largest residual of the other two against h1, which must exceed SPAN_TOL of the largest
     part, the cut of `_rank`.  So h2 never comes from a nearly parallel pair, whose tiny
     residual would amplify any component of the entries outside the subalgebra.  h1 h2
     completes the quaternion relations exactly; ell: the first unit e_i with residual
-    against H above 1e-6, normalized."""
+    against H above NORMALIZE_TOL, normalized."""
     imag = np.where(_IMAG, off, 0.0)
     rows = np.arange(len(off))
     sizes = _norm(imag)
@@ -319,7 +319,7 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     left = _norm(resid)
     left[first] = 0.0
     second = rows, left.argmax(-1)
-    if np.any(left[second] <= _CLASS_TOL * top):
+    if np.any(left[second] <= SPAN_TOL * top):
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
     h2 = resid[second] * (1.0 / left[second])[:, None]
     H = np.stack([np.broadcast_to(_ONE, h1.shape), h1, h2, _product(h1, h2)], axis=-2)
@@ -329,7 +329,7 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             h = H[:, None, j]
             resid = resid - h * inner(h, resid)[..., None]
     n = _norm(resid)
-    found = n > 1e-6
+    found = n > NORMALIZE_TOL
     if not found.any(-1).all():
         raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
     i = rows, found.argmax(-1)
@@ -345,14 +345,14 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
 
 def _complex_unit(off: np.ndarray) -> np.ndarray:
     """Unit imaginary direction i0 (n, 8) with a, b, c in span{1, i0}, e1 for a real matrix:
-    the first imaginary part above 1e-12 max(|a|, |b|, |c|), its leading coordinate positive."""
+    the first imaginary part above COMPLEX_UNIT_TOL max |entry|, its first coordinate > 0."""
     imag = np.where(_IMAG, off, 0.0)
     n = _norm(imag)
-    found = n > 1e-12 * _norm(off).max(-1, keepdims=True)
+    found = n > COMPLEX_UNIT_TOL * _norm(off).max(-1, keepdims=True)
     rows = np.arange(len(off))
     i = rows, found.argmax(-1)
     u = imag[i] * (1.0 / np.where(found.any(-1), n[i], 1.0))[:, None]
-    lead = u[rows, (np.abs(u) > 1e-12).argmax(-1)][:, None]
+    lead = u[rows, (np.abs(u) > COMPLEX_UNIT_TOL).argmax(-1)][:, None]
     return np.where(found.any(-1)[:, None], np.where(lead < 0, -u, u), _EYE8[1])
 
 
@@ -377,7 +377,7 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
     if M.shape != (3, 3):
         raise ValueError("change of basis must be a real 3x3 matrix")
     detm = float(np.linalg.det(M))
-    if abs(detm) < 1e-12 * max(1.0, float(np.abs(M).max()) ** 3):
+    if abs(detm) <= SINGULAR_CHANGE_TOL * float(np.abs(M).max()) ** 3:
         raise SingularChange("change of basis has numerically vanishing determinant")
     return float(_basis_change_deviation(A._stack.off[0], M, np.asarray(shifts, dtype=float)))
 

@@ -1,5 +1,6 @@
 """The harness's samplers: the bulk fuzz draw against the per-sample calls it
-replaces, the rejection test against the full class test, and pinned streams."""
+replaces, a draw of another class raising, the rejection test against the full
+class test, and pinned streams."""
 
 import hashlib
 
@@ -16,6 +17,7 @@ from octeig.harness import (
     random_hermitian,
     random_vector,
     run_fuzz,
+    run_verification,
 )
 from octeig.hermitian import _TAGS, _alpha, _classes
 
@@ -45,43 +47,68 @@ def test_bulk_draw_equals_the_interleaved_calls(kind, n):
 
 @pytest.mark.parametrize("kind", FUZZ_CLASSES)
 @pytest.mark.parametrize("cut", [0.0, -0.8])
-def test_rejected_rows_are_drawn_again_as_random_hermitian_does(monkeypatch, kind, cut):
+def test_a_rejected_draw_raises(monkeypatch, kind, cut):
     # a stand-in class test that turns down half or nine in ten of the matrices, by
-    # content, so both samplers see the same verdict on the same draw; at nine in ten
-    # a run rejects far more than 100 draws, but no one matrix 100 times
-    verdicts = []
+    # content: a draw with a rejected matrix raises after its one class test, and a
+    # draw without one is what the interleaved calls draw
+    calls = []
 
-    def most(off, code):
-        out = off[..., 0, 0] > cut
-        verdicts.extend(out.tolist())
-        return out
+    def some(off, code):
+        calls.append(len(off))
+        return off[..., 0, 0] > cut
 
-    monkeypatch.setattr(harness, "_rejected", most)
+    monkeypatch.setattr(harness, "_rejected", some)
+    raised = 0
     for seed in (0, 1, 2):
         for n in (1, 8, 25):
-            assert_same_draws(seed, n, kind)
-    assert sum(verdicts) > 100
+            # the real part of a is coordinate 3 of a sample's 51 doubles, in every class
+            rejected = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 51))[:, 3] > cut
+            for draw in (lambda: _draw_samples(np.random.default_rng(seed), n, kind),
+                         lambda: run_fuzz(seed, n, kind)):
+                calls.clear()
+                if rejected.any():
+                    with pytest.raises(RuntimeError, match=f"failed to sample a {kind} matrix"):
+                        draw()
+                else:
+                    draw()
+                assert calls == [n]
+            calls.clear()
+            if rejected[0]:
+                with pytest.raises(RuntimeError, match=f"failed to sample a {kind} matrix"):
+                    random_hermitian(np.random.default_rng(seed), kind)
+            else:
+                random_hermitian(np.random.default_rng(seed), kind)
+            assert calls == [1]
+            if not rejected.any():
+                assert_same_draws(seed, n, kind)
+            raised += int(rejected.any())
+    assert raised > 0
 
 
 @pytest.mark.parametrize("kind", FUZZ_CLASSES)
-def test_a_hundred_rejected_draws_raise(monkeypatch, kind):
-    blocks = []
+def test_rejecting_a_class_makes_its_samplers_raise_after_one_draw(monkeypatch, kind):
+    calls = []
 
-    def all_but_the_first(off, code):
-        blocks.append(off[:, 0, 0].copy())
-        return off[:, 0, 0] != blocks[0][0]
+    def this_class(off, code):
+        calls.append(code)
+        return np.full(len(off), _TAGS[code] == kind)
 
-    monkeypatch.setattr(harness, "_rejected", all_but_the_first)
-    with pytest.raises(RuntimeError, match=f"failed to sample a {kind} matrix"):
-        run_fuzz(0, 8, kind)
-    # sample 0 is kept; sample 1 is drawn once in the first block and 99 times again
-    assert [len(b) for b in blocks] == [8] + [7] * 99
-
-    monkeypatch.setattr(harness, "_rejected", lambda off, code: np.ones(len(off), dtype=bool))
-    with pytest.raises(RuntimeError, match=f"failed to sample a {kind} matrix"):
-        run_fuzz(0, 1, kind)
-    with pytest.raises(RuntimeError, match=f"failed to sample a {kind} matrix"):
-        random_hermitian(np.random.default_rng(0), kind)
+    monkeypatch.setattr(harness, "_rejected", this_class)
+    for draw in (lambda: random_hermitian(np.random.default_rng(0), kind),
+                 lambda: run_fuzz(0, 8, kind)):
+        calls.clear()
+        with pytest.raises(RuntimeError, match=f"failed to sample a {kind} matrix"):
+            draw()
+        assert calls == [_TAGS.index(kind)]
+    # verify draws octonionic matrices, then its quaternionic pool, and no other class
+    calls.clear()
+    if kind in ("octonionic", "quaternionic"):
+        with pytest.raises(RuntimeError, match=f"failed to sample a {kind} matrix"):
+            run_verification(0, 8)
+        assert calls.count(_TAGS.index(kind)) == 1
+    else:
+        assert all(c.passed for c in run_verification(0, 8))
+        assert _TAGS.index(kind) not in calls
 
 
 def test_rejection_test_agrees_with_the_class_test():
