@@ -22,8 +22,6 @@ from .octonion import (
     _Immutable,
     _norm,
     _product,
-    assoc3form,
-    associator,
     conj,
     left_mul_matrix,
 )
@@ -214,6 +212,10 @@ class Hermitian3:
         dia = np.array([[self.d, self.e, self.f]])
         return _Systems(dia, np.array([[self.a.coords, self.b.coords, self.c.coords]]))
 
+    def __getstate__(self) -> dict:
+        """The entries without `_stack`: a copy or pickle solves again, as a fresh matrix does."""
+        return {k: v for k, v in self.__dict__.items() if k != "_stack"}
+
     def __repr__(self):
         return (f"Hermitian3(d={self.d:g}, e={self.e:g}, f={self.f:g}, "
                 f"a={self.a!r}, b={self.b!r}, c={self.c!r})")
@@ -272,14 +274,26 @@ def _det(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
             + 2.0 * _product(_product(c, b), a)[..., 0])
 
 
+def _alpha_phi(off: np.ndarray, L: np.ndarray = None) -> tuple[np.ndarray, np.ndarray]:
+    """`alpha` (..., 8) and `phi` (...) of stacked off-diagonals (..., 3, 8), by the left
+    multiplication matrices L (..., 3, 8, 8) of a, b, c (unless given): from ab, bc and ba,
+    (ab)c - a(bc), and (Re(c(ba)) - Re(a(bc))) / 2 as in `assoc3form`."""
+    L = left_mul_matrix(off) if L is None else L
+    a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
+    ba_bc = np.matvec(L[..., 1:2, :, :], off[..., ::2, :])
+    ba, bc = ba_bc[..., 0, :], ba_bc[..., 1, :]
+    return (_product(np.matvec(L[..., 0, :, :], b), c) - np.matvec(L[..., 0, :, :], bc),
+            0.5 * (np.vecdot(c * _CONJ, ba) - np.vecdot(a * _CONJ, bc)))
+
+
 def _phi(off: np.ndarray) -> np.ndarray:
     """`phi` of stacked off-diagonals (..., 3, 8)."""
-    return assoc3form(off[..., 0, :], off[..., 1, :], off[..., 2, :])
+    return _alpha_phi(off)[1]
 
 
 def _alpha(off: np.ndarray) -> np.ndarray:
     """`alpha` of stacked off-diagonals, (..., 8)."""
-    return associator(off[..., 0, :], off[..., 1, :], off[..., 2, :])
+    return _alpha_phi(off)[0]
 
 
 def sigma(A: Hermitian3) -> float:

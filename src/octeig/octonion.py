@@ -239,9 +239,9 @@ def associator(a, b, c):
 
 @_on_arrays
 def assoc3form(a, b, c):
-    """Associative 3-form: Re(a x b x c) = Re(a(bbar c) - c(bbar a))/2."""
-    bc = b * _CONJ
-    return 0.5 * (_product(a, _product(bc, c)) - _product(c, _product(bc, a)))[..., 0]
+    """Associative 3-form: Re(a x b x c) = Re(a(bbar c) - c(bbar a))/2, which bbar = 2 Re(b) - b
+    and Re(ac) = Re(ca) make (Re(c(ba)) - Re(a(bc)))/2, with Re(pq) = <pbar, q>."""
+    return 0.5 * (np.vecdot(c * _CONJ, _product(b, a)) - np.vecdot(a * _CONJ, _product(b, c)))
 
 
 def left_mul_matrix(q) -> np.ndarray:

@@ -25,14 +25,8 @@ from .hermitian import (
     mat_vec,
     outer,
 )
-from .spectral import (
-    EigenSystem,
-    _norm_scale,
-    _slotwise,
-    _Systems,
-    k_vector,
-    realify_rank_one,
-)
+from .octonion import _CONJ, Octonion, _product
+from .spectral import EigenSystem, _norm_scale, _Systems, k_vector
 from .subspace import apply_blockwise
 from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
 
@@ -118,9 +112,10 @@ def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayD
     S = A._stack
     labels = [(f + 1, lam) for f in range(S.nfam[0]) for lam in S.lams[0, f].tolist()]
     comps, residuals, recon = _six_way(S, x.to_coords()[None])
+    octs = tuple(map(Octonion._of, comps[0].reshape(18, 8)))   # rows of a fresh array
     return SixWayDecomposition(
-        parts=tuple(DecompositionPart(m, lam, OctVector3.from_coords(c))
-                    for (m, lam), c in zip(labels, comps[0].reshape(6, 24))),
+        parts=tuple(DecompositionPart(m, lam, OctVector3(octs[3 * j:3 * j + 3]))
+                    for j, (m, lam) in enumerate(labels)),
         reconstruction_residual=float(recon[0]),
         eigen_residuals=tuple(float(r) for r in residuals[0].ravel()[:len(labels)]),
         matrix_class=_TAGS[S.codes[0]],
@@ -132,24 +127,24 @@ def _six_way(S: _Systems, x: np.ndarray):
     """Parts (n, 2, 3, 24), their eigen residuals (n, 2, 3) and the reconstruction
     residuals (n,) of vectors x (n, 24) on stacked systems S.
 
-    x_1 = Q_1 Q_1^T x, Q_1 = kron(I3, B_1), and family 2 takes the rest (none
-    for complex and real rows); each piece is expanded along its family's
-    pairs, (v v^dagger) x_m.  A part below ZERO_PART_TOL |x| is zero with residual 0;
+    x_1 = B_1 B_1^T x in each slot, and family 2 takes the rest (none for complex and real
+    rows); each piece y is expanded along its family's pairs, (v v^dagger) y, whose slot i
+    is sum_j (v_i conj(v_j)) y_j.  A part below ZERO_PART_TOL |x| is zero with residual 0;
     the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).
     """
-    V = S.V.reshape(-1, 2, 3, 24)
-    Q = _slotwise(S.B[:, 0])
-    x1 = np.where((S.nfam == 2)[:, None], np.matvec(Q, np.matvec(Q.swapaxes(-1, -2), x)), x)
-    pieces = np.stack([x1, x - x1], axis=1)[:, :, None]
-    comps = np.matvec(realify_rank_one(V.reshape(-1, 24).T).reshape(V.shape + (24,)), pieces)
+    B, y = S.B[:, 0], x.reshape(-1, 3, 8)
+    y1 = np.where((S.nfam == 2)[:, None, None], (y @ B) @ B.swapaxes(-1, -2), y)
+    pieces = np.concatenate([y1[:, None], (y - y1)[:, None]], axis=1)[:, :, None, None]
+    vv = _product(S.V[..., :, None, :], (S.V * _CONJ)[..., None, :, :])
+    comps = np.add.reduce(_product(vv, pieces), -2).reshape(-1, 2, 3, 24)
     size = np.sqrt(np.vecdot(comps, comps))
-    xnorm = np.maximum(_vnorm(x.reshape(-1, 3, 8)), NORM_FLOOR)
+    xnorm = np.maximum(_vnorm(y), NORM_FLOOR)
     zero = size < ZERO_PART_TOL * xnorm[:, None, None]
     comps = np.where(zero[..., None], 0.0, comps)
     err = np.matvec(S.R[:, None, None], comps) - S.lams[..., None] * comps
     denom = _norm_scale(S)[:, None, None] * np.where(zero, 1.0, size)
-    residuals = np.where(zero, 0.0, np.sqrt(np.vecdot(err, err)) / denom)
-    total = comps.reshape(-1, 6, 24).sum(1) - x
+    residuals = np.sqrt(np.vecdot(err, err)) / denom   # a zero part: err = 0 over ||A||_F
+    total = np.add.reduce(comps.reshape(-1, 6, 24), 1) - x
     return comps, residuals, np.sqrt(np.vecdot(total, total)) / xnorm
 
 

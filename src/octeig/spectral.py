@@ -35,7 +35,7 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import Octonion, inner
+from .octonion import _CONJ, Octonion, _norm, _product, inner
 from .subspace import FamilyContext, _read_only, _Stack, apply_blockwise, k_matrix
 from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
                          REAL_RANK_TOL)
@@ -247,7 +247,7 @@ def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
 
 def _slotwise(B: np.ndarray) -> np.ndarray:
     """Q = kron(I3, B) (..., 24, 3k): the bases B (..., 8, k) applied in each octonion slot."""
-    Q = np.einsum("ij,...ab->...iajb", np.eye(3), B)
+    Q = np.eye(3)[:, None, :, None] * B[..., None, :, None, :]
     return Q.reshape(B.shape[:-2] + (24, 3 * B.shape[-1]))
 
 
@@ -263,12 +263,11 @@ def _eigenpairs(R: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = Q.shape[-1] // 3
     w, U = np.linalg.eigh(Q.swapaxes(-1, -2) @ R @ Q)
     tol = CLUSTER_TOL * np.abs(w).max(-1, keepdims=True)
-    simple = ((np.diff(w) > tol) == (np.arange(1, 3 * k) % k == 0)).all(-1)
+    simple = ((w[..., 1:] - w[..., :-1] > tol) == (np.arange(1, 3 * k) % k == 0)).all(-1)
     lams = np.add.reduce(w.reshape(w.shape[:-1] + (3, k)), -1) / k
-    Us = U[simple]
-    spaces = np.stack([Us[..., k * j:k * j + k] for j in range(3)], axis=-3)
-    V = np.empty(lams.shape + (24,))
-    V[simple] = np.matvec(Q[simple][..., None, :, :], _pick_representative(spaces, k))
+    # the coordinate rule on every family; one with a cluster is done again below
+    spaces = U.reshape(U.shape[:-1] + (3, k)).swapaxes(-3, -2)
+    V = np.matvec(Q[..., None, :, :], _pick_representative(spaces, k))
     for i in zip(*np.nonzero(~simple)):
         groups = np.split(w[i], np.flatnonzero(np.diff(w[i]) > tol[i]) + 1)
         if any(len(g) % k for g in groups):
@@ -299,27 +298,27 @@ def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray)
     Normwise: the eigen and matrix residuals are divided by ||A||_F and the
     K residual by ||A||_F^3, so they do not change when A is scaled.
     """
-    R = A.R[:, None]
-    R2 = R @ R
+    R = A.R[:, None, None]
+    RV = np.matvec(R, V)
+    R2V = np.matvec(R, RV)
     tr, sg, dt = (x[:, None, None, None] for x in (A.trace, A.sigma, A.det))
-    K24 = R2 @ R - tr * R2 + sg * R - dt * _EYE24
+    KV = np.matvec(R, R2V) - tr * R2V + sg * RV - dt * V
     scale = _norm_scale(A)[:, None]
-    Vc = V.swapaxes(-1, -2)
-    dia, off = outer_entries(V.reshape(-1, 24).T)
-    dia, off = dia.reshape(V.shape[:-1] + (3,)), off.reshape(V.shape[:-1] + (24,))
+    # v_a conj(v_b), the entries of each v v^dagger (n, F, 3, 3, 3, 8)
+    W = V.reshape(V.shape[:-1] + (3, 8))
+    vv = _product(W[..., :, None, :], (W * _CONJ)[..., None, :, :])
+    dia, off = np.vecdot(W, W), vv[..., [0, 2, 1], [1, 0, 2], :].reshape(V.shape)
     ident = _hermitian_norm(dia.sum(-2) - 1.0, off.sum(-2))
     a_dia, a_off = A.dia[:, None], A.off.reshape(-1, 1, 24)
     amat = _hermitian_norm(np.vecmat(lams, dia) - a_dia, np.vecmat(lams, off) - a_off)
-    # |(v_i v_i^dagger) v_j| for every i < j
-    rank_one = real_form(dia, off.reshape(off.shape[:-1] + (3, 8)))
-    cross = np.linalg.norm(rank_one @ Vc[..., None, :, :], axis=-2)
+    # |(v_i v_i^dagger) v_j| for every i < j, slot a the sum over b of (v_ia conj(v_ib)) v_jb
+    pairs = _product(vv[..., [0, 0, 1], :, :, :], W[..., [1, 2, 2], None, :, :])
     return np.stack([
-        np.linalg.norm(R @ Vc - Vc * lams[..., None, :], axis=-2).max(-1) / scale,
-        np.linalg.norm(K24 @ Vc - r[..., None, None] * Vc, axis=-2).max(-1)
-        / np.float_power(scale, 3),
+        _norm(RV - lams[..., None] * V).max(-1) / scale,
+        _norm(KV - r[..., None, None] * V).max(-1) / np.float_power(scale, 3),
         ident,
         amat / scale,
-        cross[..., [0, 0, 1], [1, 2, 2]].max(-1),
+        _vnorm(np.add.reduce(pairs, -2)).max(-1),
     ], axis=-1)
 
 

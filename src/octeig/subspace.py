@@ -2,9 +2,10 @@
 
 For a matrix whose off-diagonal entries have nonvanishing associator,
 the octonions split into two orthogonal 4-spaces T_m = T s_m picked out
-by the characteristic operator K; everything here builds and exercises
-that split, plus the quaternionic fallback where it collapses, and
-`_Stack.bases`, the per-family subspaces every eigensystem is taken on.
+by the characteristic operator K, which is r_m on T_m: one eigh of K gives
+both.  Everything here builds and exercises that split, plus the quaternionic
+fallback where it collapses, and `_Stack.bases`, the per-family subspaces
+every eigensystem is taken on.
 """
 
 from dataclasses import dataclass
@@ -22,11 +23,10 @@ from .hermitian import (
     _TAGS,
     Hermitian3,
     OctVector3,
-    _alpha,
+    _alpha_phi,
     _associative,
     _classes,
     _det,
-    _phi,
     _sigma,
     _vnorm,
     alpha,
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 _EYE8 = np.eye(8)
+_E4 = np.eye(4)
 # the imaginary coordinates
 _IMAG = np.arange(8) > 0
 
@@ -159,11 +160,11 @@ def _degenerate():
 
 def _roots(ph: np.ndarray, al: np.ndarray) -> np.ndarray:
     """Family roots (..., 2), r1 >= r2, from stacked phi (...) and alpha (..., 8)."""
-    al2 = inner(al, al)
+    al2 = np.vecdot(al, al)
     # the root of sign opposite to phi does not cancel; Vieta gives the other
     far = -2.0 * ph - np.copysign(np.sqrt(4.0 * ph * ph + al2), ph)
     near = -al2 / far
-    return np.stack([np.maximum(far, near), np.minimum(far, near)], axis=-1)
+    return np.concatenate([np.maximum(far, near)[..., None], np.minimum(far, near)[..., None]], -1)
 
 
 def _generators(ph: np.ndarray, al: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -171,16 +172,6 @@ def _generators(ph: np.ndarray, al: np.ndarray, rs: np.ndarray) -> np.ndarray:
     # r_m + 4 phi = -r_other, without the cancellation of the sum
     num = -rs[..., ::-1, None] * _ONE + al[..., None, :]
     return num / (2.0 * (rs + 2.0 * ph[..., None]))[..., None]
-
-
-def _families(off: np.ndarray, al: np.ndarray = None, ph: np.ndarray = None) -> tuple:
-    """phi, alpha (unless given), roots r_m and generators s_m for stacked off-diagonals."""
-    ph = _phi(off) if ph is None else ph
-    al = _alpha(off) if al is None else al
-    if np.any(_associative(off, al)):
-        raise _degenerate()
-    rs = _roots(ph, al)
-    return ph, al, rs, _generators(ph, al, rs)
 
 
 def r_roots(A: Hermitian3) -> tuple[float, float]:
@@ -218,13 +209,12 @@ def k_scalar(A: Hermitian3, p: Octonion) -> Octonion:
     return c * (b * (a * p)) + a.conj() * (b.conj() * (c.conj() * p)) - p * bracket
 
 
-def _k(off: np.ndarray) -> np.ndarray:
-    """K (..., 8, 8) for stacked off-diagonals (..., 3, 8)."""
-    a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
-    la, lb, lc = (left_mul_matrix(q) for q in (a, b, c))
-    lat, lbt, lct = (L.swapaxes(-1, -2) for L in (la, lb, lc))
-    bracket = 2.0 * _product(_product(c, b), a)[..., 0, None, None]
-    return lc @ (lb @ la) + lat @ (lbt @ lct) - bracket * _EYE8
+def _k(L: np.ndarray) -> np.ndarray:
+    """K (..., 8, 8) from the left multiplication matrices L (..., 3, 8, 8) of a, b, c:
+    M + M^T - 2 M[0, 0] I with M = L_c L_b L_a, as L_abar L_bbar L_cbar = M^T and
+    M[0, 0] = Re(c(ba)) = Re((cb)a)."""
+    M = L[..., 2, :, :] @ (L[..., 1, :, :] @ L[..., 0, :, :])
+    return M + M.swapaxes(-1, -2) - 2.0 * M[..., :1, :1] * _EYE8
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -344,26 +334,30 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
 
 
 def _complex_unit(off: np.ndarray) -> np.ndarray:
-    """Unit imaginary direction i0 (n, 8) with a, b, c in span{1, i0}, e1 for a real matrix:
-    the first imaginary part above COMPLEX_UNIT_TOL max |entry|, its first coordinate > 0."""
+    """Unit imaginary direction i0 (n, 8) with a, b, c in span{1, i0}, e1 for a real matrix: the
+    largest imaginary part, as h1, when above COMPLEX_UNIT_TOL max |entry|; first coordinate > 0."""
     imag = np.where(_IMAG, off, 0.0)
     n = _norm(imag)
-    found = n > COMPLEX_UNIT_TOL * _norm(off).max(-1, keepdims=True)
     rows = np.arange(len(off))
-    i = rows, found.argmax(-1)
-    u = imag[i] * (1.0 / np.where(found.any(-1), n[i], 1.0))[:, None]
+    i = rows, n.argmax(-1)
+    found = n[i] > COMPLEX_UNIT_TOL * _norm(off).max(-1)
+    u = imag[i] * (1.0 / np.where(found, n[i], 1.0))[:, None]
     lead = u[rows, (np.abs(u) > COMPLEX_UNIT_TOL).argmax(-1)][:, None]
-    return np.where(found.any(-1)[:, None], np.where(lead < 0, -u, u), _EYE8[1])
+    return np.where(found[:, None], np.where(lead < 0, -u, u), _EYE8[1])
 
 
-def _range_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal bases (..., 8, 4) of the ranges of rank-4 projectors P (..., 8, 8),
-    each with first column P 1 / |P 1|."""
-    U = np.linalg.eigh(P)[1][..., 4:]
-    c = U[..., 0, :] / _norm(U[..., 0, :])[..., None]
-    eye = np.broadcast_to(np.eye(4), U.shape[:-2] + (4, 4))
-    G = np.linalg.qr(np.concatenate([c[..., None], eye], axis=-1))[0]
-    return U @ G * np.copysign(1.0, np.vecdot(G[..., 0], c))[..., None, None]
+def _family_bases(K: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (..., 2, 8, 4) of T_1 and T_2 from one eigh of K (..., 8, 8), which
+    is r_m on T_m, r1 > r2.  One Householder reflection of its coefficients turns each basis
+    U so that its first column is U U^T 1 / |U^T 1| = P_m 1 / |P_m 1| = s_m / |s_m|."""
+    U = np.linalg.eigh(K)[1]
+    U = U.reshape(U.shape[:-1] + (2, 4))[..., ::-1, :].swapaxes(-3, -2)
+    c = U[..., 0, :]
+    # t = +-1 with t c_0 <= 0, so that w = e_1 - t c / |c| does not cancel; H e_1 = t c / |c|
+    t = np.copysign(1.0, -c[..., 0])
+    w = _E4[0] - c * (t / _norm(c))[..., None]
+    H = _E4 - w[..., :, None] * (w / w[..., :1])[..., None, :]
+    return (U @ H) * t[..., None, None]
 
 
 def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
@@ -384,8 +378,8 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
 
 def _basis_change_deviation(off: np.ndarray, M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """`basis_invariance_check` for stacked off-diagonals, M (..., 3, 3) and shifts (..., 3)."""
-    s = _families(off)[3]
-    moved = _families(M @ off + shifts[..., None] * _ONE)[3]
+    s = _Stack(None, off).families[3]
+    moved = _Stack(None, M @ off + shifts[..., None] * _ONE).families[3]
     # det M < 0 swaps the two family labels
     moved = np.where((np.linalg.det(M) < 0)[..., None, None], moved[..., ::-1, :], moved)
     return _norm(moved - s).max(-1)
@@ -394,7 +388,8 @@ def _basis_change_deviation(off: np.ndarray, M: np.ndarray, shifts: np.ndarray) 
 class _Stack:
     """Stacked matrices, diagonals (n, 3) and off-diagonals (n, 3, 8), with the
     invariants of this module, each computed on first use.  A caller that has already
-    tested every row's class passes it as `kind`."""
+    tested every row's class passes it as `kind`; one that reads only invariants of the
+    off-diagonals, of any stacked shape, may pass no diagonals."""
 
     def __init__(self, dia: np.ndarray, off: np.ndarray, kind: str = None):
         self.dia, self.off = dia, off
@@ -407,9 +402,22 @@ class _Stack:
         return cls(*outer_entries(v.reshape(-1, 24).T))
 
     @cached_property
-    def alpha(self) -> np.ndarray:
-        """The associators [a, b, c] (n, 8)."""
-        return _alpha(self.off)
+    def L(self) -> np.ndarray:
+        """The left multiplication matrices of a, b, c (n, 3, 8, 8)."""
+        return left_mul_matrix(self.off)
+
+    @cached_property
+    def alpha_phi(self) -> tuple[np.ndarray, np.ndarray]:
+        """The associators [a, b, c] (n, 8) and phi (n,), from shared products."""
+        return _alpha_phi(self.off, self.L)
+
+    alpha = property(lambda self: self.alpha_phi[0])
+    phi = property(lambda self: self.alpha_phi[1])
+
+    @cached_property
+    def associative(self) -> np.ndarray:
+        """Where the associator test of `_associative` finds a row associative (n,)."""
+        return _associative(self.off, self.alpha)
 
     @cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -420,18 +428,22 @@ class _Stack:
     def codes(self) -> np.ndarray:
         """Each matrix's class, as an index into `_TAGS` (n,).  A stack with no associative
         row is octonionic throughout, decided without the rank SVD of `classes`."""
-        if _associative(self.off, self.alpha).any():
+        if self.associative.any():
             return self.classes[0]
         return np.full(len(self.dia), _TAGS.index(OCTONIONIC))
 
     @cached_property
-    def phi(self) -> np.ndarray:
-        return _phi(self.off)
+    def roots(self) -> np.ndarray:
+        """The family roots r1 >= r2 (n, 2), which `bases` reads without the generators."""
+        return _roots(self.phi, self.alpha)
 
     @cached_property
     def families(self) -> tuple:
-        """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8)."""
-        return _families(self.off, self.alpha, self.phi)
+        """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8), or
+        DegenerateFamily where a row is associative."""
+        if self.associative.any():
+            raise _degenerate()
+        return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
 
     def contexts(self, i: int) -> tuple[FamilyContext, FamilyContext]:
         """Row i's two FamilyContexts, from `families`."""
@@ -448,12 +460,12 @@ class _Stack:
     def bases(self) -> tuple[np.ndarray, np.ndarray]:
         """For a stack of one class, the family roots r (n, F) and orthonormal bases B
         (n, F, 8, k) of subspaces of O whose span in each slot A maps into itself, each
-        eigenvalue of real multiplicity k there.  Octonionic: T_m = range P_m, starting
-        with P_m 1 = s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
+        eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
+        r_m, starting with s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
         determinant gap det(Abar) - det(A) (k = 4).  Complex and real: (1, i0) (k = 2)."""
         tag = _TAGS[self.codes[0]]
         if tag == OCTONIONIC:
-            return self.families[2], _range_basis(self.P)
+            return self.roots, _family_bases(self.K)
         zero = np.zeros((len(self.dia), 1))
         if tag == QUATERNIONIC:
             Hb, ell = self.split[0].swapaxes(-1, -2), self.split[1]
@@ -464,7 +476,7 @@ class _Stack:
 
     @cached_property
     def K(self) -> np.ndarray:
-        return _k(self.off)
+        return _k(self.L)
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -495,7 +507,7 @@ class _Stack:
 
     @cached_property
     def frobenius(self) -> np.ndarray:
-        return np.sqrt((self.dia * self.dia).sum(-1) + 2.0 * inner(self.off, self.off).sum(-1))
+        return np.sqrt(np.vecdot(self.dia, self.dia) + 2.0 * np.vecdot(self.off, self.off).sum(-1))
 
     def act(self, y: np.ndarray) -> np.ndarray:
         """A y for vectors y (n, 3, 8)."""

@@ -362,6 +362,21 @@ def test_nearly_parallel_imaginary_parts_route_quaternionic_accurately(tmp_path)
         assert data["worst_residual"] <= 1e-8
 
 
+def test_the_complex_unit_is_the_largest_imaginary_part(tmp_path):
+    # a's imaginary part, 1e-10 e1, is below the class test's cut and b's, e2, is not: the
+    # matrix is complex along e2, and taking i0 from a left residuals of 0.92, exit 1
+    mat, vec, out = tmp_path / "m.json", tmp_path / "x.json", tmp_path / "out.json"
+    e = np.eye(8)
+    mat.write_text(json.dumps({"d": 0.3, "e": -0.2, "f": 0.5, "a": (1e-10 * e[1]).tolist(),
+                               "b": e[2].tolist(), "c": [0.0] * 8}))
+    vec.write_text(json.dumps(np.random.default_rng(0).uniform(-1, 1, (3, 8)).tolist()))
+    for argv in (["eigen", str(mat)], ["project", str(mat), str(vec)]):
+        assert main([*argv, "--out", str(out)]) == 2
+        data = json.loads(out.read_text())
+        assert data["routed_path"] == "complex"
+        assert data["worst_residual"] <= 1e-9
+
+
 # floats whose repr takes each form: signed zeros, subnormals, the exponent switch
 # at 1e-5 and 1e16, and the non-finite values the stdlib writes as Infinity and NaN
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.999999999999999e-05,

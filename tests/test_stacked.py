@@ -9,16 +9,19 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from octeig import subspace
+from octeig import projection, spectral, subspace
+from octeig.errors import DegenerateFamily
 from octeig.harness import random_hermitian, random_vector
 from octeig.hermitian import _TAGS, Hermitian3, OctVector3, classify, det, outer, sigma
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
-from octeig.spectral import _RESIDUALS, _Systems, eigensystem, eigenvectors
-from octeig.subspace import _Stack
+from octeig.spectral import (_RESIDUALS, _slotwise, _Systems, eigensystem, eigenvectors,
+                             realify_rank_one)
+from octeig.subspace import _Stack, quaternionic_split
+from octeig.tolerances import ZERO_PART_TOL
 
 KINDS = ("octonionic", "quaternionic", "complex", "real")
 SCALES = (1e-8, 1e-3, 1.0, 1e3, 1e8)
@@ -186,6 +189,118 @@ def test_one_stack_per_matrix(monkeypatch):
         if kind == "octonionic":
             six_way(A, x)
         assert (calls["stack"], calls["svd"], calls["k"]) == (1, 1, int(kind == "octonionic")), kind
+
+
+def test_the_octonionic_solve_takes_one_eigh_of_k_and_no_rank_one_forms(monkeypatch):
+    # the family bases come from one eigh of K, not from eigh(P_m) and a QR, and the split
+    # from two stacked octonion products, not from the 24x24 forms of v v^dagger
+    seen = {"eigh": [], "qr": 0, "P": 0, "rank_one": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def eigh(a, *args, real_eigh=np.linalg.eigh, **kwargs):
+        seen["eigh"].append(a)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(_Stack, "P", property(counted("P", _Stack.P.func)))
+    for mod in (spectral, projection):
+        monkeypatch.setattr(mod, "realify_rank_one", counted("rank_one", spectral.realify_rank_one),
+                            raising=False)
+    rng = np.random.default_rng(49)
+    for A, x in [(random_hermitian(rng), random_vector(rng)) for _ in range(3)]:
+        seen.update(eigh=[], qr=0, P=0, rank_one=0)
+        eigensystem(A), six_way(A, x)
+        K, sub = seen.pop("eigh")
+        assert seen == {"qr": 0, "P": 0, "rank_one": 0}
+        assert K.shape == (1, 8, 8) and bits(K) == bits(A._stack.K)
+        assert sub.shape == (1, 2, 12, 12)
+
+
+def test_a_stack_given_the_octonionic_class_still_tests_the_associator():
+    rng = np.random.default_rng(50)
+    for kind in ("quaternionic", "complex", "real"):
+        S = _Stack(*stack([random_hermitian(rng), random_hermitian(rng, kind)]), "octonionic")
+        with pytest.raises(DegenerateFamily):
+            S.families
+
+
+def nudged(seed, exponent, nudge):
+    """An octonionic matrix times 10^exponent; with a nudge, a quaternionic one whose a moves
+    off the subalgebra by 10^nudge |a| along the unit direction orthogonal to it."""
+    rng = np.random.default_rng(seed)
+    if nudge is None:
+        return random_hermitian(rng).scale(10.0 ** exponent)
+    Q = random_hermitian(rng, "quaternionic")
+    ell = quaternionic_split(Q)[1]
+    return Hermitian3(Q.d, Q.e, Q.f, Q.a + ell * (10.0 ** nudge * Q.a.norm()), Q.b,
+                      Q.c).scale(10.0 ** exponent)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+       nudge=st.none() | st.floats(-8.0, -3.0))
+def test_family_bases_span_the_eigenspaces_of_k(seed, exponent, nudge):
+    # K is formed with rounding of eps |a||b||c|, which the subspaces feel over the gap
+    # r1 - r2, and the direction of s_m over |s_m| besides
+    A = nudged(seed, exponent, nudge)
+    S = A._stack
+    assume(_TAGS[S.codes[0]] == "octonionic")
+    _, _, rs, s = (x[0] for x in S.families)
+    eps = np.finfo(float).eps
+    size = A.a.norm() * A.b.norm() * A.c.norm()
+    for m, B in enumerate(S.B[0]):
+        s_norm = np.linalg.norm(s[m])
+        assert np.abs(B.T @ B - np.eye(4)).max() <= 64 * eps
+        assert np.abs(B[:, 0] - s[m] / s_norm).max() <= 64 * eps * size / (rs[0] - rs[1]) / s_norm
+        assert np.abs(S.K[0] @ B - rs[m] * B).max() <= 64 * eps * size
+        assert np.abs(B @ B.T - subspace.family_projector(A, m + 1)).max() <= (
+            64 * eps * size / (rs[0] - rs[1]))
+
+
+def assert_parts_are_the_rank_one_forms(A, x):
+    # the split as it was: x_1 = Q_1 Q_1^T x, Q_1 = kron(I3, B_1), and each part the 24x24
+    # real form of v v^dagger applied to its family's piece
+    S = A._stack
+    parts = _six_way(S, x[None])[0][0]
+    Q = _slotwise(S.B[0, 0])
+    x1 = Q @ (Q.T @ x) if S.nfam[0] == 2 else x
+    forms = realify_rank_one(S.V[0].reshape(6, 24).T).reshape(2, 3, 24, 24)
+    want = np.matvec(forms, np.stack([x1, x - x1])[:, None])
+    zero = ~parts.any(-1)
+    eps, size = np.finfo(float).eps, np.linalg.norm(x)
+    assert np.abs(parts - want).max(-1)[~zero].max(initial=0.0) <= 16 * eps * size
+    assert np.linalg.norm(want, axis=-1)[zero].max(initial=0.0) <= ZERO_PART_TOL * size
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+       x_exponent=st.floats(-3.0, 3.0))
+def test_six_way_parts_are_the_rank_one_forms(kind, seed, exponent, x_exponent):
+    rng = np.random.default_rng(seed)
+    A = random_hermitian(rng, kind).scale(10.0 ** exponent)
+    assert_parts_are_the_rank_one_forms(A, random_vector(rng).to_coords() * 10.0 ** x_exponent)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+       nudge=st.floats(-8.0, -3.0))
+def test_six_way_parts_near_the_quaternionic_boundary_are_the_rank_one_forms(seed, exponent,
+                                                                             nudge):
+    A = nudged(seed, exponent, nudge)
+    assert_parts_are_the_rank_one_forms(A, random_vector(np.random.default_rng(seed)).to_coords())
+
+
+def test_six_way_parts_of_clusters_are_the_rank_one_forms():
+    rng = np.random.default_rng(51)
+    for A in cluster_cases(rng):
+        assert_parts_are_the_rank_one_forms(A, random_vector(rng).to_coords())
 
 
 def residuals(A, x):
