@@ -8,11 +8,11 @@ eigensystems and six-way splits are computed as one stack each.  `fuzz` draws
 all its (matrix, vector) samples as one block of the doubles that alternating
 `random_hermitian`/`random_vector` calls would draw, and classifies them as one
 stack.  A masked uniform draw has its mask's class with probability one, so each
-sampler draws once and raises on a matrix of another class.
+sampler draws once, class-tests the stack its checks read, and raises on another class.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -24,12 +24,10 @@ from .hermitian import (
     _TAGS,
     Hermitian3,
     OctVector3,
-    _alpha,
-    _associative,
-    _classes,
+    _lazy,
     _vnorm,
 )
-from .octonion import _ONE, _norm, Octonion, associator, conj, inner, left_mul_matrix, mul
+from .octonion import _CONJ, _ONE, _norm, _product, Octonion, left_mul_matrix
 from .projection import _six_way
 from .spectral import _RESIDUALS, _Systems, _family_dimensions, _lambda_roots, _same_family
 from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance, _Stack
@@ -93,47 +91,54 @@ def random_hermitian(rng, kind: str = OCTONIONIC) -> Hermitian3:
     return Hermitian3(d, e, f, Octonion(a), Octonion(b), Octonion(c))
 
 
-def _rejected(off: np.ndarray, code: int) -> np.ndarray:
-    """Where off-diagonals (..., 3, 8) are not of class `code`, an index into _TAGS: the
-    same decision as `_classes(off, alpha)[0] != code`.  Code 3, octonionic, is decided
-    by the associator alone, so only the lower classes pay for the rank SVD."""
-    al = _alpha(off)
-    if code == _TAGS.index(OCTONIONIC):
-        return _associative(off, al)
-    return _classes(off, al)[0] != code
+def _rejected(A, code: int) -> np.ndarray:
+    """Where a `_Stack`'s matrices, or off-diagonals (..., 3, 8), are not of class `code`, an
+    index into _TAGS, as `_classes(off, alpha)[0] != code`, cached on the stack.  Octonionic is
+    decided by the associator alone, so only the lower classes pay for the rank SVD."""
+    A = A if isinstance(A, _Stack) else _Stack(None, A)
+    return A.associative if code == _TAGS.index(OCTONIONIC) else A.classes[0] != code
+
+
+def _masked_stack(kind: str, dia: np.ndarray, off: np.ndarray) -> _Systems:
+    """Drawn matrices as one stack, off-diagonals masked in place to class `kind`, after its
+    one class test, whose associators the checks and pools read: another class raises."""
+    mask = _COORD_MASKS[kind]
+    if mask is not None:
+        off *= np.bincount(mask, minlength=8)
+    A = _Systems(dia, off)
+    if _rejected(A, _TAGS.index(kind)).any():
+        raise RuntimeError(f"failed to sample a {kind} matrix")
+    return A
+
+
+def _draw_stack(rng, n: int, kind: str) -> _Systems:
+    """n random matrices of class `kind`, diagonals (n, 3) drawn before off-diagonals (n, 3, 8)."""
+    return _masked_stack(kind, rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3, 8)))
 
 
 def _draw_hermitian(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (n, 3) and off-diagonals (n, 3, 8) of n random matrices of class
-    `kind`, drawn once; a matrix of another class raises, as in `random_hermitian`."""
-    mask = _COORD_MASKS[kind]
-    dia, off = rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3, 8))
-    if mask is not None:
-        off *= np.bincount(mask, minlength=8)
-    if _rejected(off, _TAGS.index(kind)).any():
-        raise RuntimeError(f"failed to sample a {kind} matrix")
-    return dia, off
+    """Diagonals (n, 3) and off-diagonals (n, 3, 8) of `_draw_stack`."""
+    A = _draw_stack(rng, n, kind)
+    return A.dia, A.off
 
 
 # doubles per fuzz sample: a matrix (3 diagonal, then a, b, c) and a vector
 _MATRIX, _SAMPLE = 27, 51
 
 
-def _draw_samples(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (n, 3), off-diagonals (n, 3, 8) and vectors (n, 24) of n fuzz samples:
-    the doubles of n alternating `random_hermitian(rng, kind)` and `random_vector(rng)`
-    calls, drawn as one (n, 51) block and classified as one stack, which raises as
-    `random_hermitian` does if a matrix is of another class.
-    """
-    mask = _COORD_MASKS[kind]
+def _draw_fuzz(rng, n: int, kind: str) -> tuple[_Systems, np.ndarray]:
+    """n fuzz samples as one `_Systems` stack and vectors (n, 24): the doubles of n alternating
+    `random_hermitian(rng, kind)` and `random_vector(rng)` calls, drawn as one (n, 51) block."""
     rows = rng.uniform(-1.0, 1.0, (n, _SAMPLE))
-    if mask is not None:
-        rows[:, 3:_MATRIX] *= np.tile(np.bincount(mask, minlength=8), 3)
-    if _rejected(rows[:, 3:_MATRIX].reshape(n, 3, 8), _TAGS.index(kind)).any():
-        raise RuntimeError(f"failed to sample a {kind} matrix")
     # contiguous copies, so the stacked kernels see the layout of freshly built arrays
-    return (rows[:, :3].copy(), rows[:, 3:_MATRIX].reshape(n, 3, 8).copy(),
-            rows[:, _MATRIX:].copy())
+    A = _masked_stack(kind, rows[:, :3].copy(), rows[:, 3:_MATRIX].reshape(n, 3, 8).copy())
+    return A, rows[:, _MATRIX:].copy()
+
+
+def _draw_samples(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals (n, 3), off-diagonals (n, 3, 8) and vectors (n, 24) of `_draw_fuzz`."""
+    A, x = _draw_fuzz(rng, n, kind)
+    return A.dia, A.off, x
 
 
 def _check_samples(samples: int) -> int:
@@ -155,8 +160,8 @@ class _Context:
         """n fresh samples (default: the run's count) of the given shape, uniform in [-1, 1]."""
         return self.rng.uniform(-1.0, 1.0, (n or self.n,) + shape)
 
-    def matrices(self) -> _Stack:
-        return _Stack(*_draw_hermitian(self.rng, self.n, OCTONIONIC))
+    def matrices(self) -> _Systems:
+        return _draw_stack(self.rng, self.n, OCTONIONIC)
 
     def t_element(self, A: _Stack) -> np.ndarray:
         """A random element of each matrix's T: uniform coefficients on its basis rows."""
@@ -172,15 +177,14 @@ class _Context:
         x = self.uniform(*shape, 8)
         return np.matvec(P if x.ndim == 2 else P[:, None], x)
 
-    @cached_property
+    @_lazy
     def oct_pool(self) -> _Systems:
-        return _Systems(*_draw_hermitian(np.random.default_rng(self.rng.integers(2 ** 63)),
-                                         self.n, OCTONIONIC))
+        return _draw_stack(np.random.default_rng(self.rng.integers(2 ** 63)), self.n, OCTONIONIC)
 
-    @cached_property
+    @_lazy
     def quat_pool(self) -> _Systems:
-        return _Systems(*_draw_hermitian(np.random.default_rng(self.rng.integers(2 ** 63)),
-                                         max(1, self.n // 4), QUATERNIONIC), QUATERNIONIC)
+        return _draw_stack(np.random.default_rng(self.rng.integers(2 ** 63)), max(1, self.n // 4),
+                           QUATERNIONIC)
 
 
 def _scale(*terms):
@@ -200,41 +204,44 @@ class _Checks(_Context):
     def composition_norm(self):
         p, q = self.uniform(8), self.uniform(8)
         pq = _norm(p) * _norm(q)
-        return np.abs(_norm(mul(p, q)) - pq) / np.maximum(NORM_FLOOR, pq)
+        return np.abs(_norm(_product(p, q)) - pq) / np.maximum(NORM_FLOOR, pq)
 
     def alternativity(self):
         p, q = self.uniform(8), self.uniform(8)
-        np_, nq = _norm(p), _norm(q)
-        return (np.maximum(_norm(associator(p, p, q)), _norm(associator(p, q, q)))
-                / _scale(np_ ** 2 * nq, np_ * nq ** 2))
+        np_, nq, pq = _norm(p), _norm(q), _product(p, q)
+        # the associators (pp)q - p(pq) and (pq)q - p(qq)
+        left, right = (_product(_product(p, p), q) - _product(p, pq),
+                       _product(pq, q) - _product(p, _product(q, q)))
+        return np.maximum(_norm(left), _norm(right)) / _scale(np_ ** 2 * nq, np_ * nq ** 2)
 
     def conjugation_antihomomorphism(self):
         e, p, q = np.eye(8), self.uniform(8), self.uniform(8)
-        units, drawn = (_norm(conj(mul(a, b)) - mul(conj(b), conj(a)))
+        units, drawn = (_norm(_product(a, b) * _CONJ - _product(b * _CONJ, a * _CONJ))
                         for a, b in ((e[:, None], e[None, 1:]), (p, q)))
         return np.maximum(units.max(), drawn / _scale(_norm(p) * _norm(q)))
 
     def inner_product_coincidence(self):
         p, q = self.uniform(8), self.uniform(8)
-        form = 0.5 * (mul(p, conj(q)) + mul(q, conj(p)))[:, 0]
-        form2 = 0.5 * (mul(conj(p), q) + mul(conj(q), p))[:, 0]
-        ip = inner(p, q)
+        pc, qc = p * _CONJ, q * _CONJ
+        form = 0.5 * (_product(p, qc) + _product(q, pc))[:, 0]
+        form2 = 0.5 * (_product(pc, q) + _product(qc, p))[:, 0]
+        ip = np.vecdot(p, q)
         return np.maximum(np.abs(form - ip), np.abs(form2 - ip)) / _scale(_norm(p) * _norm(q))
 
     def trace_form_associativity(self):
         x, y, z = self.uniform(8), self.uniform(8), self.uniform(8)
-        return (np.abs(mul(mul(x, y), z)[:, 0] - mul(x, mul(y, z))[:, 0])
+        return (np.abs(_product(_product(x, y), z)[:, 0] - _product(x, _product(y, z))[:, 0])
                 / _scale(_norm(x) * _norm(y) * _norm(z)))
 
     def left_mul_isometry(self):
         q = self.uniform(8)
-        L, n2 = left_mul_matrix(q), inner(q, q)
+        L, n2 = left_mul_matrix(q), np.vecdot(q, q)
         gram = L.swapaxes(-1, -2) @ L - n2[:, None, None] * np.eye(8)
         return np.abs(gram).max((-2, -1)) / _scale(n2)
 
     def sigma_closed_form(self):
         A = self.matrices()
-        (d, e, f), n2 = A.dia.T, inner(A.off, A.off).T
+        (d, e, f), n2 = A.dia.T, np.vecdot(A.off, A.off).T
         closed = d * e + e * f + f * d - n2[0] - n2[1] - n2[2]
         return np.abs(A.sigma - closed) / _scale(np.abs(closed))
 
@@ -245,7 +252,7 @@ class _Checks(_Context):
 
     def r_root_relations(self):
         ph, al, rs, _ = self.matrices().families
-        (r1, r2), al2 = rs.T, inner(al, al)
+        (r1, r2), al2 = rs.T, np.vecdot(al, al)
         return (np.maximum(np.abs(r1 + r2 + 4.0 * ph), np.abs(r1 * r2 + al2))
                 / _scale(np.abs(r1), np.abs(r2), al2))
 
@@ -259,8 +266,8 @@ class _Checks(_Context):
     def s_normalization(self):
         ph, al, rs, s = self.matrices().families
         s1, s2 = s[:, 0], s[:, 1]
-        cross = mul(conj(s1), s2)
-        coef = inner(cross, al) / inner(al, al)
+        cross = _product(s1 * _CONJ, s2)
+        coef = np.vecdot(cross, al) / np.vecdot(al, al)
         return np.maximum.reduce([
             _norm(s1 + s2 - _ONE),
             _norm(s1 - s1 * _ONE - al / (2.0 * (rs[:, 0] + 2.0 * ph))[:, None]),  # Im s1
@@ -269,26 +276,26 @@ class _Checks(_Context):
     def k_on_t(self):
         A = self.matrices()
         al, t = A.families[1], self.t_element(A)
-        return _norm(np.matvec(A.K, t) - mul(t, al)) / _scale(_norm(t) * _norm(al))
+        return _norm(np.matvec(A.K, t) - _product(t, al)) / _scale(_norm(t) * _norm(al))
 
     def k_on_t_perp(self):
         A = self.matrices()
         ph, al = A.families[:2]
-        u = mul(self.t_element(A), al)
-        rhs = -1.0 * mul(u, al + (4.0 * ph)[:, None] * _ONE)
+        u = _product(self.t_element(A), al)
+        rhs = -1.0 * _product(u, al + (4.0 * ph)[:, None] * _ONE)
         scale = _scale(_norm(u) * _norm(al), _norm(u) * np.abs(4 * ph))
         return _norm(np.matvec(A.K, u) - rhs) / scale
 
     def k_operator_quadratic(self):
         A, p = self.matrices(), self.uniform(8)
         ph, al = A.families[:2]
-        al2, kp = inner(al, al), np.matvec(A.K, p)
+        al2, kp = np.vecdot(al, al), np.matvec(A.K, p)
         resid = np.matvec(A.K, kp) + kp * (4.0 * ph)[:, None] - p * al2[:, None]
         return _norm(resid) / _scale(al2 * _norm(p))
 
     def k_self_adjoint(self):
         A, p, q = self.matrices(), self.uniform(8), self.uniform(8)
-        return (np.abs(inner(np.matvec(A.K, p), q) - inner(p, np.matvec(A.K, q)))
+        return (np.abs(np.vecdot(np.matvec(A.K, p), q) - np.vecdot(p, np.matvec(A.K, q)))
                 / _scale(A.frobenius ** 3 * _norm(p) * _norm(q)))
 
     def k_projector_algebra(self):
@@ -303,18 +310,18 @@ class _Checks(_Context):
     def cayley_dickson_table(self):
         A = self.matrices()
         t1, t2, al = self.t_element(A), self.t_element(A), A.families[1]
-        return _cd_residuals(al, t1, t2).max(-1) / _scale(_norm(t1) * _norm(t2) * inner(al, al))
+        return _cd_residuals(al, t1, t2).max(-1) / _scale(_norm(t1) * _norm(t2) * np.vecdot(al, al))
 
     def t_perp_is_t_alpha(self):
         A = self.matrices()
-        ta, keep = _gram_schmidt(mul(A.T, A.families[1][:, None]))
+        ta, keep = _gram_schmidt(_product(A.T, A.families[1][:, None]))
         return np.where(keep.all(-1), np.abs(A.T @ ta.swapaxes(-1, -2)).max((-2, -1)), np.inf)
 
     def t2_is_t1_alpha(self):
         A = self.matrices()
         _, al, _, s = A.families
-        basis1, basis2 = (_gram_schmidt(mul(A.T, s[:, m, None]))[0] for m in (0, 1))
-        lifted = _gram_schmidt(mul(basis1, al[:, None]))[0]
+        basis1, basis2 = (_gram_schmidt(_product(A.T, s[:, m, None]))[0] for m in (0, 1))
+        lifted = _gram_schmidt(_product(basis1, al[:, None]))[0]
         proj2, projl = (B.swapaxes(-1, -2) @ B for B in (basis2, lifted))
         return np.abs(proj2 - projl).max((-2, -1))
 
@@ -323,9 +330,9 @@ class _Checks(_Context):
         ph, al, rs, _ = A.families
         # per family m, along axis 1: gen = r_m + 4 phi + alpha, and T gen
         gen = (rs + 4.0 * ph[:, None])[..., None] * _ONE + al[:, None]
-        q = mul(np.vecmat(self.uniform(2, 4), A.T[:, None]), gen)
+        q = _product(np.vecmat(self.uniform(2, 4), A.T[:, None]), gen)
         qm = np.matvec(A.P, self.uniform(2, 8))
-        span = _gram_schmidt(mul(A.T[:, None], gen[:, :, None]))[0]
+        span = _gram_schmidt(_product(A.T[:, None], gen[:, :, None]))[0]
         return np.maximum(
             _norm(np.matvec(A.K[:, None], q) - q * rs[..., None]) / _scale(np.abs(rs) * _norm(q)),
             _span_distance(qm, span) / _scale(_norm(qm))).max(-1)
@@ -333,13 +340,17 @@ class _Checks(_Context):
     def family_product_in_t(self):
         A = self.matrices()
         p, q = np.matvec(A.P, self.uniform(2, 8)), np.matvec(A.P, self.uniform(2, 8))
-        return (_span_distance(mul(p, conj(q)), A.T[:, None]) / _scale(_norm(p) * _norm(q))).max(-1)
+        return (_span_distance(_product(p, q * _CONJ), A.T[:, None])
+                / _scale(_norm(p) * _norm(q))).max(-1)
 
     def family_associator_multiplier(self):
         A = self.matrices()
         p1, p2 = self.t_element(A)[:, None], self.t_element(A)[:, None]
         qa, qb = np.matvec(A.P, self.uniform(2, 8)), np.matvec(A.P, self.uniform(2, 8))
-        pa, pb = (mul(associator(p1, p2, q), conj(q) / inner(q, q)[..., None]) for q in (qa, qb))
+        p12 = _product(p1, p2)
+        # the associator (p1 p2) q - p1 (p2 q) times q^-1
+        pa, pb = (_product(_product(p12, q) - _product(p1, _product(p2, q)),
+                           q * _CONJ / np.vecdot(q, q)[..., None]) for q in (qa, qb))
         usable = (_norm(qa) >= NORMALIZE_TOL) & (_norm(qb) >= NORMALIZE_TOL)
         return (np.where(usable, _norm(pa - pb), 0.0) / _scale(_norm(p1) * _norm(p2))).max(-1)
 
@@ -347,7 +358,7 @@ class _Checks(_Context):
         A, M = self.matrices(), self.uniform(3, 3)
         while (bad := np.abs(np.linalg.det(M)) <= 0.05).any():
             M[bad] = self.uniform(3, 3, n=bad.sum())
-        return _basis_change_deviation(A.off, M, self.uniform(3))
+        return _basis_change_deviation(A, M, self.uniform(3))
 
     identity_decomposition = _pool_residual("identity_decomposition")
     matrix_decomposition = _pool_residual("matrix_decomposition")
@@ -363,7 +374,7 @@ class _Checks(_Context):
     def general_projection_idempotence(self):
         P = self.family()[0]
         y, z = self.project(P, 3), self.project(P, 3)
-        return _Stack.outer(y).membership(z) / _scale(inner(y, y).sum(-1) ** 2 * _vnorm(z))
+        return _Stack.outer(y).membership(z) / _scale(np.vecdot(y, y).sum(-1) ** 2 * _vnorm(z))
 
     def restricted_projector_orthogonality(self):
         P, V, _ = self.family()
@@ -379,7 +390,7 @@ class _Checks(_Context):
 
     def vector_self_associator(self):
         v = self.uniform(3, 8)
-        resid = _Stack.outer(v).act(v) - v * inner(v, v).sum(-1)[:, None, None]
+        resid = _Stack.outer(v).act(v) - v * np.vecdot(v, v).sum(-1)[:, None, None]
         return _vnorm(resid) / _scale(_vnorm(v) ** 3)
 
     def family_r_relation(self):
@@ -405,8 +416,8 @@ class _Checks(_Context):
         y = self.project(self.family()[0], 3)
         B, n = _Stack.outer(y), _vnorm(y)
         # B's a, b, c are y1 conj(y2), y3 conj(y1), y2 conj(y3), with norms d1 d2, d3 d1, d2 d3
-        entries = _norm(B.off - mul(y[:, [0, 2, 1]], conj(y[:, [1, 0, 2]]))).max(-1)
-        norms = np.abs(inner(B.off, B.off) - B.dia[:, [0, 2, 1]] * B.dia[:, [1, 0, 2]]).max(-1)
+        entries = _norm(B.off - _product(y[:, [0, 2, 1]], y[:, [1, 0, 2]] * _CONJ)).max(-1)
+        norms = np.abs(np.vecdot(B.off, B.off) - B.dia[:, [0, 2, 1]] * B.dia[:, [1, 0, 2]]).max(-1)
         return np.maximum(entries / _scale(n ** 2), norms / _scale(n ** 4))
 
     def family_triple_contraction(self):
@@ -414,11 +425,13 @@ class _Checks(_Context):
         y, q = self.project(P, 3), self.project(P)
         B, qs = _Stack.outer(y), q[:, None]
         t = B.off[:, [2, 1, 0]]                     # t1 = c, t2 = b, t3 = a
+        tc = t * _CONJ
         # for each cyclic (i, j, k): t_j (t_k q) = (conj(t_i) q) d_i and
         # conj(t_i)(conj(t_k) q) = (t_j q) d_j
-        first = mul(t[:, [1, 2, 0]], mul(t[:, [2, 0, 1]], qs)) - mul(conj(t), qs) * B.dia[..., None]
-        second = (mul(conj(t), mul(conj(t[:, [2, 0, 1]]), qs))
-                  - mul(t[:, [1, 2, 0]], qs) * B.dia[:, [1, 2, 0], None])
+        first = (_product(t[:, [1, 2, 0]], _product(t[:, [2, 0, 1]], qs))
+                 - _product(tc, qs) * B.dia[..., None])
+        second = (_product(tc, _product(tc[:, [2, 0, 1]], qs))
+                  - _product(t[:, [1, 2, 0]], qs) * B.dia[:, [1, 2, 0], None])
         return (np.maximum(_norm(first), _norm(second)).max(-1)
                 / _scale(_vnorm(y) ** 4 * _norm(q)))
 
@@ -438,10 +451,10 @@ class _Checks(_Context):
 
     def quaternionic_lift(self):
         pool = self.quat_pool
-        (H, ell), conj_pool = pool.split, _Stack(pool.dia, conj(pool.off))
+        (H, ell), conj_pool = pool.split, _Stack(pool.dia, pool.off * _CONJ)
         v, ell = self.uniform(3, 4, n=len(H)) @ H, ell[:, None]
         # A (ell v) = ell (Abar v) for quaternionic v
-        lift = (_vnorm(pool.act(mul(ell, v)) - mul(ell, conj_pool.act(v)))
+        lift = (_vnorm(pool.act(_product(ell, v)) - _product(ell, conj_pool.act(v)))
                 / _scale(pool.frobenius * _vnorm(v)))
         # the spectrum over O is the union of both quaternionic spectra
         spectra = np.stack([_lambda_roots(M.trace, M.sigma, M.det) for M in (pool, conj_pool)], 1)
@@ -451,9 +464,9 @@ class _Checks(_Context):
     def quaternionic_split_orthogonality(self):
         H, ell = self.quat_pool.split
         return np.maximum.reduce([
-            _norm(mul(ell, ell) + _ONE),
-            np.abs(inner(ell[:, None], H)).max(-1),
-            np.abs(mul(ell[:, None], H) @ H.swapaxes(-1, -2)).max((-2, -1))])
+            _norm(_product(ell, ell) + _ONE),
+            np.abs(np.vecdot(ell[:, None], H)).max(-1),
+            np.abs(_product(ell[:, None], H) @ H.swapaxes(-1, -2)).max((-2, -1))])
 
     def quaternionic_six_way(self):
         pool = self.quat_pool
@@ -462,7 +475,7 @@ class _Checks(_Context):
         own = np.maximum(recon, residuals.max((-2, -1)))
         # family-1 parts agree with the plain quaternionic expansion v (v^dagger x1)
         x1, v = np.matvec((H.swapaxes(-1, -2) @ H)[:, None], x)[:, None], pool.V[:, 0]
-        classic = mul(v, mul(conj(v), x1).sum(-2)[:, :, None])
+        classic = _product(v, _product(v * _CONJ, x1).sum(-2)[:, :, None])
         return np.maximum(own, _vnorm(classic - parts[:, 0].reshape(-1, 3, 3, 8)).max(-1)
                           / _scale(_vnorm(x)))
 
@@ -497,8 +510,7 @@ def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
     if kind not in _COORD_MASKS:
         raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
     _check_samples(samples)
-    dia, off, x = _draw_samples(np.random.default_rng(seed), samples, kind)
-    pool = _Systems(dia, off, kind)
+    pool, x = _draw_fuzz(np.random.default_rng(seed), samples, kind)
     _, residuals, recon = _six_way(pool, x)
     worst = {name: pool.residuals[..., _RESIDUALS.index(key)].max() for name, key in (
         ("eigen-equation", "eigen"), ("identity-decomposition", "identity_decomposition"),

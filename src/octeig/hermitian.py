@@ -11,7 +11,6 @@ so hermiticity holds by construction.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,6 @@ from .octonion import (
     _Immutable,
     _norm,
     _product,
-    conj,
     left_mul_matrix,
 )
 from .tolerances import ASSOCIATOR_TOL, SPAN_TOL
@@ -137,6 +135,17 @@ class OctVector3(_Immutable):
                    for i, row in enumerate(data))
 
 
+class _lazy:
+    """`functools.cached_property` without the lock that it takes on every first read before
+    Python 3.12: func's value, stored in the instance's __dict__, where later reads find it."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 @dataclass(frozen=True, eq=False)
 class Hermitian3:
     d: float
@@ -204,7 +213,7 @@ class Hermitian3:
         octs = (_parse(f"field {k!r}", Octonion.from_json, data[k]) for k in ("a", "b", "c"))
         return cls(*reals, *octs)
 
-    @cached_property
+    @_lazy
     def _stack(self):
         """This matrix as a `spectral._Systems` stack of one, built on first use: every
         per-matrix helper reads its row 0.  It holds arrays only, no reference back."""
@@ -333,8 +342,9 @@ def _rank(rows: np.ndarray) -> np.ndarray:
     return (s > SPAN_TOL * s[..., :1]).sum(-1)
 
 
-def _classes(off: np.ndarray, al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index into _TAGS and dim T for off-diagonals (..., 3, 8) with associators al (..., 8)."""
+def _classes(off: np.ndarray, al: np.ndarray, assoc=None) -> tuple[np.ndarray, np.ndarray]:
+    """Index into _TAGS and dim T for off-diagonals (..., 3, 8) with associators al (..., 8)
+    and, unless given, their `_associative` mask assoc."""
     # one svd call: the rows (1, a, b, c), each nonzero one of unit norm so that dim T does
     # not depend on the scale, and the imaginary parts padded with a zero row
     rows = np.zeros(off.shape[:-2] + (2, 4, 8))
@@ -344,7 +354,8 @@ def _classes(off: np.ndarray, al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows[..., 1, 1:, 1:] = off[..., 1:]
     ranks = _rank(rows)
     dim_t, imag_rank = ranks[..., 0], ranks[..., 1]
-    return np.where(_associative(off, al), np.minimum(imag_rank, 2), 3), dim_t
+    assoc = _associative(off, al) if assoc is None else assoc
+    return np.where(assoc, np.minimum(imag_rank, 2), 3), dim_t
 
 
 def classify(A: Hermitian3) -> MatrixClass:
@@ -377,7 +388,7 @@ def outer_entries(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (n, 3) and a, b, c (n, 3, 8) of v v^dagger for each column v of V (24, n)."""
     X = V.T.reshape(-1, 3, 8)
     # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
-    off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), conj(X[:, [1, 0, 2]]))
+    off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
     return np.einsum("nsi,nsi->ns", X, X), off
 
 

@@ -15,7 +15,6 @@ the cubic for the harness.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .hermitian import (
     Hermitian3,
     MatrixClass,
     OctVector3,
+    _lazy,
     _vnorm,
     det,
     mat_vec,
@@ -35,7 +35,7 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import _CONJ, Octonion, _norm, _product, inner
+from .octonion import _CONJ, Octonion, _norm, _product
 from .subspace import FamilyContext, _read_only, _Stack, apply_blockwise, k_matrix
 from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
                          REAL_RANK_TOL)
@@ -329,25 +329,30 @@ class _Systems(_Stack):
     the root r (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3),
     eigenvectors V (n, 2, 3, 3, 8) and `_RESIDUALS` (n, 2, 5) of the groups."""
 
-    @cached_property
+    @_lazy
     def nfam(self) -> np.ndarray:
         return np.where(self.codes >= _TAGS.index(QUATERNIONIC), 2, 1)
 
-    @cached_property
+    @_lazy
     def _solved(self) -> tuple:
-        """r, B, lams, V and the groups, (rows, F, r, lams, V) per class."""
-        n, code = len(self.dia), self.codes
-        r, lams = np.zeros((n, 2)), np.zeros((n, 2, 3))
-        B, V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
-        groups = []
-        for c in sorted(set(code.tolist())):
-            rows = code == c
-            A = self if rows.all() else _Stack(self.dia[rows], self.off[rows], _TAGS[c])
+        """r, B, lams, V and the groups, (rows, F, r, lams, V) per class.  A stack of one
+        class with two families keeps its arrays as they are, unpadded and unscattered."""
+        n, classes = len(self.dia), sorted(set(self.codes.tolist()))
+        groups, bases = [], []
+        for c in classes:
+            rows = self.codes == c if len(classes) > 1 else slice(None)
+            A = self if len(classes) == 1 else _Stack(self.dia[rows], self.off[rows], _TAGS[c])
             r_c, B_c = A.bases
-            F, k = B_c.shape[1], B_c.shape[-1]
-            lams_c, V_c = _eigenpairs(A.R[:, None], _slotwise(B_c))
-            r[rows, :F], B[rows, :F, :, :k], lams[rows, :F], V[rows, :F] = r_c, B_c, lams_c, V_c
-            groups.append((rows, F, r_c, lams_c, V_c))
+            bases.append(B_c)
+            groups.append((rows, B_c.shape[1], r_c, *_eigenpairs(A.R[:, None], _slotwise(B_c))))
+        if len(groups) == 1 and groups[0][1] == 2:
+            (_, _, r, lams, V), B = groups[0], bases[0]
+        else:
+            r, lams = np.zeros((n, 2)), np.zeros((n, 2, 3))
+            B, V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
+            for (rows, F, r_c, lams_c, V_c), B_c in zip(groups, bases):
+                k = B_c.shape[-1]
+                r[rows, :F], B[rows, :F, :, :k], lams[rows, :F], V[rows, :F] = r_c, B_c, lams_c, V_c
         return r, B, lams, V.reshape(n, 2, 3, 3, 8), groups
 
     r = property(lambda self: self._solved[0])
@@ -355,12 +360,12 @@ class _Systems(_Stack):
     lams = property(lambda self: self._solved[2])
     V = property(lambda self: self._solved[3])
 
-    @cached_property
+    @_lazy
     def residuals(self) -> np.ndarray:
         # a mixed stack builds each class's stack again rather than keep it alive
         out = np.zeros((len(self.dia), 2, 5))
         for rows, F, *args in self._solved[4]:
-            A = self if rows.all() else _Stack(self.dia[rows], self.off[rows])
+            A = self if isinstance(rows, slice) else _Stack(self.dia[rows], self.off[rows])
             out[rows, :F] = _family_residuals(A, *args)
         return out
 
@@ -385,7 +390,7 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
 def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.ndarray:
     """`same_family` of stacked vectors u, w (n, 3, 8) without its class check, by tol |u|^4 |w|."""
     resid = _Stack.outer(u).membership(w)
-    return resid <= tol * _vnorm(w) * inner(u, u).sum(-1) ** 2
+    return resid <= tol * _vnorm(w) * np.vecdot(u, u).sum(-1) ** 2
 
 
 def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
@@ -400,14 +405,16 @@ def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
 
 
 def _family_dimensions(v: np.ndarray, samples: int = 24, seed: int = 0) -> np.ndarray:
-    """`family_dimension_probe` of each stacked vector v (n, 3, 8), by stacked SVDs."""
+    """`family_dimension_probe` of each stacked vector v (n, 3, 8), by a stacked eigh of the
+    symmetric membership map, whose |eigenvalues| are its singular values, and a stacked SVD."""
     B = _Stack.outer(v)
-    _, s, vh = np.linalg.svd(B.R @ B.R - B.trace[:, None, None] * B.R)
-    # the rows of vh past each rank span the nullspace; the others are zeroed
-    null = vh * (s <= REAL_RANK_TOL * s[:, :1])[..., None]
-    gauss = np.random.default_rng(seed).standard_normal((24, samples))
-    pts = null.swapaxes(-1, -2) @ (null @ gauss)
-    s = np.linalg.svd(pts, compute_uv=False)
+    w, U = np.linalg.eigh(B.R @ B.R - B.trace[:, None, None] * B.R)
+    # null: as rows, the eigenvectors with |w| within the rank cut, and zeros; the samples
+    # null^T (null g) that it projects have the singular values of null g
+    w = np.abs(w)
+    null = U.swapaxes(-1, -2) * (w <= REAL_RANK_TOL * w.max(-1, keepdims=True))[..., None]
+    s = np.linalg.svd(null @ np.random.default_rng(seed).standard_normal((24, samples)),
+                      compute_uv=False)
     return (s > REAL_RANK_TOL * s[:, :1]).sum(-1)
 
 

@@ -9,7 +9,6 @@ every eigensystem is taken on.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,6 +26,7 @@ from .hermitian import (
     _associative,
     _classes,
     _det,
+    _lazy,
     _sigma,
     _vnorm,
     alpha,
@@ -34,7 +34,7 @@ from .hermitian import (
     outer_entries,
     real_form,
 )
-from .octonion import _ONE, Octonion, _norm, _product, conj, inner, left_mul_matrix, mul
+from .octonion import _CONJ, _ONE, Octonion, _norm, _product, left_mul_matrix
 from .tolerances import COMPLEX_UNIT_TOL, NORMALIZE_TOL, SINGULAR_CHANGE_TOL, SPAN_TOL
 
 __all__ = [
@@ -108,16 +108,17 @@ def _gram_schmidt(X: np.ndarray, tol: float = SPAN_TOL) -> tuple[np.ndarray, np.
     """
     Q = np.zeros(X.shape)
     keep = np.zeros(X.shape[:-1], dtype=bool)
+    rows = []
     for j in range(X.shape[-2]):
-        x = X[..., j, :]
-        v = x
+        x = v = X[..., j, :]
         for _ in range(2):
-            for i in range(j):
-                v = v - Q[..., i, :] * inner(Q[..., i, :], v)[..., None]
+            for q in rows:
+                v = v - q * np.vecdot(q, v)[..., None]
         n = _norm(v)
-        keep[..., j] = n > tol * _norm(x)
-        inv = 1.0 / np.where(keep[..., j], n, 1.0)
-        Q[..., j, :] = np.where(keep[..., j, None], v * inv[..., None], 0.0)
+        kept = keep[..., j] = n > tol * _norm(x)
+        inv = 1.0 / np.where(kept, n, 1.0)
+        rows.append(np.where(kept[..., None], v * inv[..., None], 0.0))
+        Q[..., j, :] = rows[-1]
     return Q, keep
 
 
@@ -265,11 +266,11 @@ def cd_table_check(A: Hermitian3, t1: Octonion, t2: Octonion) -> tuple[float, fl
 
 def _cd_residuals(al: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """The three residual norms (..., 3) of `cd_table_check`, for stacked alpha, t1, t2."""
-    t1a = mul(t1, al)
+    t1a, t2a, t2c = _product(t1, al), _product(t2, al), t2 * _CONJ
     res = np.stack([
-        mul(t1, mul(t2, al)) - mul(mul(t2, t1), al),
-        mul(t1a, t2) - mul(mul(t1, conj(t2)), al),
-        mul(t1a, mul(t2, al)) + mul(conj(t2), t1) * inner(al, al)[..., None],
+        _product(t1, t2a) - _product(_product(t2, t1), al),
+        _product(t1a, t2) - _product(_product(t1, t2c), al),
+        _product(t1a, t2a) + _product(t2c, t1) * np.vecdot(al, al)[..., None],
     ], axis=-2)
     return _norm(res)
 
@@ -296,7 +297,7 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part, the cut of `_rank`.  So h2 never comes from a nearly parallel pair, whose tiny
     residual would amplify any component of the entries outside the subalgebra.  h1 h2
     completes the quaternion relations exactly; ell: the first unit e_i with residual
-    against H above NORMALIZE_TOL, normalized."""
+    against H, projected off it twice as a block, above NORMALIZE_TOL, normalized."""
     imag = np.where(_IMAG, off, 0.0)
     rows = np.arange(len(off))
     sizes = _norm(imag)
@@ -305,7 +306,7 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h1 = imag[first] * (1.0 / np.where(top > 0.0, top, 1.0))[:, None]
     resid = imag
     for _ in range(2):
-        resid = resid - h1[:, None] * inner(h1[:, None], resid)[..., None]
+        resid = resid - h1[:, None] * np.vecdot(h1[:, None], resid)[..., None]
     left = _norm(resid)
     left[first] = 0.0
     second = rows, left.argmax(-1)
@@ -313,11 +314,9 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
     h2 = resid[second] * (1.0 / left[second])[:, None]
     H = np.stack([np.broadcast_to(_ONE, h1.shape), h1, h2, _product(h1, h2)], axis=-2)
-    resid = np.broadcast_to(_EYE8[1:], (len(off), 7, 8))
+    resid = _EYE8[1:]
     for _ in range(2):
-        for j in range(4):
-            h = H[:, None, j]
-            resid = resid - h * inner(h, resid)[..., None]
+        resid = resid - (resid @ H.swapaxes(-1, -2)) @ H
     n = _norm(resid)
     found = n > NORMALIZE_TOL
     if not found.any(-1).all():
@@ -373,13 +372,13 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
     detm = float(np.linalg.det(M))
     if abs(detm) <= SINGULAR_CHANGE_TOL * float(np.abs(M).max()) ** 3:
         raise SingularChange("change of basis has numerically vanishing determinant")
-    return float(_basis_change_deviation(A._stack.off[0], M, np.asarray(shifts, dtype=float)))
+    return float(_basis_change_deviation(A._stack, M, np.asarray(shifts, dtype=float))[0])
 
 
-def _basis_change_deviation(off: np.ndarray, M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """`basis_invariance_check` for stacked off-diagonals, M (..., 3, 3) and shifts (..., 3)."""
-    s = _Stack(None, off).families[3]
-    moved = _Stack(None, M @ off + shifts[..., None] * _ONE).families[3]
+def _basis_change_deviation(A: "_Stack", M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """`basis_invariance_check` for stacked matrices A, M (n, 3, 3) and shifts (n, 3)."""
+    s = A.families[3]
+    moved = _Stack(None, M @ A.off + shifts[..., None] * _ONE).families[3]
     # det M < 0 swaps the two family labels
     moved = np.where((np.linalg.det(M) < 0)[..., None, None], moved[..., ::-1, :], moved)
     return _norm(moved - s).max(-1)
@@ -401,12 +400,12 @@ class _Stack:
         """The rank-one matrices v v^dagger of vectors v (n, 3, 8)."""
         return cls(*outer_entries(v.reshape(-1, 24).T))
 
-    @cached_property
+    @_lazy
     def L(self) -> np.ndarray:
         """The left multiplication matrices of a, b, c (n, 3, 8, 8)."""
         return left_mul_matrix(self.off)
 
-    @cached_property
+    @_lazy
     def alpha_phi(self) -> tuple[np.ndarray, np.ndarray]:
         """The associators [a, b, c] (n, 8) and phi (n,), from shared products."""
         return _alpha_phi(self.off, self.L)
@@ -414,17 +413,17 @@ class _Stack:
     alpha = property(lambda self: self.alpha_phi[0])
     phi = property(lambda self: self.alpha_phi[1])
 
-    @cached_property
+    @_lazy
     def associative(self) -> np.ndarray:
         """Where the associator test of `_associative` finds a row associative (n,)."""
         return _associative(self.off, self.alpha)
 
-    @cached_property
+    @_lazy
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,)."""
-        return _classes(self.off, self.alpha)
+        return _classes(self.off, self.alpha, self.associative)
 
-    @cached_property
+    @_lazy
     def codes(self) -> np.ndarray:
         """Each matrix's class, as an index into `_TAGS` (n,).  A stack with no associative
         row is octonionic throughout, decided without the rank SVD of `classes`."""
@@ -432,12 +431,12 @@ class _Stack:
             return self.classes[0]
         return np.full(len(self.dia), _TAGS.index(OCTONIONIC))
 
-    @cached_property
+    @_lazy
     def roots(self) -> np.ndarray:
         """The family roots r1 >= r2 (n, 2), which `bases` reads without the generators."""
         return _roots(self.phi, self.alpha)
 
-    @cached_property
+    @_lazy
     def families(self) -> tuple:
         """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8), or
         DegenerateFamily where a row is associative."""
@@ -451,12 +450,12 @@ class _Stack:
         return tuple(FamilyContext(m=m, r=float(r), phi=float(ph), alpha=Octonion(al),
                                    s=Octonion(s_m)) for m, r, s_m in zip((1, 2), rs, s))
 
-    @cached_property
+    @_lazy
     def split(self) -> tuple[np.ndarray, np.ndarray]:
         """H (n, 4, 8) and ell (n, 8) of `_quaternionic_split`."""
         return _quaternionic_split(self.off)
 
-    @cached_property
+    @_lazy
     def bases(self) -> tuple[np.ndarray, np.ndarray]:
         """For a stack of one class, the family roots r (n, F) and orthonormal bases B
         (n, F, 8, k) of subspaces of O whose span in each slot A maps into itself, each
@@ -469,43 +468,43 @@ class _Stack:
         zero = np.zeros((len(self.dia), 1))
         if tag == QUATERNIONIC:
             Hb, ell = self.split[0].swapaxes(-1, -2), self.split[1]
-            gap = _det(self.dia, conj(self.off)) - self.det
+            gap = _det(self.dia, self.off * _CONJ) - self.det
             return np.column_stack([zero, gap]), np.stack([Hb, left_mul_matrix(ell) @ Hb], axis=1)
         one = np.broadcast_to(_ONE, (len(self.dia), 8))
         return zero, np.stack([one, _complex_unit(self.off)], axis=-1)[:, None]
 
-    @cached_property
+    @_lazy
     def K(self) -> np.ndarray:
         return _k(self.L)
 
-    @cached_property
+    @_lazy
     def P(self) -> np.ndarray:
         """The family projectors (n, 2, 8, 8)."""
         ph, _, rs, _ = self.families
         return _projector(self.K[:, None], rs, ph[:, None])
 
-    @cached_property
+    @_lazy
     def T(self) -> np.ndarray:
         """Orthonormal rows (n, 4, 8) spanning T, zero where dropped."""
         return _t_rows(self.off)[0]
 
-    @cached_property
+    @_lazy
     def R(self) -> np.ndarray:
         return real_form(self.dia, self.off)
 
-    @cached_property
+    @_lazy
     def trace(self) -> np.ndarray:
         return self.dia.sum(-1)
 
-    @cached_property
+    @_lazy
     def sigma(self) -> np.ndarray:
         return _sigma(self.dia, self.off)
 
-    @cached_property
+    @_lazy
     def det(self) -> np.ndarray:
         return _det(self.dia, self.off)
 
-    @cached_property
+    @_lazy
     def frobenius(self) -> np.ndarray:
         return np.sqrt(np.vecdot(self.dia, self.dia) + 2.0 * np.vecdot(self.off, self.off).sum(-1))
 

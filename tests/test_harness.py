@@ -7,10 +7,12 @@ Hermitian3 arithmetic, and must find the same worst residual.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from octeig import harness, hermitian, octonion, spectral, subspace
 from octeig.harness import _CHECKS, _draw_hermitian, _Checks, run_verification
 from octeig.hermitian import (
     _TAGS,
@@ -34,6 +36,7 @@ from octeig.hermitian import (
 from octeig.octonion import Octonion, associator, inner, left_mul_matrix
 from octeig.projection import quaternionic_six_way, six_way, subalgebra_part
 from octeig.spectral import (
+    _Systems,
     eigensystem,
     family_dimension_probe,
     k_vector,
@@ -773,3 +776,67 @@ def test_orthonormalize_repeats_the_octonion_loop_bit_for_bit(rng):
             vectors.append(vectors[0] * 2.0 + vectors[-1])
         got, want = orthonormalize(vectors), loop(vectors)
         assert [q.coords.tobytes() for q in got] == [q.coords.tobytes() for q in want]
+
+
+def test_verify_derives_each_drawn_stack_once(monkeypatch):
+    # one run_verification(0, 8): alpha and phi once per drawn stack (19 draws) and once for
+    # the stack basis_invariance moves; Gram-Schmidt without the Octonion-dispatching inner;
+    # the family dimension nullspace from an eigh, not a full SVD
+    seen = {"alpha_phi": 0, "inner": [], "svd": []}
+
+    def alpha_phi(*args, real=hermitian._alpha_phi):
+        seen["alpha_phi"] += 1
+        return real(*args)
+
+    def inner_(*args, real=octonion.inner):
+        seen["inner"].append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    def svd(a, *args, real=np.linalg.svd, **kwargs):
+        seen["svd"].append((sys._getframe(1).f_code.co_name, kwargs.get("compute_uv", True)))
+        return real(a, *args, **kwargs)
+
+    for mod in (hermitian, subspace):
+        monkeypatch.setattr(mod, "_alpha_phi", alpha_phi)
+    for mod in (octonion, subspace, harness):
+        monkeypatch.setattr(mod, "inner", inner_, raising=False)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    run_verification(0, 8)
+    assert seen["alpha_phi"] == 20
+    assert "_gram_schmidt" not in seen["inner"]
+    assert ("_family_dimensions", True) not in seen["svd"]
+    assert ("_family_dimensions", False) in seen["svd"]
+
+
+def test_the_class_test_reads_the_cached_associator_mask(monkeypatch):
+    calls = []
+
+    def associative(*args, real=hermitian._associative):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    for mod in (hermitian, subspace):
+        monkeypatch.setattr(mod, "_associative", associative)
+    for kind in MASKS:
+        dia, off = _draw_hermitian(np.random.default_rng(7), 5, kind)
+        calls.clear()
+        S = _Stack(dia, off)
+        S.codes, S.classes
+        assert calls == [5], kind
+
+
+@pytest.mark.parametrize("kind", ["octonionic", "quaternionic"])
+def test_a_one_class_stack_keeps_the_eigenpairs_it_solved(monkeypatch, kind):
+    # no zero arrays and no scatter: lams and V are what _eigenpairs returned, uncopied
+    returned = []
+
+    def eigenpairs(*args, real=spectral._eigenpairs):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(spectral, "_eigenpairs", eigenpairs)
+    S = _Systems(*_draw_hermitian(np.random.default_rng(8), 6, kind))
+    S.V
+    (lams, V), = returned
+    assert S.lams is lams
+    assert S.V.shape == (6, 2, 3, 3, 8) and np.shares_memory(S.V, V)

@@ -6,7 +6,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from octeig.harness import random_hermitian, random_vector
+from octeig.harness import _Context, random_hermitian, random_vector
 from octeig.hermitian import (
     COMPLEX,
     OCTONIONIC,
@@ -14,6 +14,7 @@ from octeig.hermitian import (
     REAL,
     Hermitian3,
     OctVector3,
+    _lazy,
     alpha,
     classify,
     det,
@@ -27,8 +28,8 @@ from octeig.hermitian import (
 )
 from octeig.octonion import Octonion, assoc3form
 from octeig.projection import six_way
-from octeig.spectral import eigensystem, realify24
-from octeig.subspace import k_scalar, quaternionic_split
+from octeig.spectral import _Systems, eigensystem, realify24
+from octeig.subspace import _Stack, k_scalar, quaternionic_split
 
 E = [Octonion.unit(i) for i in range(8)]
 
@@ -340,3 +341,39 @@ def test_a_copy_does_not_carry_the_solved_stack():
         assert json.dumps(again.to_json()) == json.dumps(es.to_json())
         assert json.dumps(split.to_json()) == json.dumps(dec.to_json())
         assert "_stack" in vars(B) and "_stack" in vars(A)
+
+
+def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
+    calls = []
+
+    class Probe:
+        @_lazy
+        def value(self):
+            """The probe's value."""
+            calls.append(self)
+            return object()
+
+    # on the class: the descriptor itself, whose func tests may wrap; no lock to take
+    assert isinstance(Probe.value, _lazy) and Probe.value.__doc__ == "The probe's value."
+    assert Probe.value.func.__name__ == "value" and not hasattr(Probe.value, "lock")
+    a, b = Probe(), Probe()
+    first = a.value
+    assert vars(a) == {"value": first} and calls == [a]
+    # a second read finds the instance's __dict__ and calls nothing, not even the descriptor
+    monkeypatch.setattr(_lazy, "__get__", lambda *args: pytest.fail("descriptor called"))
+    assert a.value is first and calls == [a]
+    monkeypatch.undo()
+    assert b.value is not first and calls == [a, b]
+    # every cached attribute of the stacks, the harness context and the matrix is one
+    for cls, names in ((Hermitian3, ["_stack"]), (_Context, ["oct_pool", "quat_pool"]),
+                       (_Stack, ["L", "alpha_phi", "associative", "classes", "codes", "roots",
+                                 "families", "split", "bases", "K", "P", "T", "R", "trace",
+                                 "sigma", "det", "frobenius"]),
+                       (_Systems, ["nfam", "_solved", "residuals"])):
+        for name in names:
+            assert isinstance(vars(cls)[name], _lazy) and callable(vars(cls)[name].func), name
+    # the matrix's stack stays out of a pickle or a deep copy
+    A = random_hermitian(np.random.default_rng(5))
+    assert A._stack is A._stack and "_stack" in vars(A)
+    for copy in (lambda x: pickle.loads(pickle.dumps(x)), deepcopy):
+        assert "_stack" not in vars(copy(A))

@@ -53,9 +53,9 @@ def test_a_rejected_draw_raises(monkeypatch, kind, cut):
     # draw without one is what the interleaved calls draw
     calls = []
 
-    def some(off, code):
-        calls.append(len(off))
-        return off[..., 0, 0] > cut
+    def some(A, code):
+        calls.append(len(A.off))
+        return A.off[..., 0, 0] > cut
 
     monkeypatch.setattr(harness, "_rejected", some)
     raised = 0
@@ -89,9 +89,9 @@ def test_a_rejected_draw_raises(monkeypatch, kind, cut):
 def test_rejecting_a_class_makes_its_samplers_raise_after_one_draw(monkeypatch, kind):
     calls = []
 
-    def this_class(off, code):
+    def this_class(A, code):
         calls.append(code)
-        return np.full(len(off), _TAGS[code] == kind)
+        return np.full(len(A.off), _TAGS[code] == kind)
 
     monkeypatch.setattr(harness, "_rejected", this_class)
     for draw in (lambda: random_hermitian(np.random.default_rng(0), kind),

@@ -23,6 +23,7 @@ from octeig.spectral import (
     EigenPair,
     _column_basis,
     _RESIDUALS,
+    _family_dimensions,
     _family_residuals,
     _pick_representative,
     eigensystem,
@@ -36,6 +37,7 @@ from octeig.spectral import (
     same_family,
 )
 from octeig.subspace import (
+    _Stack,
     conj_matrix,
     family_context,
     k_scalar,
@@ -43,6 +45,7 @@ from octeig.subspace import (
     quaternionic_split,
     r_roots,
 )
+from octeig.tolerances import REAL_RANK_TOL
 
 E = [Octonion.unit(i) for i in range(8)]
 
@@ -608,3 +611,35 @@ def test_family_dimension_probe_does_not_depend_on_the_scale(octonionic_pool):
         v = es.families[1].pairs[2].v
         assert [family_dimension_probe(v.scale(s)) for s in (1e-6, 1e-3, 1.0, 1e3)] == [12] * 4
     assert real_nullspace(np.zeros((3, 3))).shape == (3, 3)
+
+
+def svd_family_dimensions(v, samples=24, seed=0):
+    """The probe's reference formulation: the nullspace of the membership map R^2 - tr R from a
+    full SVD, cut at REAL_RANK_TOL of the largest singular value, and the rank of the samples
+    projected onto it, null^T (null g)."""
+    B = _Stack.outer(v)
+    _, s, vh = np.linalg.svd(B.R @ B.R - B.trace[:, None, None] * B.R)
+    null = vh * (s <= REAL_RANK_TOL * s[:, :1])[..., None]
+    gauss = np.random.default_rng(seed).standard_normal((24, samples))
+    s = np.linalg.svd(null.swapaxes(-1, -2) @ (null @ gauss), compute_uv=False)
+    return (s > REAL_RANK_TOL * s[:, :1]).sum(-1)
+
+
+CLASS_MASKS = {"octonionic": None, "quaternionic": (0, 1, 2, 4), "complex": (0, 1), "real": (0,)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+       kind=st.sampled_from(sorted(CLASS_MASKS)))
+def test_family_dimensions_from_eigh_equal_the_svd_formulation(seed, exponent, kind):
+    # the map is symmetric, so its |eigenvalues| are its singular values and one eigh gives
+    # the nullspace; complex and real vectors make it rounding noise, cut the same way
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1, 1, (6, 3, 8)) * 10.0 ** exponent
+    if CLASS_MASKS[kind] is not None:
+        v = v * np.isin(np.arange(8), CLASS_MASKS[kind])
+    dims = _family_dimensions(v)
+    assert dims.tolist() == svd_family_dimensions(v).tolist()
+    if kind == "octonionic":
+        assert dims.tolist() == [12] * 6
+        assert family_dimension_probe(OctVector3.from_coords(v[0].ravel())) == 12
