@@ -320,9 +320,10 @@ class _Checks(_Context):
     def t2_is_t1_alpha(self):
         A = self.matrices()
         _, al, _, s = A.families
-        basis1, basis2 = (_gram_schmidt(_product(A.T, s[:, m, None]))[0] for m in (0, 1))
-        lifted = _gram_schmidt(_product(basis1, al[:, None]))[0]
-        proj2, projl = (B.swapaxes(-1, -2) @ B for B in (basis2, lifted))
+        # both families' bases T s_m in one call, along axis 1
+        basis = _gram_schmidt(_product(A.T[:, None], s[:, :, None]))[0]
+        lifted = _gram_schmidt(_product(basis[:, 0], al[:, None]))[0]
+        proj2, projl = (B.swapaxes(-1, -2) @ B for B in (basis[:, 1], lifted))
         return np.abs(proj2 - projl).max((-2, -1))
 
     def eigenspace_characterization(self):
@@ -447,7 +448,7 @@ class _Checks(_Context):
     def family_dimension(self):
         V = self.oct_pool.V[:8]
         v = V[np.arange(len(V)), self.rng.integers(0, 2, len(V)), 0]
-        return np.abs(_family_dimensions(v, samples=24) - 12)
+        return np.abs(_family_dimensions(v) - 12)
 
     def quaternionic_lift(self):
         pool = self.quat_pool
@@ -456,8 +457,10 @@ class _Checks(_Context):
         # A (ell v) = ell (Abar v) for quaternionic v
         lift = (_vnorm(pool.act(_product(ell, v)) - _product(ell, conj_pool.act(v)))
                 / _scale(pool.frobenius * _vnorm(v)))
-        # the spectrum over O is the union of both quaternionic spectra
-        spectra = np.stack([_lambda_roots(M.trace, M.sigma, M.det) for M in (pool, conj_pool)], 1)
+        # the spectrum over O is the union of both quaternionic spectra, from one cubic on
+        # (trace, sigma, det) of A and Abar, each stacked as (n, 2)
+        coefs = np.stack([(M.trace, M.sigma, M.det) for M in (pool, conj_pool)], -1)
+        spectra = _lambda_roots(*coefs)
         gap = np.abs(np.sort(pool.lams, axis=-1) - spectra).max((-2, -1))
         return np.maximum(lift, gap / _scale(pool.frobenius))
 

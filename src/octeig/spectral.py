@@ -393,33 +393,38 @@ def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.nd
     return resid <= tol * _vnorm(w) * np.vecdot(u, u).sum(-1) ** 2
 
 
+def _noncomplex(u: OctVector3) -> np.ndarray:
+    """u's coordinates (1, 3, 8), after the class test of u u^dagger: raises ComplexProjector
+    for a complex or real projector, whose membership condition holds identically."""
+    u = u.to_coords().reshape(1, 3, 8)
+    if _Stack.outer(u).classes[0][0] < _TAGS.index(QUATERNIONIC):
+        raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
+    return u
+
+
 def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
     """Family membership predicate: u u^dagger (u u^dagger w) = (u^dagger u)(u u^dagger w).
 
     Defined for normalized u with a non-complex projector u u^dagger.
     """
-    u, w = u.to_coords().reshape(1, 3, 8), w.to_coords().reshape(1, 3, 8)
-    if _Stack.outer(u).classes[0][0] < _TAGS.index(QUATERNIONIC):
-        raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
-    return bool(_same_family(u, w, tol)[0])
+    return bool(_same_family(_noncomplex(u), w.to_coords().reshape(1, 3, 8), tol)[0])
 
 
-def _family_dimensions(v: np.ndarray, samples: int = 24, seed: int = 0) -> np.ndarray:
-    """`family_dimension_probe` of each stacked vector v (n, 3, 8), by a stacked eigh of the
-    symmetric membership map, whose |eigenvalues| are its singular values, and a stacked SVD."""
+def _family_dimensions(v: np.ndarray, samples: int = 24) -> np.ndarray:
+    """`family_dimension_probe` of each stacked vector v (n, 3, 8), without its class test: the
+    nullity of the symmetric membership map R^2 - tr R, the count of its eigenvalues within
+    REAL_RANK_TOL of the largest in size, from one stacked eigvalsh, capped at `samples`."""
     B = _Stack.outer(v)
-    w, U = np.linalg.eigh(B.R @ B.R - B.trace[:, None, None] * B.R)
-    # null: as rows, the eigenvectors with |w| within the rank cut, and zeros; the samples
-    # null^T (null g) that it projects have the singular values of null g
-    w = np.abs(w)
-    null = U.swapaxes(-1, -2) * (w <= REAL_RANK_TOL * w.max(-1, keepdims=True))[..., None]
-    s = np.linalg.svd(null @ np.random.default_rng(seed).standard_normal((24, samples)),
-                      compute_uv=False)
-    return (s > REAL_RANK_TOL * s[:, :1]).sum(-1)
+    w = np.abs(np.linalg.eigvalsh(B.R @ B.R - B.trace[:, None, None] * B.R))
+    return np.minimum((w <= REAL_RANK_TOL * w.max(-1, keepdims=True)).sum(-1), samples)
 
 
 def family_dimension_probe(v: OctVector3, samples: int = 24, seed: int = 0) -> int:
-    """Estimated real dimension of the family determined by v: the rank, relative to its
-    largest singular value, of random vectors projected onto the nullspace of the linear
-    membership conditions (12 for a generic non-complex v)."""
-    return int(_family_dimensions(v.to_coords().reshape(1, 3, 8), samples, seed)[0])
+    """Real dimension of the family determined by v, up to `samples`: the nullity, relative to
+    the largest singular value, of the linear membership conditions (12 for a generic
+    non-complex v).  Raises ComplexProjector, as `same_family` does, where v v^dagger is complex
+    or real.  `seed` is accepted for compatibility and no longer needed: the count is exact,
+    where a random probe of `samples` vectors gave the same number with probability one."""
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    return int(_family_dimensions(_noncomplex(v), samples)[0])

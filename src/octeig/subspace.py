@@ -108,14 +108,15 @@ def _gram_schmidt(X: np.ndarray, tol: float = SPAN_TOL) -> tuple[np.ndarray, np.
     """
     Q = np.zeros(X.shape)
     keep = np.zeros(X.shape[:-1], dtype=bool)
+    cut = tol * _norm(X)
     rows = []
     for j in range(X.shape[-2]):
-        x = v = X[..., j, :]
+        v = X[..., j, :]
         for _ in range(2):
             for q in rows:
                 v = v - q * np.vecdot(q, v)[..., None]
         n = _norm(v)
-        kept = keep[..., j] = n > tol * _norm(x)
+        kept = keep[..., j] = n > cut[..., j]
         inv = 1.0 / np.where(kept, n, 1.0)
         rows.append(np.where(kept[..., None], v * inv[..., None], 0.0))
         Q[..., j, :] = rows[-1]

@@ -780,32 +780,46 @@ def test_orthonormalize_repeats_the_octonion_loop_bit_for_bit(rng):
 
 def test_verify_derives_each_drawn_stack_once(monkeypatch):
     # one run_verification(0, 8): alpha and phi once per drawn stack (19 draws) and once for
-    # the stack basis_invariance moves; Gram-Schmidt without the Octonion-dispatching inner;
-    # the family dimension nullspace from an eigh, not a full SVD
-    seen = {"alpha_phi": 0, "inner": [], "svd": []}
+    # the stack basis_invariance moves; Gram-Schmidt without the Octonion-dispatching inner,
+    # once per row-set stack (both families of t2-is-t1-alpha in one call); the family
+    # dimension as one eigenvalue count, with no SVD and no random probe
+    seen = {"alpha_phi": 0, "gram_schmidt": 0, "inner": [], "svd": [], "eigvalsh": [], "rng": []}
 
     def alpha_phi(*args, real=hermitian._alpha_phi):
         seen["alpha_phi"] += 1
         return real(*args)
 
-    def inner_(*args, real=octonion.inner):
-        seen["inner"].append(sys._getframe(1).f_code.co_name)
+    def gram_schmidt(*args, real=subspace._gram_schmidt):
+        seen["gram_schmidt"] += 1
         return real(*args)
 
-    def svd(a, *args, real=np.linalg.svd, **kwargs):
-        seen["svd"].append((sys._getframe(1).f_code.co_name, kwargs.get("compute_uv", True)))
-        return real(a, *args, **kwargs)
+    def caller(key, real):
+        def wrapped(*args, **kwargs):
+            seen[key].append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+        return wrapped
 
     for mod in (hermitian, subspace):
         monkeypatch.setattr(mod, "_alpha_phi", alpha_phi)
+    for mod in (subspace, harness):
+        monkeypatch.setattr(mod, "_gram_schmidt", gram_schmidt)
     for mod in (octonion, subspace, harness):
-        monkeypatch.setattr(mod, "inner", inner_, raising=False)
-    monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(mod, "inner", caller("inner", octonion.inner), raising=False)
+    monkeypatch.setattr(np.linalg, "svd", caller("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", caller("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.random, "default_rng", caller("rng", np.random.default_rng))
     run_verification(0, 8)
     assert seen["alpha_phi"] == 20
+    assert seen["gram_schmidt"] == 12
     assert "_gram_schmidt" not in seen["inner"]
-    assert ("_family_dimensions", True) not in seen["svd"]
-    assert ("_family_dimensions", False) in seen["svd"]
+    assert "_family_dimensions" not in seen["svd"] + seen["rng"]
+    assert seen["eigvalsh"].count("_family_dimensions") == 1
+
+
+def test_a_wrong_family_dimension_fails_its_check_alone(monkeypatch):
+    # with no rank cut the count finds no null eigenvalue: dimension 0, not 12
+    monkeypatch.setattr(spectral, "REAL_RANK_TOL", 0.0)
+    assert [r.name for r in run_verification(0, 8) if not r.passed] == ["family-dimension"]
 
 
 def test_the_class_test_reads_the_cached_associator_mask(monkeypatch):

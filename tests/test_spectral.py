@@ -17,14 +17,15 @@ from octeig.hermitian import (
     sigma,
     trace,
 )
-from octeig.harness import random_hermitian
-from octeig.octonion import Octonion, inner
+from octeig.harness import _draw_hermitian, random_hermitian
+from octeig.octonion import _CONJ, Octonion, inner
 from octeig.spectral import (
     EigenPair,
     _column_basis,
     _RESIDUALS,
     _family_dimensions,
     _family_residuals,
+    _lambda_roots,
     _pick_representative,
     eigensystem,
     eigenvectors,
@@ -270,6 +271,10 @@ def test_family_dimension_probe(octonionic_pool):
     for A, es in octonionic_pool[:8]:
         v = es.families[0].pairs[0].v
         assert family_dimension_probe(v, samples=30) == 12
+        # capped at `samples`, as the rank of that many random probes was
+        assert family_dimension_probe(v, samples=5) == 5
+    with pytest.raises(ValueError):
+        family_dimension_probe(v, samples=-1)
 
 
 def test_orthogonal_complement_dimension(octonionic_pool):
@@ -643,3 +648,27 @@ def test_family_dimensions_from_eigh_equal_the_svd_formulation(seed, exponent, k
     if kind == "octonionic":
         assert dims.tolist() == [12] * 6
         assert family_dimension_probe(OctVector3.from_coords(v[0].ravel())) == 12
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_family_dimension_probe_rejects_complex_projectors(scale):
+    # v v^dagger of a complex or real v meets the membership condition identically, so its map
+    # is rounding noise, whose count was [24 0 0 0 0 8] for real vectors at 1e-8
+    rng = np.random.default_rng(21)
+    for kind in ("complex", "real"):
+        for _ in range(5):
+            v = rng.uniform(-1, 1, (3, 8)) * np.isin(np.arange(8), CLASS_MASKS[kind]) * scale
+            with pytest.raises(ComplexProjector):
+                family_dimension_probe(OctVector3.from_coords(v.ravel()))
+    for _ in range(5):
+        assert family_dimension_probe(OctVector3.from_coords(rng.uniform(-1, 1, 24) * scale)) == 12
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 41])
+def test_stacked_lambda_roots_equal_separate_calls_bit_for_bit(n):
+    # the quaternionic-lift check solves the spectra of A and of its conjugate in one call
+    A = _Stack(*_draw_hermitian(np.random.default_rng(n), n, "quaternionic"))
+    Abar = _Stack(A.dia, A.off * _CONJ)
+    stacked = _lambda_roots(*np.stack([(M.trace, M.sigma, M.det) for M in (A, Abar)], -1))
+    for m, M in enumerate((A, Abar)):
+        assert stacked[:, m].tobytes() == _lambda_roots(M.trace, M.sigma, M.det).tobytes()

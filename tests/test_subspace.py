@@ -21,9 +21,11 @@ from octeig.hermitian import (
     phi,
     sigma,
 )
-from octeig.octonion import Octonion, associator, inner
+from octeig.harness import _draw_hermitian
+from octeig.octonion import Octonion, _product, associator, inner
 from octeig.spectral import _slotwise, realify24
 from octeig.subspace import (
+    _gram_schmidt,
     _quaternionic_split,
     _Stack,
     basis_invariance_check,
@@ -481,3 +483,21 @@ def test_family_bases_span_invariant_subspaces(rng, mask, families):
                 assert np.abs(Q @ Q.T - np.kron(np.eye(3), P)).max() < 1e-12
                 s_m = family_context(A, m).s
                 assert np.abs(b[:, 0] - s_m.coords / s_m.norm()).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 41])
+def test_stacked_gram_schmidt_equals_per_family_calls_bit_for_bit(n):
+    # the t2-is-t1-alpha check orthonormalizes T s_1 and T s_2 as one (n, 2, 4, 8) stack
+    A = _Stack(*_draw_hermitian(np.random.default_rng(n), n, "octonionic"))
+    s = A.families[3]
+    X = _product(A.T[:, None], s[:, :, None])
+    X[0, 1, 3] = 2.0 * X[0, 1, 0] + X[0, 1, 1]  # a row to drop
+    Q, keep = _gram_schmidt(X)
+    for m in (0, 1):
+        Xm = _product(A.T, s[:, m, None])
+        if m == 1:
+            Xm[0, 3] = 2.0 * Xm[0, 0] + Xm[0, 1]
+        assert Xm.tobytes() == X[:, m].tobytes()
+        Qm, keep_m = _gram_schmidt(Xm)
+        assert Qm.tobytes() == Q[:, m].tobytes() and keep_m.tolist() == keep[:, m].tolist()
+    assert not keep[0, 1, 3]
