@@ -20,9 +20,10 @@ from .harness import (
     run_fuzz,
     run_verification,
 )
-from .hermitian import OCTONIONIC, Hermitian3, OctVector3
-from .projection import matrix_fingerprint, six_way
-from .spectral import eigensystem
+from .hermitian import _TAGS, OCTONIONIC, Hermitian3, OctVector3
+from .projection import _part_json, _six_way, _six_way_json, matrix_fingerprint
+from .spectral import _RESIDUALS, _contexts, _eigen_json, _family_json
+from .subspace import _context_json
 
 __all__ = ["main"]
 
@@ -41,6 +42,8 @@ def _load_json(path: str):
         raise OcteigError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise OcteigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise OcteigError(f"{path}: invalid JSON: arrays or objects nested too deeply")
 
 
 def _load_matrix(path: str) -> Hermitian3:
@@ -79,11 +82,13 @@ def _encode(x, indent: str = "\n") -> str:
         return "{" + inner + sep.join(items) + indent + "}" if x else "{}"
     if not isinstance(x, (list, tuple)):
         return json.dumps(x)   # raises the stdlib's TypeError
-    try:   # a list of finite floats is one join
-        text = sep.join(map(float.__repr__, x))
-        floats = "n" not in text   # only inf and nan have an "n"
-    except TypeError:   # an item that is not a float
-        floats = False
+    floats = bool(x) and isinstance(x[0], float)
+    if floats:   # a list of finite floats is one join
+        try:
+            text = sep.join(map(float.__repr__, x))
+            floats = "n" not in text   # only inf and nan have an "n"
+        except TypeError:   # a later item that is not a float
+            floats = False
     if not floats:
         text = sep.join([_encode(v, inner) for v in x])
     return "[" + inner + text + indent + "]" if x else "[]"
@@ -157,25 +162,35 @@ def _conclude(payload: dict, tag: str, worst: float, tol: float, out: str) -> in
 
 
 def _cmd_eigen(args) -> int:
+    """`eigensystem(A).to_json()`, written from the blocks of A's solved stack."""
     tol = _resolve_tolerance(args)
     A = _load_matrix(args.matrix)
-    es = eigensystem(A)
-    payload = es.to_json()
+    S = A._stack
+    blocks = zip(_contexts(S), S.lams[0].tolist(), S.V[0].tolist(), S.residuals[0].tolist())
+    families = [_family_json(_context_json(*context), lams, V, dict(zip(_RESIDUALS, res)))
+                for context, lams, V, res in blocks]
+    code, dim_t = (int(x[0]) for x in S.classes)
+    payload = _eigen_json(_TAGS[code], dim_t, families)
     payload["fingerprint"] = matrix_fingerprint(A)
-    worst = max(max(f.residuals.values()) for f in es.families)
-    return _conclude(payload, es.matrix_class.tag, worst, tol, args.out)
+    worst = max(max(f["residuals"].values()) for f in families)
+    return _conclude(payload, _TAGS[code], worst, tol, args.out)
 
 
 def _cmd_project(args) -> int:
+    """`six_way(A, x).to_json()`, written from the parts of `_six_way` on A's solved stack."""
     tol = _resolve_tolerance(args)
     A = _load_matrix(args.matrix)
     x = _load_vector(args.vector)
-    dec = six_way(A, x)
-    payload = dec.to_json()
-    if dec.matrix_class != OCTONIONIC:
-        payload["single_family"] = len(dec.parts) == 3
-    worst = max([dec.reconstruction_residual, *dec.eigen_residuals])
-    return _conclude(payload, dec.matrix_class, worst, tol, args.out)
+    S = A._stack
+    F, tag = int(S.nfam[0]), _TAGS[S.codes[0]]
+    comps, residuals, recon = _six_way(S, x.to_coords()[None])
+    lams, comps = S.lams[0, :F].tolist(), comps[0, :F].reshape(F, 3, 3, 8).tolist()
+    parts = [_part_json(f + 1, lam, c) for f in range(F) for lam, c in zip(lams[f], comps[f])]
+    residuals, recon = residuals[0, :F].ravel().tolist(), float(recon[0])
+    payload = _six_way_json(tag, matrix_fingerprint(A), parts, recon, residuals)
+    if tag != OCTONIONIC:
+        payload["single_family"] = F == 1
+    return _conclude(payload, tag, max([recon, *residuals]), tol, args.out)
 
 
 def _report(command: str, args, tol: float, checks, extra=None) -> dict:

@@ -19,6 +19,7 @@ from .octonion import (
     _CONJ,
     Octonion,
     _Immutable,
+    _json_floats,
     _norm,
     _product,
     left_mul_matrix,
@@ -131,8 +132,8 @@ class OctVector3(_Immutable):
     def from_json(cls, data) -> "OctVector3":
         if not isinstance(data, (list, tuple)) or len(data) != 3:
             raise ValueError("vector JSON must be a 3x8 array of numbers")
-        return cls(_parse(f"component {i}", Octonion.from_json, row)
-                   for i, row in enumerate(data))
+        return cls.from_coords(_json_floats([(f"component {i}", row, True)
+                                             for i, row in enumerate(data)]))
 
 
 class _lazy:
@@ -209,9 +210,8 @@ class Hermitian3:
         missing = [key for key in ("d", "e", "f", "a", "b", "c") if key not in data]
         if missing:
             raise ValueError(f"matrix JSON is missing field {missing[0]!r}")
-        reals = (_parse(f"field {k!r}", _finite_real, data[k]) for k in ("d", "e", "f"))
-        octs = (_parse(f"field {k!r}", Octonion.from_json, data[k]) for k in ("a", "b", "c"))
-        return cls(*reals, *octs)
+        c = _json_floats([(f"field {k!r}", data[k], k in "abc") for k in "defabc"])
+        return cls(*c[:3].tolist(), *map(Octonion._of, c[3:].reshape(3, 8)))
 
     @_lazy
     def _stack(self):
@@ -228,23 +228,6 @@ class Hermitian3:
     def __repr__(self):
         return (f"Hermitian3(d={self.d:g}, e={self.e:g}, f={self.f:g}, "
                 f"a={self.a!r}, b={self.b!r}, c={self.c!r})")
-
-
-def _finite_real(x) -> float:
-    if isinstance(x, (bool, str)):
-        raise ValueError(f"must be a number, got {x!r}")
-    t = float(x)
-    if not np.isfinite(t):
-        raise ValueError(f"must be a finite number, got {x!r}")
-    return t
-
-
-def _parse(label: str, parse, value):
-    """parse(value), with a ValueError naming where in the JSON the value sat."""
-    try:
-        return parse(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{label}: {exc}") from exc
 
 
 class MatrixClass(NamedTuple):

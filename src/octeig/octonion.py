@@ -186,15 +186,41 @@ class Octonion(_Immutable):
 
     @classmethod
     def from_json(cls, data) -> "Octonion":
-        if not isinstance(data, (list, tuple)) or len(data) != 8:
-            raise ValueError(f"octonion JSON must be an array of 8 numbers, got {data!r}")
-        for i, x in enumerate(data):
-            if isinstance(x, (bool, str)):
-                raise ValueError(f"coordinate {i} must be a number, got {x!r}")
-        q = cls(data)
-        if not np.isfinite(q.coords).all():
-            raise ValueError(f"octonion coordinates must be finite, got {data!r}")
-        return q
+        return cls._of(_json_floats([("", data, True)]))
+
+
+def _json_floats(fields) -> np.ndarray:
+    """The numbers of `fields`, (label, value, octonion) triples, each value a number or an
+    octonion's 8 coordinates, as one float array, from one type pass, np.array and np.isfinite.
+    A ValueError led by the label names the first field at fault, as parsing each alone would."""
+    flat = []
+    for k, (label, value, octonion) in enumerate(fields):
+        items, fault = value if octonion else [value], None
+        if octonion and not (isinstance(value, (list, tuple)) and len(value) == 8):
+            fault = f"octonion JSON must be an array of 8 numbers, got {value!r}"
+        else:
+            for i, x in enumerate(items):   # not a number: bool, string, null, list, dict
+                if not (type(x) is float or isinstance(x, numbers.Real) and type(x) is not bool):
+                    fault = f"must be a number, got {x!r}"
+                    fault = f"coordinate {i} {fault}" if octonion else fault
+                    break
+        if fault:
+            _json_floats(fields[:k])   # an earlier field's range fault comes first
+            raise ValueError(f"{label}: {fault}" if label else fault)
+        flat += items
+    try:   # a naive np.array raises OverflowError for an int beyond the float range
+        c = np.array(flat, dtype=float)
+        if np.isfinite(c).all():
+            return c
+        label, value, octonion = fields[0]
+        fault = (f"octonion coordinates must be finite, got {value!r}" if octonion
+                 else f"must be a finite number, got {value!r}")
+    except OverflowError as exc:
+        label, fault = fields[0][0], str(exc)
+    if len(fields) > 1:
+        for field in fields:
+            _json_floats([field])   # raises for the first field at fault
+    raise ValueError(f"{label}: {fault}" if label else fault)
 
 
 def _on_arrays(fn):

@@ -47,11 +47,7 @@ class DecompositionPart:
     component: OctVector3
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda": float(self.lam),
-            "component": self.component.to_json(),
-        }
+        return _part_json(self.family, float(self.lam), self.component.to_json())
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,13 +59,20 @@ class SixWayDecomposition:
     fingerprint: str
 
     def to_json(self) -> dict:
-        return {
-            "matrix_class": self.matrix_class,
-            "fingerprint": self.fingerprint,
-            "parts": [p.to_json() for p in self.parts],
-            "reconstruction_residual": float(self.reconstruction_residual),
-            "eigen_residuals": [float(r) for r in self.eigen_residuals],
-        }
+        return _six_way_json(self.matrix_class, self.fingerprint, [p.to_json() for p in self.parts],
+                             float(self.reconstruction_residual),
+                             [float(r) for r in self.eigen_residuals])
+
+
+def _part_json(family: int, lam: float, component: list) -> dict:
+    """One part of the project report, from plain values: the component as 3x8 lists."""
+    return {"family": family, "lambda": lam, "component": component}
+
+
+def _six_way_json(tag: str, fingerprint: str, parts: list, recon: float, residuals: list) -> dict:
+    """The project report's layout around its `_part_json` parts."""
+    return {"matrix_class": tag, "fingerprint": fingerprint, "parts": parts,
+            "reconstruction_residual": recon, "eigen_residuals": residuals}
 
 
 def matrix_fingerprint(A: Hermitian3) -> str:

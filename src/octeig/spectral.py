@@ -75,11 +75,9 @@ class FamilyEigensystem:
     residuals: dict
 
     def to_json(self) -> dict:
-        out = self.context.to_json()
-        out["eigenvalues"] = [float(p.lam) for p in self.pairs]
-        out["eigenvectors"] = [p.v.to_json() for p in self.pairs]
-        out["residuals"] = {k: float(v) for k, v in self.residuals.items()}
-        return out
+        return _family_json(self.context.to_json(), [float(p.lam) for p in self.pairs],
+                            [p.v.to_json() for p in self.pairs],
+                            {k: float(v) for k, v in self.residuals.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +93,19 @@ class EigenSystem:
         return [p for fam in self.families for p in fam.pairs]
 
     def to_json(self) -> dict:
-        return {
-            "class": self.matrix_class.tag,
-            "dim_t": self.matrix_class.dim_t,
-            "single_family": self.single_family,
-            "families": [f.to_json() for f in self.families],
-        }
+        return _eigen_json(self.matrix_class.tag, self.matrix_class.dim_t,
+                           [f.to_json() for f in self.families])
+
+
+def _family_json(context: dict, lams: list, vectors: list, residuals: dict) -> dict:
+    """One family of the eigen report, from plain values: eigenvectors as 3x8 lists."""
+    return {**context, "eigenvalues": lams, "eigenvectors": vectors, "residuals": residuals}
+
+
+def _eigen_json(tag: str, dim_t: int, families: list) -> dict:
+    """The eigen report's layout around its `_family_json` families."""
+    return {"class": tag, "dim_t": dim_t, "single_family": len(families) == 1,
+            "families": families}
 
 
 def lambda_roots(A: Hermitian3, r: float) -> tuple[float, float, float]:
@@ -376,15 +381,23 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     for complex and real ones."""
     S = A._stack
     code, dim_t = (int(x[0]) for x in S.classes)
-    contexts = S.contexts(0) if _TAGS[code] == OCTONIONIC else tuple(
-        FamilyContext(m=m, r=float(r), phi=0.0, alpha=Octonion.zero(), s=None)
-        for m, r in zip((1, 2), S.r[0, :S.nfam[0]]))
+    contexts = (FamilyContext(m, r, ph, Octonion(al), None if s is None else Octonion(s))
+                for m, r, ph, al, s in _contexts(S))
     families = tuple(
         FamilyEigensystem(fam, tuple(EigenPair(float(lam), OctVector3.from_coords(v), fam.m)
                                      for lam, v in zip(S.lams[0, f], S.V[0, f])),
                           dict(zip(_RESIDUALS, map(float, S.residuals[0, f]))))
         for f, fam in enumerate(contexts))
     return EigenSystem(matrix_class=MatrixClass(_TAGS[code], dim_t), families=families)
+
+
+def _contexts(S: _Systems) -> list:
+    """Row 0's family contexts as (m, r, phi, alpha, s), octonions as lists; phi = 0, alpha = 0
+    and no s unless octonionic."""
+    if S.codes[0] == _TAGS.index(OCTONIONIC):
+        ph, al, rs, s = (x[0].tolist() for x in S.families)
+        return [(m, rs[m - 1], ph, al, s[m - 1]) for m in (1, 2)]
+    return [(m, r, 0.0, [0.0] * 8, None) for m, r in zip((1, 2), S.r[0, :S.nfam[0]].tolist())]
 
 
 def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.ndarray:

@@ -80,17 +80,17 @@ class FamilyContext:
     s: Optional[Octonion]
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "r": float(self.r),
-            "phi": float(self.phi),
-            "alpha": self.alpha.to_json(),
-            "s": None if self.s is None else self.s.to_json(),
-        }
+        return _context_json(self.m, float(self.r), float(self.phi), self.alpha.to_json(),
+                             None if self.s is None else self.s.to_json())
 
     def projector(self, K: np.ndarray) -> np.ndarray:
         """P_m = (K + r_m + 4 phi) / (2 (r_m + 2 phi)) from the 8x8 matrix K."""
         return _projector(K, self.r, self.phi)
+
+
+def _context_json(m: int, r: float, ph: float, alpha: list, s) -> dict:
+    """A family context's fields of the eigen report, from plain values; s is a list or None."""
+    return {"m": m, "r": r, "phi": ph, "alpha": alpha, "s": s}
 
 
 def _projector(K: np.ndarray, r, ph) -> np.ndarray:
@@ -188,7 +188,9 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
 
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
     """Both family contexts, m = 1 and m = 2, of the one matrix."""
-    return A._stack.contexts(0)
+    ph, al, rs, s = (x[0] for x in A._stack.families)
+    return tuple(FamilyContext(m=m, r=float(r), phi=float(ph), alpha=Octonion(al),
+                               s=Octonion(s_m)) for m, r, s_m in zip((1, 2), rs, s))
 
 
 def family_context(A: Hermitian3, m: int) -> FamilyContext:
@@ -444,12 +446,6 @@ class _Stack:
         if self.associative.any():
             raise _degenerate()
         return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
-
-    def contexts(self, i: int) -> tuple[FamilyContext, FamilyContext]:
-        """Row i's two FamilyContexts, from `families`."""
-        ph, al, rs, s = (x[i] for x in self.families)
-        return tuple(FamilyContext(m=m, r=float(r), phi=float(ph), alpha=Octonion(al),
-                                   s=Octonion(s_m)) for m, r, s_m in zip((1, 2), rs, s))
 
     @_lazy
     def split(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from octeig import cli
 from octeig.cli import _build_parser, _encode, main
-from octeig.harness import random_hermitian, random_vector, run_fuzz, run_verification
+from octeig.harness import (DEFAULT_TOLERANCE, random_hermitian, random_vector, run_fuzz,
+                            run_verification)
+from octeig.hermitian import OCTONIONIC, Hermitian3, OctVector3
+from octeig.octonion import Octonion
+from octeig.projection import matrix_fingerprint, six_way
+from octeig.spectral import eigensystem
 
 
 @pytest.fixture
@@ -202,8 +208,16 @@ def test_project_rejects_inf_coordinate(files, capsys):
     # an integer beyond the float range was a traceback
     ("d", None, 10 ** 400, "field 'd': int too large to convert to float"),
     ("b", 5, 10 ** 400, "field 'b': int too large to convert to float"),
+    # null was read as nan, and an array or object leaked the message of float() or np.array
+    ("e", None, None, "field 'e': must be a number, got None"),
+    ("a", 2, None, "field 'a': coordinate 2 must be a number, got None"),
+    ("d", None, {}, "field 'd': must be a number, got {}"),
+    ("f", None, [1.0], "field 'f': must be a number, got [1.0]"),
+    ("b", 1, [1.0], "field 'b': coordinate 1 must be a number, got [1.0]"),
+    ("c", 6, {"x": 1}, "field 'c': coordinate 6 must be a number, got {'x': 1}"),
 ], ids=["true", "string", "padded-string", "string-coordinate", "false-coordinate", "huge-int",
-        "huge-int-coordinate"])
+        "huge-int-coordinate", "null", "null-coordinate", "object", "array", "array-coordinate",
+        "object-coordinate"])
 def test_eigen_rejects_what_is_not_a_float(files, capsys, field, index, value, message):
     # JSON true and numeric strings are not numbers, although float() takes them
     data = json.loads(open(files["oct"]).read())
@@ -221,7 +235,10 @@ def test_eigen_rejects_what_is_not_a_float(files, capsys, field, index, value, m
     (True, "coordinate 7 must be a number, got True"),
     ("0.5", "coordinate 7 must be a number, got '0.5'"),
     (10 ** 400, "int too large to convert to float"),
-], ids=["true", "string", "huge-int"])
+    (None, "coordinate 7 must be a number, got None"),
+    ([0.5], "coordinate 7 must be a number, got [0.5]"),
+    ({}, "coordinate 7 must be a number, got {}"),
+], ids=["true", "string", "huge-int", "null", "array", "object"])
 def test_project_rejects_what_is_not_a_float(files, capsys, value, message):
     rows = json.loads(open(files["vec"]).read())
     rows[2][7] = value
@@ -229,6 +246,17 @@ def test_project_rejects_what_is_not_a_float(files, capsys, value, message):
     path.write_text(json.dumps(rows))
     assert main(["project", files["oct"], str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: component 2: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["eigen", "project"])
+def test_deep_nesting_is_a_parse_error(files, capsys, command):
+    # the JSON decoder's RecursionError was a traceback, for a matrix file and a vector file
+    deep = files["tmp"] / "deep.json"
+    deep.write_text("[" * 1000 + "]" * 1000)
+    argv = ["eigen", str(deep)] if command == "eigen" else ["project", files["oct"], str(deep)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {deep}: invalid JSON: arrays or objects nested too deeply\n")
 
 
 def test_shared_parser_keeps_no_state(files, capsys):
@@ -443,3 +471,94 @@ def test_every_report_is_what_the_indented_stdlib_encoder_writes(report_inputs, 
         assert main(argv) in codes
         [payload] = payloads
         assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# the fixed matrices of the layout property: zero, identity and a repeated eigenvalue
+DIAGONALS = {"zero": (0.0, 0.0, 0.0), "identity": (1.0, 1.0, 1.0), "diag112": (1.0, 1.0, 2.0)}
+
+
+def _concluded(payload: dict, tag: str, worst: float) -> dict:
+    """The fields the CLI adds to a report, at the default tolerance."""
+    if tag != OCTONIONIC:
+        payload["routed_path"] = tag
+    payload.update({"worst_residual": worst, "tolerance": DEFAULT_TOLERANCE,
+                    "pass": worst <= DEFAULT_TOLERANCE})
+    return payload
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from([*MASKS, *DIAGONALS]), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.floats(-8.0, 8.0))
+def test_reports_are_the_object_api_written_out(tmp_path_factory, kind, seed, exponent):
+    # eigen and project write their reports from A's stack; the objects of eigensystem and
+    # six_way, written by their to_json, are the reference
+    rng = np.random.default_rng(seed)
+    if kind in MASKS:
+        dia = rng.uniform(-1, 1, 3)
+        off = rng.uniform(-1, 1, (3, 8)) * np.isin(np.arange(8), MASKS[kind])
+    else:
+        dia, off = np.array(DIAGONALS[kind]), np.zeros((3, 8))
+    s = 10.0 ** exponent
+    A = Hermitian3(*(s * dia).tolist(), *map(Octonion, s * off))
+    x = OctVector3.from_coords(rng.uniform(-1, 1, 24))
+    tmp = tmp_path_factory.mktemp("layout")
+    mat, vec, out = tmp / "m.json", tmp / "x.json", tmp / "out.json"
+    mat.write_text(json.dumps(A.to_json()))
+    vec.write_text(json.dumps(x.to_json()))
+
+    es = eigensystem(A)
+    want = es.to_json()
+    want["fingerprint"] = matrix_fingerprint(A)
+    worst = max(max(f.residuals.values()) for f in es.families)
+    eigen = _concluded(want, es.matrix_class.tag, worst)
+    dec = six_way(A, x)
+    want = dec.to_json()
+    if dec.matrix_class != OCTONIONIC:
+        want["single_family"] = len(dec.parts) == 3
+    project = _concluded(want, dec.matrix_class,
+                         max([dec.reconstruction_residual, *dec.eigen_residuals]))
+    for argv, want in ((["eigen", str(mat)], eigen), (["project", str(mat), str(vec)], project)):
+        code = main([*argv, "--tolerance", str(DEFAULT_TOLERANCE), "--out", str(out)])
+        assert out.read_text() == _encode(want) + "\n"
+        assert code == (1 if not want["pass"] else 2 if "routed_path" in want else 0)
+
+
+def _spelled(value, spell) -> str:
+    """JSON text of nested lists and dicts of floats, each float written by spell."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f'"{k}": {_spelled(v, spell)}' for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_spelled(v, spell) for v in value) + "]"
+    return spell(value)
+
+
+def _integer(t: float) -> str:
+    # -0.0 as the integer 0 would read back as +0.0
+    return str(int(t)) if t == int(t) and math.copysign(1.0, t) > 0 else repr(t)
+
+
+@pytest.mark.parametrize("spell", [_integer, "{:.17e}".format, "{:.16E}".format],
+                         ids=["integer", "exponent", "upper-exponent"])
+def test_number_spellings_give_the_same_reports(tmp_path, spell):
+    # JSON integers, exponent forms and -0.0 read as the floats they spell
+    rng = np.random.default_rng(8)
+    m = random_hermitian(rng, "octonionic").to_json()
+    m.update(d=2.0, e=-0.0)
+    m["a"][:3] = [0.0, -0.0, -3.0]
+    m["c"][5] = 1e20
+    x = random_vector(rng).to_json()
+    x[0][:2] = [1.0, -0.0]
+    x[2][7] = 0.0
+
+    def reports(spelling):
+        mat, vec = tmp_path / "m.json", tmp_path / "x.json"
+        mat.write_text(_spelled(m, spelling))
+        vec.write_text(_spelled(x, spelling))
+        got = []
+        for argv in (["eigen", str(mat)], ["project", str(mat), str(vec)]):
+            out = tmp_path / f"{argv[0]}.json"
+            got.append((main([*argv, "--out", str(out)]), out.read_bytes()))
+        return got
+
+    assert "100000000000000000000" in _spelled(m, _integer)
+    assert reports(spell) == reports(repr)
