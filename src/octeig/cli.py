@@ -126,9 +126,11 @@ def _positive_tolerance(source: str, tol: float) -> float:
     return tol
 
 
-def _check_samples(args):
+def _check_run(args):
     if args.samples < 1:
         raise OcteigError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:   # np.random.default_rng raises on a negative seed
+        raise OcteigError(f"--seed must be at least 0, got {args.seed}")
 
 
 def _print_checks(checks) -> bool:
@@ -208,7 +210,9 @@ def _report(command: str, args, tol: float, checks, extra=None) -> dict:
 
 def _cmd_verify(args) -> int:
     tol = _resolve_tolerance(args)
-    _check_samples(args)
+    _check_run(args)
+    if not math.isfinite(args.det_offset):   # a nan or inf residual is not valid JSON
+        raise OcteigError(f"--det-offset must be a finite number, got {args.det_offset!r}")
     checks = run_verification(seed=args.seed, samples=args.samples,
                               tolerance=tol, det_offset=args.det_offset)
     ok = _print_checks(checks)
@@ -222,7 +226,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     tol = _resolve_tolerance(args)
-    _check_samples(args)
+    _check_run(args)
     checks = run_fuzz(seed=args.seed, samples=args.samples,
                       kind=args.matrix_class, tolerance=tol)
     ok = _print_checks(checks)

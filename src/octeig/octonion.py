@@ -189,6 +189,12 @@ class Octonion(_Immutable):
         return cls._of(_json_floats([("", data, True)]))
 
 
+def _shown(value, limit: int = 200) -> str:
+    """repr(value) for an error message, cut to `limit` characters with an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def _json_floats(fields) -> np.ndarray:
     """The numbers of `fields`, (label, value, octonion) triples, each value a number or an
     octonion's 8 coordinates, as one float array, from one type pass, np.array and np.isfinite.
@@ -197,11 +203,11 @@ def _json_floats(fields) -> np.ndarray:
     for k, (label, value, octonion) in enumerate(fields):
         items, fault = value if octonion else [value], None
         if octonion and not (isinstance(value, (list, tuple)) and len(value) == 8):
-            fault = f"octonion JSON must be an array of 8 numbers, got {value!r}"
+            fault = f"octonion JSON must be an array of 8 numbers, got {_shown(value)}"
         else:
             for i, x in enumerate(items):   # not a number: bool, string, null, list, dict
                 if not (type(x) is float or isinstance(x, numbers.Real) and type(x) is not bool):
-                    fault = f"must be a number, got {x!r}"
+                    fault = f"must be a number, got {_shown(x)}"
                     fault = f"coordinate {i} {fault}" if octonion else fault
                     break
         if fault:
@@ -213,8 +219,8 @@ def _json_floats(fields) -> np.ndarray:
         if np.isfinite(c).all():
             return c
         label, value, octonion = fields[0]
-        fault = (f"octonion coordinates must be finite, got {value!r}" if octonion
-                 else f"must be a finite number, got {value!r}")
+        fault = (f"octonion coordinates must be finite, got {_shown(value)}" if octonion
+                 else f"must be a finite number, got {_shown(value)}")
     except OverflowError as exc:
         label, fault = fields[0][0], str(exc)
     if len(fields) > 1:

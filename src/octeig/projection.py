@@ -25,7 +25,7 @@ from .hermitian import (
     mat_vec,
     outer,
 )
-from .octonion import _CONJ, Octonion, _product
+from .octonion import Octonion, _product
 from .spectral import EigenSystem, _norm_scale, _Systems, k_vector
 from .subspace import apply_blockwise
 from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
@@ -138,8 +138,7 @@ def _six_way(S: _Systems, x: np.ndarray):
     B, y = S.B[:, 0], x.reshape(-1, 3, 8)
     y1 = np.where((S.nfam == 2)[:, None, None], (y @ B) @ B.swapaxes(-1, -2), y)
     pieces = np.concatenate([y1[:, None], (y - y1)[:, None]], axis=1)[:, :, None, None]
-    vv = _product(S.V[..., :, None, :], (S.V * _CONJ)[..., None, :, :])
-    comps = np.add.reduce(_product(vv, pieces), -2).reshape(-1, 2, 3, 24)
+    comps = np.add.reduce(_product(S.outers, pieces), -2).reshape(-1, 2, 3, 24)
     size = np.sqrt(np.vecdot(comps, comps))
     xnorm = np.maximum(_vnorm(y), NORM_FLOOR)
     zero = size < ZERO_PART_TOL * xnorm[:, None, None]

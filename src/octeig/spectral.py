@@ -296,35 +296,36 @@ def _norm_scale(A: _Stack) -> np.ndarray:
     return np.where(A.frobenius > 0.0, A.frobenius, 1.0)
 
 
-def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The `_RESIDUALS` (n, F, 5) of eigenpairs lams (n, F, 3) and V (n, F, 3, 24)
-    of stacked matrices A with family roots r (n, F).
+def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray,
+                      vv: np.ndarray, keys=_RESIDUALS) -> np.ndarray:
+    """The residuals `keys` (n, F, len(keys)), any of `_RESIDUALS`, of eigenpairs lams (n, F, 3),
+    V (n, F, 3, 24) and their `_Systems.outers` vv of stacked matrices A with family roots
+    r (n, F).  The K residual and generalized orthogonality are computed only if asked for.
 
     Normwise: the eigen and matrix residuals are divided by ||A||_F and the
     K residual by ||A||_F^3, so they do not change when A is scaled.
     """
     R = A.R[:, None, None]
     RV = np.matvec(R, V)
-    R2V = np.matvec(R, RV)
-    tr, sg, dt = (x[:, None, None, None] for x in (A.trace, A.sigma, A.det))
-    KV = np.matvec(R, R2V) - tr * R2V + sg * RV - dt * V
     scale = _norm_scale(A)[:, None]
-    # v_a conj(v_b), the entries of each v v^dagger (n, F, 3, 3, 3, 8)
+    # the entries of each v v^dagger: |v_a|^2 on the diagonal, v_a conj(v_b) off it
     W = V.reshape(V.shape[:-1] + (3, 8))
-    vv = _product(W[..., :, None, :], (W * _CONJ)[..., None, :, :])
     dia, off = np.vecdot(W, W), vv[..., [0, 2, 1], [1, 0, 2], :].reshape(V.shape)
-    ident = _hermitian_norm(dia.sum(-2) - 1.0, off.sum(-2))
-    a_dia, a_off = A.dia[:, None], A.off.reshape(-1, 1, 24)
-    amat = _hermitian_norm(np.vecmat(lams, dia) - a_dia, np.vecmat(lams, off) - a_off)
-    # |(v_i v_i^dagger) v_j| for every i < j, slot a the sum over b of (v_ia conj(v_ib)) v_jb
-    pairs = _product(vv[..., [0, 0, 1], :, :, :], W[..., [1, 2, 2], None, :, :])
-    return np.stack([
-        _norm(RV - lams[..., None] * V).max(-1) / scale,
-        _norm(KV - r[..., None, None] * V).max(-1) / np.float_power(scale, 3),
-        ident,
-        amat / scale,
-        _vnorm(np.add.reduce(pairs, -2)).max(-1),
-    ], axis=-1)
+    amat = _hermitian_norm(np.vecmat(lams, dia) - A.dia[:, None],
+                           np.vecmat(lams, off) - A.off.reshape(-1, 1, 24))
+    out = {"eigen": _norm(RV - lams[..., None] * V).max(-1) / scale,
+           "identity_decomposition": _hermitian_norm(dia.sum(-2) - 1.0, off.sum(-2)),
+           "matrix_decomposition": amat / scale}
+    if "k_eigen" in keys:
+        R2V = np.matvec(R, RV)
+        tr, sg, dt = (x[:, None, None, None] for x in (A.trace, A.sigma, A.det))
+        KV = np.matvec(R, R2V) - tr * R2V + sg * RV - dt * V
+        out["k_eigen"] = _norm(KV - r[..., None, None] * V).max(-1) / np.float_power(scale, 3)
+    if "generalized_orthogonality" in keys:
+        # |(v_i v_i^dagger) v_j| for every i < j, slot a the sum over b of (v_ia conj(v_ib)) v_jb
+        pairs = _product(vv[..., [0, 0, 1], :, :, :], W[..., [1, 2, 2], None, :, :])
+        out["generalized_orthogonality"] = _vnorm(np.add.reduce(pairs, -2)).max(-1)
+    return np.stack([out[k] for k in keys], axis=-1)
 
 
 class _Systems(_Stack):
@@ -332,7 +333,7 @@ class _Systems(_Stack):
     class go through `_Stack.bases` and `_eigenpairs` together.  nfam (n,) is 2, or 1
     for complex and real rows, which fill only the first family; per family (axis 1):
     the root r (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3),
-    eigenvectors V (n, 2, 3, 3, 8) and `_RESIDUALS` (n, 2, 5) of the groups."""
+    eigenvectors V (n, 2, 3, 3, 8), their `outers` and `_RESIDUALS` (n, 2, 5) of the groups."""
 
     @_lazy
     def nfam(self) -> np.ndarray:
@@ -366,12 +367,21 @@ class _Systems(_Stack):
     V = property(lambda self: self._solved[3])
 
     @_lazy
+    def outers(self) -> np.ndarray:
+        """v_a conj(v_b) (n, 2, 3, 3, 3, 8) of each eigenvector v, the entries of v v^dagger."""
+        return _product(self.V[..., :, None, :], (self.V * _CONJ)[..., None, :, :])
+
+    @_lazy
     def residuals(self) -> np.ndarray:
+        return self.residuals_of(_RESIDUALS)
+
+    def residuals_of(self, keys) -> np.ndarray:
+        """The residuals `keys` (n, 2, len(keys)), each one of `_RESIDUALS`, of the groups."""
         # a mixed stack builds each class's stack again rather than keep it alive
-        out = np.zeros((len(self.dia), 2, 5))
+        out = np.zeros((len(self.dia), 2, len(keys)))
         for rows, F, *args in self._solved[4]:
             A = self if isinstance(rows, slice) else _Stack(self.dia[rows], self.off[rows])
-            out[rows, :F] = _family_residuals(A, *args)
+            out[rows, :F] = _family_residuals(A, *args, self.outers[rows, :F], keys)
         return out
 
 

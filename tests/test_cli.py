@@ -333,6 +333,44 @@ def test_samples_below_one_rejected(files, capsys, command, samples):
         run(seed=0, samples=samples)
 
 
+@pytest.mark.parametrize("command", ["verify", "fuzz"])
+def test_negative_seed_rejected(files, capsys, command):
+    # np.random.default_rng's ValueError was a traceback
+    out = files["tmp"] / "report.json"
+    assert main([command, "--seed", "-1", "--samples", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                                          ("1e400", "inf")])
+def test_non_finite_det_offset_rejected(files, capsys, value, shown):
+    # a nan offset wrote NaN into the report, which is not JSON
+    out = files["tmp"] / "report.json"
+    assert main(["verify", "--samples", "2", f"--det-offset={value}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --det-offset must be a finite number, got {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", [0.5] * 500),
+    ("b", json.loads("[" * 600 + "]" * 600)),
+    ("c", 10 ** 400),
+    ("d", "x" * 300),
+], ids=["long-array", "deep-array", "huge-int-octonion", "long-string"])
+def test_parse_errors_cut_the_value_they_echo(files, capsys, field, value):
+    # the whole value was echoed: 2,486 characters for the 500-element array
+    data = json.loads(open(files["oct"]).read())
+    data[field] = value
+    path = files["tmp"] / "long.json"
+    path.write_text(json.dumps(data))
+    assert main(["eigen", str(path)]) == 1
+    fault = ("must be a number" if field == "d"
+             else "octonion JSON must be an array of 8 numbers")
+    assert capsys.readouterr().err == (
+        f"error: {path}: field {field!r}: {fault}, got {repr(value)[:197]}...\n")
+
+
 # the imaginary units kept per class: 1, e1, e2, e4 span a quaternionic subalgebra
 MASKS = {"octonionic": range(8), "quaternionic": (0, 1, 2, 4), "complex": (0, 1), "real": (0,)}
 

@@ -6,6 +6,9 @@ way, walks them one sample at a time with Octonion, OctVector3 and
 Hermitian3 arithmetic, and must find the same worst residual.
 """
 
+import functools
+import hashlib
+import json
 import math
 import sys
 
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 
 from octeig import harness, hermitian, octonion, spectral, subspace
-from octeig.harness import _CHECKS, _draw_hermitian, _Checks, run_verification
+from octeig.cli import main
+from octeig.harness import _CHECKS, _draw_hermitian, _Checks, run_fuzz, run_verification
 from octeig.hermitian import (
     _TAGS,
     Hermitian3,
@@ -854,3 +858,92 @@ def test_a_one_class_stack_keeps_the_eigenpairs_it_solved(monkeypatch, kind):
     (lams, V), = returned
     assert S.lams is lams
     assert S.V.shape == (6, 2, 3, 3, 8) and np.shares_memory(S.V, V)
+
+
+def fuzz_reference(seed, samples, kind):
+    """`run_fuzz`'s worst residuals, from `eigensystem` and `six_way` on one sample at a time."""
+    dia, off, x = harness._draw_samples(np.random.default_rng(seed), samples, kind)
+    worst = dict.fromkeys(["eigen-equation", "identity-decomposition", "matrix-decomposition",
+                           "six-way-reconstruction", "six-way-eigen-residuals"], 0.0)
+    for d, o, v in zip(dia, off, x):
+        A = Hermitian3(*d, *map(Octonion, o))
+        dec = six_way(A, OctVector3.from_coords(v))
+        for fam in eigensystem(A).families:
+            for name, key in (("eigen-equation", "eigen"),
+                              ("identity-decomposition", "identity_decomposition"),
+                              ("matrix-decomposition", "matrix_decomposition")):
+                worst[name] = max(worst[name], fam.residuals[key])
+        worst["six-way-reconstruction"] = max(worst["six-way-reconstruction"],
+                                              dec.reconstruction_residual)
+        worst["six-way-eigen-residuals"] = max(worst["six-way-eigen-residuals"],
+                                               *dec.eigen_residuals)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("kind", MASKS)
+def test_fuzz_matches_the_per_sample_reference(kind, seed):
+    # a stacked row is the single-matrix call bit for bit, so the worst residuals are equal
+    got = run_fuzz(seed, 12, kind)
+    want = fuzz_reference(seed, 12, kind)
+    assert [(r.name, r.residual) for r in got] == list(want.items())
+    assert all(r.passed for r in got)
+
+
+# sha256 of `fuzz --samples 25 --out` reports, and of the JSON of run_verification(0, 20)
+FUZZ_DIGESTS = {
+    ("octonionic", 0): "480ff3fa10bff7f62e1d570c42c4f8f6c64f202ac18af7543292a82833f9b4cd",
+    ("octonionic", 1): "d1dce6474a8781b4b8a2f24d9e661cdc5b207ca0e61e9961c2a4765067cf8f35",
+    ("octonionic", 2): "0aec7b083f8ee7169578b7bc38e2a4c9f60b91b89058d2600016c022f2984fe9",
+    ("quaternionic", 0): "5a4b02a2023f163e82360db79ced46c854d470b349e33a4acd34f3aa5be1fe40",
+    ("quaternionic", 1): "be22d510c79f0c43747841fb5d44cf9b4f15fb10449850cb47ff5b8dc420f3d7",
+    ("quaternionic", 2): "01e495b684addcf4efc9d9c3a3d3395a627e636295d9a945dde2a9998d9daa66",
+    ("complex", 0): "fef36202064d70f2560b221c8e0677a58d785f31999fc8c1915fb87973f22a4a",
+    ("complex", 1): "58c34f60eeb071d4e0a19d717ebde1a1a097895d0449c5b6ad63e869b098a70b",
+    ("complex", 2): "bb5c08b3f57b2a981026334f4d8a30437afd90c3bca6f0aad7b98befd09c4e4c",
+    ("real", 0): "47eb6e81f2d53cd151df06e13eab2fae25c00774b9903e539b8661398c03fe67",
+    ("real", 1): "e81c89152b8589de65b0fe9d0bc1a6ff326eb656c75f90ea7c1c205a55959ca6",
+    ("real", 2): "e44ed931aaee730cd73eb95413605b51517c066ed5d25653d7a51b0ef76145e3",
+}
+VERIFY_DIGEST = "3bd29c9a6ad0266bf86fc296e882c288d26e2fbc0c964153192dc5d40b691da6"
+
+
+def test_fuzz_and_verify_reports_keep_their_bytes(tmp_path, capsys):
+    out = tmp_path / "fuzz.json"
+    for (kind, seed), digest in FUZZ_DIGESTS.items():
+        assert main(["fuzz", "--class", kind, "--seed", str(seed), "--samples", "25",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (kind, seed)
+    capsys.readouterr()
+    text = json.dumps([r.to_json() for r in run_verification(0, 20)])
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGEST
+
+
+def test_fuzz_forms_the_outer_products_once_and_no_k_residual(monkeypatch):
+    # the split and the family residuals read one block per stack; fuzz reports neither the
+    # K residual nor generalized orthogonality, so it computes neither, and no sigma
+    formed, asked, stacks = [], [], []
+
+    @functools.wraps(spectral._Systems.outers.func)
+    def outers(self, real=spectral._Systems.outers.func):
+        formed.append(self)
+        return real(self)
+
+    def family_residuals(A, *args, real=spectral._family_residuals):
+        asked.append(args[-1])
+        stacks.append(A)
+        return real(A, *args)
+
+    monkeypatch.setattr(spectral._Systems, "outers", hermitian._lazy(outers))
+    monkeypatch.setattr(spectral, "_family_residuals", family_residuals)
+    for kind in MASKS:
+        del formed[:], asked[:], stacks[:]
+        run_fuzz(0, 8, kind)
+        assert len(formed) == 1, kind
+        assert [tuple(keys) for keys in asked] == [
+            ("eigen", "identity_decomposition", "matrix_decomposition")], kind
+        assert "sigma" not in vars(stacks[0]), kind
+    # verify forms one block per pool: the octonionic one for its residuals and two splits
+    formed.clear()
+    run_verification(0, 8)
+    assert sorted(len(S.dia) for S in formed) == [2, 8]

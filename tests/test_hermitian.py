@@ -369,7 +369,7 @@ def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
                        (_Stack, ["L", "alpha_phi", "associative", "classes", "codes", "roots",
                                  "families", "split", "bases", "K", "P", "T", "R", "trace",
                                  "sigma", "det", "frobenius"]),
-                       (_Systems, ["nfam", "_solved", "residuals"])):
+                       (_Systems, ["nfam", "_solved", "outers", "residuals"])):
         for name in names:
             assert isinstance(vars(cls)[name], _lazy) and callable(vars(cls)[name].func), name
     # the matrix's stack stays out of a pickle or a deep copy

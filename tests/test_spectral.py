@@ -389,7 +389,11 @@ def test_residual_formulas_off_the_spectrum(rng, octonionic_pool):
         ref = reference_residuals(A, fam, pairs)
         V = np.array([[[p.v.to_coords() for p in pairs]]])
         lams = np.array([[[p.lam for p in pairs]]])
-        got = dict(zip(_RESIDUALS, _family_residuals(A._stack, np.array([[fam.r]]), lams, V)[0, 0]))
+        # the outer products v_a conj(v_b), from octonion products
+        vv = np.array([[[[[(a * b.conj()).coords for b in p.v.components]
+                          for a in p.v.components] for p in pairs]]])
+        got = dict(zip(_RESIDUALS,
+                       _family_residuals(A._stack, np.array([[fam.r]]), lams, V, vv)[0, 0]))
         for key, want in ref.items():
             assert want > 1e-3
             assert abs(got[key] - want) <= 1e-12 * want
