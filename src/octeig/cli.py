@@ -238,10 +238,18 @@ def _cmd_fuzz(args) -> int:
     return _EXIT_OK if ok else _EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are failures, exit 1, not argparse's exit 2; its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise OcteigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no state."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="octeig",
         description="Two-family eigenstructure of 3x3 octonionic Hermitian matrices.",
     )
@@ -284,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except OcteigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,15 +90,14 @@ def random_vector(rng, mask=None) -> OctVector3:
 def random_hermitian(rng, kind: str = OCTONIONIC) -> Hermitian3:
     """Random matrix of the requested class, entries uniform in [-1, 1]; raises if masking
     the coordinates to the class gave another class."""
-    (d, e, f), (a, b, c) = (x[0] for x in _draw_hermitian(rng, 1, kind))
-    return Hermitian3(d, e, f, Octonion(a), Octonion(b), Octonion(c))
+    A = _draw_stack(rng, 1, kind)
+    return Hermitian3(*A.dia[0], *map(Octonion, A.off[0]))
 
 
-def _rejected(A, code: int) -> np.ndarray:
-    """Where a `_Stack`'s matrices, or off-diagonals (..., 3, 8), are not of class `code`, an
-    index into _TAGS, as `_classes(off, alpha)[0] != code`, cached on the stack.  Octonionic is
-    decided by the associator alone, so only the lower classes pay for the rank SVD."""
-    A = A if isinstance(A, _Stack) else _Stack(None, A)
+def _rejected(A: _Stack, code: int) -> np.ndarray:
+    """Where a `_Stack`'s matrices are not of class `code`, an index into _TAGS, as
+    `_classes(off, alpha)[0] != code`, cached on the stack.  Octonionic is decided by the
+    associator alone, so only the lower classes pay for the rank SVD."""
     return A.associative if code == _TAGS.index(OCTONIONIC) else A.classes[0] != code
 
 
@@ -119,12 +118,6 @@ def _draw_stack(rng, n: int, kind: str) -> _Systems:
     return _masked_stack(kind, rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3, 8)))
 
 
-def _draw_hermitian(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (n, 3) and off-diagonals (n, 3, 8) of `_draw_stack`."""
-    A = _draw_stack(rng, n, kind)
-    return A.dia, A.off
-
-
 # doubles per fuzz sample: a matrix (3 diagonal, then a, b, c) and a vector
 _MATRIX, _SAMPLE = 27, 51
 
@@ -136,12 +129,6 @@ def _draw_fuzz(rng, n: int, kind: str) -> tuple[_Systems, np.ndarray]:
     # contiguous copies, so the stacked kernels see the layout of freshly built arrays
     A = _masked_stack(kind, rows[:, :3].copy(), rows[:, 3:_MATRIX].reshape(n, 3, 8).copy())
     return A, rows[:, _MATRIX:].copy()
-
-
-def _draw_samples(rng, n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (n, 3), off-diagonals (n, 3, 8) and vectors (n, 24) of `_draw_fuzz`."""
-    A, x = _draw_fuzz(rng, n, kind)
-    return A.dia, A.off, x
 
 
 def _check_samples(samples: int) -> int:

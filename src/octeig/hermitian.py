@@ -266,26 +266,15 @@ def _det(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
             + 2.0 * _product(_product(c, b), a)[..., 0])
 
 
-def _alpha_phi(off: np.ndarray, L: np.ndarray = None) -> tuple[np.ndarray, np.ndarray]:
+def _alpha_phi(off: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`alpha` (..., 8) and `phi` (...) of stacked off-diagonals (..., 3, 8), by the left
-    multiplication matrices L (..., 3, 8, 8) of a, b, c (unless given): from ab, bc and ba,
+    multiplication matrices L (..., 3, 8, 8) of a, b, c: from ab, bc and ba,
     (ab)c - a(bc), and (Re(c(ba)) - Re(a(bc))) / 2 as in `assoc3form`."""
-    L = left_mul_matrix(off) if L is None else L
     a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
     ba_bc = np.matvec(L[..., 1:2, :, :], off[..., ::2, :])
     ba, bc = ba_bc[..., 0, :], ba_bc[..., 1, :]
     return (_product(np.matvec(L[..., 0, :, :], b), c) - np.matvec(L[..., 0, :, :], bc),
             0.5 * (np.vecdot(c * _CONJ, ba) - np.vecdot(a * _CONJ, bc)))
-
-
-def _phi(off: np.ndarray) -> np.ndarray:
-    """`phi` of stacked off-diagonals (..., 3, 8)."""
-    return _alpha_phi(off)[1]
-
-
-def _alpha(off: np.ndarray) -> np.ndarray:
-    """`alpha` of stacked off-diagonals, (..., 8)."""
-    return _alpha_phi(off)[0]
 
 
 def sigma(A: Hermitian3) -> float:

@@ -27,7 +27,6 @@ from .hermitian import (
 )
 from .octonion import Octonion, _product
 from .spectral import EigenSystem, _norm_scale, _Systems, k_vector
-from .subspace import apply_blockwise
 from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "project_along",
     "six_way",
     "quaternionic_six_way",
-    "subalgebra_part",
 ]
 
 
@@ -99,12 +97,6 @@ def project_along(v: OctVector3, y: OctVector3, check: bool = True,
                 f"vector is not in the K eigenspace of the projector (residual {resid:.3e})"
             )
     return mat_vec(B, y)
-
-
-def subalgebra_part(hbasis, x: OctVector3) -> OctVector3:
-    """Componentwise orthogonal projection of x onto the real span of hbasis."""
-    H = np.array([h.coords for h in hbasis])
-    return OctVector3.from_coords(apply_blockwise(H.T @ H, x.to_coords()))
 
 
 def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:

@@ -8,10 +8,10 @@ with r a root of the family quadratic, so each matrix carries two
 3-eigenvalue families.  Every class takes one route, stacked over whole
 arrays of matrices (`_Systems`; `eigensystem` is its case of one): each
 family is one eigh of A on its invariant subspace, Q = kron(I3, B) with B
-from `_Stack.bases`, then the coordinate rule, and a rank-one sweep for
-repeated eigenvalues.  `eigenvectors` keeps the SVD nullspace
-of R - lam I as the reference path; `lambda_roots` is a cross-check of
-the cubic for the harness.
+from `_Stack.bases`, then the coordinate rule, and for repeated eigenvalues
+a sweep that applies v v^dagger through `_Stack.outer`.  `eigenvectors`
+keeps the SVD nullspace of R - lam I as the reference path; `lambda_roots`
+is a cross-check of the cubic for the harness.
 """
 
 from dataclasses import dataclass
@@ -30,8 +30,6 @@ from .hermitian import (
     _vnorm,
     det,
     mat_vec,
-    outer_entries,
-    real_form,
     sigma,
     trace,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "lambda_roots",
     "k_vector",
     "realify24",
-    "realify_rank_one",
     "real_nullspace",
     "eigenvectors",
     "eigensystem",
@@ -173,11 +170,6 @@ def realify24(A: Hermitian3) -> np.ndarray:
     return _read_only(A._stack.R[0])
 
 
-def realify_rank_one(V: np.ndarray) -> np.ndarray:
-    """Stack of the 24x24 real forms of v v^dagger, one per column v of V."""
-    return real_form(*outer_entries(V))
-
-
 def real_nullspace(M: np.ndarray, rel_threshold: float = REAL_RANK_TOL) -> np.ndarray:
     """Orthonormal nullspace basis (columns) by SVD with a relative rank cut (rank 0 for M = 0)."""
     _, s, vh = np.linalg.svd(M)
@@ -216,7 +208,7 @@ def _sweep(space: np.ndarray, lam: float, multiplicity: int, Q: np.ndarray) -> l
     Q (24 x dim) maps the coordinates of `space`, dim/3 per vector component,
     into O^3.  For repeated eigenvalues a Gram-Schmidt sweep subtracts the
     rank-one projection (v v^dagger) y, which is idempotent on this K
-    eigenspace.
+    eigenspace, applied through the 24x24 form of `_Stack.outer(v)`.
     """
     per = space.shape[1] // multiplicity
     reps = []
@@ -224,7 +216,7 @@ def _sweep(space: np.ndarray, lam: float, multiplicity: int, Q: np.ndarray) -> l
         rep = _pick_representative(space, len(space) // 3)
         reps.append(rep)
         if k + 1 < multiplicity:
-            B = Q.T @ realify_rank_one(Q @ rep[:, None])[0] @ Q
+            B = Q.T @ _Stack.outer(Q @ rep).R[0] @ Q
             space = _column_basis(space - B @ space)
             if space.shape[1] < per * (multiplicity - k - 1):
                 raise ExtractionFailure(

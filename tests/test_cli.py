@@ -352,6 +352,19 @@ def test_non_finite_det_offset_rejected(files, capsys, value, shown):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+    (["verify", "--det-offset", "-inf"], "argument --det-offset: expected one argument"),
+    (["eigen"], "the following arguments are required: matrix"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                     "(choose from 'eigen', 'project', 'verify', 'fuzz')"),
+], ids=["bad-int", "minus-inf-value", "missing-positional", "unknown-command"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # argparse exited 2, the code of a routed answer
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("a", [0.5] * 500),
     ("b", json.loads("[" * 600 + "]" * 600)),

@@ -17,15 +17,13 @@ import pytest
 
 from octeig import harness, hermitian, octonion, spectral, subspace
 from octeig.cli import main
-from octeig.harness import _CHECKS, _draw_hermitian, _Checks, run_fuzz, run_verification
+from octeig.harness import _CHECKS, _Checks, _draw_fuzz, _draw_stack, run_fuzz, run_verification
 from octeig.hermitian import (
     _TAGS,
     Hermitian3,
     OctVector3,
-    _alpha,
     _classes,
     _det,
-    _phi,
     _sigma,
     alpha,
     classify,
@@ -38,7 +36,7 @@ from octeig.hermitian import (
     trace,
 )
 from octeig.octonion import Octonion, associator, inner, left_mul_matrix
-from octeig.projection import quaternionic_six_way, six_way, subalgebra_part
+from octeig.projection import quaternionic_six_way, six_way
 from octeig.spectral import (
     _Systems,
     eigensystem,
@@ -572,7 +570,8 @@ def ref_quaternionic_six_way(ctx):
     for (A, es), x in zip(quat_pool(ctx), vecs(ctx.uniform(3, 8, n=nq))):
         dec = quaternionic_six_way(A, x, system=es)
         worst = max(worst, dec.reconstruction_residual, max(dec.eigen_residuals))
-        x1 = subalgebra_part(quaternionic_split(A)[0], x)
+        H = np.array([h.coords for h in quaternionic_split(A)[0]])
+        x1 = OctVector3.from_coords(x.to_coords().reshape(3, 8) @ (H.T @ H))
         for pair, part in zip(es.families[0].pairs, dec.parts[:3]):
             classic = pair.v.right_mul(pair.v.dagger_dot(x1))
             worst = max(worst, (classic - part.component).norm() / max(1.0, x.norm()))
@@ -712,16 +711,18 @@ def test_k_diagonality_matches_its_reference_off_the_identity():
 
 @pytest.mark.parametrize("kind", list(MASKS))
 def test_stacked_invariants_equal_the_scalar_ones(kind):
-    dia, off = _draw_hermitian(np.random.default_rng(5), 40, kind)
+    drawn = _draw_stack(np.random.default_rng(5), 40, kind)
+    dia, off = drawn.dia, drawn.off
     As = mats(_Stack(dia, off))
-    codes, dim_t = _classes(off, _alpha(off))
+    bare = _Stack(None, off)
+    codes, dim_t = _classes(off, bare.alpha)
     for i, A in enumerate(As):
         assert classify(A).tag == kind == _TAGS[codes[i]]
         assert classify(A).dim_t == dim_t[i]
         assert _sigma(dia, off)[i] == sigma(A)
         assert _det(dia, off)[i] == det(A)
-        assert _phi(off)[i] == phi(A)
-        assert np.array_equal(_alpha(off)[i], alpha(A).coords)
+        assert bare.phi[i] == phi(A)
+        assert np.array_equal(bare.alpha[i], alpha(A).coords)
         # and the scalar ones agree with the octonion-product formulas
         assert sigma(A) == pytest.approx(old_sigma(A), rel=1e-14, abs=1e-15)
         assert det(A) == pytest.approx(old_det(A), rel=1e-14, abs=1e-15)
@@ -836,7 +837,8 @@ def test_the_class_test_reads_the_cached_associator_mask(monkeypatch):
     for mod in (hermitian, subspace):
         monkeypatch.setattr(mod, "_associative", associative)
     for kind in MASKS:
-        dia, off = _draw_hermitian(np.random.default_rng(7), 5, kind)
+        drawn = _draw_stack(np.random.default_rng(7), 5, kind)
+        dia, off = drawn.dia, drawn.off
         calls.clear()
         S = _Stack(dia, off)
         S.codes, S.classes
@@ -853,7 +855,8 @@ def test_a_one_class_stack_keeps_the_eigenpairs_it_solved(monkeypatch, kind):
         return returned[-1]
 
     monkeypatch.setattr(spectral, "_eigenpairs", eigenpairs)
-    S = _Systems(*_draw_hermitian(np.random.default_rng(8), 6, kind))
+    drawn = _draw_stack(np.random.default_rng(8), 6, kind)
+    S = _Systems(drawn.dia, drawn.off)
     S.V
     (lams, V), = returned
     assert S.lams is lams
@@ -862,10 +865,10 @@ def test_a_one_class_stack_keeps_the_eigenpairs_it_solved(monkeypatch, kind):
 
 def fuzz_reference(seed, samples, kind):
     """`run_fuzz`'s worst residuals, from `eigensystem` and `six_way` on one sample at a time."""
-    dia, off, x = harness._draw_samples(np.random.default_rng(seed), samples, kind)
+    drawn, x = _draw_fuzz(np.random.default_rng(seed), samples, kind)
     worst = dict.fromkeys(["eigen-equation", "identity-decomposition", "matrix-decomposition",
                            "six-way-reconstruction", "six-way-eigen-residuals"], 0.0)
-    for d, o, v in zip(dia, off, x):
+    for d, o, v in zip(drawn.dia, drawn.off, x):
         A = Hermitian3(*d, *map(Octonion, o))
         dec = six_way(A, OctVector3.from_coords(v))
         for fam in eigensystem(A).families:

@@ -12,14 +12,15 @@ from octeig.harness import (
     FUZZ_CLASSES,
     _CHECKS,
     _Checks,
-    _draw_samples,
+    _draw_fuzz,
     _rejected,
     random_hermitian,
     random_vector,
     run_fuzz,
     run_verification,
 )
-from octeig.hermitian import _TAGS, _alpha, _classes
+from octeig.hermitian import _TAGS, _classes
+from octeig.subspace import _Stack
 
 
 def interleaved(rng, n, kind):
@@ -29,9 +30,15 @@ def interleaved(rng, n, kind):
     return dia, off, np.array([v.to_coords() for v in vecs])
 
 
+def draw_samples(rng, n, kind):
+    """Diagonals (n, 3), off-diagonals (n, 3, 8) and vectors (n, 24) of `_draw_fuzz`."""
+    A, x = _draw_fuzz(rng, n, kind)
+    return A.dia, A.off, x
+
+
 def assert_same_draws(seed, n, kind):
     bulk, calls = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = _draw_samples(bulk, n, kind), interleaved(calls, n, kind)
+    got, want = draw_samples(bulk, n, kind), interleaved(calls, n, kind)
     assert [a.shape for a in got] == [(n, 3), (n, 3, 8), (n, 24)]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     # and the generator is left where the calls leave it
@@ -63,7 +70,7 @@ def test_a_rejected_draw_raises(monkeypatch, kind, cut):
         for n in (1, 8, 25):
             # the real part of a is coordinate 3 of a sample's 51 doubles, in every class
             rejected = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 51))[:, 3] > cut
-            for draw in (lambda: _draw_samples(np.random.default_rng(seed), n, kind),
+            for draw in (lambda: _draw_fuzz(np.random.default_rng(seed), n, kind),
                          lambda: run_fuzz(seed, n, kind)):
                 calls.clear()
                 if rejected.any():
@@ -124,11 +131,11 @@ def test_rejection_test_agrees_with_the_class_test():
     rows += [nudged, np.zeros((1, 3, 8))]
     off = np.concatenate(rows)
     off = np.concatenate([off, off * 10.0 ** rng.uniform(-8, 8, (len(off), 1, 1))])
-    codes = _classes(off, _alpha(off))[0]
+    codes = _classes(off, _Stack(None, off).alpha)[0]
     assert set(codes.tolist()) == {0, 1, 2, 3}
     assert (codes[-400:] == 3).sum() > 50 and (codes[-400:] == 2).sum() > 50
     for code in range(len(_TAGS)):
-        assert np.array_equal(_rejected(off, code), codes != code), _TAGS[code]
+        assert np.array_equal(_rejected(_Stack(None, off), code), codes != code), _TAGS[code]
 
 
 def digest(*arrays):
@@ -150,7 +157,7 @@ VERIFY_POOL_DIGESTS = ("d1f4ea6ce673e64775b6333d145f2c3d1dc26f506d36b4b2f1892809
 
 @pytest.mark.parametrize("kind", FUZZ_CLASSES)
 def test_fuzz_draws_keep_their_stream(kind):
-    assert digest(*_draw_samples(np.random.default_rng(1), 25, kind)) == FUZZ_DIGESTS[kind]
+    assert digest(*draw_samples(np.random.default_rng(1), 25, kind)) == FUZZ_DIGESTS[kind]
 
 
 def test_verify_pools_keep_their_stream():

@@ -17,7 +17,7 @@ from octeig.hermitian import (
     sigma,
     trace,
 )
-from octeig.harness import _draw_hermitian, random_hermitian
+from octeig.harness import _draw_stack, random_hermitian
 from octeig.octonion import _CONJ, Octonion, inner
 from octeig.spectral import (
     EigenPair,
@@ -34,7 +34,6 @@ from octeig.spectral import (
     lambda_roots,
     real_nullspace,
     realify24,
-    realify_rank_one,
     same_family,
 )
 from octeig.subspace import (
@@ -400,11 +399,12 @@ def test_residual_formulas_off_the_spectrum(rng, octonionic_pool):
 
 
 def test_realify_rank_one(rng):
-    V = np.array([rand_vec(rng).to_coords() for _ in range(4)]).T
-    forms = realify_rank_one(V)
+    # the sweep's one rank-one kernel: the 24x24 forms of v v^dagger
+    V = np.array([rand_vec(rng).to_coords() for _ in range(4)])
+    forms = _Stack.outer(V).R
     assert forms.shape == (4, 24, 24)
     for k in range(4):
-        v = OctVector3.from_coords(V[:, k])
+        v = OctVector3.from_coords(V[k])
         assert np.abs(forms[k] - realify24(outer(v))).max() < 1e-14
         y = rand_vec(rng)
         assert np.allclose(forms[k] @ y.to_coords(), mat_vec(outer(v), y).to_coords(), atol=1e-13)
@@ -671,7 +671,7 @@ def test_family_dimension_probe_rejects_complex_projectors(scale):
 @pytest.mark.parametrize("n", [1, 3, 8, 41])
 def test_stacked_lambda_roots_equal_separate_calls_bit_for_bit(n):
     # the quaternionic-lift check solves the spectra of A and of its conjugate in one call
-    A = _Stack(*_draw_hermitian(np.random.default_rng(n), n, "quaternionic"))
+    A = _draw_stack(np.random.default_rng(n), n, "quaternionic")
     Abar = _Stack(A.dia, A.off * _CONJ)
     stacked = _lambda_roots(*np.stack([(M.trace, M.sigma, M.det) for M in (A, Abar)], -1))
     for m, M in enumerate((A, Abar)):

@@ -5,6 +5,8 @@ matrix; every row of a larger stack, of one class or mixed, must give the
 same bits.  The residuals are normwise, so scaling A leaves them unchanged.
 """
 
+import hashlib
+import json
 from itertools import groupby
 
 import numpy as np
@@ -12,14 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from octeig import projection, spectral, subspace
+from octeig import subspace
+from octeig.cli import main
 from octeig.errors import DegenerateFamily
 from octeig.harness import random_hermitian, random_vector
 from octeig.hermitian import _TAGS, Hermitian3, OctVector3, classify, det, outer, sigma
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
-from octeig.spectral import (_RESIDUALS, _slotwise, _Systems, eigensystem, eigenvectors,
-                             realify_rank_one)
+from octeig.spectral import _RESIDUALS, _slotwise, _Systems, eigensystem, eigenvectors
 from octeig.subspace import _Stack, quaternionic_split
 from octeig.tolerances import ZERO_PART_TOL
 
@@ -193,7 +195,8 @@ def test_one_stack_per_matrix(monkeypatch):
 
 def test_the_octonionic_solve_takes_one_eigh_of_k_and_no_rank_one_forms(monkeypatch):
     # the family bases come from one eigh of K, not from eigh(P_m) and a QR, and the split
-    # from two stacked octonion products, not from the 24x24 forms of v v^dagger
+    # from two stacked octonion products, not from the 24x24 forms of v v^dagger, which only
+    # `_Stack.outer` builds
     seen = {"eigh": [], "qr": 0, "P": 0, "rank_one": 0}
 
     def counted(key, fn):
@@ -209,9 +212,7 @@ def test_the_octonionic_solve_takes_one_eigh_of_k_and_no_rank_one_forms(monkeypa
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     monkeypatch.setattr(_Stack, "P", property(counted("P", _Stack.P.func)))
-    for mod in (spectral, projection):
-        monkeypatch.setattr(mod, "realify_rank_one", counted("rank_one", spectral.realify_rank_one),
-                            raising=False)
+    monkeypatch.setattr(_Stack, "outer", classmethod(counted("rank_one", _Stack.outer.__func__)))
     rng = np.random.default_rng(49)
     for A, x in [(random_hermitian(rng), random_vector(rng)) for _ in range(3)]:
         seen.update(eigh=[], qr=0, P=0, rank_one=0)
@@ -220,6 +221,10 @@ def test_the_octonionic_solve_takes_one_eigh_of_k_and_no_rank_one_forms(monkeypa
         assert seen == {"qr": 0, "P": 0, "rank_one": 0}
         assert K.shape == (1, 8, 8) and bits(K) == bits(A._stack.K)
         assert sub.shape == (1, 2, 12, 12)
+    # the counter sees the forms the sweep builds for a repeated eigenvalue
+    seen.update(eigh=[], rank_one=0)
+    eigensystem(Hermitian3.diagonal(1, 1, 2))
+    assert seen["rank_one"] == 1
 
 
 def test_a_stack_given_the_octonionic_class_still_tests_the_associator():
@@ -270,7 +275,7 @@ def assert_parts_are_the_rank_one_forms(A, x):
     parts = _six_way(S, x[None])[0][0]
     Q = _slotwise(S.B[0, 0])
     x1 = Q @ (Q.T @ x) if S.nfam[0] == 2 else x
-    forms = realify_rank_one(S.V[0].reshape(6, 24).T).reshape(2, 3, 24, 24)
+    forms = _Stack.outer(S.V[0]).R.reshape(2, 3, 24, 24)
     want = np.matvec(forms, np.stack([x1, x - x1])[:, None])
     zero = ~parts.any(-1)
     eps, size = np.finfo(float).eps, np.linalg.norm(x)
@@ -301,6 +306,38 @@ def test_six_way_parts_of_clusters_are_the_rank_one_forms():
     rng = np.random.default_rng(51)
     for A in cluster_cases(rng):
         assert_parts_are_the_rank_one_forms(A, random_vector(rng).to_coords())
+
+
+# sha256 of the `eigen` and of the `project` reports of the four cluster cases, one after
+# another, with the vector drawn after them; all four run the sweep
+CLUSTER_DIGESTS = {
+    (0, "eigen"): "504e1d0bf8b296116e7dbd2dc0502a2a4e8a322c0008df7a0a602c95acb3a251",
+    (0, "project"): "2dcb148307d210dbef92cbb4ffec4d9fa342ae5f3c57b07f9dbbb11356e91562",
+    (1, "eigen"): "454d942d384171c0591d593c35b730097be80396b03796a8339fc209ba5c35aa",
+    (1, "project"): "c799152af4ed8181c39da3596dc4f2d396395f3327581f2ca51368682d40714b",
+    (2, "eigen"): "ecacdcc32b249caf6b177f635e49da54aea62eef8c7fa3324eee87cabcd9c18a",
+    (2, "project"): "15a92220b91d3aa233ff81e934584108493119bffccf535e5449a3b5a13b4dc9",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cluster_reports_keep_their_bytes(tmp_path, capsys, seed):
+    rng = np.random.default_rng(seed)
+    cases, x = cluster_cases(rng), random_vector(rng)
+    vec, out = tmp_path / "x.json", tmp_path / "out.json"
+    vec.write_text(json.dumps(x.to_json()))
+    for command in ("eigen", "project"):
+        digest, codes = hashlib.sha256(), []
+        for k, A in enumerate(cases):
+            mat = tmp_path / f"m{k}.json"
+            mat.write_text(json.dumps(A.to_json()))
+            vecs = [str(vec)] if command == "project" else []
+            codes.append(main([command, str(mat), *vecs, "--out", str(out)]))
+            digest.update(out.read_bytes())
+        # real, real and complex are routed; v v^dagger of a random v is octonionic
+        assert codes == [2, 2, 2, 0], command
+        assert digest.hexdigest() == CLUSTER_DIGESTS[seed, command]
+    capsys.readouterr()
 
 
 def residuals(A, x):

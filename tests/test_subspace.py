@@ -21,7 +21,7 @@ from octeig.hermitian import (
     phi,
     sigma,
 )
-from octeig.harness import _draw_hermitian
+from octeig.harness import _draw_stack
 from octeig.octonion import Octonion, _product, associator, inner
 from octeig.spectral import _slotwise, realify24
 from octeig.subspace import (
@@ -488,7 +488,7 @@ def test_family_bases_span_invariant_subspaces(rng, mask, families):
 @pytest.mark.parametrize("n", [1, 3, 8, 41])
 def test_stacked_gram_schmidt_equals_per_family_calls_bit_for_bit(n):
     # the t2-is-t1-alpha check orthonormalizes T s_1 and T s_2 as one (n, 2, 4, 8) stack
-    A = _Stack(*_draw_hermitian(np.random.default_rng(n), n, "octonionic"))
+    A = _draw_stack(np.random.default_rng(n), n, "octonionic")
     s = A.families[3]
     X = _product(A.T[:, None], s[:, :, None])
     X[0, 1, 3] = 2.0 * X[0, 1, 0] + X[0, 1, 1]  # a row to drop
