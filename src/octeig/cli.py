@@ -20,7 +20,7 @@ from .harness import (
     run_fuzz,
     run_verification,
 )
-from .hermitian import _TAGS, OCTONIONIC, Hermitian3, OctVector3
+from .hermitian import _TAGS, OCTONIONIC, Hermitian3, OctVector3, classify
 from .projection import _part_json, _six_way, _six_way_json, matrix_fingerprint
 from .spectral import _RESIDUALS, _contexts, _eigen_json, _family_json
 from .subspace import _context_json
@@ -171,11 +171,11 @@ def _cmd_eigen(args) -> int:
     blocks = zip(_contexts(S), S.lams[0].tolist(), S.V[0].tolist(), S.residuals[0].tolist())
     families = [_family_json(_context_json(*context), lams, V, dict(zip(_RESIDUALS, res)))
                 for context, lams, V, res in blocks]
-    code, dim_t = (int(x[0]) for x in S.classes)
-    payload = _eigen_json(_TAGS[code], dim_t, families)
+    tag, dim_t = classify(A)
+    payload = _eigen_json(tag, dim_t, families)
     payload["fingerprint"] = matrix_fingerprint(A)
     worst = max(max(f["residuals"].values()) for f in families)
-    return _conclude(payload, _TAGS[code], worst, tol, args.out)
+    return _conclude(payload, tag, worst, tol, args.out)
 
 
 def _cmd_project(args) -> int:

@@ -88,17 +88,12 @@ def random_vector(rng, mask=None) -> OctVector3:
 
 
 def random_hermitian(rng, kind: str = OCTONIONIC) -> Hermitian3:
-    """Random matrix of the requested class, entries uniform in [-1, 1]; raises if masking
-    the coordinates to the class gave another class."""
-    A = _draw_stack(rng, 1, kind)
-    return Hermitian3(*A.dia[0], *map(Octonion, A.off[0]))
-
-
-def _rejected(A: _Stack, code: int) -> np.ndarray:
-    """Where a `_Stack`'s matrices are not of class `code`, an index into _TAGS, as
-    `_classes(off, alpha)[0] != code`, cached on the stack.  Octonionic is decided by the
-    associator alone, so only the lower classes pay for the rank SVD."""
-    return A.associative if code == _TAGS.index(OCTONIONIC) else A.classes[0] != code
+    """Random matrix of the requested class, entries uniform in [-1, 1], whose `_stack` is the
+    stack its class was tested on; raises if masking the coordinates gave another class."""
+    A = _draw_stack(rng, 1, _check_kind(kind))
+    H = Hermitian3(*A.dia[0], *map(Octonion, A.off[0]))
+    object.__setattr__(H, "_stack", A)
+    return H
 
 
 def _masked_stack(kind: str, dia: np.ndarray, off: np.ndarray) -> _Systems:
@@ -108,7 +103,7 @@ def _masked_stack(kind: str, dia: np.ndarray, off: np.ndarray) -> _Systems:
     if mask is not None:
         off *= np.bincount(mask, minlength=8)
     A = _Systems(dia, off)
-    if _rejected(A, _TAGS.index(kind)).any():
+    if (A.codes != _TAGS.index(kind)).any():
         raise RuntimeError(f"failed to sample a {kind} matrix")
     return A
 
@@ -129,6 +124,12 @@ def _draw_fuzz(rng, n: int, kind: str) -> tuple[_Systems, np.ndarray]:
     # contiguous copies, so the stacked kernels see the layout of freshly built arrays
     A = _masked_stack(kind, rows[:, :3].copy(), rows[:, 3:_MATRIX].reshape(n, 3, 8).copy())
     return A, rows[:, _MATRIX:].copy()
+
+
+def _check_kind(kind: str) -> str:
+    if kind not in _COORD_MASKS:
+        raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
+    return kind
 
 
 def _check_samples(samples: int) -> int:
@@ -500,8 +501,7 @@ def run_verification(seed: int, samples: int, tolerance: float = DEFAULT_TOLERAN
 def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
              tolerance: float = DEFAULT_TOLERANCE) -> list[CheckResult]:
     """End-to-end eigensystem plus projection on random matrices of one class."""
-    if kind not in _COORD_MASKS:
-        raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
+    _check_kind(kind)
     _check_samples(samples)
     pool, x = _draw_fuzz(np.random.default_rng(seed), samples, kind)
     _, residuals, recon = _six_way(pool, x)

@@ -38,7 +38,6 @@ __all__ = [
     "classify",
     "mat_vec",
     "outer",
-    "outer_entries",
     "real_form",
     "REAL",
     "COMPLEX",
@@ -354,14 +353,6 @@ def mat_vec(A: Hermitian3, x: OctVector3) -> OctVector3:
 def outer(v: OctVector3) -> Hermitian3:
     """Rank-one Hermitian matrix v v^dagger."""
     return v.outer()
-
-
-def outer_entries(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal (n, 3) and a, b, c (n, 3, 8) of v v^dagger for each column v of V (24, n)."""
-    X = V.T.reshape(-1, 3, 8)
-    # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
-    off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
-    return np.einsum("nsi,nsi->ns", X, X), off
 
 
 def _block_form(dia: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .hermitian import (
     OctVector3,
     _lazy,
     _vnorm,
+    classify,
     det,
     mat_vec,
     sigma,
@@ -382,7 +383,6 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     (r-labeled) and quaternionic (plain and lifted) matrices, one, flagged as such,
     for complex and real ones."""
     S = A._stack
-    code, dim_t = (int(x[0]) for x in S.classes)
     contexts = (FamilyContext(m, r, ph, Octonion(al), None if s is None else Octonion(s))
                 for m, r, ph, al, s in _contexts(S))
     families = tuple(
@@ -390,7 +390,7 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
                                      for lam, v in zip(S.lams[0, f], S.V[0, f])),
                           dict(zip(_RESIDUALS, map(float, S.residuals[0, f]))))
         for f, fam in enumerate(contexts))
-    return EigenSystem(matrix_class=MatrixClass(_TAGS[code], dim_t), families=families)
+    return EigenSystem(matrix_class=classify(A), families=families)
 
 
 def _contexts(S: _Systems) -> list:

@@ -31,7 +31,6 @@ from .hermitian import (
     _vnorm,
     alpha,
     classify,
-    outer_entries,
     real_form,
 )
 from .octonion import _CONJ, _ONE, Octonion, _norm, _product, left_mul_matrix
@@ -142,22 +141,11 @@ def _span_distance(q: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _norm(q - np.vecmat(np.matvec(S, q), S))
 
 
-def _t_rows(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_gram_schmidt` of the rows (1, a, b, c) for stacked off-diagonals (..., 3, 8)."""
-    one = np.broadcast_to(_ONE, off.shape[:-2] + (1, 8))
-    return _gram_schmidt(np.concatenate([one, off], axis=-2))
-
-
 def t_basis(A: Hermitian3) -> TBasis:
     """Orthonormal basis of span{1, a, b, c}, in that deterministic order."""
     Q = A._stack.T[0]
     Q = Q[Q.any(-1)]   # `_gram_schmidt` leaves exactly the dropped rows zero
     return TBasis(vectors=tuple(map(Octonion._of, Q)), dim=len(Q))
-
-
-def _degenerate():
-    return DegenerateFamily(
-        "associator vanishes; families are not labeled by r (use the quaternionic path)")
 
 
 def _roots(ph: np.ndarray, al: np.ndarray) -> np.ndarray:
@@ -369,13 +357,14 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
     and recomputes s_m.  With det M > 0 the generators must be unchanged;
     det M < 0 swaps the two family labels, which is accounted for here.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise ValueError("change of basis must be a real 3x3 matrix")
-    detm = float(np.linalg.det(M))
-    if abs(detm) <= SINGULAR_CHANGE_TOL * float(np.abs(M).max()) ** 3:
+    M, shifts = np.asarray(M, dtype=float), np.asarray(shifts, dtype=float)
+    if M.shape != (3, 3) or not np.isfinite(M).all():
+        raise ValueError("change of basis must be a finite real 3x3 matrix")
+    if shifts.shape != (3,) or not np.isfinite(shifts).all():
+        raise ValueError("shifts must be 3 finite real numbers")
+    if abs(float(np.linalg.det(M))) <= SINGULAR_CHANGE_TOL * float(np.abs(M).max()) ** 3:
         raise SingularChange("change of basis has numerically vanishing determinant")
-    return float(_basis_change_deviation(A._stack, M, np.asarray(shifts, dtype=float))[0])
+    return float(_basis_change_deviation(A._stack, M, shifts)[0])
 
 
 def _basis_change_deviation(A: "_Stack", M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -401,7 +390,10 @@ class _Stack:
     @classmethod
     def outer(cls, v: np.ndarray) -> "_Stack":
         """The rank-one matrices v v^dagger of vectors v (n, 3, 8)."""
-        return cls(*outer_entries(v.reshape(-1, 24).T))
+        X = v.reshape(-1, 3, 8)
+        # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
+        off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
+        return cls(np.einsum("nsi,nsi->ns", X, X), off)
 
     @_lazy
     def L(self) -> np.ndarray:
@@ -432,7 +424,7 @@ class _Stack:
         row is octonionic throughout, decided without the rank SVD of `classes`."""
         if self.associative.any():
             return self.classes[0]
-        return np.full(len(self.dia), _TAGS.index(OCTONIONIC))
+        return np.full(self.off.shape[:-2], _TAGS.index(OCTONIONIC))
 
     @_lazy
     def roots(self) -> np.ndarray:
@@ -444,7 +436,8 @@ class _Stack:
         """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8), or
         DegenerateFamily where a row is associative."""
         if self.associative.any():
-            raise _degenerate()
+            raise DegenerateFamily(
+                "associator vanishes; families are not labeled by r (use the quaternionic path)")
         return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
 
     @_lazy
@@ -482,8 +475,9 @@ class _Stack:
 
     @_lazy
     def T(self) -> np.ndarray:
-        """Orthonormal rows (n, 4, 8) spanning T, zero where dropped."""
-        return _t_rows(self.off)[0]
+        """Orthonormal rows (n, 4, 8) spanning T: (1, a, b, c) by Gram-Schmidt, zero if dropped."""
+        one = np.broadcast_to(_ONE, self.off.shape[:-2] + (1, 8))
+        return _gram_schmidt(np.concatenate([one, self.off], axis=-2))[0]
 
     @_lazy
     def R(self) -> np.ndarray:

@@ -20,7 +20,6 @@ from octeig.hermitian import (
     det,
     mat_vec,
     outer,
-    outer_entries,
     phi,
     real_form,
     sigma,
@@ -244,7 +243,8 @@ def test_json_rejects_non_finite(rng):
 
 def test_outer_entries_match_outer(rng):
     vs = [rand_vec(rng) for _ in range(5)]
-    dia, off = outer_entries(np.array([v.to_coords() for v in vs]).T)
+    B = _Stack.outer(np.array([v.to_coords() for v in vs]))
+    dia, off = B.dia, B.off
     for k, v in enumerate(vs):
         B = outer(v)
         assert np.allclose(dia[k], [B.d, B.e, B.f], rtol=0, atol=1e-14)

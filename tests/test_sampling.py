@@ -3,23 +3,23 @@ replaces, a draw of another class raising, the rejection test against the full
 class test, and pinned streams."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from octeig import harness
 from octeig.harness import (
     FUZZ_CLASSES,
     _CHECKS,
     _Checks,
     _draw_fuzz,
-    _rejected,
     random_hermitian,
     random_vector,
     run_fuzz,
     run_verification,
 )
-from octeig.hermitian import _TAGS, _classes
+from octeig.hermitian import _TAGS, _classes, _lazy
+from octeig.spectral import _Systems
 from octeig.subspace import _Stack
 
 
@@ -58,13 +58,13 @@ def test_a_rejected_draw_raises(monkeypatch, kind, cut):
     # a stand-in class test that turns down half or nine in ten of the matrices, by
     # content: a draw with a rejected matrix raises after its one class test, and a
     # draw without one is what the interleaved calls draw
-    calls = []
+    calls, code = [], _TAGS.index(kind)
 
-    def some(A, code):
+    def codes(A):
         calls.append(len(A.off))
-        return A.off[..., 0, 0] > cut
+        return np.where(A.off[..., 0, 0] > cut, (code + 1) % len(_TAGS), code)
 
-    monkeypatch.setattr(harness, "_rejected", some)
+    monkeypatch.setattr(_Systems, "codes", _lazy(codes))
     raised = 0
     for seed in (0, 1, 2):
         for n in (1, 8, 25):
@@ -94,13 +94,15 @@ def test_a_rejected_draw_raises(monkeypatch, kind, cut):
 
 @pytest.mark.parametrize("kind", FUZZ_CLASSES)
 def test_rejecting_a_class_makes_its_samplers_raise_after_one_draw(monkeypatch, kind):
-    calls = []
+    # a stand-in class test that records each drawn stack's class and turns down `kind`
+    calls, tested = [], _Stack.codes.func
 
-    def this_class(A, code):
-        calls.append(code)
-        return np.full(len(A.off), _TAGS[code] == kind)
+    def codes(A):
+        found = tested(A)
+        calls.append(int(found[0]))
+        return np.where(found == _TAGS.index(kind), (found + 1) % len(_TAGS), found)
 
-    monkeypatch.setattr(harness, "_rejected", this_class)
+    monkeypatch.setattr(_Systems, "codes", _lazy(codes))
     for draw in (lambda: random_hermitian(np.random.default_rng(0), kind),
                  lambda: run_fuzz(0, 8, kind)):
         calls.clear()
@@ -135,7 +137,27 @@ def test_rejection_test_agrees_with_the_class_test():
     assert set(codes.tolist()) == {0, 1, 2, 3}
     assert (codes[-400:] == 3).sum() > 50 and (codes[-400:] == 2).sum() > 50
     for code in range(len(_TAGS)):
-        assert np.array_equal(_rejected(_Stack(None, off), code), codes != code), _TAGS[code]
+        assert np.array_equal(_Stack(None, off).codes != code, codes != code), _TAGS[code]
+
+
+def test_codes_of_a_stack_without_diagonals():
+    # an all-octonionic stack decides its classes by the associator alone, from the
+    # off-diagonals, of any stacked shape
+    off = np.random.default_rng(5).uniform(-1, 1, (2, 6, 3, 8))
+    for rows in (off[0], off):
+        A = _Stack(None, rows)
+        assert not A.associative.any()
+        assert np.array_equal(_Stack(None, rows).codes, A.classes[0])
+
+
+def test_an_unknown_class_raises_before_anything_is_drawn():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    message = re.escape(f"unknown matrix class 'foo'; choose from {FUZZ_CLASSES}")
+    for draw in (lambda: random_hermitian(rng, "foo"), lambda: run_fuzz(0, 2, kind="foo")):
+        with pytest.raises(ValueError, match=message):
+            draw()
+    assert rng.bit_generator.state == state
 
 
 def digest(*arrays):

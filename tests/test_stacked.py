@@ -179,8 +179,9 @@ def test_one_stack_per_matrix(monkeypatch):
     monkeypatch.setattr(subspace, "_k", counted("k", subspace._k))
     rng = np.random.default_rng(48)
     for kind in KINDS:
-        A, x = random_hermitian(rng, kind), random_vector(rng)
+        # counted from the draw on: the matrix keeps the stack its class was tested on
         calls.update(stack=0, svd=0, k=0, eigh=0)
+        A, x = random_hermitian(rng, kind), random_vector(rng)
         classify(A), det(A), sigma(A)
         # the stack solves its eigensystem only when one is read
         assert calls == {"stack": 1, "svd": 1, "k": 0, "eigh": 0}, kind
@@ -191,6 +192,22 @@ def test_one_stack_per_matrix(monkeypatch):
         if kind == "octonionic":
             six_way(A, x)
         assert (calls["stack"], calls["svd"], calls["k"]) == (1, 1, int(kind == "octonionic")), kind
+
+
+def test_a_drawn_matrix_derives_alpha_and_phi_once(monkeypatch):
+    # the class test of the draw, classify and the eigensystem read one set of associators
+    calls, alpha_phi = [], subspace._alpha_phi
+
+    def counted(*args):
+        calls.append(1)
+        return alpha_phi(*args)
+
+    monkeypatch.setattr(subspace, "_alpha_phi", counted)
+    for kind in KINDS:
+        calls.clear()
+        A = random_hermitian(np.random.default_rng(7), kind)
+        classify(A), eigensystem(A)
+        assert len(calls) == 1, kind
 
 
 def test_the_octonionic_solve_takes_one_eigh_of_k_and_no_rank_one_forms(monkeypatch):

@@ -323,6 +323,21 @@ def test_basis_invariance_singular(rng):
         basis_invariance_check(A, np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("M, shifts, match", [
+    ([[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 0), "finite real 3x3"),
+    ([[np.inf, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 0), "finite real 3x3"),
+    (np.eye(3), (np.inf, 0, 0), "3 finite real numbers"),
+    (np.eye(3), np.zeros((2, 3)), "3 finite real numbers"),
+    (np.eye(3), (1, 2), "3 finite real numbers"),
+], ids=["nan-in-M", "inf-in-M", "inf-shift", "shifts-2x3", "two-shifts"])
+def test_basis_invariance_rejects_malformed_input(rng, M, shifts, match):
+    # a non-finite or misshapen change of basis or shift is a ValueError, not a nan,
+    # a SingularChange or a broadcast error
+    A = rand_herm(rng)
+    with pytest.raises(ValueError, match=match):
+        basis_invariance_check(A, M, shifts=shifts)
+
+
 def test_family_context_serialization(rng):
     A = rand_herm(rng)
     ctx = family_context(A, 1)
