@@ -184,11 +184,11 @@ def _cmd_project(args) -> int:
     A = _load_matrix(args.matrix)
     x = _load_vector(args.vector)
     S = A._stack
-    F, tag = int(S.nfam[0]), _TAGS[S.codes[0]]
+    F, tag = S.nfam, _TAGS[S.codes[0]]
     comps, residuals, recon = _six_way(S, x.to_coords()[None])
-    lams, comps = S.lams[0, :F].tolist(), comps[0, :F].reshape(F, 3, 3, 8).tolist()
+    lams, comps = S.lams[0].tolist(), comps[0].reshape(F, 3, 3, 8).tolist()
     parts = [_part_json(f + 1, lam, c) for f in range(F) for lam, c in zip(lams[f], comps[f])]
-    residuals, recon = residuals[0, :F].ravel().tolist(), float(recon[0])
+    residuals, recon = residuals[0].ravel().tolist(), float(recon[0])
     payload = _six_way_json(tag, matrix_fingerprint(A), parts, recon, residuals)
     if tag != OCTONIONIC:
         payload["single_family"] = F == 1

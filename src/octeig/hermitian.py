@@ -10,6 +10,7 @@ octonions (a, b, c) laid out as
 so hermiticity holds by construction.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,6 +20,7 @@ from .octonion import (
     _CONJ,
     Octonion,
     _Immutable,
+    _finite_fault,
     _json_floats,
     _norm,
     _product,
@@ -155,6 +157,16 @@ class Hermitian3:
     b: Octonion
     c: Octonion
 
+    def __post_init__(self):
+        """A NaN or infinite entry raises ValueError, worded as `from_json` words it."""
+        entries = (self.d, self.e, self.f, self.a.coords, self.b.coords, self.c.coords)
+        if all(map(math.isfinite, entries[:3])) and np.isfinite(np.concatenate(entries[3:])).all():
+            return
+        for k, x in zip("defabc", entries):
+            if not np.isfinite(x).all():
+                fault = _finite_fault(x.tolist() if k in "abc" else x, k in "abc")
+                raise ValueError(f"field {k!r}: {fault}")
+
     @classmethod
     def diagonal(cls, d: float, e: float, f: float) -> "Hermitian3":
         z = Octonion.zero()
@@ -187,6 +199,8 @@ class Hermitian3:
 
     def scale(self, t: float) -> "Hermitian3":
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"t: {_finite_fault(t, False)}")
         return Hermitian3(t * self.d, t * self.e, t * self.f,
                           self.a * t, self.b * t, self.c * t)
 

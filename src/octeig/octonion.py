@@ -94,6 +94,8 @@ class Octonion(_Immutable):
         c = np.array(coords, dtype=float)
         if c.shape != (8,):
             raise ValueError(f"octonion needs 8 coordinates, got shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError(_finite_fault(c.tolist(), True))
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -195,12 +197,19 @@ def _shown(value, limit: int = 200) -> str:
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
+def _finite_fault(value, octonion: bool) -> str:
+    """The parse path's words for a number, or an octonion's coordinates, that is not finite."""
+    return (f"octonion coordinates must be finite, got {_shown(value)}" if octonion
+            else f"must be a finite number, got {_shown(value)}")
+
+
 def _json_floats(fields) -> np.ndarray:
     """The numbers of `fields`, (label, value, octonion) triples, each value a number or an
-    octonion's 8 coordinates, as one float array, from one type pass, np.array and np.isfinite.
-    A ValueError led by the label names the first field at fault, as parsing each alone would."""
+    octonion's 8 coordinates, as one float array.  Each field in turn is checked for its type,
+    then its range: float() of each item, then math.isfinite.  A ValueError led by the label
+    names the first field at fault."""
     flat = []
-    for k, (label, value, octonion) in enumerate(fields):
+    for label, value, octonion in fields:
         items, fault = value if octonion else [value], None
         if octonion and not (isinstance(value, (list, tuple)) and len(value) == 8):
             fault = f"octonion JSON must be an array of 8 numbers, got {_shown(value)}"
@@ -210,23 +219,16 @@ def _json_floats(fields) -> np.ndarray:
                     fault = f"must be a number, got {_shown(x)}"
                     fault = f"coordinate {i} {fault}" if octonion else fault
                     break
+        if not fault:
+            try:
+                items = [float(x) for x in items]
+                fault = None if all(map(math.isfinite, items)) else _finite_fault(value, octonion)
+            except OverflowError as exc:   # an int beyond the float range
+                fault = str(exc)
         if fault:
-            _json_floats(fields[:k])   # an earlier field's range fault comes first
             raise ValueError(f"{label}: {fault}" if label else fault)
         flat += items
-    try:   # a naive np.array raises OverflowError for an int beyond the float range
-        c = np.array(flat, dtype=float)
-        if np.isfinite(c).all():
-            return c
-        label, value, octonion = fields[0]
-        fault = (f"octonion coordinates must be finite, got {_shown(value)}" if octonion
-                 else f"must be a finite number, got {_shown(value)}")
-    except OverflowError as exc:
-        label, fault = fields[0][0], str(exc)
-    if len(fields) > 1:
-        for field in fields:
-            _json_floats([field])   # raises for the first field at fault
-    raise ValueError(f"{label}: {fault}" if label else fault)
+    return np.array(flat)
 
 
 def _on_arrays(fn):

@@ -105,40 +105,41 @@ def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayD
     and real ones.  The pairs, class and family labels are those of A's stack, which
     `eigensystem(A)` reads too; `system`, A's eigensystem, is accepted and not needed."""
     S = A._stack
-    labels = [(f + 1, lam) for f in range(S.nfam[0]) for lam in S.lams[0, f].tolist()]
+    labels = [(f + 1, lam) for f, lams in enumerate(S.lams[0].tolist()) for lam in lams]
     comps, residuals, recon = _six_way(S, x.to_coords()[None])
-    octs = tuple(map(Octonion._of, comps[0].reshape(18, 8)))   # rows of a fresh array
+    octs = tuple(map(Octonion._of, comps[0].reshape(-1, 8)))   # rows of a fresh array
     return SixWayDecomposition(
         parts=tuple(DecompositionPart(m, lam, OctVector3(octs[3 * j:3 * j + 3]))
                     for j, (m, lam) in enumerate(labels)),
         reconstruction_residual=float(recon[0]),
-        eigen_residuals=tuple(float(r) for r in residuals[0].ravel()[:len(labels)]),
+        eigen_residuals=tuple(residuals[0].ravel().tolist()),
         matrix_class=_TAGS[S.codes[0]],
         fingerprint=matrix_fingerprint(A),
     )
 
 
 def _six_way(S: _Systems, x: np.ndarray):
-    """Parts (n, 2, 3, 24), their eigen residuals (n, 2, 3) and the reconstruction
+    """Parts (n, nfam, 3, 24), their eigen residuals (n, nfam, 3) and the reconstruction
     residuals (n,) of vectors x (n, 24) on stacked systems S.
 
-    x_1 = B_1 B_1^T x in each slot, and family 2 takes the rest (none for complex and real
-    rows); each piece y is expanded along its family's pairs, (v v^dagger) y, whose slot i
-    is sum_j (v_i conj(v_j)) y_j.  A part below ZERO_PART_TOL |x| is zero with residual 0;
-    the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).
+    With two families, x_1 = B_1 B_1^T x in each slot and family 2 takes the rest; with one,
+    x is its piece.  Each piece y is expanded along its family's pairs, (v v^dagger) y, whose
+    slot i is sum_j (v_i conj(v_j)) y_j.  A part below ZERO_PART_TOL |x| is zero with
+    residual 0; the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).
     """
-    B, y = S.B[:, 0], x.reshape(-1, 3, 8)
-    y1 = np.where((S.nfam == 2)[:, None, None], (y @ B) @ B.swapaxes(-1, -2), y)
-    pieces = np.concatenate([y1[:, None], (y - y1)[:, None]], axis=1)[:, :, None, None]
-    comps = np.add.reduce(_product(S.outers, pieces), -2).reshape(-1, 2, 3, 24)
+    B, y = S.B[:, :1], x.reshape(-1, 1, 3, 8)
+    if S.nfam == 2:
+        y1 = (y @ B) @ B.swapaxes(-1, -2)
+        y = np.concatenate([y1, y - y1], axis=1)
+    comps = np.add.reduce(_product(S.outers, y[:, :, None, None]), -2).reshape(S.lams.shape + (24,))
     size = np.sqrt(np.vecdot(comps, comps))
-    xnorm = np.maximum(_vnorm(y), NORM_FLOOR)
+    xnorm = np.maximum(_vnorm(x.reshape(-1, 3, 8)), NORM_FLOOR)
     zero = size < ZERO_PART_TOL * xnorm[:, None, None]
     comps = np.where(zero[..., None], 0.0, comps)
     err = np.matvec(S.R[:, None, None], comps) - S.lams[..., None] * comps
     denom = _norm_scale(S)[:, None, None] * np.where(zero, 1.0, size)
     residuals = np.sqrt(np.vecdot(err, err)) / denom   # a zero part: err = 0 over ||A||_F
-    total = np.add.reduce(comps.reshape(-1, 6, 24), 1) - x
+    total = np.add.reduce(comps.reshape(len(x), -1, 24), 1) - x
     return comps, residuals, np.sqrt(np.vecdot(total, total)) / xnorm
 
 

@@ -4,16 +4,18 @@ The real eigenvalues solve the cubic
 
     lam^3 - tr(A) lam^2 + sigma(A) lam - det(A) = r
 
-with r a root of the family quadratic, so each matrix carries two
-3-eigenvalue families.  Every class takes one route, stacked over whole
-arrays of matrices (`_Systems`; `eigensystem` is its case of one): each
-family is one eigh of A on its invariant subspace, Q = kron(I3, B) with B
-from `_Stack.bases`, then the coordinate rule, and for repeated eigenvalues
+with r a root of the family quadratic, so an octonionic or quaternionic
+matrix carries two 3-eigenvalue families, and a complex or real one a single
+family.  Every class takes one route, stacked over whole arrays of matrices
+of one class (`_Systems`; `eigensystem` is its case of one): each family is
+one eigh of A on its invariant subspace, Q = kron(I3, B) with B from
+`_Stack.bases`, then the coordinate rule, and for repeated eigenvalues
 a sweep that applies v v^dagger through `_Stack.outer`.  `eigenvectors`
 keeps the SVD nullspace of R - lam I as the reference path; `lambda_roots`
 is a cross-check of the cubic for the harness.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import _CONJ, Octonion, _norm, _product
+from .octonion import _CONJ, Octonion, _finite_fault, _norm, _product
 from .subspace import FamilyContext, _read_only, _Stack, apply_blockwise, k_matrix
 from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
                          REAL_RANK_TOL)
@@ -110,8 +112,10 @@ def lambda_roots(A: Hermitian3, r: float) -> tuple[float, float, float]:
     """Three real roots, ascending, of lam^3 - tr lam^2 + sigma lam - (det + r) = 0.
 
     The unstacked case of `_lambda_roots`; raises ComplexRoots when the
-    supplied r does not belong to this matrix.
+    supplied r does not belong to this matrix, and ValueError when r is not finite.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"r: {_finite_fault(r, False)}")
     return tuple(float(x) for x in _lambda_roots(trace(A), sigma(A), det(A) + r))
 
 
@@ -322,46 +326,26 @@ def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray,
 
 
 class _Systems(_Stack):
-    """Stacked matrices with their eigensystems, solved on first read: the rows of each
-    class go through `_Stack.bases` and `_eigenpairs` together.  nfam (n,) is 2, or 1
-    for complex and real rows, which fill only the first family; per family (axis 1):
-    the root r (n, 2), slot basis B (n, 2, 8, 4), eigenvalues lams (n, 2, 3),
-    eigenvectors V (n, 2, 3, 3, 8), their `outers` and `_RESIDUALS` (n, 2, 5) of the groups."""
-
-    @_lazy
-    def nfam(self) -> np.ndarray:
-        return np.where(self.codes >= _TAGS.index(QUATERNIONIC), 2, 1)
+    """Stacked matrices of one class with their eigensystems, solved on first read from
+    `_Stack.bases` and one `_eigenpairs` call.  nfam is 2, or 1 for complex and real
+    stacks; per family (axis 1): the root r (n, nfam), slot basis B (n, nfam, 8, k),
+    eigenvalues lams (n, nfam, 3), eigenvectors V (n, nfam, 3, 3, 8), their `outers` and
+    `_RESIDUALS` (n, nfam, 5)."""
 
     @_lazy
     def _solved(self) -> tuple:
-        """r, B, lams, V and the groups, (rows, F, r, lams, V) per class.  A stack of one
-        class with two families keeps its arrays as they are, unpadded and unscattered."""
-        n, classes = len(self.dia), sorted(set(self.codes.tolist()))
-        groups, bases = [], []
-        for c in classes:
-            rows = self.codes == c if len(classes) > 1 else slice(None)
-            A = self if len(classes) == 1 else _Stack(self.dia[rows], self.off[rows], _TAGS[c])
-            r_c, B_c = A.bases
-            bases.append(B_c)
-            groups.append((rows, B_c.shape[1], r_c, *_eigenpairs(A.R[:, None], _slotwise(B_c))))
-        if len(groups) == 1 and groups[0][1] == 2:
-            (_, _, r, lams, V), B = groups[0], bases[0]
-        else:
-            r, lams = np.zeros((n, 2)), np.zeros((n, 2, 3))
-            B, V = np.zeros((n, 2, 8, 4)), np.zeros((n, 2, 3, 24))
-            for (rows, F, r_c, lams_c, V_c), B_c in zip(groups, bases):
-                k = B_c.shape[-1]
-                r[rows, :F], B[rows, :F, :, :k], lams[rows, :F], V[rows, :F] = r_c, B_c, lams_c, V_c
-        return r, B, lams, V.reshape(n, 2, 3, 3, 8), groups
+        """lams (n, nfam, 3) and V (n, nfam, 3, 24), as `_eigenpairs` returns them."""
+        return _eigenpairs(self.R[:, None], _slotwise(self.B))
 
-    r = property(lambda self: self._solved[0])
-    B = property(lambda self: self._solved[1])
-    lams = property(lambda self: self._solved[2])
-    V = property(lambda self: self._solved[3])
+    r = property(lambda self: self.bases[0])
+    B = property(lambda self: self.bases[1])
+    nfam = property(lambda self: self.B.shape[1])
+    lams = property(lambda self: self._solved[0])
+    V = property(lambda self: self._solved[1].reshape(self.lams.shape + (3, 8)))
 
     @_lazy
     def outers(self) -> np.ndarray:
-        """v_a conj(v_b) (n, 2, 3, 3, 3, 8) of each eigenvector v, the entries of v v^dagger."""
+        """v_a conj(v_b) (n, nfam, 3, 3, 3, 8) of each eigenvector v, the entries of v v^dagger."""
         return _product(self.V[..., :, None, :], (self.V * _CONJ)[..., None, :, :])
 
     @_lazy
@@ -369,13 +353,8 @@ class _Systems(_Stack):
         return self.residuals_of(_RESIDUALS)
 
     def residuals_of(self, keys) -> np.ndarray:
-        """The residuals `keys` (n, 2, len(keys)), each one of `_RESIDUALS`, of the groups."""
-        # a mixed stack builds each class's stack again rather than keep it alive
-        out = np.zeros((len(self.dia), 2, len(keys)))
-        for rows, F, *args in self._solved[4]:
-            A = self if isinstance(rows, slice) else _Stack(self.dia[rows], self.off[rows])
-            out[rows, :F] = _family_residuals(A, *args, self.outers[rows, :F], keys)
-        return out
+        """The residuals `keys` (n, nfam, len(keys)), each one of `_RESIDUALS`."""
+        return _family_residuals(self, self.r, self.lams, self._solved[1], self.outers, keys)
 
 
 def eigensystem(A: Hermitian3) -> EigenSystem:
@@ -399,7 +378,7 @@ def _contexts(S: _Systems) -> list:
     if S.codes[0] == _TAGS.index(OCTONIONIC):
         ph, al, rs, s = (x[0].tolist() for x in S.families)
         return [(m, rs[m - 1], ph, al, s[m - 1]) for m in (1, 2)]
-    return [(m, r, 0.0, [0.0] * 8, None) for m, r in zip((1, 2), S.r[0, :S.nfam[0]].tolist())]
+    return [(m, r, 0.0, [0.0] * 8, None) for m, r in zip((1, 2), S.r[0].tolist())]
 
 
 def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.ndarray:

@@ -378,14 +378,12 @@ def _basis_change_deviation(A: "_Stack", M: np.ndarray, shifts: np.ndarray) -> n
 
 class _Stack:
     """Stacked matrices, diagonals (n, 3) and off-diagonals (n, 3, 8), with the
-    invariants of this module, each computed on first use.  A caller that has already
-    tested every row's class passes it as `kind`; one that reads only invariants of the
-    off-diagonals, of any stacked shape, may pass no diagonals."""
+    invariants of this module, each computed on first use.  A caller that reads only
+    invariants of the off-diagonals, of any stacked shape, may pass no diagonals.  The
+    family `bases`, and so every eigensystem, are solved for a stack of one class."""
 
-    def __init__(self, dia: np.ndarray, off: np.ndarray, kind: str = None):
+    def __init__(self, dia: np.ndarray, off: np.ndarray):
         self.dia, self.off = dia, off
-        if kind is not None:
-            self.codes = np.full(len(dia), _TAGS.index(kind))
 
     @classmethod
     def outer(cls, v: np.ndarray) -> "_Stack":
@@ -447,11 +445,14 @@ class _Stack:
 
     @_lazy
     def bases(self) -> tuple[np.ndarray, np.ndarray]:
-        """For a stack of one class, the family roots r (n, F) and orthonormal bases B
-        (n, F, 8, k) of subspaces of O whose span in each slot A maps into itself, each
-        eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
+        """For a stack of one class, else ValueError: the family roots r (n, nfam) and orthonormal
+        bases B (n, nfam, 8, k) of subspaces of O whose span in each slot A maps into itself,
+        each eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
         r_m, starting with s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
         determinant gap det(Abar) - det(A) (k = 4).  Complex and real: (1, i0) (k = 2)."""
+        if (self.codes != self.codes[0]).any():
+            raise ValueError("a stack is solved one class at a time, got rows of classes "
+                             f"{[_TAGS[c] for c in np.unique(self.codes)]}")
         tag = _TAGS[self.codes[0]]
         if tag == OCTONIONIC:
             return self.roots, _family_bases(self.K)

@@ -241,6 +241,46 @@ def test_json_rejects_non_finite(rng):
         OctVector3.from_json(rows)
 
 
+def with_big_c(A):
+    return Hermitian3(A.d, A.e, A.f, A.a, A.b, Octonion(np.full(8, 1e308)))
+
+
+NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE)
+@pytest.mark.parametrize("field", ["d", "f", "a", "c"])
+def test_constructor_rejects_non_finite(rng, bad, field):
+    # the constructor words the fault as from_json does
+    fields = rand_herm(rng).to_json()
+    if field in "def":
+        fields[field] = bad
+        want = f"field '{field}': must be a finite number, got {bad!r}"
+    else:
+        fields[field][3] = bad
+        want = f"field '{field}': octonion coordinates must be finite, got {fields[field]!r}"
+    for make in (lambda: Hermitian3.from_json(fields),
+                 lambda: Hermitian3(*(fields[k] if k in "def" else Octonion._of(
+                     np.array(fields[k])) for k in "defabc"))):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda A: Hermitian3.diagonal(1.0, float("nan"), 2.0),
+    lambda A: A.scale(float("inf")),
+    lambda A: A.scale(1e300).scale(1e300),
+    lambda A: Hermitian3.diagonal(1e308, 0.0, 0.0) + Hermitian3.diagonal(1e308, 0.0, 0.0),
+    lambda A: with_big_c(A) + with_big_c(A),
+], ids=["diagonal", "scale-inf", "scale-overflow", "add-diagonal-overflow", "add-overflow"])
+def test_derived_matrices_reject_non_finite(rng, make):
+    # the sum's or product's octonions overflow silently in numpy here, and raise in the check
+    A = rand_herm(rng)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite number|must be finite"):
+        make(A)
+
+
 def test_outer_entries_match_outer(rng):
     vs = [rand_vec(rng) for _ in range(5)]
     B = _Stack.outer(np.array([v.to_coords() for v in vs]))
@@ -369,7 +409,7 @@ def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
                        (_Stack, ["L", "alpha_phi", "associative", "classes", "codes", "roots",
                                  "families", "split", "bases", "K", "P", "T", "R", "trace",
                                  "sigma", "det", "frobenius"]),
-                       (_Systems, ["nfam", "_solved", "outers", "residuals"])):
+                       (_Systems, ["_solved", "outers", "residuals"])):
         for name in names:
             assert isinstance(vars(cls)[name], _lazy) and callable(vars(cls)[name].func), name
     # the matrix's stack stays out of a pickle or a deep copy

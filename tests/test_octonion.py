@@ -190,3 +190,13 @@ def test_left_mul_matrix_batched(rng):
 def test_json_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         Octonion.from_json([0.0] * 7 + [float("nan")])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("i", [0, 5])
+def test_constructor_rejects_non_finite(bad, i):
+    coords = np.linspace(-1.0, 1.0, 8)
+    coords[i] = bad
+    for given in (coords, coords.tolist()):
+        with pytest.raises(ValueError, match=r"^octonion coordinates must be finite, got \["):
+            Octonion(given)

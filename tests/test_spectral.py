@@ -95,6 +95,12 @@ def test_lambda_roots_rejects_bogus_r(rng):
         lambda_roots(A, 1e6)
 
 
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), float("-inf")])
+def test_lambda_roots_rejects_non_finite_r(rng, r):
+    with pytest.raises(ValueError, match=f"^r: must be a finite number, got {r!r}$"):
+        lambda_roots(rand_herm(rng), r)
+
+
 def test_k_vector_identity_matrix(rng):
     x = rand_vec(rng)
     assert k_vector(Hermitian3.identity(), x).norm() < 1e-12

@@ -1,7 +1,7 @@
 """The stacked eigensystem and six-way split against their one-matrix case.
 
 `eigensystem` and `six_way` run the stacked pipeline on a stack of one
-matrix; every row of a larger stack, of one class or mixed, must give the
+matrix; every row of a larger stack, which holds one class, must give the
 same bits.  The residuals are normwise, so scaling A leaves them unchanged.
 """
 
@@ -55,28 +55,25 @@ def bits(x):
 def assert_row_equals_single(S, i, A, parts, part_residuals, recon, x):
     es = eigensystem(A)
     assert S.classes[0][i] == _TAGS.index(es.matrix_class.tag)
-    assert S.nfam[i] == len(es.families)
+    assert S.nfam == len(es.families)
     for f, fam in enumerate(es.families):
         assert bits(S.r[i, f]) == bits(fam.context.r)
         assert bits(S.lams[i, f]) == bits([p.lam for p in fam.pairs])
         assert bits(S.V[i, f]) == bits([p.v.to_coords().reshape(3, 8) for p in fam.pairs])
         assert bits(S.residuals[i, f]) == bits([fam.residuals[k] for k in _RESIDUALS])
     dec = six_way(A, OctVector3.from_coords(x))
-    n = 3 * len(es.families)
-    assert bits(parts[i].reshape(6, 24)[:n]) == bits([p.component.to_coords() for p in dec.parts])
-    assert bits(part_residuals[i].ravel()[:n]) == bits(dec.eigen_residuals)
+    assert bits(parts[i].reshape(-1, 24)) == bits([p.component.to_coords() for p in dec.parts])
+    assert bits(part_residuals[i].ravel()) == bits(dec.eigen_residuals)
     assert bits(recon[i]) == bits(dec.reconstruction_residual)
 
 
-@pytest.mark.parametrize("order", ["one-class-stacks", "mixed-stack"])
-def test_stacked_rows_equal_the_single_matrix_call(order):
+def test_stacked_rows_equal_the_single_matrix_call():
     rng = np.random.default_rng(41)
     groups = [[random_hermitian(rng, kind).scale(s) for s in SCALES for _ in range(2)]
               for kind in KINDS]
-    groups.append(cluster_cases(rng))
-    if order == "mixed-stack":
-        mats = [A for g in groups for A in g]
-        groups = [[mats[i] for i in rng.permutation(len(mats))]]
+    # the cluster cases, one stack per class
+    tag = lambda A: classify(A).tag
+    groups += [list(g) for _, g in groupby(sorted(cluster_cases(rng), key=tag), key=tag)]
     for mats in groups:
         S = _Systems(*stack(mats))
         X = rng.uniform(-1, 1, (len(mats), 24))
@@ -156,11 +153,6 @@ def test_codes_agree_with_the_class_test():
     for rows in (mats, mats[:3], mats[:4], mats[3:], [nudged], [zero], [zero, mats[0]]):
         dia, off = stack(rows)
         assert np.array_equal(_Stack(dia, off).codes, _Stack(dia, off).classes[0])
-    # a caller's class is taken as given, and the eigensystems are those of the class test
-    dia, off = stack(mats[3:6])
-    given_, tested = _Systems(dia, off, "quaternionic"), _Systems(dia, off)
-    assert "classes" not in given_.__dict__
-    assert bits(given_.V) == bits(tested.V) and bits(given_.residuals) == bits(tested.residuals)
 
 
 def test_one_stack_per_matrix(monkeypatch):
@@ -245,11 +237,36 @@ def test_the_octonionic_solve_takes_one_eigh_of_k_and_no_rank_one_forms(monkeypa
 
 
 def test_a_stack_given_the_octonionic_class_still_tests_the_associator():
+    # an octonionic row 0 does not stand for the stack: an associative row raises
     rng = np.random.default_rng(50)
     for kind in ("quaternionic", "complex", "real"):
-        S = _Stack(*stack([random_hermitian(rng), random_hermitian(rng, kind)]), "octonionic")
+        S = _Stack(*stack([random_hermitian(rng), random_hermitian(rng, kind)]))
         with pytest.raises(DegenerateFamily):
             S.families
+
+
+def test_a_stack_of_two_classes_is_not_solved():
+    rng = np.random.default_rng(52)
+    for first, second in (("octonionic", "quaternionic"), ("quaternionic", "complex"),
+                          ("complex", "real"), ("real", "octonionic")):
+        dia, off = stack([random_hermitian(rng, first), random_hermitian(rng, second)])
+        for solve in (lambda: _Stack(dia, off).bases, lambda: _Systems(dia, off).V):
+            with pytest.raises(ValueError, match="one class at a time"):
+                solve()
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_a_one_family_stack_has_one_family_axis(kind):
+    rng = np.random.default_rng(53)
+    n = 5
+    S = _Systems(*stack([random_hermitian(rng, kind) for _ in range(n)]))
+    assert type(S.nfam) is int and S.nfam == 1
+    assert S.r.shape == (n, 1) and S.B.shape == (n, 1, 8, 2)
+    assert S.lams.shape == (n, 1, 3) and S.V.shape == (n, 1, 3, 3, 8)
+    assert S.outers.shape == (n, 1, 3, 3, 3, 8) and S.residuals.shape == (n, 1, 5)
+    parts, part_residuals, recon = _six_way(S, rng.uniform(-1, 1, (n, 24)))
+    assert parts.shape == (n, 1, 3, 24) and part_residuals.shape == (n, 1, 3)
+    assert recon.shape == (n,)
 
 
 def nudged(seed, exponent, nudge):
@@ -291,9 +308,9 @@ def assert_parts_are_the_rank_one_forms(A, x):
     S = A._stack
     parts = _six_way(S, x[None])[0][0]
     Q = _slotwise(S.B[0, 0])
-    x1 = Q @ (Q.T @ x) if S.nfam[0] == 2 else x
-    forms = _Stack.outer(S.V[0]).R.reshape(2, 3, 24, 24)
-    want = np.matvec(forms, np.stack([x1, x - x1])[:, None])
+    x1 = Q @ (Q.T @ x) if S.nfam == 2 else x
+    forms = _Stack.outer(S.V[0]).R.reshape(S.nfam, 3, 24, 24)
+    want = np.matvec(forms, np.stack([x1, x - x1][:S.nfam])[:, None])
     zero = ~parts.any(-1)
     eps, size = np.finfo(float).eps, np.linalg.norm(x)
     assert np.abs(parts - want).max(-1)[~zero].max(initial=0.0) <= 16 * eps * size
