@@ -13,6 +13,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .errors import OcteigError
 from .harness import (
     DEFAULT_TOLERANCE,
@@ -174,8 +176,7 @@ def _cmd_eigen(args) -> int:
     tag, dim_t = classify(A)
     payload = _eigen_json(tag, dim_t, families)
     payload["fingerprint"] = matrix_fingerprint(A)
-    worst = max(max(f["residuals"].values()) for f in families)
-    return _conclude(payload, tag, worst, tol, args.out)
+    return _conclude(payload, tag, float(np.max(S.residuals[0])), tol, args.out)
 
 
 def _cmd_project(args) -> int:
@@ -192,7 +193,7 @@ def _cmd_project(args) -> int:
     payload = _six_way_json(tag, matrix_fingerprint(A), parts, recon, residuals)
     if tag != OCTONIONIC:
         payload["single_family"] = F == 1
-    return _conclude(payload, tag, max([recon, *residuals]), tol, args.out)
+    return _conclude(payload, tag, float(np.max([recon, *residuals])), tol, args.out)
 
 
 def _report(command: str, args, tol: float, checks, extra=None) -> dict:

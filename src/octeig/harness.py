@@ -1,18 +1,19 @@
 """Randomized verification harness: one named check per algebraic identity.
 
-Every check draws its instances from a seeded PCG64 generator as whole stacks,
-one row per sample, computes one scaled residual per sample with array code,
-and reports the worst, so a report is reproducible bit-for-bit from (seed,
-samples, flags).  The eigensystem checks share two pools of matrices whose
-eigensystems and six-way splits are computed as one stack each.  `fuzz` draws
-all its (matrix, vector) samples as one block of the doubles that alternating
-`random_hermitian`/`random_vector` calls would draw, and classifies them as one
-stack.  A masked uniform draw has its mask's class with probability one, so each
-sampler draws once, class-tests the stack its checks read, and raises on another class.
+Every check draws its instances from a seeded PCG64 generator as whole stacks, one row
+per sample, computes one scaled residual per sample with array code, and reports the
+worst, so a report is reproducible bit-for-bit from (seed, samples, flags).  The 17
+matrix checks draw first, then solve in groups on shared stacks of `_STACK_ROWS` rows;
+the eigensystem checks share two pools whose eigensystems are one stack each.  `fuzz`
+draws its (matrix, vector) samples as one block of the doubles that alternating
+`random_hermitian`/`random_vector` calls would draw, and classifies them as one stack.
+A masked uniform draw has its mask's class with probability one, so each sampler
+draws once, class-tests the stack its checks read, and raises on another class.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from inspect import isgeneratorfunction
 
 import numpy as np
 
@@ -151,13 +152,6 @@ class _Context:
         """n fresh samples (default: the run's count) of the given shape, uniform in [-1, 1]."""
         return self.rng.uniform(-1.0, 1.0, (n or self.n,) + shape)
 
-    def matrices(self) -> _Systems:
-        return _draw_stack(self.rng, self.n, OCTONIONIC)
-
-    def t_element(self, A: _Stack) -> np.ndarray:
-        """A random element of each matrix's T: uniform coefficients on its basis rows."""
-        return np.vecmat(self.uniform(4), A.T)
-
     def family(self) -> tuple:
         """Each pool matrix's projector, eigenvectors and eigenvalues for a random family."""
         pool, fam = self.oct_pool, self.rng.integers(0, 2, self.n)
@@ -189,8 +183,9 @@ def _pool_residual(key: str):
 
 
 class _Checks(_Context):
-    """The checks, in report order: each public attribute is one check, named
-    by its name with '-' for '_', and returns its residual per sample."""
+    """The checks, in report order: each public attribute is one check, named by its name
+    with '-' for '_', and returns its residual per sample.  A matrix check is a generator:
+    it makes its own draws, takes its matrices at `A = yield`, then yields the residual."""
 
     def composition_norm(self):
         p, q = self.uniform(8), self.uniform(8)
@@ -231,126 +226,128 @@ class _Checks(_Context):
         return np.abs(gram).max((-2, -1)) / _scale(n2)
 
     def sigma_closed_form(self):
-        A = self.matrices()
+        A = yield
         (d, e, f), n2 = A.dia.T, np.vecdot(A.off, A.off).T
         closed = d * e + e * f + f * d - n2[0] - n2[1] - n2[2]
-        return np.abs(A.sigma - closed) / _scale(np.abs(closed))
+        yield np.abs(A.sigma - closed) / _scale(np.abs(closed))
 
     def k_diagonality(self):
-        A, x = self.matrices(), self.uniform(3, 8)
+        x, A = self.uniform(3, 8), (yield)
         diff = A.k_act(x, self.det_offset) - np.matvec(A.K[:, None], x)
-        return _norm(diff) / (_scale(A.frobenius) ** 3 * _scale(_vnorm(x)))[:, None]
+        yield _norm(diff) / (_scale(A.frobenius) ** 3 * _scale(_vnorm(x)))[:, None]
 
     def r_root_relations(self):
-        ph, al, rs, _ = self.matrices().families
+        ph, al, rs, _ = (yield).families
         (r1, r2), al2 = rs.T, np.vecdot(al, al)
-        return (np.maximum(np.abs(r1 + r2 + 4.0 * ph), np.abs(r1 * r2 + al2))
-                / _scale(np.abs(r1), np.abs(r2), al2))
+        yield (np.maximum(np.abs(r1 + r2 + 4.0 * ph), np.abs(r1 * r2 + al2))
+               / _scale(np.abs(r1), np.abs(r2), al2))
 
     def lambda_root_relations(self):
-        A = self.matrices()
+        A = yield
         tr, target = A.trace[:, None], A.det[:, None] + A.families[2]
         lams = _lambda_roots(tr, A.sigma[:, None], target)
         scale = _scale(np.abs(tr), np.abs(target), np.abs(lams).max(-1) ** 3)
-        return np.maximum(np.abs(lams.sum(-1) - tr), np.abs(lams.prod(-1) - target)) / scale
+        yield np.maximum(np.abs(lams.sum(-1) - tr), np.abs(lams.prod(-1) - target)) / scale
 
     def s_normalization(self):
-        ph, al, rs, s = self.matrices().families
+        ph, al, rs, s = (yield).families
         s1, s2 = s[:, 0], s[:, 1]
         cross = _product(s1 * _CONJ, s2)
         coef = np.vecdot(cross, al) / np.vecdot(al, al)
-        return np.maximum.reduce([
+        yield np.maximum.reduce([
             _norm(s1 + s2 - _ONE),
             _norm(s1 - s1 * _ONE - al / (2.0 * (rs[:, 0] + 2.0 * ph))[:, None]),  # Im s1
             _norm(cross - al * coef[:, None]) / _scale(_norm(cross))])
 
     def k_on_t(self):
-        A = self.matrices()
-        al, t = A.families[1], self.t_element(A)
-        return _norm(np.matvec(A.K, t) - _product(t, al)) / _scale(_norm(t) * _norm(al))
+        c, A = self.uniform(4), (yield)
+        al, t = A.families[1], np.vecmat(c, A.T)   # a random element of each matrix's T
+        yield _norm(np.matvec(A.K, t) - _product(t, al)) / _scale(_norm(t) * _norm(al))
 
     def k_on_t_perp(self):
-        A = self.matrices()
+        c, A = self.uniform(4), (yield)
         ph, al = A.families[:2]
-        u = _product(self.t_element(A), al)
+        u = _product(np.vecmat(c, A.T), al)
         rhs = -1.0 * _product(u, al + (4.0 * ph)[:, None] * _ONE)
         scale = _scale(_norm(u) * _norm(al), _norm(u) * np.abs(4 * ph))
-        return _norm(np.matvec(A.K, u) - rhs) / scale
+        yield _norm(np.matvec(A.K, u) - rhs) / scale
 
     def k_operator_quadratic(self):
-        A, p = self.matrices(), self.uniform(8)
+        p, A = self.uniform(8), (yield)
         ph, al = A.families[:2]
         al2, kp = np.vecdot(al, al), np.matvec(A.K, p)
         resid = np.matvec(A.K, kp) + kp * (4.0 * ph)[:, None] - p * al2[:, None]
-        return _norm(resid) / _scale(al2 * _norm(p))
+        yield _norm(resid) / _scale(al2 * _norm(p))
 
     def k_self_adjoint(self):
-        A, p, q = self.matrices(), self.uniform(8), self.uniform(8)
-        return (np.abs(np.vecdot(np.matvec(A.K, p), q) - np.vecdot(p, np.matvec(A.K, q)))
-                / _scale(A.frobenius ** 3 * _norm(p) * _norm(q)))
+        p, q, A = self.uniform(8), self.uniform(8), (yield)
+        yield (np.abs(np.vecdot(np.matvec(A.K, p), q) - np.vecdot(p, np.matvec(A.K, q)))
+               / _scale(A.frobenius ** 3 * _norm(p) * _norm(q)))
 
     def k_projector_algebra(self):
-        A, p = self.matrices(), self.uniform(8)
+        p, A = self.uniform(8), (yield)
         k = np.matvec(A.P, p[:, None])                  # k_m = P_m p
         Pk = np.matvec(A.P[:, :, None], k[:, None])     # P_m k_j at [m, j]
-        return np.maximum.reduce([
+        yield np.maximum.reduce([
             _norm(k[:, 0] + k[:, 1] - p),
             _norm(Pk[:, [0, 1], [0, 1]] - k).max(-1),
             _norm(Pk[:, [0, 1], [1, 0]]).max(-1)]) / _scale(_norm(p))
 
     def cayley_dickson_table(self):
-        A = self.matrices()
-        t1, t2, al = self.t_element(A), self.t_element(A), A.families[1]
-        return _cd_residuals(al, t1, t2).max(-1) / _scale(_norm(t1) * _norm(t2) * np.vecdot(al, al))
+        c1, c2, A = self.uniform(4), self.uniform(4), (yield)
+        t1, t2, al = np.vecmat(c1, A.T), np.vecmat(c2, A.T), A.families[1]
+        yield _cd_residuals(al, t1, t2).max(-1) / _scale(_norm(t1) * _norm(t2) * np.vecdot(al, al))
 
     def t_perp_is_t_alpha(self):
-        A = self.matrices()
+        A = yield
         ta, keep = _gram_schmidt(_product(A.T, A.families[1][:, None]))
-        return np.where(keep.all(-1), np.abs(A.T @ ta.swapaxes(-1, -2)).max((-2, -1)), np.inf)
+        yield np.where(keep.all(-1), np.abs(A.T @ ta.swapaxes(-1, -2)).max((-2, -1)), np.inf)
 
     def t2_is_t1_alpha(self):
-        A = self.matrices()
+        A = yield
         _, al, _, s = A.families
         # both families' bases T s_m in one call, along axis 1
         basis = _gram_schmidt(_product(A.T[:, None], s[:, :, None]))[0]
         lifted = _gram_schmidt(_product(basis[:, 0], al[:, None]))[0]
         proj2, projl = (B.swapaxes(-1, -2) @ B for B in (basis[:, 1], lifted))
-        return np.abs(proj2 - projl).max((-2, -1))
+        yield np.abs(proj2 - projl).max((-2, -1))
 
     def eigenspace_characterization(self):
-        A = self.matrices()
+        c, x, A = self.uniform(2, 4), self.uniform(2, 8), (yield)
         ph, al, rs, _ = A.families
         # per family m, along axis 1: gen = r_m + 4 phi + alpha, and T gen
         gen = (rs + 4.0 * ph[:, None])[..., None] * _ONE + al[:, None]
-        q = _product(np.vecmat(self.uniform(2, 4), A.T[:, None]), gen)
-        qm = np.matvec(A.P, self.uniform(2, 8))
+        q = _product(np.vecmat(c, A.T[:, None]), gen)
+        qm = np.matvec(A.P, x)
         span = _gram_schmidt(_product(A.T[:, None], gen[:, :, None]))[0]
-        return np.maximum(
+        yield np.maximum(
             _norm(np.matvec(A.K[:, None], q) - q * rs[..., None]) / _scale(np.abs(rs) * _norm(q)),
             _span_distance(qm, span) / _scale(_norm(qm))).max(-1)
 
     def family_product_in_t(self):
-        A = self.matrices()
-        p, q = np.matvec(A.P, self.uniform(2, 8)), np.matvec(A.P, self.uniform(2, 8))
-        return (_span_distance(_product(p, q * _CONJ), A.T[:, None])
-                / _scale(_norm(p) * _norm(q))).max(-1)
+        x, y, A = self.uniform(2, 8), self.uniform(2, 8), (yield)
+        p, q = np.matvec(A.P, x), np.matvec(A.P, y)
+        yield (_span_distance(_product(p, q * _CONJ), A.T[:, None])
+               / _scale(_norm(p) * _norm(q))).max(-1)
 
     def family_associator_multiplier(self):
-        A = self.matrices()
-        p1, p2 = self.t_element(A)[:, None], self.t_element(A)[:, None]
-        qa, qb = np.matvec(A.P, self.uniform(2, 8)), np.matvec(A.P, self.uniform(2, 8))
+        c1, c2 = self.uniform(4), self.uniform(4)
+        xa, xb, A = self.uniform(2, 8), self.uniform(2, 8), (yield)
+        p1, p2 = np.vecmat(c1, A.T)[:, None], np.vecmat(c2, A.T)[:, None]
+        qa, qb = np.matvec(A.P, xa), np.matvec(A.P, xb)
         p12 = _product(p1, p2)
         # the associator (p1 p2) q - p1 (p2 q) times q^-1
         pa, pb = (_product(_product(p12, q) - _product(p1, _product(p2, q)),
                            q * _CONJ / np.vecdot(q, q)[..., None]) for q in (qa, qb))
         usable = (_norm(qa) >= NORMALIZE_TOL) & (_norm(qb) >= NORMALIZE_TOL)
-        return (np.where(usable, _norm(pa - pb), 0.0) / _scale(_norm(p1) * _norm(p2))).max(-1)
+        yield (np.where(usable, _norm(pa - pb), 0.0) / _scale(_norm(p1) * _norm(p2))).max(-1)
 
     def basis_invariance(self):
-        A, M = self.matrices(), self.uniform(3, 3)
+        M = self.uniform(3, 3)
         while (bad := np.abs(np.linalg.det(M)) <= 0.05).any():
             M[bad] = self.uniform(3, 3, n=bad.sum())
-        return _basis_change_deviation(A, M, self.uniform(3))
+        shifts, A = self.uniform(3), (yield)
+        yield _basis_change_deviation(A, M, shifts)
 
     identity_decomposition = _pool_residual("identity_decomposition")
     matrix_decomposition = _pool_residual("matrix_decomposition")
@@ -487,13 +484,38 @@ _CHECKS = tuple((name, fn, _FACTORS.get(name, 1.0)) for name, fn in (
     (attr.replace("_", "-"), fn) for attr, fn in vars(_Checks).items() if not attr.startswith("_")))
 
 
+# the most rows of a shared stack: one stack of all 17 matrix checks is slower at n = 100
+_STACK_ROWS = 64
+
+
+def _residuals(ctx: _Checks, checks) -> list:
+    """The residuals of `checks`, `_Checks` functions, run in order on ctx.  A matrix check's
+    n matrices are drawn as `_draw_stack` draws them, then its own draws run; consecutive ones
+    share a class-tested stack of `_STACK_ROWS` rows at most (or n), each sent its rows."""
+    out, group = [], []
+    for fn in (*checks, None):   # None: the end, where the last group is solved
+        primed = isgeneratorfunction(fn)
+        if group and not (primed and (len(group) + 1) * ctx.n <= _STACK_ROWS):
+            index, dia, off = zip(*group)
+            A = _masked_stack(OCTONIONIC, np.concatenate(dia), np.concatenate(off))
+            for k, i in enumerate(index):
+                out[i] = out[i].send(A if len(index) == 1 else A.rows(k * ctx.n, (k + 1) * ctx.n))
+            group.clear()
+        if fn is not None:
+            out.append(fn(ctx))
+        if primed:
+            group.append((len(out) - 1, ctx.uniform(3), ctx.uniform(3, 8)))
+            next(out[-1])
+    return out
+
+
 def run_verification(seed: int, samples: int, tolerance: float = DEFAULT_TOLERANCE,
                      det_offset: float = 0.0) -> list[CheckResult]:
     """Run every identity check on `samples` seeded random instances."""
     ctx = _Checks(seed, samples, det_offset=det_offset)
     results = []
-    for name, fn, factor in _CHECKS:
-        residual, tol = float(np.max(fn(ctx))), tolerance * factor
+    for (name, _, factor), res in zip(_CHECKS, _residuals(ctx, [fn for _, fn, _ in _CHECKS])):
+        residual, tol = float(np.max(res)), tolerance * factor
         results.append(CheckResult(name, residual, tol, residual <= tol))
     return results
 

@@ -69,8 +69,12 @@ class OctVector3(_Immutable):
 
     @classmethod
     def from_coords(cls, coords) -> "OctVector3":
-        """The vector of 24 coordinates, copied once; each component is a read-only row."""
+        """The vector of 24 coordinates, copied once; each component is a read-only row.
+        A NaN or infinite coordinate raises ValueError, worded as `from_json` words it."""
         c = np.array(coords, dtype=float).reshape(3, 8)
+        if not np.isfinite(c).all():
+            i = int(np.isfinite(c).all(-1).argmin())
+            raise ValueError(f"component {i}: {_finite_fault(c[i].tolist(), True)}")
         return cls(tuple(map(Octonion._of, c)))
 
     def to_coords(self) -> np.ndarray:
@@ -133,19 +137,26 @@ class OctVector3(_Immutable):
     def from_json(cls, data) -> "OctVector3":
         if not isinstance(data, (list, tuple)) or len(data) != 3:
             raise ValueError("vector JSON must be a 3x8 array of numbers")
-        return cls.from_coords(_json_floats([(f"component {i}", row, True)
-                                             for i, row in enumerate(data)]))
+        c = _json_floats([(f"component {i}", row, True) for i, row in enumerate(data)])
+        return cls(tuple(map(Octonion._of, c.reshape(3, 8))))   # checked finite once, above
 
 
 class _lazy:
     """`functools.cached_property` without the lock that it takes on every first read before
-    Python 3.12: func's value, stored in the instance's __dict__, where later reads find it."""
+    Python 3.12: func's value, stored in the instance's __dict__, where later reads find it.
+    On a `_Stack.rows` view the value is its stack's, an array or a tuple of them, sliced."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
 
     def __get__(self, obj, cls=None):
-        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+        if obj is None:
+            return self
+        if "_view" not in obj.__dict__:
+            return obj.__dict__.setdefault(self.name, self.func(obj))
+        value, rows = getattr(obj._view[0], self.name), obj._view[1]
+        return obj.__dict__.setdefault(self.name, tuple(x[rows] for x in value)
+                                       if isinstance(value, tuple) else value[rows])
 
 
 @dataclass(frozen=True, eq=False)

@@ -393,6 +393,12 @@ class _Stack:
         off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
         return cls(np.einsum("nsi,nsi->ns", X, X), off)
 
+    def rows(self, lo: int, hi: int) -> "_Stack":
+        """Rows lo:hi, whose invariants are this stack's, sliced, and so the rows' own."""
+        view = type(self)(self.dia[lo:hi], self.off[lo:hi])
+        view._view = self, slice(lo, hi)
+        return view
+
     @_lazy
     def L(self) -> np.ndarray:
         """The left multiplication matrices of a, b, c (n, 3, 8, 8)."""

@@ -189,6 +189,22 @@ def test_eigen_rejects_nan_entry(files, capsys):
     assert f"error: {path}: field 'd': must be a finite number" in err
 
 
+@pytest.mark.parametrize("command", ["eigen", "project"])
+def test_a_nan_residual_fails(files, capsys, command):
+    # d = 1e308 parses, but the residuals overflow to NaN, which max skips unless it comes
+    # first: in a project report it comes after the reconstruction residual
+    data = json.loads(open(files["oct"]).read())
+    data["d"] = 1e308
+    path, out = files["tmp"] / "huge.json", files["tmp"] / "out.json"
+    path.write_text(json.dumps(data))
+    vector = [files["vec"]] if command == "project" else []
+    with pytest.warns(RuntimeWarning, match="^(overflow|invalid value) encountered in"):
+        assert main([command, str(path), *vector, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False and math.isnan(report["worst_residual"])
+    assert "residuals exceed tolerance" in capsys.readouterr().err
+
+
 def test_project_rejects_inf_coordinate(files, capsys):
     rows = json.loads(open(files["vec"]).read())
     rows[1][4] = float("inf")

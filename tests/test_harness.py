@@ -17,7 +17,15 @@ import pytest
 
 from octeig import harness, hermitian, octonion, spectral, subspace
 from octeig.cli import main
-from octeig.harness import _CHECKS, _Checks, _draw_fuzz, _draw_stack, run_fuzz, run_verification
+from octeig.harness import (
+    _CHECKS,
+    _Checks,
+    _draw_fuzz,
+    _draw_stack,
+    _residuals,
+    run_fuzz,
+    run_verification,
+)
 from octeig.hermitian import (
     _TAGS,
     Hermitian3,
@@ -101,6 +109,11 @@ def mats(stack):
     return [Hermitian3(*map(float, d), *map(Octonion, o)) for d, o in zip(stack.dia, stack.off)]
 
 
+def matrices(ctx):
+    """A matrix check's n octonionic matrices, drawn as `_residuals` draws them."""
+    return _draw_stack(ctx.rng, ctx.n, "octonionic")
+
+
 def combine(coeffs, basis):
     acc = Octonion.zero()
     for c, b in zip(coeffs, basis):
@@ -175,7 +188,7 @@ def ref_left_mul_isometry(ctx):
 
 def ref_sigma_closed_form(ctx):
     worst = 0.0
-    for A in mats(ctx.matrices()):
+    for A in mats(matrices(ctx)):
         closed = (A.d * A.e + A.e * A.f + A.f * A.d
                   - A.a.norm2() - A.b.norm2() - A.c.norm2())
         worst = max(worst, abs(old_sigma(A) - closed) / max(1.0, abs(closed)))
@@ -184,7 +197,7 @@ def ref_sigma_closed_form(ctx):
 
 def ref_k_diagonality(ctx):
     worst = 0.0
-    for A, x in zip(mats(ctx.matrices()), vecs(ctx.uniform(3, 8))):
+    for A, x in zip(mats(matrices(ctx)), vecs(ctx.uniform(3, 8))):
         ax = mat_vec(A, x)
         a2x = mat_vec(A, ax)
         a3x = mat_vec(A, a2x)
@@ -199,7 +212,7 @@ def ref_k_diagonality(ctx):
 
 def ref_r_root_relations(ctx):
     worst = 0.0
-    for A in mats(ctx.matrices()):
+    for A in mats(matrices(ctx)):
         r1, r2 = old_roots(A)
         al2 = old_alpha(A).norm2()
         scale = max(1.0, abs(r1), abs(r2), al2)
@@ -209,7 +222,7 @@ def ref_r_root_relations(ctx):
 
 def ref_lambda_root_relations(ctx):
     worst = 0.0
-    for A in mats(ctx.matrices()):
+    for A in mats(matrices(ctx)):
         for r in r_roots(A):
             lams = lambda_roots(A, r)
             target = det(A) + r
@@ -221,7 +234,7 @@ def ref_lambda_root_relations(ctx):
 
 def ref_s_normalization(ctx):
     worst = 0.0
-    for A in mats(ctx.matrices()):
+    for A in mats(matrices(ctx)):
         s1, s2 = s_elements(A)
         al = alpha(A)
         r1, _ = r_roots(A)
@@ -235,7 +248,7 @@ def ref_s_normalization(ctx):
 
 def ref_k_on_t(ctx):
     worst = 0.0
-    As = mats(ctx.matrices())
+    As = mats(matrices(ctx))
     for A, t in zip(As, t_elements(ctx, As)):
         al = alpha(A)
         scale = max(1.0, t.norm() * al.norm())
@@ -245,7 +258,7 @@ def ref_k_on_t(ctx):
 
 def ref_k_on_t_perp(ctx):
     worst = 0.0
-    As = mats(ctx.matrices())
+    As = mats(matrices(ctx))
     for A, t in zip(As, t_elements(ctx, As)):
         al = alpha(A)
         u = t * al
@@ -257,7 +270,7 @@ def ref_k_on_t_perp(ctx):
 
 def ref_k_quadratic(ctx):
     worst = 0.0
-    for A, p in zip(mats(ctx.matrices()), octs(ctx.uniform(8))):
+    for A, p in zip(mats(matrices(ctx)), octs(ctx.uniform(8))):
         al2 = alpha(A).norm2()
         kp = k_scalar(A, p)
         resid = (k_scalar(A, kp) + kp * (4.0 * phi(A)) - p * al2).norm()
@@ -267,7 +280,7 @@ def ref_k_quadratic(ctx):
 
 def ref_k_self_adjoint(ctx):
     worst = 0.0
-    for A, p, q in zip(mats(ctx.matrices()), octs(ctx.uniform(8)), octs(ctx.uniform(8))):
+    for A, p, q in zip(mats(matrices(ctx)), octs(ctx.uniform(8)), octs(ctx.uniform(8))):
         scale = max(1.0, A.frobenius() ** 3 * p.norm() * q.norm())
         worst = max(worst, abs(inner(k_scalar(A, p), q) - inner(p, k_scalar(A, q))) / scale)
     return worst
@@ -275,7 +288,7 @@ def ref_k_self_adjoint(ctx):
 
 def ref_projector_algebra(ctx):
     worst = 0.0
-    for A, p in zip(mats(ctx.matrices()), octs(ctx.uniform(8))):
+    for A, p in zip(mats(matrices(ctx)), octs(ctx.uniform(8))):
         k1 = project_km(A, 1, p)
         k2 = project_km(A, 2, p)
         scale = max(1.0, p.norm())
@@ -289,7 +302,7 @@ def ref_projector_algebra(ctx):
 
 def ref_cd_table(ctx):
     worst = 0.0
-    As = mats(ctx.matrices())
+    As = mats(matrices(ctx))
     for A, t1, t2 in zip(As, t_elements(ctx, As), t_elements(ctx, As)):
         scale = max(1.0, t1.norm() * t2.norm() * alpha(A).norm2())
         worst = max(worst, max(old_cd_table(A, t1, t2)) / scale)
@@ -298,7 +311,7 @@ def ref_cd_table(ctx):
 
 def ref_t_perp(ctx):
     worst = 0.0
-    for A in mats(ctx.matrices()):
+    for A in mats(matrices(ctx)):
         al = alpha(A)
         tb = t_basis(A).vectors
         ta = orthonormalize([b * al for b in tb])
@@ -311,7 +324,7 @@ def ref_t_perp(ctx):
 
 def ref_t2_is_t1_alpha(ctx):
     worst = 0.0
-    for A in mats(ctx.matrices()):
+    for A in mats(matrices(ctx)):
         al = alpha(A)
         s1, s2 = s_elements(A)
         tb = t_basis(A).vectors
@@ -326,7 +339,7 @@ def ref_t2_is_t1_alpha(ctx):
 
 def ref_eigenspace_characterization(ctx):
     worst = 0.0
-    As = mats(ctx.matrices())
+    As = mats(matrices(ctx))
     coeffs, draws = ctx.uniform(2, 4), ctx.uniform(2, 8)
     for A, cs, ps in zip(As, coeffs, draws):
         al, ph, tb = alpha(A), phi(A), t_basis(A).vectors
@@ -343,7 +356,7 @@ def ref_eigenspace_characterization(ctx):
 
 def ref_family_product_in_t(ctx):
     worst = 0.0
-    As = mats(ctx.matrices())
+    As = mats(matrices(ctx))
     for A, ps, qs in zip(As, ctx.uniform(2, 8), ctx.uniform(2, 8)):
         tb = t_basis(A).vectors
         for m in (1, 2):
@@ -355,7 +368,7 @@ def ref_family_product_in_t(ctx):
 
 def ref_family_associator_multiplier(ctx):
     worst = 0.0
-    As = mats(ctx.matrices())
+    As = mats(matrices(ctx))
     p1s, p2s = t_elements(ctx, As), t_elements(ctx, As)
     for A, p1, p2, qas, qbs in zip(As, p1s, p2s, ctx.uniform(2, 8), ctx.uniform(2, 8)):
         for m in (1, 2):
@@ -370,7 +383,7 @@ def ref_family_associator_multiplier(ctx):
 
 
 def ref_basis_invariance(ctx):
-    As = mats(ctx.matrices())
+    As = mats(matrices(ctx))
     M = ctx.uniform(3, 3)
     while (bad := np.abs(np.linalg.det(M)) <= 0.05).any():
         M[bad] = ctx.uniform(3, 3, n=bad.sum())
@@ -692,7 +705,8 @@ def test_names_order_and_factors_unchanged():
 def test_stacked_checks_match_the_per_octonion_references(seed):
     stacked, reference = _Checks(seed, 20), _Checks(seed, 20)
     for name, fn, _ in _CHECKS:
-        got, want = float(np.max(fn(stacked))), float(REFERENCES[name](reference))
+        got = float(np.max(_residuals(stacked, [fn])[0]))
+        want = float(REFERENCES[name](reference))
         assert abs(got - want) <= 1e-13, (name, got, want)
         # the two contexts must still draw in step
         assert stacked.rng.bit_generator.state == reference.rng.bit_generator.state, name
@@ -703,7 +717,7 @@ def test_k_diagonality_matches_its_reference_off_the_identity():
     # two computations are compared relative to it
     for seed in range(3):
         stacked, reference = _Checks(seed, 20, 1e-3), _Checks(seed, 20, 1e-3)
-        got = float(np.max(stacked.k_diagonality()))
+        got = float(np.max(_residuals(stacked, [_Checks.k_diagonality])[0]))
         want = ref_k_diagonality(reference)
         assert want > 1e-5
         assert abs(got - want) <= 1e-12 * want
@@ -784,10 +798,12 @@ def test_orthonormalize_repeats_the_octonion_loop_bit_for_bit(rng):
 
 
 def test_verify_derives_each_drawn_stack_once(monkeypatch):
-    # one run_verification(0, 8): alpha and phi once per drawn stack (19 draws) and once for
-    # the stack basis_invariance moves; Gram-Schmidt without the Octonion-dispatching inner,
-    # once per row-set stack (both families of t2-is-t1-alpha in one call); the family
-    # dimension as one eigenvalue count, with no SVD and no random probe
+    # one run_verification(0, 8): alpha and phi once per solved stack (the 17 matrix checks
+    # share 3 stacks of at most 64 rows, then the 2 pools) and once for the stack
+    # basis_invariance moves; Gram-Schmidt without the Octonion-dispatching inner, once per
+    # row-set stack (T once for each of the 2 shared stacks that read it, and both families
+    # of t2-is-t1-alpha in one call); the family dimension as one eigenvalue count, with no
+    # SVD and no random probe
     seen = {"alpha_phi": 0, "gram_schmidt": 0, "inner": [], "svd": [], "eigvalsh": [], "rng": []}
 
     def alpha_phi(*args, real=hermitian._alpha_phi):
@@ -814,11 +830,48 @@ def test_verify_derives_each_drawn_stack_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", caller("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.random, "default_rng", caller("rng", np.random.default_rng))
     run_verification(0, 8)
-    assert seen["alpha_phi"] == 20
-    assert seen["gram_schmidt"] == 12
+    assert seen["alpha_phi"] == 6
+    assert seen["gram_schmidt"] == 6
     assert "_gram_schmidt" not in seen["inner"]
     assert "_family_dimensions" not in seen["svd"] + seen["rng"]
     assert seen["eigvalsh"].count("_family_dimensions") == 1
+
+
+@pytest.mark.parametrize("n", [1, 8, 20])
+def test_shared_stacks_keep_the_report_bytes(monkeypatch, n):
+    # a bound of 1 row solves each of the 17 matrix checks on a stack of its own, one of 17 n
+    # rows all of them on one; the pools are 2 stacks more
+    solved = []
+
+    def masked_stack(kind, dia, off, real=harness._masked_stack):
+        solved.append(len(dia))
+        return real(kind, dia, off)
+
+    monkeypatch.setattr(harness, "_masked_stack", masked_stack)
+    want = json.dumps([r.to_json() for r in run_verification(3, n)])
+    for rows, stacks in ((1, 19), (17 * n, 3)):
+        monkeypatch.setattr(harness, "_STACK_ROWS", rows)
+        solved.clear()
+        assert json.dumps([r.to_json() for r in run_verification(3, n)]) == want, rows
+        assert len(solved) == stacks, rows
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_an_associative_row_still_fails_the_draw(monkeypatch, rows):
+    # the second check's matrices have a real row 1, alone on its stack or shared
+    drawn = []
+
+    def uniform(self, *shape, n=None, real=harness._Context.uniform):
+        x = real(self, *shape, n=n)
+        drawn.append(shape)
+        if drawn.count((3, 8)) == 2 and shape == (3, 8):
+            x[1, :, 1:] = 0.0
+        return x
+
+    monkeypatch.setattr(harness._Context, "uniform", uniform)
+    monkeypatch.setattr(harness, "_STACK_ROWS", rows)
+    with pytest.raises(RuntimeError, match="^failed to sample a octonionic matrix$"):
+        _residuals(_Checks(0, 4), [_Checks.sigma_closed_form, _Checks.r_root_relations])
 
 
 def test_a_wrong_family_dimension_fails_its_check_alone(monkeypatch):

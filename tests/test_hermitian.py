@@ -299,6 +299,21 @@ def test_real_form_is_realify24(rng):
     assert stacked.shape == (2, 5, 24, 24)
 
 
+@pytest.mark.parametrize("slot", [0, 2])
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE)
+def test_from_coords_rejects_non_finite(rng, bad, slot):
+    # every vector of the API is built by from_coords or from checked octonions, so none
+    # reaches six_way, mat_vec or the eigenvector code with a NaN; worded as from_json
+    rows = rng.uniform(-1, 1, (3, 8))
+    rows[slot, 5] = bad
+    want = f"component {slot}: octonion coordinates must be finite, got {rows[slot].tolist()!r}"
+    for make in (lambda: OctVector3.from_json(rows.tolist()),
+                 lambda: OctVector3.from_coords(rows.ravel())):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == want
+
+
 def test_constructors_copy_their_input(rng):
     # the per-matrix stack relies on a matrix never changing after it is built
     arr = rng.uniform(-1, 1, 8)

@@ -13,6 +13,7 @@ from octeig.harness import (
     _CHECKS,
     _Checks,
     _draw_fuzz,
+    _residuals,
     random_hermitian,
     random_vector,
     run_fuzz,
@@ -184,7 +185,6 @@ def test_fuzz_draws_keep_their_stream(kind):
 
 def test_verify_pools_keep_their_stream():
     ctx = _Checks(0, 8)
-    for _, fn, _ in _CHECKS:
-        fn(ctx)
+    _residuals(ctx, [fn for _, fn, _ in _CHECKS])
     got = tuple(digest(pool.dia, pool.off) for pool in (ctx.oct_pool, ctx.quat_pool))
     assert got == VERIFY_POOL_DIGESTS

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from octeig import subspace
 from octeig.cli import main
-from octeig.errors import DegenerateFamily
-from octeig.harness import random_hermitian, random_vector
-from octeig.hermitian import _TAGS, Hermitian3, OctVector3, classify, det, outer, sigma
+from octeig.errors import DegenerateFamily, OcteigError
+from octeig.harness import _draw_stack, random_hermitian, random_vector
+from octeig.hermitian import _TAGS, _lazy, Hermitian3, OctVector3, classify, det, outer, sigma
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
 from octeig.spectral import _RESIDUALS, _slotwise, _Systems, eigensystem, eigenvectors
@@ -253,6 +253,32 @@ def test_a_stack_of_two_classes_is_not_solved():
         for solve in (lambda: _Stack(dia, off).bases, lambda: _Systems(dia, off).V):
             with pytest.raises(ValueError, match="one class at a time"):
                 solve()
+
+
+def outcome(S, name):
+    """The bytes and shapes of S's lazy `name`, an array or a tuple of them, or what it raised."""
+    try:
+        value = getattr(S, name)
+    except (ValueError, OcteigError) as exc:
+        return type(exc), str(exc)
+    values = value if isinstance(value, tuple) else [value]
+    return [(x.shape, x.dtype, x.tobytes()) for x in values]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_row_view_equals_a_fresh_stack_of_its_rows(kind):
+    # each invariant is computed row by row, so rows 4:9 of a stack of 12 are the invariants
+    # of those 5 rows alone, byte for byte; the view reads them from the stack, and raises
+    # what a fresh stack raises
+    drawn = _draw_stack(np.random.default_rng(9), 12, kind)
+    lazies = [k for cls in _Systems.__mro__ for k, v in vars(cls).items() if isinstance(v, _lazy)]
+    S = _Systems(drawn.dia.copy(), drawn.off.copy())
+    view, fresh = S.rows(4, 9), _Systems(drawn.dia[4:9].copy(), drawn.off[4:9].copy())
+    # the family roots of a complex or real row are 0 / 0, read here only to compare them
+    with np.errstate(invalid="ignore"):
+        for name in lazies:
+            assert outcome(view, name) == outcome(fresh, name), name
+            assert name in vars(S) or name not in vars(view), name
 
 
 @pytest.mark.parametrize("kind", ["complex", "real"])
