@@ -489,22 +489,20 @@ _STACK_ROWS = 64
 
 
 def _residuals(ctx: _Checks, checks) -> list:
-    """The residuals of `checks`, `_Checks` functions, run in order on ctx.  A matrix check's
-    n matrices are drawn as `_draw_stack` draws them, then its own draws run; consecutive ones
-    share a class-tested stack of `_STACK_ROWS` rows at most (or n), each sent its rows."""
+    """The residuals of `checks`, `_Checks` functions, run in order on ctx.  A matrix check's n
+    matrices are drawn as `_draw_stack` draws them, then its own draws run; m consecutive ones,
+    out[-m:], share a class-tested stack of `_STACK_ROWS` rows at most (or n), each fed its rows."""
     out, group = [], []
     for fn in (*checks, None):   # None: the end, where the last group is solved
         primed = isgeneratorfunction(fn)
         if group and not (primed and (len(group) + 1) * ctx.n <= _STACK_ROWS):
-            index, dia, off = zip(*group)
-            A = _masked_stack(OCTONIONIC, np.concatenate(dia), np.concatenate(off))
-            for k, i in enumerate(index):
-                out[i] = out[i].send(A if len(index) == 1 else A.rows(k * ctx.n, (k + 1) * ctx.n))
+            A, m = _masked_stack(OCTONIONIC, *map(np.concatenate, zip(*group))), len(group)
+            out[-m:] = [g.send(A.rows(k * ctx.n, (k + 1) * ctx.n)) for k, g in enumerate(out[-m:])]
             group.clear()
         if fn is not None:
             out.append(fn(ctx))
         if primed:
-            group.append((len(out) - 1, ctx.uniform(3), ctx.uniform(3, 8)))
+            group.append((ctx.uniform(3), ctx.uniform(3, 8)))
             next(out[-1])
     return out
 

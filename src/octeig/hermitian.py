@@ -144,7 +144,7 @@ class OctVector3(_Immutable):
 class _lazy:
     """`functools.cached_property` without the lock that it takes on every first read before
     Python 3.12: func's value, stored in the instance's __dict__, where later reads find it.
-    On a `_Stack.rows` view the value is its stack's, an array or a tuple of them, sliced."""
+    On a `_Stack.rows` view, whose `_view` is (stack, rows), it is the stack's value, sliced."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__

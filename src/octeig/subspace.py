@@ -394,7 +394,9 @@ class _Stack:
         return cls(np.einsum("nsi,nsi->ns", X, X), off)
 
     def rows(self, lo: int, hi: int) -> "_Stack":
-        """Rows lo:hi, whose invariants are this stack's, sliced, and so the rows' own."""
+        """Rows lo:hi of a one-class stack, as `_masked_stack` returns it.  `_lazy` reads the
+        view's `_view` and gives it this stack's invariants, sliced: the rows' own, except that
+        `codes` and `families` branch on every row, so on a mixed stack they may not be."""
         view = type(self)(self.dia[lo:hi], self.off[lo:hi])
         view._view = self, slice(lo, hi)
         return view
