@@ -338,9 +338,9 @@ def _rank(rows: np.ndarray) -> np.ndarray:
     return (s > SPAN_TOL * s[..., :1]).sum(-1)
 
 
-def _classes(off: np.ndarray, al: np.ndarray, assoc=None) -> tuple[np.ndarray, np.ndarray]:
-    """Index into _TAGS and dim T for off-diagonals (..., 3, 8) with associators al (..., 8)
-    and, unless given, their `_associative` mask assoc."""
+def _classes(off: np.ndarray, assoc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index into _TAGS and dim T for off-diagonals (..., 3, 8) and their `_associative` mask:
+    the one decision on the imaginary rank, which `_quaternionic_split` and `_complex_unit` obey."""
     # one svd call: the rows (1, a, b, c), each nonzero one of unit norm so that dim T does
     # not depend on the scale, and the imaginary parts padded with a zero row
     rows = np.zeros(off.shape[:-2] + (2, 4, 8))
@@ -350,7 +350,6 @@ def _classes(off: np.ndarray, al: np.ndarray, assoc=None) -> tuple[np.ndarray, n
     rows[..., 1, 1:, 1:] = off[..., 1:]
     ranks = _rank(rows)
     dim_t, imag_rank = ranks[..., 0], ranks[..., 1]
-    assoc = _associative(off, al) if assoc is None else assoc
     return np.where(assoc, np.minimum(imag_rank, 2), 3), dim_t
 
 

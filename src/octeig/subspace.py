@@ -34,7 +34,7 @@ from .hermitian import (
     real_form,
 )
 from .octonion import _CONJ, _ONE, Octonion, _norm, _product, left_mul_matrix
-from .tolerances import COMPLEX_UNIT_TOL, NORMALIZE_TOL, SINGULAR_CHANGE_TOL, SPAN_TOL
+from .tolerances import NORMALIZE_TOL, SINGULAR_CHANGE_TOL, SPAN_TOL
 
 __all__ = [
     "TBasis",
@@ -153,7 +153,7 @@ def _roots(ph: np.ndarray, al: np.ndarray) -> np.ndarray:
     al2 = np.vecdot(al, al)
     # the root of sign opposite to phi does not cancel; Vieta gives the other
     far = -2.0 * ph - np.copysign(np.sqrt(4.0 * ph * ph + al2), ph)
-    near = -al2 / far
+    near = -al2 / np.where(far != 0.0, far, 1.0)   # 0 where phi = alpha = 0
     return np.concatenate([np.maximum(far, near)[..., None], np.minimum(far, near)[..., None]], -1)
 
 
@@ -281,14 +281,14 @@ def quaternionic_split(A: Hermitian3):
 
 
 def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H (n, 4, 8), the rows (1, h1, h2, h1 h2), and ell (n, 8) for off-diagonals (n, 3, 8).
+    """H (n, 4, 8), the rows (1, h1, h2, h1 h2), and ell (n, 8) for off-diagonals (n, 3, 8)
+    that the class test calls quaternionic; that test alone decides the imaginary rank.
 
-    h1, h2 by pivoting: h1 along the largest imaginary part of a, b, c, h2 along the
-    largest residual of the other two against h1, which must exceed SPAN_TOL of the largest
-    part, the cut of `_rank`.  So h2 never comes from a nearly parallel pair, whose tiny
-    residual would amplify any component of the entries outside the subalgebra.  h1 h2
-    completes the quaternion relations exactly; ell: the first unit e_i with residual
-    against H, projected off it twice as a block, above NORMALIZE_TOL, normalized."""
+    h1 along the largest imaginary part of a, b, c, h2 along the largest residual of the
+    other two against h1, never a nearly parallel pair's smaller one, whose inverse would
+    amplify any component outside the subalgebra; AmbiguousSubalgebra where it is 0.  h1 h2
+    completes the quaternion relations exactly; ell: the first unit e_i with residual against
+    H, projected off it twice as a block, above NORMALIZE_TOL, normalized."""
     imag = np.where(_IMAG, off, 0.0)
     rows = np.arange(len(off))
     sizes = _norm(imag)
@@ -301,7 +301,7 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     left = _norm(resid)
     left[first] = 0.0
     second = rows, left.argmax(-1)
-    if np.any(left[second] <= SPAN_TOL * top):
+    if not left[second].all():
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
     h2 = resid[second] * (1.0 / left[second])[:, None]
     H = np.stack([np.broadcast_to(_ONE, h1.shape), h1, h2, _product(h1, h2)], axis=-2)
@@ -324,15 +324,15 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
 
 
 def _complex_unit(off: np.ndarray) -> np.ndarray:
-    """Unit imaginary direction i0 (n, 8) with a, b, c in span{1, i0}, e1 for a real matrix: the
-    largest imaginary part, as h1, when above COMPLEX_UNIT_TOL max |entry|; first coordinate > 0."""
+    """i0 (n, 8), a unit with a, b, c in span{1, i0} where the class test calls them complex or
+    real: the largest imaginary part, as h1, if nonzero, else e1; first nonzero coordinate > 0."""
     imag = np.where(_IMAG, off, 0.0)
     n = _norm(imag)
     rows = np.arange(len(off))
     i = rows, n.argmax(-1)
-    found = n[i] > COMPLEX_UNIT_TOL * _norm(off).max(-1)
+    found = n[i] > 0.0
     u = imag[i] * (1.0 / np.where(found, n[i], 1.0))[:, None]
-    lead = u[rows, (np.abs(u) > COMPLEX_UNIT_TOL).argmax(-1)][:, None]
+    lead = u[rows, (u != 0.0).argmax(-1)][:, None]
     return np.where(found[:, None], np.where(lead < 0, -u, u), _EYE8[1])
 
 
@@ -422,7 +422,7 @@ class _Stack:
     @_lazy
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,)."""
-        return _classes(self.off, self.alpha, self.associative)
+        return _classes(self.off, self.associative)
 
     @_lazy
     def codes(self) -> np.ndarray:
@@ -448,7 +448,7 @@ class _Stack:
 
     @_lazy
     def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """H (n, 4, 8) and ell (n, 8) of `_quaternionic_split`."""
+        """H (n, 4, 8) and ell (n, 8) of `_quaternionic_split`, for quaternionic `codes`."""
         return _quaternionic_split(self.off)
 
     @_lazy

@@ -10,7 +10,6 @@ SPAN_TOL = 1e-9              # a new direction: residual above this times its no
 REAL_RANK_TOL = 1e-7         # rank of a map on R^24: singular values above this times the largest
 CLUSTER_TOL = 1e-6           # one cluster: an eigenvalue gap within this times the largest |lam|
 NORMALIZE_TOL = 1e-6         # a projection of a unit-size vector is normalized when above this
-COMPLEX_UNIT_TOL = 1e-12     # i0: an imaginary part above this times the largest entry, its sign
 SINGULAR_CHANGE_TOL = 1e-12  # singular change of basis: |det M| at most this times max |M_ij|^3
 DISC_TOL = 1e-9              # ComplexRoots: discriminant below -this s^6, s the size of the roots
 NEWTON_TOL = 1e-12           # a Newton step on the cubic needs |f'| above this times s^2

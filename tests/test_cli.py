@@ -472,6 +472,22 @@ def test_the_complex_unit_is_the_largest_imaginary_part(tmp_path):
         assert data["worst_residual"] <= 1e-9
 
 
+def test_a_row_the_class_test_calls_quaternionic_takes_the_quaternionic_route(tmp_path):
+    # b = c = 8e-10 e2 against a = e1: the class test's SVD finds a second direction at
+    # 1.13e-9 of the first, above its 1e-9 cut, where the split's own pivot read 8e-10, at or
+    # below it, and refused the matrix with exit 1; the class test alone decides now
+    mat, vec, out = tmp_path / "m.json", tmp_path / "x.json", tmp_path / "out.json"
+    e = np.eye(8)
+    mat.write_text(json.dumps({"d": 0.3, "e": -0.2, "f": 0.5, "a": e[1].tolist(),
+                               "b": (8e-10 * e[2]).tolist(), "c": (8e-10 * e[2]).tolist()}))
+    vec.write_text(json.dumps(np.random.default_rng(0).uniform(-1, 1, (3, 8)).tolist()))
+    for argv in (["eigen", str(mat)], ["project", str(mat), str(vec)]):
+        assert main([*argv, "--out", str(out)]) == 2
+        data = json.loads(out.read_text())
+        assert data["routed_path"] == "quaternionic"
+        assert data["worst_residual"] <= 1e-8
+
+
 # floats whose repr takes each form: signed zeros, subnormals, the exponent switch
 # at 1e-5 and 1e16, and the non-finite values the stdlib writes as Infinity and NaN
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.999999999999999e-05,

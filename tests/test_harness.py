@@ -729,7 +729,7 @@ def test_stacked_invariants_equal_the_scalar_ones(kind):
     dia, off = drawn.dia, drawn.off
     As = mats(_Stack(dia, off))
     bare = _Stack(None, off)
-    codes, dim_t = _classes(off, bare.alpha)
+    codes, dim_t = _classes(off, bare.associative)
     for i, A in enumerate(As):
         assert classify(A).tag == kind == _TAGS[codes[i]]
         assert classify(A).dim_t == dim_t[i]

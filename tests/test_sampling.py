@@ -134,7 +134,7 @@ def test_rejection_test_agrees_with_the_class_test():
     rows += [nudged, np.zeros((1, 3, 8))]
     off = np.concatenate(rows)
     off = np.concatenate([off, off * 10.0 ** rng.uniform(-8, 8, (len(off), 1, 1))])
-    codes = _classes(off, _Stack(None, off).alpha)[0]
+    codes = _classes(off, _Stack(None, off).associative)[0]
     assert set(codes.tolist()) == {0, 1, 2, 3}
     assert (codes[-400:] == 3).sum() > 50 and (codes[-400:] == 2).sum() > 50
     for code in range(len(_TAGS)):

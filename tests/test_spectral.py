@@ -45,7 +45,7 @@ from octeig.subspace import (
     quaternionic_split,
     r_roots,
 )
-from octeig.tolerances import REAL_RANK_TOL
+from octeig.tolerances import DEFAULT_TOLERANCE, REAL_RANK_TOL
 
 E = [Octonion.unit(i) for i in range(8)]
 
@@ -463,6 +463,26 @@ def test_small_complex_matrix_keeps_its_direction(rng):
 def test_eigensystem_scales_linearly_in_every_class(kind, seed, exponent):
     # eigenvalues 1e-6 apart used to fall into one cluster at s = 1e-6
     assert_scales_linearly(kind, seed, exponent)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-11.0, -7.0),
+       kind=st.sampled_from(["quaternionic", "complex", "real"]))
+def test_the_class_test_alone_decides_the_imaginary_rank(seed, exponent, kind):
+    # imaginary parts in span{e1, e2, e4}, parallel to u up to one shared residual along w of
+    # relative size 10^exponent, across the class test's 1e-9 cut; a complex matrix keeps
+    # only u and a real one neither.  The route follows the class, and solves it
+    rng = np.random.default_rng(seed)
+    u, w = np.linalg.qr(rng.uniform(-1, 1, (3, 2)))[0].T
+    t, s = rng.uniform(-1, 1, (2, 3, 1))
+    imag = {"quaternionic": t * u + 10.0 ** exponent * s * w, "complex": t * u, "real": 0.0}[kind]
+    off = np.zeros((3, 8))
+    off[:, 0] = rng.uniform(-1, 1, 3)
+    off[:, [1, 2, 4]] = imag
+    A = Hermitian3(*rng.uniform(-1, 1, 3), *map(Octonion, off))
+    es = eigensystem(A)
+    assert len(es.families) == (2 if classify(A).tag == "quaternionic" else 1)
+    assert max(max(fam.residuals.values()) for fam in es.families) <= DEFAULT_TOLERANCE
 
 
 def test_eigensystem_near_quaternionic_boundary(rng):

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from octeig import subspace
+from octeig.cli import main
 from octeig.errors import (
     AmbiguousSubalgebra,
     DegenerateFamily,
@@ -267,7 +269,7 @@ def test_quaternionic_split_rejects_real_and_complex(rng):
         quaternionic_split(rand_herm(rng))
 
 
-def test_quaternionic_split_pivots_on_the_largest_parts():
+def test_quaternionic_split_pivots_on_the_largest_parts(tmp_path):
     # a's and b's imaginary parts are nearly parallel, c's is the largest: h1 follows c and
     # h2 the residual of a, not the 3e-4 residual of b against a
     a = np.array([0.0, -0.6, 0.0, 0.0, 0.08, 0.0, 0.0, 0.0])
@@ -276,10 +278,36 @@ def test_quaternionic_split_pivots_on_the_largest_parts():
     H, _ = _quaternionic_split(np.array([[a, b, c]]))
     assert np.allclose(H[0, 1], c / np.linalg.norm(c), rtol=0.0, atol=1e-15)
     assert abs(inner(H[0, 2], a)) > 0.5 * np.linalg.norm(a)
-    # a second direction at or below 1e-9 of the largest part is no direction
-    flat = np.array([[a, -0.78 * a + 1e-10 * E[2].coords, 2.0 * a]])
-    with pytest.raises(AmbiguousSubalgebra):
-        _quaternionic_split(flat)
+    # a second direction at 1e-10 of the largest part is below the class test's cut, and that
+    # test alone decides the rank: the matrix is complex and takes the complex route
+    flat = Hermitian3(0.3, -0.2, 0.5, *map(Octonion, (a, -0.78 * a + 1e-10 * E[2].coords, 2 * a)))
+    assert classify(flat).tag == "complex"
+    mat, out = tmp_path / "m.json", tmp_path / "out.json"
+    mat.write_text(json.dumps(flat.to_json()))
+    assert main(["eigen", str(mat), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["routed_path"] == "complex"
+
+
+def test_the_complex_unit_leads_with_a_positive_coordinate(rng):
+    # i0 is the largest imaginary part, normalized, signed so that its first nonzero
+    # coordinate is positive however small; an entry's zero coordinate stays exactly zero
+    parts = rng.uniform(-1, 1, (40, 3, 8)) * (rng.uniform(size=(40, 1, 8)) < 0.5)
+    parts[0] = [E[0].coords, 1e-14 * E[2].coords - E[5].coords, np.zeros(8)]
+    parts[1] = [-2.0 ** -500 * E[3].coords, np.zeros(8), np.zeros(8)]
+    parts[2] = [E[0].coords, np.zeros(8), 2.0 * E[0].coords]
+    for off in (parts, -parts):
+        i0 = subspace._complex_unit(off)
+        imag = off * (np.arange(8) > 0)
+        sizes = np.linalg.norm(imag, axis=-1)
+        for u, p, n in zip(i0, imag, sizes):
+            if not n.any():
+                assert np.array_equal(u, E[1].coords)
+                continue
+            assert u[u != 0.0][0] > 0.0
+            assert np.array_equal(u != 0.0, p[n.argmax()] != 0.0)
+            assert np.allclose(np.abs(u), np.abs(p[n.argmax()]) / n.max(), rtol=1e-14, atol=0)
+    # a coordinate of 1e-14 before one of -1 leads, and a part of 2^-500 is a direction
+    assert subspace._complex_unit(parts[:2])[:, [2, 3, 5]].tolist() == [[1e-14, 0, -1], [0, 1, 0]]
 
 
 def test_conj_matrix(rng):
