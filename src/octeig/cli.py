@@ -22,9 +22,9 @@ from .harness import (
     run_fuzz,
     run_verification,
 )
-from .hermitian import _TAGS, OCTONIONIC, Hermitian3, OctVector3, classify
-from .projection import _part_json, _six_way, _six_way_json, matrix_fingerprint
-from .spectral import _RESIDUALS, _contexts, _eigen_json, _family_json
+from .hermitian import _TAGS, OCTONIONIC, _matrix_floats, _vector_floats
+from .projection import _fingerprint, _part_json, _six_way, _six_way_json
+from .spectral import _RESIDUALS, _contexts, _eigen_json, _family_json, _Systems
 from .subspace import _context_json
 
 __all__ = ["main"]
@@ -48,16 +48,16 @@ def _load_json(path: str):
         raise OcteigError(f"{path}: invalid JSON: arrays or objects nested too deeply")
 
 
-def _load_matrix(path: str) -> Hermitian3:
+def _load_matrix(path: str) -> np.ndarray:
     try:
-        return Hermitian3.from_json(_load_json(path))
+        return _matrix_floats(_load_json(path))
     except ValueError as exc:
         raise OcteigError(f"{path}: {exc}")
 
 
-def _load_vector(path: str) -> OctVector3:
+def _load_vector(path: str) -> np.ndarray:
     try:
-        return OctVector3.from_json(_load_json(path))
+        return _vector_floats(_load_json(path))
     except ValueError as exc:
         raise OcteigError(f"{path}: {exc}")
 
@@ -102,8 +102,8 @@ def _emit(payload: dict, out: str):
         print(text)
         return
     try:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        with open(out, "wb") as fh:   # the report is ASCII: its bytes in one write
+            fh.write(f"{text}\n".encode())
     except OSError as exc:
         raise OcteigError(f"{out}: {exc.strerror or exc}")
 
@@ -168,29 +168,28 @@ def _conclude(payload: dict, tag: str, worst: float, tol: float, out: str) -> in
 def _cmd_eigen(args) -> int:
     """`eigensystem(A).to_json()`, written from the blocks of A's solved stack."""
     tol = _resolve_tolerance(args)
-    A = _load_matrix(args.matrix)
-    S = A._stack
+    c = _load_matrix(args.matrix)
+    S = _Systems(c[None, :3], c[3:].reshape(1, 3, 8))
     blocks = zip(_contexts(S), S.lams[0].tolist(), S.V[0].tolist(), S.residuals[0].tolist())
     families = [_family_json(_context_json(*context), lams, V, dict(zip(_RESIDUALS, res)))
                 for context, lams, V, res in blocks]
-    tag, dim_t = classify(A)
-    payload = _eigen_json(tag, dim_t, families)
-    payload["fingerprint"] = matrix_fingerprint(A)
-    return _conclude(payload, tag, float(np.max(S.residuals[0])), tol, args.out)
+    code, dim_t = (int(x[0]) for x in S.classes)
+    payload = _eigen_json(_TAGS[code], dim_t, families)
+    payload["fingerprint"] = _fingerprint(c)
+    return _conclude(payload, _TAGS[code], float(np.max(S.residuals[0])), tol, args.out)
 
 
 def _cmd_project(args) -> int:
     """`six_way(A, x).to_json()`, written from the parts of `_six_way` on A's solved stack."""
     tol = _resolve_tolerance(args)
-    A = _load_matrix(args.matrix)
-    x = _load_vector(args.vector)
-    S = A._stack
+    c, x = _load_matrix(args.matrix), _load_vector(args.vector)
+    S = _Systems(c[None, :3], c[3:].reshape(1, 3, 8))
     F, tag = S.nfam, _TAGS[S.codes[0]]
-    comps, residuals, recon = _six_way(S, x.to_coords()[None])
+    comps, residuals, recon = _six_way(S, x[None])
     lams, comps = S.lams[0].tolist(), comps[0].reshape(F, 3, 3, 8).tolist()
     parts = [_part_json(f + 1, lam, c) for f in range(F) for lam, c in zip(lams[f], comps[f])]
     residuals, recon = residuals[0].ravel().tolist(), float(recon[0])
-    payload = _six_way_json(tag, matrix_fingerprint(A), parts, recon, residuals)
+    payload = _six_way_json(tag, _fingerprint(c), parts, recon, residuals)
     if tag != OCTONIONIC:
         payload["single_family"] = F == 1
     return _conclude(payload, tag, float(np.max([recon, *residuals])), tol, args.out)
@@ -249,7 +248,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args keeps no state."""
+    """The argument parser, built once per process, and in `commands` its subparsers by name;
+    parse_args keeps no state."""
     parser = _Parser(
         prog="octeig",
         description="Two-family eigenstructure of 3x3 octonionic Hermitian matrices.",
@@ -289,12 +289,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=FUZZ_CLASSES)
     common(p_fuzz)
     p_fuzz.set_defaults(fn=_cmd_fuzz)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    try:   # a command's own parser alone; the top-level one only for help or a usage error
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.fn(args)
     except OcteigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from .octonion import (
     _CONJ,
     Octonion,
     _Immutable,
+    _scaled,
     _finite_fault,
     _json_floats,
     _norm,
@@ -110,10 +111,9 @@ class OctVector3(_Immutable):
         return float(np.sqrt(self.norm2()))
 
     def normalized(self) -> "OctVector3":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize the zero vector")
-        return self.scale(1.0 / n)
+        """v / |v| as u / |u|, u = v / 2^e (`_scaled`): no square of u underflows or overflows."""
+        u = OctVector3.from_coords(_scaled(self.to_coords(), "cannot normalize the zero vector")[0])
+        return u.scale(1.0 / u.norm())
 
     def outer(self) -> "Hermitian3":
         """Rank-one Hermitian matrix self self^dagger."""
@@ -135,10 +135,24 @@ class OctVector3(_Immutable):
 
     @classmethod
     def from_json(cls, data) -> "OctVector3":
-        if not isinstance(data, (list, tuple)) or len(data) != 3:
-            raise ValueError("vector JSON must be a 3x8 array of numbers")
-        c = _json_floats([(f"component {i}", row, True) for i, row in enumerate(data)])
-        return cls(tuple(map(Octonion._of, c.reshape(3, 8))))   # checked finite once, above
+        return cls(tuple(map(Octonion._of, _vector_floats(data).reshape(3, 8))))
+
+
+def _vector_floats(data) -> np.ndarray:
+    """The 24 coordinates (24,) of a vector's JSON, each checked once, as `_json_floats` checks."""
+    if not isinstance(data, (list, tuple)) or len(data) != 3:
+        raise ValueError("vector JSON must be a 3x8 array of numbers")
+    return _json_floats([(f"component {i}", row, True) for i, row in enumerate(data)])
+
+
+def _matrix_floats(data) -> np.ndarray:
+    """The 27 numbers (27,) of a matrix's JSON, d, e, f, a, b, c, each checked once."""
+    if not isinstance(data, dict):
+        raise ValueError("matrix JSON must be an object with fields d, e, f, a, b, c")
+    missing = [key for key in ("d", "e", "f", "a", "b", "c") if key not in data]
+    if missing:
+        raise ValueError(f"matrix JSON is missing field {missing[0]!r}")
+    return _json_floats([(f"field {k!r}", data[k], k in "abc") for k in "defabc"])
 
 
 class _lazy:
@@ -229,13 +243,11 @@ class Hermitian3:
 
     @classmethod
     def from_json(cls, data) -> "Hermitian3":
-        if not isinstance(data, dict):
-            raise ValueError("matrix JSON must be an object with fields d, e, f, a, b, c")
-        missing = [key for key in ("d", "e", "f", "a", "b", "c") if key not in data]
-        if missing:
-            raise ValueError(f"matrix JSON is missing field {missing[0]!r}")
-        c = _json_floats([(f"field {k!r}", data[k], k in "abc") for k in "defabc"])
-        return cls(*c[:3].tolist(), *map(Octonion._of, c[3:].reshape(3, 8)))
+        """The reader checks each number once; the entries are set as `Octonion._of` sets its
+        coordinates, without the second check of `__post_init__`."""
+        c, A = _matrix_floats(data), object.__new__(cls)
+        A.__dict__.update(zip("defabc", (*c[:3].tolist(), *map(Octonion._of, c[3:].reshape(3, 8)))))
+        return A
 
     @_lazy
     def _stack(self):

@@ -145,10 +145,9 @@ class Octonion(_Immutable):
         return math.sqrt(self.coords @ self.coords)
 
     def inverse(self) -> "Octonion":
-        n2 = self.norm2()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero octonion has no inverse")
-        return Octonion._of(self.conj().coords / n2)
+        """conj(q) / |q|^2 as 2^-e conj(p) / |p|^2, p = q / 2^e (`_scaled`): |p|^2 is in range."""
+        p, e = _scaled(self.coords, "zero octonion has no inverse")
+        return Octonion._of(np.ldexp(p * _CONJ / (p @ p), -e))
 
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion._of(self.coords + other.coords)
@@ -189,6 +188,15 @@ class Octonion(_Immutable):
     @classmethod
     def from_json(cls, data) -> "Octonion":
         return cls._of(_json_floats([("", data, True)]))
+
+
+def _scaled(c: np.ndarray, zero: str) -> tuple[np.ndarray, int]:
+    """c / 2^e, exact, with its largest |entry| in [1/2, 1), and e; ZeroDivisionError(zero) at 0."""
+    m = np.abs(c).max()
+    if m == 0.0:
+        raise ZeroDivisionError(zero)
+    e = int(np.frexp(m)[1])
+    return np.ldexp(c, -e), e
 
 
 def _shown(value, limit: int = 200) -> str:

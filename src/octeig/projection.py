@@ -75,8 +75,14 @@ def _six_way_json(tag: str, fingerprint: str, parts: list, recon: float, residua
 
 def matrix_fingerprint(A: Hermitian3) -> str:
     """Hash of the canonical matrix serialization, for report provenance."""
-    payload = json.dumps(A.to_json(), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
+    return _fingerprint(np.concatenate(([A.d, A.e, A.f], A.a.coords, A.b.coords, A.c.coords)))
+
+
+def _fingerprint(c: np.ndarray) -> str:
+    """`matrix_fingerprint` of the matrix of 27 floats (27,), d, e, f, a, b, c."""
+    v = c.tolist()
+    entries = {"d": v[0], "e": v[1], "f": v[2], "a": v[3:11], "b": v[11:19], "c": v[19:]}
+    return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
 
 
 def project_along(v: OctVector3, y: OctVector3, check: bool = True,

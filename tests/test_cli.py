@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -379,6 +381,77 @@ def test_usage_errors_exit_1(capsys, argv, message):
     # argparse exited 2, the code of a routed answer
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_one_parser_pass_gives_what_the_top_level_parser_gives(files, monkeypatch, capsys):
+    # main parses a command's arguments with that command's parser alone; the top-level
+    # parse_args, the reference here, runs every argv when `commands` is empty
+    m, x, out = files["oct"], files["vec"], files["tmp"] / "out.json"
+    table = [[], ["-h"], ["nosuch"], ["eigen"], ["project", m], ["eigen", m, x],
+             ["project", m, x, m], ["eigen", m, "--tol", "1e-30"]]
+    for command, args in {"eigen": [m], "project": [m, x], "verify": ["--samples", "2"],
+                          "fuzz": ["--samples", "2"]}.items():
+        table += [[command, "-h"], [command, *args, "--bogus"]]
+        table += [[command, *args, *flags] for flags in
+                  ([], ["--out", str(out)], ["--tolerance", "1e-30"],
+                   ["--out", str(out), "--tolerance", "1e-8"])]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # help
+            code = f"exit {exc.code}"
+        got = capsys.readouterr()
+        return code, got.out, got.err, out.read_bytes() if out.exists() else None
+
+    parser = _build_parser()
+    top = []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: top.append(argv) or
+                        type(parser).parse_args(parser, argv))
+    one_pass = [run(argv) for argv in table]
+    assert top == [[], ["-h"], ["nosuch"]]
+    monkeypatch.setattr(parser, "commands", {})
+    assert [run(argv) for argv in table] == one_pass
+    assert {code for code, *_ in one_pass} == {0, 1, "exit 0"}
+
+
+# one bad value in a matrix or vector file, as JSON text
+BAD_VALUES = ["NaN", "Infinity", "-Infinity", "1e400", "true", "null", '"1.5"', "[]", "{}"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(vector=st.booleans(), slot=st.integers(0, 5), coordinate=st.integers(-1, 7),
+       bad=st.sampled_from(BAD_VALUES + [json.dumps([0.5] * 7), json.dumps([0.5] * 9)]))
+def test_the_cli_and_the_readers_reject_bad_input_in_the_same_words(tmp_path_factory, vector,
+                                                                    slot, coordinate, bad):
+    # the value goes at a field, at an octonion (coordinate -1) or at one of its coordinates
+    rng = np.random.default_rng(24)
+    good = {"matrix": random_hermitian(rng, "octonionic").to_json(),
+            "vector": random_vector(rng).to_json()}
+    data = good["vector" if vector else "matrix"]
+    key = slot % 3 if vector else "defabc"[slot]
+    if coordinate < 0 or key in ("d", "e", "f"):
+        data[key] = "@"
+    else:
+        data[key][coordinate] = "@"
+    tmp = tmp_path_factory.mktemp("bad")
+    paths = {k: tmp / f"{k}.json" for k in good}
+    for k, value in good.items():
+        paths[k].write_text(json.dumps(value).replace('"@"', bad))
+    reader = OctVector3.from_json if vector else Hermitian3.from_json
+    with pytest.raises(ValueError) as exc:
+        reader(json.loads(paths["vector" if vector else "matrix"].read_text()))
+    want = f"error: {paths['vector' if vector else 'matrix']}: {exc.value}\n"
+    argvs = [["project", str(paths["matrix"]), str(paths["vector"])]]
+    argvs += [] if vector else [["eigen", str(paths["matrix"])]]
+    capture = io.StringIO()
+    for argv in argvs:
+        with contextlib.redirect_stderr(capture):
+            assert main(argv) == 1
+        assert capture.getvalue() == want
+        capture.seek(0)
+        capture.truncate()
 
 
 @pytest.mark.parametrize("field, value", [

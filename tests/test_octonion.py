@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from octeig.hermitian import OctVector3
 from octeig.octonion import (
     Octonion,
     assoc3form,
@@ -162,6 +165,40 @@ def test_inverse(rng):
     assert (mul(p, p.inverse()) - ONE).norm() < 1e-13
     with pytest.raises(ZeroDivisionError):
         Octonion.zero().inverse()
+
+
+def _normal(x: np.ndarray) -> bool:
+    """Every nonzero entry of x is a finite, normal double."""
+    a = np.abs(x[x != 0.0])
+    return bool(np.all((a >= np.finfo(float).tiny) & (a < np.inf)))
+
+
+def _spread(rng, n: int) -> np.ndarray:
+    """n coordinates of binary exponents -20..20, about a fifth of them zero."""
+    return np.ldexp(rng.uniform(-1, 1, n), rng.integers(-20, 21, n)) * (rng.random(n) < 0.8)
+
+
+@pytest.mark.parametrize("x", [1e-200, 1e-160, 1e200, 1e-300, 1e300])
+def test_inverse_of_a_tiny_or_huge_octonion(x):
+    # |q|^2 underflowed to 0 or a subnormal, or overflowed, before q was scaled by 2^-e
+    inv = Octonion([x] + [0.0] * 7).inverse().coords
+    assert inv[0] == pytest.approx(1.0 / x, rel=1e-15) and not inv[1:].any()
+    unit = OctVector3.from_coords(np.full(24, x)).normalized().to_coords()
+    np.testing.assert_allclose(unit, 24 ** -0.5, rtol=1e-15)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-1000, 1000))
+def test_inverse_and_normalized_commute_with_powers_of_two(seed, k):
+    # bit for bit, wherever the coordinates and the results are normal numbers
+    rng = np.random.default_rng(seed)
+    q, v = _spread(rng, 8), _spread(rng, 24)
+    assume(q.any() and v.any() and _normal(np.ldexp(q, k)) and _normal(np.ldexp(v, k)))
+    inv, scaled_inv = (Octonion(np.ldexp(q, j)).inverse().coords for j in (0, k))
+    assume(_normal(inv) and _normal(scaled_inv))
+    assert np.array_equal(scaled_inv, np.ldexp(inv, -k))
+    unit = OctVector3.from_coords(v).normalized().to_coords()
+    assert np.array_equal(OctVector3.from_coords(np.ldexp(v, k)).normalized().to_coords(), unit)
 
 
 def test_json_roundtrip(rng):
