@@ -248,8 +248,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process, and in `commands` its subparsers by name;
-    parse_args keeps no state."""
+    """The parser, built once (parse_args keeps no state); `commands` has its subparsers by name."""
     parser = _Parser(
         prog="octeig",
         description="Two-family eigenstructure of 3x3 octonionic Hermitian matrices.",

@@ -243,11 +243,8 @@ class Hermitian3:
 
     @classmethod
     def from_json(cls, data) -> "Hermitian3":
-        """The reader checks each number once; the entries are set as `Octonion._of` sets its
-        coordinates, without the second check of `__post_init__`."""
-        c, A = _matrix_floats(data), object.__new__(cls)
-        A.__dict__.update(zip("defabc", (*c[:3].tolist(), *map(Octonion._of, c[3:].reshape(3, 8)))))
-        return A
+        c = _matrix_floats(data)
+        return cls(*c[:3].tolist(), *map(Octonion._of, c[3:].reshape(3, 8)))
 
     @_lazy
     def _stack(self):

@@ -147,7 +147,11 @@ class Octonion(_Immutable):
     def inverse(self) -> "Octonion":
         """conj(q) / |q|^2 as 2^-e conj(p) / |p|^2, p = q / 2^e (`_scaled`): |p|^2 is in range."""
         p, e = _scaled(self.coords, "zero octonion has no inverse")
-        return Octonion._of(np.ldexp(p * _CONJ / (p @ p), -e))
+        with np.errstate(over="ignore"):
+            inv = np.ldexp(p * _CONJ / (p @ p), -e)
+        if not np.isfinite(inv).all():   # |q| below 1 / DBL_MAX, a subnormal
+            raise OverflowError("octonion inverse is out of the float range")
+        return Octonion._of(inv)
 
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion._of(self.coords + other.coords)

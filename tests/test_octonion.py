@@ -187,6 +187,15 @@ def test_inverse_of_a_tiny_or_huge_octonion(x):
     np.testing.assert_allclose(unit, 24 ** -0.5, rtol=1e-15)
 
 
+@pytest.mark.parametrize("x", [1e-310, -5e-324])
+def test_an_inverse_beyond_the_float_range_raises(x):
+    # |q| < 1 / DBL_MAX: 1 / |q| overflows, and no octonion with an infinite coordinate escapes
+    with pytest.raises(OverflowError, match="out of the float range"):
+        Octonion([x] + [0.0] * 7).inverse()
+    unit = OctVector3.from_coords(np.full(24, x)).normalized().to_coords()
+    np.testing.assert_allclose(unit, np.sign(x) * 24 ** -0.5, rtol=1e-15)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-1000, 1000))
 def test_inverse_and_normalized_commute_with_powers_of_two(seed, k):
