@@ -36,14 +36,20 @@ _EXIT_DEGENERATE = 2
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # UTF-8 with an optional byte-order mark (RFC 8259 8.1), removed after decoding so
+        # that a decode error, a ValueError for the caller, gives the file's byte offset
+        return json.loads(data.decode().removeprefix("\ufeff"))
     except FileNotFoundError:
         raise OcteigError(f"{path}: file not found")
     except OSError as exc:
         raise OcteigError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
-        raise OcteigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+        # lines as a text-mode read counts them, a lone CR ending one too
+        head = exc.doc[:exc.pos].replace("\r\n", "\n").replace("\r", "\n")
+        line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise OcteigError(f"{path}: invalid JSON at line {line} column {column}: {exc.msg}")
     except RecursionError:
         raise OcteigError(f"{path}: invalid JSON: arrays or objects nested too deeply")
 
@@ -101,9 +107,14 @@ def _emit(payload: dict, out: str):
     if not out:
         print(text)
         return
+    data = memoryview(f"{text}\n".encode())   # the report is ASCII
     try:
-        with open(out, "wb") as fh:   # the report is ASCII: its bytes in one write
-            fh.write(f"{text}\n".encode())
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OcteigError(f"{out}: {exc.strerror or exc}")
 
@@ -176,7 +187,8 @@ def _cmd_eigen(args) -> int:
     code, dim_t = (int(x[0]) for x in S.classes)
     payload = _eigen_json(_TAGS[code], dim_t, families)
     payload["fingerprint"] = _fingerprint(c)
-    return _conclude(payload, _TAGS[code], float(np.max(S.residuals[0])), tol, args.out)
+    worst = float(np.maximum.reduce(S.residuals[0], None))
+    return _conclude(payload, _TAGS[code], worst, tol, args.out)
 
 
 def _cmd_project(args) -> int:
@@ -192,7 +204,7 @@ def _cmd_project(args) -> int:
     payload = _six_way_json(tag, _fingerprint(c), parts, recon, residuals)
     if tag != OCTONIONIC:
         payload["single_family"] = F == 1
-    return _conclude(payload, tag, float(np.max([recon, *residuals])), tol, args.out)
+    return _conclude(payload, tag, float(np.maximum.reduce([recon, *residuals])), tol, args.out)
 
 
 def _report(command: str, args, tol: float, checks, extra=None) -> dict:
@@ -238,6 +250,10 @@ def _cmd_fuzz(args) -> int:
     return _EXIT_OK if ok else _EXIT_FAIL
 
 
+def _no_command(args) -> int:
+    raise OcteigError("the following arguments are required: command")
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are failures, exit 1, not argparse's exit 2; its
     subparsers are of this class too."""
@@ -253,7 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="octeig",
         description="Two-family eigenstructure of 3x3 octonionic Hermitian matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the command is checked after parsing, so that an unknown option before it is named first
+    sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(fn=_no_command)
 
     def common(p):
         p.add_argument("--out", default="", help="write the JSON result to this path")

@@ -270,7 +270,7 @@ class MatrixClass(NamedTuple):
 
 def _vnorm(y: np.ndarray) -> np.ndarray:
     """Norm of each stacked vector y (..., 3, 8)."""
-    return np.sqrt(np.vecdot(y, y).sum(-1))
+    return np.sqrt(np.add.reduce(np.vecdot(y, y), -1))
 
 
 def trace(A: Hermitian3) -> float:
@@ -286,7 +286,7 @@ def _sigma(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
     same, swapped = _product(off, off * _CONJ)[..., 0], _product(off * _CONJ, off)[..., 0]
     aa, bb, cc = same[..., 0], same[..., 1], same[..., 2]
     aa_, bb_, cc_ = swapped[..., 0], swapped[..., 1], swapped[..., 2]
-    t = dia.sum(-1)
+    t = np.add.reduce(dia, -1)
     return 0.5 * (t * t - (d + aa + bb_ + aa_ + e + cc + bb + cc_ + f))
 
 
@@ -344,7 +344,7 @@ def _associative(off: np.ndarray, al: np.ndarray) -> np.ndarray:
 def _rank(rows: np.ndarray) -> np.ndarray:
     """Rank of each stacked row set (..., k, 8), relative to its largest singular value."""
     s = np.linalg.svd(rows, compute_uv=False)
-    return (s > SPAN_TOL * s[..., :1]).sum(-1)
+    return np.add.reduce(s > SPAN_TOL * s[..., :1], -1)
 
 
 def _classes(off: np.ndarray, assoc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -56,6 +56,12 @@ __all__ = [
 ]
 
 _EYE24 = np.eye(24)
+_EYE3 = np.eye(3)
+# `_pick_representative`'s row order for coordinate blocks of 2, 4 and 8: 0, block, 2 * block,
+# then the rest, and `_eigenpairs`' mask of the cluster edges between its 3 eigenvalues of
+# multiplicity 2 or 4
+_FIRST_ROWS = {k: np.argsort(np.arange(3 * k) % k != 0, stable=True) for k in (2, 4, 8)}
+_EDGES = {k: np.arange(1, 3 * k) % k == 0 for k in (2, 4)}
 # the keys of FamilyEigensystem.residuals, in the order of `_family_residuals`
 _RESIDUALS = ("eigen", "k_eigen", "identity_decomposition", "matrix_decomposition",
               "generalized_orthogonality")
@@ -191,16 +197,16 @@ def _column_basis(cols: np.ndarray) -> np.ndarray:
 
 
 def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
-    """Deterministic unit representative from each stacked orthonormal column basis (..., d, j).
+    """Deterministic unit representative from each stacked orthonormal column basis
+    (..., 3 block, j), for blocks of 2, 4 or 8 coordinates.
 
     The first projection space @ space[idx] of norm above NORMALIZE_TOL (that of row
-    idx), trying coordinates 0, block, 2*block, ... first; the construction
+    idx), trying coordinates 0, block, 2*block first; the construction
     makes that coordinate positive, which fixes the sign.
     """
-    order = np.argsort(np.arange(space.shape[-2]) % block != 0, stable=True)
-    rows = space.reshape((-1,) + space.shape[-2:])[:, order]
+    rows = space.reshape((-1,) + space.shape[-2:])[:, _FIRST_ROWS[block]]
     usable = np.sqrt(np.vecdot(rows, rows)) > NORMALIZE_TOL
-    if not usable.any(-1).all():
+    if not np.logical_and.reduce(np.logical_or.reduce(usable, -1)):
         raise ExtractionFailure("could not pick a representative from the candidate subspace")
     row = rows[np.arange(len(rows)), usable.argmax(-1)]
     w = np.matvec(space, row.reshape(space.shape[:-2] + row.shape[-1:]))
@@ -249,7 +255,7 @@ def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
 
 def _slotwise(B: np.ndarray) -> np.ndarray:
     """Q = kron(I3, B) (..., 24, 3k): the bases B (..., 8, k) applied in each octonion slot."""
-    Q = np.eye(3)[:, None, :, None] * B[..., None, :, None, :]
+    Q = _EYE3[:, None, :, None] * B[..., None, :, None, :]
     return Q.reshape(B.shape[:-2] + (24, 3 * B.shape[-1]))
 
 
@@ -264,12 +270,14 @@ def _eigenpairs(R: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k = Q.shape[-1] // 3
     w, U = np.linalg.eigh(Q.swapaxes(-1, -2) @ R @ Q)
-    tol = CLUSTER_TOL * np.abs(w).max(-1, keepdims=True)
-    simple = ((w[..., 1:] - w[..., :-1] > tol) == (np.arange(1, 3 * k) % k == 0)).all(-1)
+    tol = CLUSTER_TOL * np.maximum.reduce(np.abs(w), -1, keepdims=True)
+    simple = np.logical_and.reduce((w[..., 1:] - w[..., :-1] > tol) == _EDGES[k], -1)
     lams = np.add.reduce(w.reshape(w.shape[:-1] + (3, k)), -1) / k
     # the coordinate rule on every family; one with a cluster is done again below
     spaces = U.reshape(U.shape[:-1] + (3, k)).swapaxes(-3, -2)
     V = np.matvec(Q[..., None, :, :], _pick_representative(spaces, k))
+    if np.logical_and.reduce(simple, None):
+        return lams, V
     for i in zip(*np.nonzero(~simple)):
         groups = np.split(w[i], np.flatnonzero(np.diff(w[i]) > tol[i]) + 1)
         if any(len(g) % k for g in groups):
@@ -310,19 +318,21 @@ def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray,
     dia, off = np.vecdot(W, W), vv[..., [0, 2, 1], [1, 0, 2], :].reshape(V.shape)
     amat = _hermitian_norm(np.vecmat(lams, dia) - A.dia[:, None],
                            np.vecmat(lams, off) - A.off.reshape(-1, 1, 24))
-    out = {"eigen": _norm(RV - lams[..., None] * V).max(-1) / scale,
-           "identity_decomposition": _hermitian_norm(dia.sum(-2) - 1.0, off.sum(-2)),
+    out = {"eigen": np.maximum.reduce(_norm(RV - lams[..., None] * V), -1) / scale,
+           "identity_decomposition": _hermitian_norm(np.add.reduce(dia, -2) - 1.0,
+                                                     np.add.reduce(off, -2)),
            "matrix_decomposition": amat / scale}
     if "k_eigen" in keys:
         R2V = np.matvec(R, RV)
         tr, sg, dt = (x[:, None, None, None] for x in (A.trace, A.sigma, A.det))
         KV = np.matvec(R, R2V) - tr * R2V + sg * RV - dt * V
-        out["k_eigen"] = _norm(KV - r[..., None, None] * V).max(-1) / np.float_power(scale, 3)
+        out["k_eigen"] = (np.maximum.reduce(_norm(KV - r[..., None, None] * V), -1)
+                          / np.float_power(scale, 3))
     if "generalized_orthogonality" in keys:
         # |(v_i v_i^dagger) v_j| for every i < j, slot a the sum over b of (v_ia conj(v_ib)) v_jb
         pairs = _product(vv[..., [0, 0, 1], :, :, :], W[..., [1, 2, 2], None, :, :])
-        out["generalized_orthogonality"] = _vnorm(np.add.reduce(pairs, -2)).max(-1)
-    return np.stack([out[k] for k in keys], axis=-1)
+        out["generalized_orthogonality"] = np.maximum.reduce(_vnorm(np.add.reduce(pairs, -2)), -1)
+    return np.concatenate([out[k][..., None] for k in keys], axis=-1)
 
 
 class _Systems(_Stack):

@@ -301,16 +301,17 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     left = _norm(resid)
     left[first] = 0.0
     second = rows, left.argmax(-1)
-    if not left[second].all():
+    if not np.logical_and.reduce(left[second], None, bool):
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
     h2 = resid[second] * (1.0 / left[second])[:, None]
-    H = np.stack([np.broadcast_to(_ONE, h1.shape), h1, h2, _product(h1, h2)], axis=-2)
+    H = np.empty((len(off), 4, 8))
+    H[:, 0], H[:, 1], H[:, 2], H[:, 3] = _ONE, h1, h2, _product(h1, h2)
     resid = _EYE8[1:]
     for _ in range(2):
         resid = resid - (resid @ H.swapaxes(-1, -2)) @ H
     n = _norm(resid)
     found = n > NORMALIZE_TOL
-    if not found.any(-1).all():
+    if not np.logical_and.reduce(np.logical_or.reduce(found, -1)):
         raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
     i = rows, found.argmax(-1)
     return H, resid[i] * (1.0 / n[i])[:, None]
@@ -428,9 +429,11 @@ class _Stack:
     def codes(self) -> np.ndarray:
         """Each matrix's class, as an index into `_TAGS` (n,).  A stack with no associative
         row is octonionic throughout, decided without the rank SVD of `classes`."""
-        if self.associative.any():
+        if np.logical_or.reduce(self.associative, None):
             return self.classes[0]
-        return np.full(self.off.shape[:-2], _TAGS.index(OCTONIONIC))
+        codes = np.empty(self.off.shape[:-2], int)
+        codes.fill(_TAGS.index(OCTONIONIC))
+        return codes
 
     @_lazy
     def roots(self) -> np.ndarray:
@@ -441,7 +444,7 @@ class _Stack:
     def families(self) -> tuple:
         """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8), or
         DegenerateFamily where a row is associative."""
-        if self.associative.any():
+        if np.logical_or.reduce(self.associative, None):
             raise DegenerateFamily(
                 "associator vanishes; families are not labeled by r (use the quaternionic path)")
         return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
@@ -458,19 +461,22 @@ class _Stack:
         each eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
         r_m, starting with s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
         determinant gap det(Abar) - det(A) (k = 4).  Complex and real: (1, i0) (k = 2)."""
-        if (self.codes != self.codes[0]).any():
+        if np.logical_or.reduce(self.codes != self.codes[0], None):
             raise ValueError("a stack is solved one class at a time, got rows of classes "
                              f"{[_TAGS[c] for c in np.unique(self.codes)]}")
         tag = _TAGS[self.codes[0]]
         if tag == OCTONIONIC:
             return self.roots, _family_bases(self.K)
-        zero = np.zeros((len(self.dia), 1))
+        n = len(self.dia)
         if tag == QUATERNIONIC:
             Hb, ell = self.split[0].swapaxes(-1, -2), self.split[1]
-            gap = _det(self.dia, self.off * _CONJ) - self.det
-            return np.column_stack([zero, gap]), np.stack([Hb, left_mul_matrix(ell) @ Hb], axis=1)
-        one = np.broadcast_to(_ONE, (len(self.dia), 8))
-        return zero, np.stack([one, _complex_unit(self.off)], axis=-1)[:, None]
+            r, B = np.zeros((n, 2)), np.empty((n, 2, 8, 4))
+            r[:, 1] = _det(self.dia, self.off * _CONJ) - self.det
+            B[:, 0], B[:, 1] = Hb, left_mul_matrix(ell) @ Hb
+            return r, B
+        B = np.empty((n, 1, 8, 2))
+        B[:, 0, :, 0], B[:, 0, :, 1] = _ONE, _complex_unit(self.off)
+        return np.zeros((n, 1)), B
 
     @_lazy
     def K(self) -> np.ndarray:
@@ -494,7 +500,7 @@ class _Stack:
 
     @_lazy
     def trace(self) -> np.ndarray:
-        return self.dia.sum(-1)
+        return np.add.reduce(self.dia, -1)
 
     @_lazy
     def sigma(self) -> np.ndarray:
@@ -506,7 +512,8 @@ class _Stack:
 
     @_lazy
     def frobenius(self) -> np.ndarray:
-        return np.sqrt(np.vecdot(self.dia, self.dia) + 2.0 * np.vecdot(self.off, self.off).sum(-1))
+        return np.sqrt(np.vecdot(self.dia, self.dia)
+                       + 2.0 * np.add.reduce(np.vecdot(self.off, self.off), -1))
 
     def act(self, y: np.ndarray) -> np.ndarray:
         """A y for vectors y (n, 3, 8)."""

@@ -169,6 +169,66 @@ def test_unreadable_inputs_are_errors(files, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {files['oct']}: Permission denied\n"
 
 
+@pytest.mark.parametrize("command", ["eigen", "project"])
+def test_a_utf8_byte_order_mark_is_ignored(files, capsys, command):
+    # RFC 8259 8.1 lets a parser ignore the mark, which some editors write
+    plain = [files["oct"], files["vec"]][:1 + (command == "project")]
+    marked = []
+    for i, path in enumerate(plain):
+        copy = files["tmp"] / f"bom-{i}.json"
+        copy.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        marked.append(str(copy))
+    out = files["tmp"] / "out.json"
+
+    def run(paths, flags):
+        out.unlink(missing_ok=True)
+        code = main([command, *paths, *flags])
+        return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+    for flags in ([], ["--out", str(out)]):
+        want = run(plain, flags)
+        assert want[0] == 0
+        assert run(marked, flags) == want
+        assert run([plain[0], *marked[1:]], flags) == want
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-32-be", "latin-1"])
+def test_a_file_in_another_encoding_is_a_decode_error(files, capsys, encoding):
+    # only UTF-8 is read; the error gives the byte offset in the file
+    text = open(files["oct"]).read().replace('"d"', '"d\u00e9"')
+    path = files["tmp"] / f"{encoding}.json"
+    path.write_bytes(text.encode(encoding))
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        path.read_bytes().decode()
+    assert main(["eigen", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {decoding.value}\n")
+    assert "'utf-8' codec can't decode byte" in str(decoding.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_json_error_is_placed_by_line_whatever_the_line_ends(files, capsys, newline):
+    # a lone CR ends a line as in a text-mode read, though the file is read as bytes
+    bad = files["tmp"] / "bad.json"
+    bad.write_bytes(newline.join(['{"d": 1.0,', ' "e": 2.0,', ' "f": x}']).encode())
+    assert main(["eigen", str(bad)]) == 1
+    want = f"error: {bad}: invalid JSON at line 3 column 7: Expecting value\n"
+    assert capsys.readouterr() == ("", want)
+
+
+@pytest.mark.parametrize("command", ["eigen", "project"])
+def test_out_onto_a_longer_file_holds_exactly_the_report(files, capsys, monkeypatch, command):
+    # the file is truncated, and a write that takes only part of the bytes is continued
+    argv = [command, files["oct"], files["vec"]][:2 + (command == "project")]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    out = files["tmp"] / "out.json"
+    out.write_bytes(b"x" * (3 * len(want)))
+    write = cli.os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:100]))
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+
+
 def test_unwritable_out_is_an_error(files, capsys):
     # the result is computed, then writing it fails: exit 1 with the reason, no traceback
     out = files["tmp"] / "missing" / "o.json"
@@ -376,7 +436,12 @@ def test_non_finite_det_offset_rejected(files, capsys, value, shown):
     (["eigen"], "the following arguments are required: matrix"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
                      "(choose from 'eigen', 'project', 'verify', 'fuzz')"),
-], ids=["bad-int", "minus-inf-value", "missing-positional", "unknown-command"])
+    ([], "the following arguments are required: command"),
+    (["-x"], "unrecognized arguments: -x"),
+    (["-x", "-y"], "unrecognized arguments: -x -y"),
+    (["-x", "eigen", "m.json"], "unrecognized arguments: -x"),
+], ids=["bad-int", "minus-inf-value", "missing-positional", "unknown-command", "no-command",
+        "unknown-option-alone", "unknown-options-alone", "unknown-option-before-a-command"])
 def test_usage_errors_exit_1(capsys, argv, message):
     # argparse exited 2, the code of a routed answer
     assert main(argv) == 1
