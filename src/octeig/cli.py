@@ -49,7 +49,8 @@ def _load_json(path: str):
         # lines as a text-mode read counts them, a lone CR ending one too
         head = exc.doc[:exc.pos].replace("\r\n", "\n").replace("\r", "\n")
         line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
-        raise OcteigError(f"{path}: invalid JSON at line {line} column {column}: {exc.msg}")
+        msg = "unexpected byte-order mark" if "UTF-8 BOM" in exc.msg else exc.msg
+        raise OcteigError(f"{path}: invalid JSON at line {line} column {column}: {msg}")
     except RecursionError:
         raise OcteigError(f"{path}: invalid JSON: arrays or objects nested too deeply")
 
@@ -314,8 +315,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    try:   # a command's own parser alone; the top-level one only for help or a usage error
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    try:   # a command's own parser alone; the top-level one only for help or a usage error,
+        # on argv without "--", which it would report as an unrecognized argument
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(
+            [a for a in argv if a != "--"])
         return args.fn(args)
     except OcteigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -369,8 +369,8 @@ class _Systems(_Stack):
 
 def eigensystem(A: Hermitian3) -> EigenSystem:
     """Full eigenstructure, the n = 1 case of `_Systems`: two families for octonionic
-    (r-labeled) and quaternionic (plain and lifted) matrices, one, flagged as such,
-    for complex and real ones."""
+    (r-labeled) and quaternionic (plain and lifted, r = 0 and -4 phi) matrices, one, flagged
+    as such, for complex and real ones."""
     S = A._stack
     contexts = (FamilyContext(m, r, ph, Octonion(al), None if s is None else Octonion(s))
                 for m, r, ph, al, s in _contexts(S))
@@ -383,12 +383,13 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
 
 
 def _contexts(S: _Systems) -> list:
-    """Row 0's family contexts as (m, r, phi, alpha, s), octonions as lists; phi = 0, alpha = 0
-    and no s unless octonionic."""
+    """Row 0's family contexts as (m, r, phi, alpha, s), octonions as lists; alpha = 0 and no s
+    unless octonionic.  Quaternionic: the class test's phi, r = 0 and -4 phi; else phi = 0."""
     if S.codes[0] == _TAGS.index(OCTONIONIC):
         ph, al, rs, s = (x[0].tolist() for x in S.families)
         return [(m, rs[m - 1], ph, al, s[m - 1]) for m in (1, 2)]
-    return [(m, r, 0.0, [0.0] * 8, None) for m, r in zip((1, 2), S.r[0].tolist())]
+    ph = S.phi[0].item() if S.codes[0] == _TAGS.index(QUATERNIONIC) else 0.0
+    return [(m, r, ph, [0.0] * 8, None) for m, r in zip((1, 2), S.r[0].tolist())]
 
 
 def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.ndarray:

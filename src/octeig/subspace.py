@@ -83,7 +83,10 @@ class FamilyContext:
                              None if self.s is None else self.s.to_json())
 
     def projector(self, K: np.ndarray) -> np.ndarray:
-        """P_m = (K + r_m + 4 phi) / (2 (r_m + 2 phi)) from the 8x8 matrix K."""
+        """P_m = (K + r_m + 4 phi) / (2 (r_m + 2 phi)) from the 8x8 matrix K, or DegenerateFamily
+        at the double root r_m = -2 phi of complex, real and phi = 0 quaternionic contexts."""
+        if self.r + 2.0 * self.phi == 0.0:
+            raise DegenerateFamily("family roots coincide (r + 2 phi = 0): no family projector")
         return _projector(K, self.r, self.phi)
 
 
@@ -446,7 +449,7 @@ class _Stack:
         DegenerateFamily where a row is associative."""
         if np.logical_or.reduce(self.associative, None):
             raise DegenerateFamily(
-                "associator vanishes; families are not labeled by r (use the quaternionic path)")
+                "associator vanishes: no family generators s_m; eigensystem gives r and phi alone")
         return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
 
     @_lazy
@@ -460,7 +463,7 @@ class _Stack:
         bases B (n, nfam, 8, k) of subspaces of O whose span in each slot A maps into itself,
         each eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
         r_m, starting with s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
-        determinant gap det(Abar) - det(A) (k = 4).  Complex and real: (1, i0) (k = 2)."""
+        roots 0 and -4 phi at alpha = 0 (k = 4).  Complex and real: (1, i0) (k = 2)."""
         if np.logical_or.reduce(self.codes != self.codes[0], None):
             raise ValueError("a stack is solved one class at a time, got rows of classes "
                              f"{[_TAGS[c] for c in np.unique(self.codes)]}")
@@ -471,7 +474,7 @@ class _Stack:
         if tag == QUATERNIONIC:
             Hb, ell = self.split[0].swapaxes(-1, -2), self.split[1]
             r, B = np.zeros((n, 2)), np.empty((n, 2, 8, 4))
-            r[:, 1] = _det(self.dia, self.off * _CONJ) - self.det
+            r[:, 1] = -4.0 * self.phi
             B[:, 0], B[:, 1] = Hb, left_mul_matrix(ell) @ Hb
             return r, B
         B = np.empty((n, 1, 8, 2))

@@ -12,7 +12,7 @@ from octeig import cli
 from octeig.cli import _build_parser, _encode, main
 from octeig.harness import (DEFAULT_TOLERANCE, random_hermitian, random_vector, run_fuzz,
                             run_verification)
-from octeig.hermitian import OCTONIONIC, Hermitian3, OctVector3
+from octeig.hermitian import OCTONIONIC, Hermitian3, OctVector3, phi
 from octeig.octonion import Octonion
 from octeig.projection import matrix_fingerprint, six_way
 from octeig.spectral import eigensystem
@@ -190,6 +190,16 @@ def test_a_utf8_byte_order_mark_is_ignored(files, capsys, command):
         assert want[0] == 0
         assert run(marked, flags) == want
         assert run([plain[0], *marked[1:]], flags) == want
+
+
+def test_a_second_byte_order_mark_is_a_json_error_worded_for_the_command_line(files, capsys):
+    # one mark is dropped; json's message for the next one advises a Python decoding
+    path = files["tmp"] / "bom-twice.json"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + open(files["oct"], "rb").read())
+    for command in (["eigen", str(path)], ["project", files["oct"], str(path)]):
+        assert main(command) == 1
+        want = f"error: {path}: invalid JSON at line 1 column 1: unexpected byte-order mark\n"
+        assert capsys.readouterr() == ("", want)
 
 
 @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-32-be", "latin-1"])
@@ -440,8 +450,11 @@ def test_non_finite_det_offset_rejected(files, capsys, value, shown):
     (["-x"], "unrecognized arguments: -x"),
     (["-x", "-y"], "unrecognized arguments: -x -y"),
     (["-x", "eigen", "m.json"], "unrecognized arguments: -x"),
+    (["--"], "the following arguments are required: command"),
+    (["-x", "--"], "unrecognized arguments: -x"),
 ], ids=["bad-int", "minus-inf-value", "missing-positional", "unknown-command", "no-command",
-        "unknown-option-alone", "unknown-options-alone", "unknown-option-before-a-command"])
+        "unknown-option-alone", "unknown-options-alone", "unknown-option-before-a-command",
+        "double-dash-alone", "unknown-option-then-double-dash"])
 def test_usage_errors_exit_1(capsys, argv, message):
     # argparse exited 2, the code of a routed answer
     assert main(argv) == 1
@@ -572,6 +585,35 @@ def test_class_and_exit_code_do_not_depend_on_the_scale(tmp_path_factory, kind, 
     # a power of two scales every floating-point step exactly
     assert answers(2.0 ** round(exponent * np.log2(10.0))) == want
     assert answers(10.0 ** exponent) == want
+
+
+@pytest.mark.parametrize("kind", MASKS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(0.0, 8.0),
+       sign=st.sampled_from([-1, 1]))
+def test_eigen_reports_solve_the_family_equation_at_any_shift(tmp_path_factory, kind, seed,
+                                                              exponent, sign):
+    # a quaternionic r2 taken as det(Abar) - det(A) lost every digit at A + 1e6 I; the roots
+    # of r^2 + 4 phi r = 0, 0 and -4 phi, depend on a, b and c alone
+    rng = np.random.default_rng(seed)
+    dia = rng.uniform(-1, 1, 3)
+    off = rng.uniform(-1, 1, (3, 8)) * np.isin(np.arange(8), MASKS[kind])
+    ph = phi(Hermitian3(*dia, *map(Octonion, off)))
+    mat = tmp_path_factory.mktemp("shifted") / "m.json"
+    out = mat.with_name("out.json")
+    mat.write_text(json.dumps(dict(zip("def", (dia + sign * 10.0 ** exponent).tolist()),
+                                   **dict(zip("abc", off.tolist())))))
+    # the report is written whatever the exit code; above a shift of about 1e6 some exit 1,
+    # where eigenvalue gaps fall under CLUSTER_TOL |lam| and merge (ROADMAP item 6)
+    main(["eigen", str(mat), "--out", str(out)])
+    families = json.loads(out.read_text())["families"]
+    if kind == "quaternionic":
+        assert [f["phi"] for f in families] == [ph, ph]
+        assert families[0]["r"] == 0.0
+        assert abs(families[1]["r"] + 4.0 * ph) <= 1e-15 * abs(4.0 * ph)
+    for f in families:
+        r, fp, al = f["r"], f["phi"], np.array(f["alpha"])
+        assert abs(r * r + 4.0 * fp * r - al @ al) <= 1e-14 * (r * r + 4.0 * abs(fp * r))
 
 
 def test_nearly_parallel_imaginary_parts_route_quaternionic_accurately(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octeig.errors import ComplexProjector, ComplexRoots, ExtractionFailure
+from octeig.errors import ComplexProjector, ComplexRoots, DegenerateFamily, ExtractionFailure
 from octeig.hermitian import (
     Hermitian3,
     OctVector3,
@@ -40,6 +40,7 @@ from octeig.subspace import (
     _Stack,
     conj_matrix,
     family_context,
+    k_matrix,
     k_scalar,
     project_km_vec,
     quaternionic_split,
@@ -224,6 +225,42 @@ def test_eigensystem_quaternionic_routing(rng, quaternionic_pool):
         spec24 = np.linalg.eigvalsh(realify24(A))
         expected = np.sort(np.repeat(np.sort(got1 + got2), 4))
         assert np.allclose(spec24, expected, atol=1e-8)
+
+
+def test_quaternionic_contexts_give_the_family_projectors(quaternionic_pool):
+    # the contexts carried phi = 0, so P_1 was 0 / 0 and P_2 = K / (2 r2) not idempotent;
+    # K = -4 phi P_{ell H} makes (K + 4 phi) / (4 phi) and K / (-4 phi) the projectors
+    for A, es in quaternionic_pool:
+        K, R = k_matrix(A), realify24(A)
+        P1, P2 = (fam.context.projector(K) for fam in es.families)
+        for P in (P1, P2):
+            assert np.abs(P @ P - P).max() <= 1e-13
+        assert np.abs(P1 + P2 - np.eye(8)).max() <= 1e-13
+        for fam in es.families:
+            for lam, group in groupby(fam.pairs, key=lambda p: p.lam):
+                for pair in eigenvectors(A, fam.context, lam, multiplicity=len(list(group))):
+                    v = pair.v.to_coords()
+                    resid = np.linalg.norm(R @ v - lam * v)
+                    assert resid <= 1e-12 * A.frobenius() * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("tag, offdiagonals", [
+    ("complex", (E[1], E[1] * 0.5, E[0] * 2.0 - E[1])),
+    ("real", (E[0], E[0] * -3.0, E[0] * 0.25)),
+    ("quaternionic", (E[1], E[2], E[2] * 2.0)),   # b parallel to c: phi = 0
+])
+def test_a_context_at_a_double_root_has_no_projector(tag, offdiagonals):
+    # r + 2 phi = 0 divided the projector by zero: a RuntimeWarning, then numpy's
+    # LinAlgError from the nullspace SVD of eigenvectors()
+    A = Hermitian3(0.5, -0.25, 1.0, *offdiagonals)
+    es = eigensystem(A)
+    assert es.matrix_class.tag == tag
+    for fam in es.families:
+        assert fam.context.r + 2.0 * fam.context.phi == 0.0
+        with pytest.raises(DegenerateFamily):
+            fam.context.projector(k_matrix(A))
+        with pytest.raises(DegenerateFamily):
+            eigenvectors(A, fam.context, fam.pairs[0].lam)
 
 
 def test_eigensystem_complex_routing(rng):

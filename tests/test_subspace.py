@@ -513,7 +513,12 @@ def test_family_bases_span_invariant_subspaces(rng, mask, families):
     assert r.shape == (10, families) and B.shape == (10, families, 8, k)
     for A, rs, bs in zip(As, r, B):
         R = realify24(A)
-        roots = r_roots(A) if mask is None else (0.0, det(conj_matrix(A)) - det(A))
+        # quaternionic: the roots of r^2 + 4 phi r = 0, the family quadratic at alpha = 0
+        roots = r_roots(A) if mask is None else (0.0, -4.0 * phi(A))
+        if mask is not None:
+            # the determinant gap det(Abar) - det(A), an independent reference for the last root
+            gap = det(conj_matrix(A)) - det(A)
+            assert abs(rs[-1] - gap) <= 1e-14 * A.frobenius() ** 3
         for m, (r_m, b) in enumerate(zip(rs, bs), start=1):
             assert r_m == roots[m - 1]
             Q = _slotwise(b)
