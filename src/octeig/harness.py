@@ -28,7 +28,7 @@ from .hermitian import (
     _lazy,
     _vnorm,
 )
-from .octonion import _CONJ, _ONE, _norm, _product, Octonion, left_mul_matrix
+from .octonion import _CONJ, _ONE, _finite, _norm, _product, Octonion, left_mul_matrix
 from .projection import _six_way
 from .spectral import _RESIDUALS, _Systems, _family_dimensions, _lambda_roots, _same_family
 from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance, _Stack
@@ -131,6 +131,11 @@ def _check_kind(kind: str) -> str:
     if kind not in _COORD_MASKS:
         raise ValueError(f"unknown matrix class {kind!r}; choose from {FUZZ_CLASSES}")
     return kind
+
+
+def _check_tolerance(tolerance: float):
+    if _finite(tolerance, "tolerance") <= 0.0:
+        raise ValueError(f"tolerance: must be > 0, got {tolerance!r}")
 
 
 def _check_samples(samples: int) -> int:
@@ -440,7 +445,7 @@ class _Checks(_Context):
 
     def quaternionic_lift(self):
         pool = self.quat_pool
-        (H, ell), conj_pool = pool.split, _Stack(pool.dia, pool.off * _CONJ)
+        H, ell, conj_pool = pool.split, pool.ell, _Stack(pool.dia, pool.off * _CONJ)
         v, ell = self.uniform(3, 4, n=len(H)) @ H, ell[:, None]
         # A (ell v) = ell (Abar v) for quaternionic v
         lift = (_vnorm(pool.act(_product(ell, v)) - _product(ell, conj_pool.act(v)))
@@ -453,7 +458,7 @@ class _Checks(_Context):
         return np.maximum(lift, gap / _scale(pool.frobenius))
 
     def quaternionic_split_orthogonality(self):
-        H, ell = self.quat_pool.split
+        H, ell = self.quat_pool.split, self.quat_pool.ell
         return np.maximum.reduce([
             _norm(_product(ell, ell) + _ONE),
             np.abs(np.vecdot(ell[:, None], H)).max(-1),
@@ -461,7 +466,7 @@ class _Checks(_Context):
 
     def quaternionic_six_way(self):
         pool = self.quat_pool
-        H, x = pool.split[0], self.uniform(3, 8, n=len(pool.dia))
+        H, x = pool.split, self.uniform(3, 8, n=len(pool.dia))
         parts, residuals, recon = _six_way(pool, x.reshape(-1, 24))
         own = np.maximum(recon, residuals.max((-2, -1)))
         # family-1 parts agree with the plain quaternionic expansion v (v^dagger x1)
@@ -510,6 +515,8 @@ def _residuals(ctx: _Checks, checks) -> list:
 def run_verification(seed: int, samples: int, tolerance: float = DEFAULT_TOLERANCE,
                      det_offset: float = 0.0) -> list[CheckResult]:
     """Run every identity check on `samples` seeded random instances."""
+    _check_tolerance(tolerance)
+    _finite(det_offset, "det_offset")
     ctx = _Checks(seed, samples, det_offset=det_offset)
     results = []
     for (name, _, factor), res in zip(_CHECKS, _residuals(ctx, [fn for _, fn, _ in _CHECKS])):
@@ -523,6 +530,7 @@ def run_fuzz(seed: int, samples: int, kind: str = OCTONIONIC,
     """End-to-end eigensystem plus projection on random matrices of one class."""
     _check_kind(kind)
     _check_samples(samples)
+    _check_tolerance(tolerance)
     pool, x = _draw_fuzz(np.random.default_rng(seed), samples, kind)
     _, residuals, recon = _six_way(pool, x)
     worst = dict(zip(_FUZZ_RESIDUALS, pool.residuals_of(_FUZZ_RESIDUALS.values()).max((0, 1))))

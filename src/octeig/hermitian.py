@@ -21,6 +21,7 @@ from .octonion import (
     Octonion,
     _Immutable,
     _scaled,
+    _finite,
     _finite_fault,
     _json_floats,
     _norm,
@@ -91,6 +92,7 @@ class OctVector3(_Immutable):
         return OctVector3(tuple(-u for u in self.components))
 
     def scale(self, t: float) -> "OctVector3":
+        t = _finite(t, "t")
         return OctVector3(tuple(u * t for u in self.components))
 
     def right_mul(self, q: Octonion) -> "OctVector3":
@@ -223,9 +225,7 @@ class Hermitian3:
         )
 
     def scale(self, t: float) -> "Hermitian3":
-        t = float(t)
-        if not math.isfinite(t):
-            raise ValueError(f"t: {_finite_fault(t, False)}")
+        t = _finite(t, "t")
         return Hermitian3(t * self.d, t * self.e, t * self.f,
                           self.a * t, self.b * t, self.c * t)
 
@@ -349,7 +349,7 @@ def _rank(rows: np.ndarray) -> np.ndarray:
 
 def _classes(off: np.ndarray, assoc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index into _TAGS and dim T for off-diagonals (..., 3, 8) and their `_associative` mask:
-    the one decision on the imaginary rank, which `_quaternionic_split` and `_complex_unit` obey."""
+    the one decision on the imaginary rank, which `subspace._subalgebra` obeys."""
     # one svd call: the rows (1, a, b, c), each nonzero one of unit norm so that dim T does
     # not depend on the scale, and the imaginary parts padded with a zero row
     rows = np.zeros(off.shape[:-2] + (2, 4, 8))

@@ -111,7 +111,7 @@ class Octonion(_Immutable):
     @classmethod
     def from_real(cls, x: float) -> "Octonion":
         c = np.zeros(8)
-        c[0] = x
+        c[0] = _finite(x, "x")
         return cls._of(c)
 
     @classmethod
@@ -166,16 +166,18 @@ class Octonion(_Immutable):
         if isinstance(other, Octonion):
             return Octonion._of(_product(self.coords, other.coords))
         if isinstance(other, numbers.Real):
-            return Octonion._of(self.coords * float(other))
+            return Octonion._of(self.coords * _finite(other, "factor"))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Real):
-            return Octonion._of(self.coords * float(other))
+            return Octonion._of(self.coords * _finite(other, "factor"))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Real):
+            if _finite(other, "divisor") == 0.0:
+                raise ZeroDivisionError("octonion division by zero")
             return Octonion._of(self.coords / float(other))
         return NotImplemented
 
@@ -213,6 +215,14 @@ def _finite_fault(value, octonion: bool) -> str:
     """The parse path's words for a number, or an octonion's coordinates, that is not finite."""
     return (f"octonion coordinates must be finite, got {_shown(value)}" if octonion
             else f"must be a finite number, got {_shown(value)}")
+
+
+def _finite(x, label: str) -> float:
+    """float(x), or ValueError in the parse path's words, led by label, where it is not finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{label}: {_finite_fault(x, False)}")
+    return x
 
 
 def _json_floats(fields) -> np.ndarray:

@@ -25,7 +25,7 @@ from .hermitian import (
     mat_vec,
     outer,
 )
-from .octonion import Octonion, _product
+from .octonion import Octonion, _finite, _product
 from .spectral import EigenSystem, _norm_scale, _Systems, k_vector
 from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
 
@@ -95,7 +95,7 @@ def project_along(v: OctVector3, y: OctVector3, check: bool = True,
     eigenvalue on the family of v is minus its determinant; the residual,
     of degree 6 in v and 1 in y, is compared with tol |v|^6 |y|.
     """
-    B = outer(v)
+    tol, B = _finite(tol, "tol"), outer(v)
     if check:
         resid = (k_vector(B, y) + y.scale(det(B))).norm()
         if resid > tol * v.norm2() ** 3 * y.norm():

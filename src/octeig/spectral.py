@@ -15,7 +15,6 @@ keeps the SVD nullspace of R - lam I as the reference path; `lambda_roots`
 is a cross-check of the cubic for the harness.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import _CONJ, Octonion, _finite_fault, _norm, _product
+from .octonion import _CONJ, Octonion, _finite, _norm, _product
 from .subspace import FamilyContext, _read_only, _Stack, apply_blockwise, k_matrix
 from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
                          REAL_RANK_TOL)
@@ -120,8 +119,7 @@ def lambda_roots(A: Hermitian3, r: float) -> tuple[float, float, float]:
     The unstacked case of `_lambda_roots`; raises ComplexRoots when the
     supplied r does not belong to this matrix, and ValueError when r is not finite.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"r: {_finite_fault(r, False)}")
+    r = _finite(r, "r")
     return tuple(float(x) for x in _lambda_roots(trace(A), sigma(A), det(A) + r))
 
 
@@ -183,6 +181,7 @@ def realify24(A: Hermitian3) -> np.ndarray:
 
 def real_nullspace(M: np.ndarray, rel_threshold: float = REAL_RANK_TOL) -> np.ndarray:
     """Orthonormal nullspace basis (columns) by SVD with a relative rank cut (rank 0 for M = 0)."""
+    rel_threshold = _finite(rel_threshold, "rel_threshold")
     _, s, vh = np.linalg.svd(M)
     rank = int(np.sum(s > rel_threshold * s[0])) if s.size else 0
     return vh[rank:].T
@@ -242,7 +241,7 @@ def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
     Reference path: the nullspace of the realified shifted matrix, with the
     family projector P_m applied blockwise (real dimension 4 per eigenvector).
     """
-    null = real_nullspace(realify24(A) - lam * _EYE24)
+    null = real_nullspace(realify24(A) - _finite(lam, "lam") * _EYE24)
     space = _column_basis(apply_blockwise(fam.projector(k_matrix(A)), null))
     if space.shape[1] < 4 * multiplicity:
         raise ExtractionFailure(
@@ -412,6 +411,7 @@ def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
 
     Defined for normalized u with a non-complex projector u u^dagger.
     """
+    tol = _finite(tol, "tol")
     return bool(_same_family(_noncomplex(u), w.to_coords().reshape(1, 3, 8), tol)[0])
 
 

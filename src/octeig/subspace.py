@@ -3,9 +3,9 @@
 For a matrix whose off-diagonal entries have nonvanishing associator,
 the octonions split into two orthogonal 4-spaces T_m = T s_m picked out
 by the characteristic operator K, which is r_m on T_m: one eigh of K gives
-both.  Everything here builds and exercises that split, plus the quaternionic
-fallback where it collapses, and `_Stack.bases`, the per-family subspaces
-every eigensystem is taken on.
+both.  Everything here builds and exercises that split, `_subalgebra`, which a, b, c
+generate where it collapses, and `_Stack.bases`, the per-family subspaces every
+eigensystem is taken on.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from .hermitian import (
     classify,
     real_form,
 )
-from .octonion import _CONJ, _ONE, Octonion, _norm, _product, left_mul_matrix
+from .octonion import _CONJ, _ONE, Octonion, _finite, _norm, _product, left_mul_matrix
 from .tolerances import NORMALIZE_TOL, SINGULAR_CHANGE_TOL, SPAN_TOL
 
 __all__ = [
@@ -130,6 +130,7 @@ def orthonormalize(octs, tol: float = SPAN_TOL) -> tuple:
 
     Drops vectors whose residual falls to tol times their norm or below.
     """
+    tol = _finite(tol, "tol")
     Q, keep = _gram_schmidt(np.array([q.coords for q in octs]).reshape(-1, 8), tol)
     return tuple(Octonion(q) for q in Q[keep])
 
@@ -271,7 +272,7 @@ def _cd_residuals(al: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 def quaternionic_split(A: Hermitian3):
     """Basis (1, h1, h2, h1 h2) of the quaternionic subalgebra holding a, b, c, plus
-    the lowest-index unit direction orthogonal to it: `_quaternionic_split` of A, which
+    the lowest-index unit direction orthogonal to it: `_subalgebra` of A, which
     takes h1 along the largest imaginary part and h2 along the largest residual."""
     tag = classify(A).tag
     if tag == OCTONIONIC:
@@ -279,25 +280,31 @@ def quaternionic_split(A: Hermitian3):
     if tag in (REAL, COMPLEX):
         raise AmbiguousSubalgebra(
             "matrix is complex: the containing quaternionic subalgebra is not unique")
-    H, ell = A._stack.split
-    return tuple(map(Octonion._of, H[0])), Octonion._of(ell[0])
+    return tuple(map(Octonion._of, A._stack.split[0])), Octonion._of(A._stack.ell[0])
 
 
-def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H (n, 4, 8), the rows (1, h1, h2, h1 h2), and ell (n, 8) for off-diagonals (n, 3, 8)
-    that the class test calls quaternionic; that test alone decides the imaginary rank.
+def _subalgebra(off: np.ndarray, code: int) -> np.ndarray:
+    """H (n, k, 8), a basis of the subalgebra that off-diagonals (n, 3, 8) generate where the
+    class test's largest code among them is `code`; that test alone decides the imaginary rank.
 
-    h1 along the largest imaginary part of a, b, c, h2 along the largest residual of the
-    other two against h1, never a nearly parallel pair's smaller one, whose inverse would
-    amplify any component outside the subalgebra; AmbiguousSubalgebra where it is 0.  h1 h2
-    completes the quaternion relations exactly; ell: the first unit e_i with residual against
-    H, projected off it twice as a block, above NORMALIZE_TOL, normalized."""
+    h1 along the largest imaginary part of a, b, c.  Complex and real (k = 2): (1, i0), i0 = h1
+    signed so that its first nonzero coordinate is positive, or e1 where every part is 0.
+    Otherwise (k = 4): (1, h1, h2, h1 h2), h2 along the largest residual of the other two
+    against h1, never a nearly parallel pair's smaller one, whose inverse would amplify any
+    component outside the subalgebra; AmbiguousSubalgebra where it is 0.  h1 h2 completes the
+    quaternion relations exactly."""
     imag = np.where(_IMAG, off, 0.0)
     rows = np.arange(len(off))
     sizes = _norm(imag)
     first = rows, sizes.argmax(-1)
     top = sizes[first]
     h1 = imag[first] * (1.0 / np.where(top > 0.0, top, 1.0))[:, None]
+    H = np.empty((len(off), 2 if _TAGS[code] in (REAL, COMPLEX) else 4, 8))
+    H[:, 0] = _ONE
+    if H.shape[1] == 2:
+        lead = h1[rows, (h1 != 0.0).argmax(-1)][:, None]
+        H[:, 1] = np.where(top[:, None] > 0.0, np.where(lead < 0, -h1, h1), _EYE8[1])
+        return H
     resid = imag
     for _ in range(2):
         resid = resid - h1[:, None] * np.vecdot(h1[:, None], resid)[..., None]
@@ -307,17 +314,8 @@ def _quaternionic_split(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.logical_and.reduce(left[second], None, bool):
         raise AmbiguousSubalgebra("fewer than two independent imaginary directions")
     h2 = resid[second] * (1.0 / left[second])[:, None]
-    H = np.empty((len(off), 4, 8))
-    H[:, 0], H[:, 1], H[:, 2], H[:, 3] = _ONE, h1, h2, _product(h1, h2)
-    resid = _EYE8[1:]
-    for _ in range(2):
-        resid = resid - (resid @ H.swapaxes(-1, -2)) @ H
-    n = _norm(resid)
-    found = n > NORMALIZE_TOL
-    if not np.logical_and.reduce(np.logical_or.reduce(found, -1)):
-        raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
-    i = rows, found.argmax(-1)
-    return H, resid[i] * (1.0 / n[i])[:, None]
+    H[:, 1], H[:, 2], H[:, 3] = h1, h2, _product(h1, h2)
+    return H
 
 
 def conj_matrix(A: Hermitian3) -> Hermitian3:
@@ -325,19 +323,6 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
     if classify(A).tag == OCTONIONIC:
         raise NotQuaternionic("entrywise conjugation is only used on quaternionic matrices")
     return Hermitian3(A.d, A.e, A.f, A.a.conj(), A.b.conj(), A.c.conj())
-
-
-def _complex_unit(off: np.ndarray) -> np.ndarray:
-    """i0 (n, 8), a unit with a, b, c in span{1, i0} where the class test calls them complex or
-    real: the largest imaginary part, as h1, if nonzero, else e1; first nonzero coordinate > 0."""
-    imag = np.where(_IMAG, off, 0.0)
-    n = _norm(imag)
-    rows = np.arange(len(off))
-    i = rows, n.argmax(-1)
-    found = n[i] > 0.0
-    u = imag[i] * (1.0 / np.where(found, n[i], 1.0))[:, None]
-    lead = u[rows, (u != 0.0).argmax(-1)][:, None]
-    return np.where(found[:, None], np.where(lead < 0, -u, u), _EYE8[1])
 
 
 def _family_bases(K: np.ndarray) -> np.ndarray:
@@ -453,33 +438,45 @@ class _Stack:
         return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
 
     @_lazy
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """H (n, 4, 8) and ell (n, 8) of `_quaternionic_split`, for quaternionic `codes`."""
-        return _quaternionic_split(self.off)
+    def split(self) -> np.ndarray:
+        """H (n, k, 8), the basis of `_subalgebra` keyed by the largest of `codes`: (1, i0) for
+        complex and real stacks, (1, h1, h2, h1 h2) for the others."""
+        return _subalgebra(self.off, np.maximum.reduce(self.codes, None))
+
+    @_lazy
+    def ell(self) -> np.ndarray:
+        """ell (n, 8): the first unit e_i whose residual against `split`, projected off it twice
+        as a block, is above NORMALIZE_TOL, normalized; for a quaternionic H, ell H is the rest."""
+        H, resid = self.split, _EYE8[1:]
+        for _ in range(2):
+            resid = resid - (resid @ H.swapaxes(-1, -2)) @ H
+        n = _norm(resid)
+        found = n > NORMALIZE_TOL
+        if not np.logical_and.reduce(np.logical_or.reduce(found, -1)):
+            raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
+        i = np.arange(len(H)), found.argmax(-1)
+        return resid[i] * (1.0 / n[i])[:, None]
 
     @_lazy
     def bases(self) -> tuple[np.ndarray, np.ndarray]:
         """For a stack of one class, else ValueError: the family roots r (n, nfam) and orthonormal
         bases B (n, nfam, 8, k) of subspaces of O whose span in each slot A maps into itself,
         each eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
-        r_m, starting with s_m / |s_m| (k = 4).  Quaternionic: h of H and ell h of ell H, r the
-        roots 0 and -4 phi at alpha = 0 (k = 4).  Complex and real: (1, i0) (k = 2)."""
+        r_m, starting with s_m / |s_m| (k = 4).  Associative: H of `split` with r = 0, and for
+        quaternionic stacks ell H with -4 phi, the other root at alpha = 0 (k = 4, else 2)."""
         if np.logical_or.reduce(self.codes != self.codes[0], None):
             raise ValueError("a stack is solved one class at a time, got rows of classes "
                              f"{[_TAGS[c] for c in np.unique(self.codes)]}")
         tag = _TAGS[self.codes[0]]
         if tag == OCTONIONIC:
             return self.roots, _family_bases(self.K)
-        n = len(self.dia)
-        if tag == QUATERNIONIC:
-            Hb, ell = self.split[0].swapaxes(-1, -2), self.split[1]
-            r, B = np.zeros((n, 2)), np.empty((n, 2, 8, 4))
-            r[:, 1] = -4.0 * self.phi
-            B[:, 0], B[:, 1] = Hb, left_mul_matrix(ell) @ Hb
-            return r, B
-        B = np.empty((n, 1, 8, 2))
-        B[:, 0, :, 0], B[:, 0, :, 1] = _ONE, _complex_unit(self.off)
-        return np.zeros((n, 1)), B
+        Hb = self.split.swapaxes(-1, -2)
+        nfam = 2 if tag == QUATERNIONIC else 1
+        r, B = np.zeros((len(Hb), nfam)), np.empty((len(Hb), nfam) + Hb.shape[1:])
+        B[:, 0] = Hb
+        if nfam == 2:   # 0 - 4 phi: +0.0, not -0.0, at phi = 0
+            r[:, 1], B[:, 1] = 0.0 - 4.0 * self.phi, left_mul_matrix(self.ell) @ Hb
+        return r, B
 
     @_lazy
     def K(self) -> np.ndarray:

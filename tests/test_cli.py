@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -650,6 +651,19 @@ def test_the_complex_unit_is_the_largest_imaginary_part(tmp_path):
         data = json.loads(out.read_text())
         assert data["routed_path"] == "complex"
         assert data["worst_residual"] <= 1e-9
+
+
+def test_a_report_at_phi_zero_has_no_negative_zero(tmp_path):
+    # a = e1, b = c = 8e-10 e2 has phi = 0.0, and family 2 reported "r": -0.0 next to it
+    mat, out = tmp_path / "m.json", tmp_path / "out.json"
+    e = np.eye(8)
+    mat.write_text(json.dumps({"d": 0.3, "e": -0.2, "f": 0.5, "a": e[1].tolist(),
+                               "b": (8e-10 * e[2]).tolist(), "c": (8e-10 * e[2]).tolist()}))
+    assert main(["eigen", str(mat), "--out", str(out)]) == 2
+    text = out.read_text()
+    assert re.search(r"-0\.0\b", text) is None
+    r = [fam["r"] for fam in json.loads(text)["families"]]
+    assert [math.copysign(1.0, x) for x in r] == [1.0, 1.0] and r == [0.0, 0.0]
 
 
 def test_a_row_the_class_test_calls_quaternionic_takes_the_quaternionic_route(tmp_path):

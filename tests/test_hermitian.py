@@ -6,7 +6,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from octeig.harness import _Context, random_hermitian, random_vector
+from octeig.harness import _Context, random_hermitian, random_vector, run_fuzz, run_verification
 from octeig.hermitian import (
     COMPLEX,
     OCTONIONIC,
@@ -26,9 +26,10 @@ from octeig.hermitian import (
     trace,
 )
 from octeig.octonion import Octonion, assoc3form
-from octeig.projection import six_way
-from octeig.spectral import _Systems, eigensystem, realify24
-from octeig.subspace import _Stack, k_scalar, quaternionic_split
+from octeig.projection import project_along, six_way
+from octeig.spectral import (_Systems, eigensystem, eigenvectors, lambda_roots, real_nullspace,
+                             realify24, same_family)
+from octeig.subspace import _Stack, family_context, k_scalar, orthonormalize, quaternionic_split
 
 E = [Octonion.unit(i) for i in range(8)]
 
@@ -281,6 +282,62 @@ def test_derived_matrices_reject_non_finite(rng, make):
         make(A)
 
 
+def octonionic_matrix():
+    return random_hermitian(np.random.default_rng(8))
+
+
+def an_eigenvector():
+    return eigensystem(octonionic_matrix()).families[0].pairs[0].v
+
+
+# each float argument of the API: the call on a value, and the argument's name in the message
+SCALAR_ARGUMENTS = {
+    "octonion-times": (lambda x: E[1] * x, "factor"),
+    "times-octonion": (lambda x: x * E[1], "factor"),
+    "octonion-over": (lambda x: E[1] / x, "divisor"),
+    "from-real": (Octonion.from_real, "x"),
+    "vector-scale": (lambda x: OctVector3.from_coords(np.ones(24)).scale(x), "t"),
+    "matrix-scale": (lambda x: Hermitian3.identity().scale(x), "t"),
+    "verify-tolerance": (lambda x: run_verification(0, 2, tolerance=x), "tolerance"),
+    "verify-det-offset": (lambda x: run_verification(0, 2, det_offset=x), "det_offset"),
+    "fuzz-tolerance": (lambda x: run_fuzz(0, 2, tolerance=x), "tolerance"),
+    "same-family": (lambda x: same_family(an_eigenvector(), an_eigenvector(), tol=x), "tol"),
+    "project-along": (lambda x: project_along(an_eigenvector(), an_eigenvector(), tol=x), "tol"),
+    "orthonormalize": (lambda x: orthonormalize([E[1], E[2]], tol=x), "tol"),
+    "real-nullspace": (lambda x: real_nullspace(np.eye(3), x), "rel_threshold"),
+    "eigenvectors": (lambda x: eigenvectors(octonionic_matrix(),
+                                            family_context(octonionic_matrix(), 1), x), "lam"),
+    "lambda-roots": (lambda x: lambda_roots(octonionic_matrix(), x), "r"),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE)
+@pytest.mark.parametrize("name", SCALAR_ARGUMENTS)
+def test_a_non_finite_scalar_argument_is_a_value_error(bad, name):
+    # a NaN or infinite scalar gave a NaN octonion, vector or report, an empty or full basis,
+    # or numpy's LinAlgError; it is checked at the call, in Hermitian3.scale's words
+    call, label = SCALAR_ARGUMENTS[name]
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == f"{label}: must be a finite number, got {bad!r}"
+
+
+def test_a_scalar_argument_out_of_its_range_is_an_error():
+    # a tolerance at or below 0 failed every check; a zero divisor gave infinite coordinates
+    for run in (run_verification, run_fuzz):
+        for tolerance in (-1.0, 0.0, -0.0):
+            with pytest.raises(ValueError, match=f"^tolerance: must be > 0, got {tolerance!r}$"):
+                run(0, 2, tolerance=tolerance)
+    for zero in (0.0, -0.0, 0):
+        with pytest.raises(ZeroDivisionError, match="^octonion division by zero$"):
+            E[1] / zero
+    # a finite scalar keeps its result, bit for bit
+    q = Octonion(np.random.default_rng(3).uniform(-1, 1, 8))
+    assert np.array_equal((q * 3.5).coords, q.coords * 3.5)
+    assert np.array_equal((q / 3.5).coords, q.coords / 3.5)
+    assert np.array_equal(Octonion.from_real(-2.5).coords, -2.5 * E[0].coords)
+
+
 def test_outer_entries_match_outer(rng):
     vs = [rand_vec(rng) for _ in range(5)]
     B = _Stack.outer(np.array([v.to_coords() for v in vs]))
@@ -422,7 +479,7 @@ def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
     # every cached attribute of the stacks, the harness context and the matrix is one
     for cls, names in ((Hermitian3, ["_stack"]), (_Context, ["oct_pool", "quat_pool"]),
                        (_Stack, ["L", "alpha_phi", "associative", "classes", "codes", "roots",
-                                 "families", "split", "bases", "K", "P", "T", "R", "trace",
+                                 "families", "split", "ell", "bases", "K", "P", "T", "R", "trace",
                                  "sigma", "det", "frobenius"]),
                        (_Systems, ["_solved", "outers", "residuals"])):
         for name in names:

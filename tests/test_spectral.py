@@ -14,6 +14,7 @@ from octeig.hermitian import (
     hermitian_combination,
     mat_vec,
     outer,
+    phi,
     sigma,
     trace,
 )
@@ -242,6 +243,18 @@ def test_quaternionic_contexts_give_the_family_projectors(quaternionic_pool):
                     v = pair.v.to_coords()
                     resid = np.linalg.norm(R @ v - lam * v)
                     assert resid <= 1e-12 * A.frobenius() * np.linalg.norm(v)
+
+
+def test_family_two_is_minus_four_phi_bit_for_bit(quaternionic_pool):
+    # r2 = -4 phi gave -0.0 at phi = +0.0; it keeps the bits of -4 phi at every other phi,
+    # and b parallel to c gives phi = +0.0 exactly, so r2 = +0.0 there
+    flat = [Hermitian3(0.5, -0.25, 1.0, E[1] * t, E[2] + E[0] * t, E[2] * (2.0 * t))
+            for t in (1.0, -0.5, 3.0)]
+    assert [phi(A).hex() for A in flat] == [(0.0).hex()] * 3
+    for A, es in quaternionic_pool + [(A, eigensystem(A)) for A in flat]:
+        r1, r2 = (float(fam.context.r) for fam in es.families)
+        assert r1.hex() == (0.0).hex()
+        assert r2.hex() == (0.0 if phi(A) == 0.0 else -4.0 * phi(A)).hex()
 
 
 @pytest.mark.parametrize("tag, offdiagonals", [

@@ -14,6 +14,7 @@ from octeig.errors import (
     SingularChange,
 )
 from octeig.hermitian import (
+    _TAGS,
     Hermitian3,
     OctVector3,
     alpha,
@@ -28,8 +29,8 @@ from octeig.octonion import Octonion, _product, associator, inner
 from octeig.spectral import _slotwise, realify24
 from octeig.subspace import (
     _gram_schmidt,
-    _quaternionic_split,
     _Stack,
+    _subalgebra,
     basis_invariance_check,
     cd_table_check,
     conj_matrix,
@@ -49,6 +50,8 @@ from octeig.subspace import (
 )
 
 E = [Octonion.unit(i) for i in range(8)]
+# the class test's codes, which key `_subalgebra`
+QUATERNIONIC_CODE, COMPLEX_CODE = _TAGS.index("quaternionic"), _TAGS.index("complex")
 
 
 def rand_oct(rng, mask=None):
@@ -275,7 +278,7 @@ def test_quaternionic_split_pivots_on_the_largest_parts(tmp_path):
     a = np.array([0.0, -0.6, 0.0, 0.0, 0.08, 0.0, 0.0, 0.0])
     b = -0.78 * a + 3e-4 * E[2].coords
     c = np.array([0.0, 0.77, -0.61, 0.0, 0.98, 0.0, 0.0, 0.0])
-    H, _ = _quaternionic_split(np.array([[a, b, c]]))
+    H = _subalgebra(np.array([[a, b, c]]), QUATERNIONIC_CODE)
     assert np.allclose(H[0, 1], c / np.linalg.norm(c), rtol=0.0, atol=1e-15)
     assert abs(inner(H[0, 2], a)) > 0.5 * np.linalg.norm(a)
     # a second direction at 1e-10 of the largest part is below the class test's cut, and that
@@ -296,7 +299,7 @@ def test_the_complex_unit_leads_with_a_positive_coordinate(rng):
     parts[1] = [-2.0 ** -500 * E[3].coords, np.zeros(8), np.zeros(8)]
     parts[2] = [E[0].coords, np.zeros(8), 2.0 * E[0].coords]
     for off in (parts, -parts):
-        i0 = subspace._complex_unit(off)
+        i0 = _subalgebra(off, COMPLEX_CODE)[:, 1]
         imag = off * (np.arange(8) > 0)
         sizes = np.linalg.norm(imag, axis=-1)
         for u, p, n in zip(i0, imag, sizes):
@@ -307,7 +310,8 @@ def test_the_complex_unit_leads_with_a_positive_coordinate(rng):
             assert np.array_equal(u != 0.0, p[n.argmax()] != 0.0)
             assert np.allclose(np.abs(u), np.abs(p[n.argmax()]) / n.max(), rtol=1e-14, atol=0)
     # a coordinate of 1e-14 before one of -1 leads, and a part of 2^-500 is a direction
-    assert subspace._complex_unit(parts[:2])[:, [2, 3, 5]].tolist() == [[1e-14, 0, -1], [0, 1, 0]]
+    i0 = _subalgebra(parts[:2], COMPLEX_CODE)[:, 1]
+    assert i0[:, [2, 3, 5]].tolist() == [[1e-14, 0, -1], [0, 1, 0]]
 
 
 def test_conj_matrix(rng):
@@ -455,7 +459,7 @@ def bits(value):
 SHARED = {
     realify24: lambda S, got: (got, S.R), k_matrix: lambda S, got: (got, S.K),
     family_projector: lambda S, got: (got, S.P), alpha: lambda S, got: (got.coords, S.alpha),
-    quaternionic_split: lambda S, got: (got[0][1].coords, S.split[0]),
+    quaternionic_split: lambda S, got: (got[0][1].coords, S.split),
 }
 
 
