@@ -24,8 +24,8 @@ from .harness import (
 )
 from .hermitian import _TAGS, OCTONIONIC, _matrix_floats, _vector_floats
 from .projection import _fingerprint, _part_json, _six_way, _six_way_json
-from .spectral import _RESIDUALS, _contexts, _eigen_json, _family_json, _Systems
-from .subspace import _context_json
+from .spectral import _RESIDUALS, _eigen_json, _family_json, _Systems
+from .subspace import _context_json, _contexts
 
 __all__ = ["main"]
 
@@ -55,18 +55,16 @@ def _load_json(path: str):
         raise OcteigError(f"{path}: invalid JSON: arrays or objects nested too deeply")
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load(path: str, floats) -> np.ndarray:
+    """`floats` (`_matrix_floats`, `_vector_floats`) of the JSON file at path, or OcteigError."""
     try:
-        return _matrix_floats(_load_json(path))
+        return floats(_load_json(path))
     except ValueError as exc:
         raise OcteigError(f"{path}: {exc}")
 
 
-def _load_vector(path: str) -> np.ndarray:
-    try:
-        return _vector_floats(_load_json(path))
-    except ValueError as exc:
-        raise OcteigError(f"{path}: {exc}")
+# the names under which perfbench's spans trace the load (cli.load)
+_load_matrix = _load_vector = _load
 
 
 _NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
@@ -180,7 +178,7 @@ def _conclude(payload: dict, tag: str, worst: float, tol: float, out: str) -> in
 def _cmd_eigen(args) -> int:
     """`eigensystem(A).to_json()`, written from the blocks of A's solved stack."""
     tol = _resolve_tolerance(args)
-    c = _load_matrix(args.matrix)
+    c = _load(args.matrix, _matrix_floats)
     S = _Systems(c[None, :3], c[3:].reshape(1, 3, 8))
     blocks = zip(_contexts(S), S.lams[0].tolist(), S.V[0].tolist(), S.residuals[0].tolist())
     families = [_family_json(_context_json(*context), lams, V, dict(zip(_RESIDUALS, res)))
@@ -195,7 +193,7 @@ def _cmd_eigen(args) -> int:
 def _cmd_project(args) -> int:
     """`six_way(A, x).to_json()`, written from the parts of `_six_way` on A's solved stack."""
     tol = _resolve_tolerance(args)
-    c, x = _load_matrix(args.matrix), _load_vector(args.vector)
+    c, x = _load(args.matrix, _matrix_floats), _load(args.vector, _vector_floats)
     S = _Systems(c[None, :3], c[3:].reshape(1, 3, 8))
     F, tag = S.nfam, _TAGS[S.codes[0]]
     comps, residuals, recon = _six_way(S, x[None])

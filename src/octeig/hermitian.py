@@ -341,33 +341,27 @@ def _associative(off: np.ndarray, al: np.ndarray) -> np.ndarray:
     return _norm(al) <= ASSOCIATOR_TOL * n[..., 0] * n[..., 1] * n[..., 2]
 
 
-def _rank(rows: np.ndarray) -> np.ndarray:
-    """Rank of each stacked row set (..., k, 8), relative to its largest singular value."""
-    s = np.linalg.svd(rows, compute_uv=False)
-    return np.add.reduce(s > SPAN_TOL * s[..., :1], -1)
-
-
 def _classes(off: np.ndarray, assoc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index into _TAGS and dim T for off-diagonals (..., 3, 8) and their `_associative` mask:
-    the one decision on the imaginary rank, which `subspace._subalgebra` obeys."""
-    # one svd call: the rows (1, a, b, c), each nonzero one of unit norm so that dim T does
-    # not depend on the scale, and the imaginary parts padded with a zero row
-    rows = np.zeros(off.shape[:-2] + (2, 4, 8))
-    rows[..., 0, 0, 0] = 1.0
-    n = _norm(off)[..., None]
-    rows[..., 0, 1:, :] = off / np.where(n > 0.0, n, 1.0)
-    rows[..., 1, 1:, 1:] = off[..., 1:]
-    ranks = _rank(rows)
-    dim_t, imag_rank = ranks[..., 0], ranks[..., 1]
-    return np.where(assoc, np.minimum(imag_rank, 2), 3), dim_t
+    the one decision on the imaginary rank, which `subspace._subalgebra` and `_Stack.T` obey.
+    The rank counts singular values of the imaginary parts above SPAN_TOL times the largest,
+    from one SVD, taken only where some row is associative.  An associative row is real,
+    complex or quaternionic at rank 0, 1 or more, and dim T = 1 + rank; an octonionic row
+    has dim T = 4, since [a, b, c] != 0 makes 1, a, b, c independent."""
+    if not np.logical_or.reduce(assoc, None):
+        return np.full(assoc.shape, _TAGS.index(OCTONIONIC)), np.full(assoc.shape, 4)
+    s = np.linalg.svd(off[..., 1:], compute_uv=False)
+    rank = np.add.reduce(s > SPAN_TOL * s[..., :1], -1)
+    return np.where(assoc, np.minimum(rank, 2), 3), np.where(assoc, 1 + rank, 4)
 
 
 def classify(A: Hermitian3) -> MatrixClass:
-    """Classify by the smallest subalgebra containing the off-diagonal entries.
+    """Classify by the smallest subalgebra containing the off-diagonal entries; dim T, that of
+    span{1, a, b, c}, comes from the same decision (`_classes`).
 
     The octonionic test is |alpha| against ASSOCIATOR_TOL |a||b||c|; matrices routed
     below it land on the quaternionic/complex/real paths, which are exact
-    there and a limit elsewhere.
+    there and a limit elsewhere.  There the imaginary rank picks the class, and dim T = 1 + rank.
     """
     code, dim_t = (int(x[0]) for x in A._stack.classes)
     return MatrixClass(_TAGS[code], dim_t)

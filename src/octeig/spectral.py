@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ComplexProjector, ComplexRoots, ExtractionFailure
 from .hermitian import (
-    OCTONIONIC,
     QUATERNIONIC,
     _TAGS,
     Hermitian3,
@@ -35,8 +34,8 @@ from .hermitian import (
     sigma,
     trace,
 )
-from .octonion import _CONJ, Octonion, _finite, _norm, _product
-from .subspace import FamilyContext, _read_only, _Stack, apply_blockwise, k_matrix
+from .octonion import _CONJ, _finite, _norm, _product
+from .subspace import FamilyContext, _family_contexts, _read_only, _Stack, apply_blockwise, k_matrix
 from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
                          REAL_RANK_TOL)
 
@@ -241,6 +240,8 @@ def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
     Reference path: the nullspace of the realified shifted matrix, with the
     family projector P_m applied blockwise (real dimension 4 per eigenvector).
     """
+    if multiplicity < 1:
+        raise ValueError(f"multiplicity must be at least 1, got {multiplicity}")
     null = real_nullspace(realify24(A) - _finite(lam, "lam") * _EYE24)
     space = _column_basis(apply_blockwise(fam.projector(k_matrix(A)), null))
     if space.shape[1] < 4 * multiplicity:
@@ -371,24 +372,12 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     (r-labeled) and quaternionic (plain and lifted, r = 0 and -4 phi) matrices, one, flagged
     as such, for complex and real ones."""
     S = A._stack
-    contexts = (FamilyContext(m, r, ph, Octonion(al), None if s is None else Octonion(s))
-                for m, r, ph, al, s in _contexts(S))
     families = tuple(
         FamilyEigensystem(fam, tuple(EigenPair(float(lam), OctVector3.from_coords(v), fam.m)
                                      for lam, v in zip(S.lams[0, f], S.V[0, f])),
                           dict(zip(_RESIDUALS, map(float, S.residuals[0, f]))))
-        for f, fam in enumerate(contexts))
+        for f, fam in enumerate(_family_contexts(S)))
     return EigenSystem(matrix_class=classify(A), families=families)
-
-
-def _contexts(S: _Systems) -> list:
-    """Row 0's family contexts as (m, r, phi, alpha, s), octonions as lists; alpha = 0 and no s
-    unless octonionic.  Quaternionic: the class test's phi, r = 0 and -4 phi; else phi = 0."""
-    if S.codes[0] == _TAGS.index(OCTONIONIC):
-        ph, al, rs, s = (x[0].tolist() for x in S.families)
-        return [(m, rs[m - 1], ph, al, s[m - 1]) for m in (1, 2)]
-    ph = S.phi[0].item() if S.codes[0] == _TAGS.index(QUATERNIONIC) else 0.0
-    return [(m, r, ph, [0.0] * 8, None) for m, r in zip((1, 2), S.r[0].tolist())]
 
 
 def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.ndarray:
@@ -401,7 +390,7 @@ def _noncomplex(u: OctVector3) -> np.ndarray:
     """u's coordinates (1, 3, 8), after the class test of u u^dagger: raises ComplexProjector
     for a complex or real projector, whose membership condition holds identically."""
     u = u.to_coords().reshape(1, 3, 8)
-    if _Stack.outer(u).classes[0][0] < _TAGS.index(QUATERNIONIC):
+    if _Stack.outer(u).codes[0] < _TAGS.index(QUATERNIONIC):
         raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
     return u
 

@@ -146,10 +146,10 @@ def _span_distance(q: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def t_basis(A: Hermitian3) -> TBasis:
-    """Orthonormal basis of span{1, a, b, c}, in that deterministic order."""
-    Q = A._stack.T[0]
-    Q = Q[Q.any(-1)]   # `_gram_schmidt` leaves exactly the dropped rows zero
-    return TBasis(vectors=tuple(map(Octonion._of, Q)), dim=len(Q))
+    """Orthonormal basis of T = span{1, a, b, c}, the first dim T rows of `_Stack.T`: its dim
+    is `classify(A).dim_t`, from the one decision on the imaginary rank."""
+    dim = classify(A).dim_t
+    return TBasis(vectors=tuple(map(Octonion._of, A._stack.T[0, :dim])), dim=dim)
 
 
 def _roots(ph: np.ndarray, al: np.ndarray) -> np.ndarray:
@@ -179,10 +179,25 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
 
 
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
-    """Both family contexts, m = 1 and m = 2, of the one matrix."""
-    ph, al, rs, s = (x[0] for x in A._stack.families)
-    return tuple(FamilyContext(m=m, r=float(r), phi=float(ph), alpha=Octonion(al),
-                               s=Octonion(s_m)) for m, r, s_m in zip((1, 2), rs, s))
+    """Both family contexts, m = 1 and m = 2, or DegenerateFamily where A is associative."""
+    A._stack.families   # the generators, which an associative matrix lacks
+    return _family_contexts(A._stack)
+
+
+def _family_contexts(S: "_Stack") -> tuple:
+    """Row 0's family contexts, one per family, as `FamilyContext`s of `_contexts`."""
+    return tuple(FamilyContext(m, r, ph, Octonion(al), None if s is None else Octonion(s))
+                 for m, r, ph, al, s in _contexts(S))
+
+
+def _contexts(S: "_Stack") -> list:
+    """Row 0's family contexts as (m, r, phi, alpha, s), octonions as lists; alpha = 0 and no s
+    unless octonionic.  Quaternionic: the class test's phi, r = 0 and -4 phi; else phi = 0."""
+    if S.codes[0] == _TAGS.index(OCTONIONIC):
+        ph, al, rs, s = (x[0].tolist() for x in S.families)
+        return [(m, rs[m - 1], ph, al, s[m - 1]) for m in (1, 2)]
+    ph = S.phi[0].item() if S.codes[0] == _TAGS.index(QUATERNIONIC) else 0.0
+    return [(m, r, ph, [0.0] * 8, None) for m, r in zip((1, 2), S.bases[0][0].tolist())]
 
 
 def family_context(A: Hermitian3, m: int) -> FamilyContext:
@@ -385,7 +400,7 @@ class _Stack:
     def rows(self, lo: int, hi: int) -> "_Stack":
         """Rows lo:hi of a one-class stack, as `_masked_stack` returns it.  `_lazy` reads the
         view's `_view` and gives it this stack's invariants, sliced: the rows' own, except that
-        `codes` and `families` branch on every row, so on a mixed stack they may not be."""
+        `families`, `split` and `T` branch on every row, so on a mixed stack they may not be."""
         view = type(self)(self.dia[lo:hi], self.off[lo:hi])
         view._view = self, slice(lo, hi)
         return view
@@ -410,18 +425,19 @@ class _Stack:
 
     @_lazy
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,)."""
+        """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,), by `_classes`:
+        a stack with no associative row is octonionic throughout, with no rank SVD."""
         return _classes(self.off, self.associative)
 
-    @_lazy
-    def codes(self) -> np.ndarray:
-        """Each matrix's class, as an index into `_TAGS` (n,).  A stack with no associative
-        row is octonionic throughout, decided without the rank SVD of `classes`."""
-        if np.logical_or.reduce(self.associative, None):
-            return self.classes[0]
-        codes = np.empty(self.off.shape[:-2], int)
-        codes.fill(_TAGS.index(OCTONIONIC))
-        return codes
+    codes = property(lambda self: self.classes[0])
+
+    @property
+    def tag(self) -> str:
+        """The class of a stack of one class, else ValueError."""
+        if np.logical_or.reduce(self.codes != self.codes[0], None):
+            raise ValueError("a stack is solved one class at a time, got rows of classes "
+                             f"{[_TAGS[c] for c in np.unique(self.codes)]}")
+        return _TAGS[self.codes[0]]
 
     @_lazy
     def roots(self) -> np.ndarray:
@@ -464,10 +480,7 @@ class _Stack:
         each eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
         r_m, starting with s_m / |s_m| (k = 4).  Associative: H of `split` with r = 0, and for
         quaternionic stacks ell H with -4 phi, the other root at alpha = 0 (k = 4, else 2)."""
-        if np.logical_or.reduce(self.codes != self.codes[0], None):
-            raise ValueError("a stack is solved one class at a time, got rows of classes "
-                             f"{[_TAGS[c] for c in np.unique(self.codes)]}")
-        tag = _TAGS[self.codes[0]]
+        tag = self.tag
         if tag == OCTONIONIC:
             return self.roots, _family_bases(self.K)
         Hb = self.split.swapaxes(-1, -2)
@@ -490,9 +503,15 @@ class _Stack:
 
     @_lazy
     def T(self) -> np.ndarray:
-        """Orthonormal rows (n, 4, 8) spanning T: (1, a, b, c) by Gram-Schmidt, zero if dropped."""
-        one = np.broadcast_to(_ONE, self.off.shape[:-2] + (1, 8))
-        return _gram_schmidt(np.concatenate([one, self.off], axis=-2))[0]
+        """For a stack of one class, else ValueError: orthonormal rows (n, 4, 8), the first
+        dim T of `classes` spanning T, then zero.  Octonionic: (1, a, b, c) by Gram-Schmidt,
+        all four kept.  Associative: the first dim T rows of `split`, 1, then i0 or h1, h2."""
+        if self.tag == OCTONIONIC:
+            one = np.broadcast_to(_ONE, self.off.shape[:-2] + (1, 8))
+            return _gram_schmidt(np.concatenate([one, self.off], axis=-2), 0.0)[0]
+        T = np.zeros(self.off.shape[:-2] + (4, 8))
+        T[:, :self.split.shape[1]] = self.split
+        return np.where(np.arange(4)[:, None] < self.classes[1][:, None, None], T, 0.0)
 
     @_lazy
     def R(self) -> np.ndarray:

@@ -478,7 +478,7 @@ def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
     assert b.value is not first and calls == [a, b]
     # every cached attribute of the stacks, the harness context and the matrix is one
     for cls, names in ((Hermitian3, ["_stack"]), (_Context, ["oct_pool", "quat_pool"]),
-                       (_Stack, ["L", "alpha_phi", "associative", "classes", "codes", "roots",
+                       (_Stack, ["L", "alpha_phi", "associative", "classes", "roots",
                                  "families", "split", "ell", "bases", "K", "P", "T", "R", "trace",
                                  "sigma", "det", "frobenius"]),
                        (_Systems, ["_solved", "outers", "residuals"])):

@@ -96,14 +96,14 @@ def test_a_rejected_draw_raises(monkeypatch, kind, cut):
 @pytest.mark.parametrize("kind", FUZZ_CLASSES)
 def test_rejecting_a_class_makes_its_samplers_raise_after_one_draw(monkeypatch, kind):
     # a stand-in class test that records each drawn stack's class and turns down `kind`
-    calls, tested = [], _Stack.codes.func
+    calls, tested = [], _Stack.classes.func
 
-    def codes(A):
-        found = tested(A)
+    def classes(A):
+        found, dim_t = tested(A)
         calls.append(int(found[0]))
-        return np.where(found == _TAGS.index(kind), (found + 1) % len(_TAGS), found)
+        return np.where(found == _TAGS.index(kind), (found + 1) % len(_TAGS), found), dim_t
 
-    monkeypatch.setattr(_Systems, "codes", _lazy(codes))
+    monkeypatch.setattr(_Systems, "classes", _lazy(classes))
     for draw in (lambda: random_hermitian(np.random.default_rng(0), kind),
                  lambda: run_fuzz(0, 8, kind)):
         calls.clear()
@@ -142,13 +142,15 @@ def test_rejection_test_agrees_with_the_class_test():
 
 
 def test_codes_of_a_stack_without_diagonals():
-    # an all-octonionic stack decides its classes by the associator alone, from the
-    # off-diagonals, of any stacked shape
+    # an all-octonionic stack decides its classes, and dim T = 4, by the associator alone,
+    # from the off-diagonals, of any stacked shape
     off = np.random.default_rng(5).uniform(-1, 1, (2, 6, 3, 8))
     for rows in (off[0], off):
         A = _Stack(None, rows)
         assert not A.associative.any()
-        assert np.array_equal(_Stack(None, rows).codes, A.classes[0])
+        codes, dim_t = A.classes
+        assert codes.shape == dim_t.shape == rows.shape[:-2]
+        assert (codes == _TAGS.index("octonionic")).all() and (dim_t == 4).all()
 
 
 def test_an_unknown_class_raises_before_anything_is_drawn():

@@ -299,6 +299,15 @@ def test_eigenvectors_extraction_failure(rng):
         eigenvectors(A, fam, 1e5, multiplicity=1)
 
 
+@pytest.mark.parametrize("multiplicity", [0, -1])
+def test_eigenvectors_need_a_multiplicity_of_at_least_one(octonionic_pool, multiplicity):
+    # 0 divided by zero in the sweep, and -1 returned no pairs
+    A, es = octonionic_pool[0]
+    fam = es.families[0]
+    with pytest.raises(ValueError, match=f"^multiplicity must be at least 1, got {multiplicity}$"):
+        eigenvectors(A, fam.context, fam.pairs[0].lam, multiplicity=multiplicity)
+
+
 def test_same_family(octonionic_pool, rng):
     hits = 0
     for A, es in octonionic_pool[:40]:

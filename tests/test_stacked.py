@@ -119,17 +119,27 @@ def test_six_way_from_the_stack_equals_six_way_on_the_eigensystem():
         assert got.to_json() == want.to_json()
 
 
-def test_six_way_leaves_the_family_residuals_unread():
+def test_six_way_leaves_the_family_residuals_unread(monkeypatch):
     # the split reports part residuals only; the family residuals wait for eigensystem,
-    # and so does an octonionic matrix's rank SVD, which only the reported dim T needs
+    # and an octonionic matrix runs no rank SVD at all: its dim T is 4 by the class test
     rng = np.random.default_rng(44)
-    for A in [random_hermitian(rng, kind) for kind in KINDS] + cluster_cases(rng):
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for drawn in [random_hermitian(rng, kind) for kind in KINDS] + cluster_cases(rng):
+        A = Hermitian3.from_json(drawn.to_json())   # a fresh stack: its class test runs below
+        calls.clear()
+        tag = classify(A).tag
+        assert len(calls) == int(tag != "octonionic"), tag
         six_way(A, random_vector(rng))
         S = A._stack
         assert "residuals" not in S.__dict__
-        assert ("classes" in S.__dict__) == (_TAGS[S.codes[0]] != "octonionic")
         assert eigensystem(A).matrix_class == classify(A)
-        assert "residuals" in S.__dict__ and "classes" in S.__dict__
+        assert "residuals" in S.__dict__
 
 
 def test_octonionic_stacks_run_no_svd(monkeypatch):
@@ -151,12 +161,14 @@ def test_codes_agree_with_the_class_test():
     nudged = Hermitian3.from_json({**mats[3].to_json(), "b": [*mats[3].b.coords[:6], 1e-11, 0.0]})
     zero = Hermitian3.diagonal(0, 0, 0)
     for rows in (mats, mats[:3], mats[:4], mats[3:], [nudged], [zero], [zero, mats[0]]):
-        dia, off = stack(rows)
-        assert np.array_equal(_Stack(dia, off).codes, _Stack(dia, off).classes[0])
+        # each row of a stack, mixed or not, has the class and dim T of its stack of one
+        classes = _Stack(*stack(rows)).classes
+        assert [(_TAGS[c], d) for c, d in zip(*classes)] == [tuple(classify(A)) for A in rows]
 
 
 def test_one_stack_per_matrix(monkeypatch):
-    # every helper reads the matrix's one stack: one class SVD and one K per matrix
+    # every helper reads the matrix's one stack: one K per matrix, and one class SVD per
+    # associative matrix, none for an octonionic one
     calls = {"stack": 0, "svd": 0, "k": 0, "eigh": 0}
 
     def counted(key, fn):
@@ -176,14 +188,15 @@ def test_one_stack_per_matrix(monkeypatch):
         A, x = random_hermitian(rng, kind), random_vector(rng)
         classify(A), det(A), sigma(A)
         # the stack solves its eigensystem only when one is read
-        assert calls == {"stack": 1, "svd": 1, "k": 0, "eigh": 0}, kind
+        assert calls == {"stack": 1, "svd": int(kind != "octonionic"), "k": 0, "eigh": 0}, kind
         if kind == "octonionic":
             subspace.family_contexts(A), subspace.k_matrix(A)
             subspace.family_projector(A, 1), subspace.family_projector(A, 2)
         eigensystem(A)
         if kind == "octonionic":
             six_way(A, x)
-        assert (calls["stack"], calls["svd"], calls["k"]) == (1, 1, int(kind == "octonionic")), kind
+        assert (calls["stack"], calls["svd"], calls["k"]) == (
+            1, int(kind != "octonionic"), int(kind == "octonionic")), kind
 
 
 def test_a_drawn_matrix_derives_alpha_and_phi_once(monkeypatch):

@@ -2,6 +2,7 @@
 cut compares quantities of the same degree, so its decision does not depend on scale."""
 
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octeig import tolerances
+from octeig.cli import main
 from octeig.errors import ComplexRoots, FamilyMismatch, SingularChange
 from octeig.harness import random_hermitian
 from octeig.hermitian import Hermitian3, classify, det, sigma, trace
@@ -112,9 +114,10 @@ def test_dim_t_of_one_matrix_at_many_scales():
     A = random_hermitian(np.random.default_rng(1))
     for s in (1.0, 1e-4, 1e-8, 1e-10, 1e-12, 1e4, 1e10):
         assert (classify(A.scale(s)).tag, classify(A.scale(s)).dim_t) == ("octonionic", 4)
-    # a tiny entry still counts as a direction, in classify as in t_basis
+    # an imaginary part below the rank cut is no direction, in classify as in t_basis: B is
+    # complex, and its T is (1, e2)
     B = Hermitian3(0.0, 0.0, 0.0, Octonion.unit(1) * 1e-12, Octonion.unit(2), Octonion.zero())
-    assert classify(B).dim_t == t_basis(B).dim == 3
+    assert (classify(B).tag, classify(B).dim_t, t_basis(B).dim) == ("complex", 2, 2)
 
 
 @pytest.mark.parametrize("kind", MASKS)
@@ -129,3 +132,35 @@ def test_dim_t_does_not_depend_on_the_scale(kind, seed, exponent, zeroed):
     dim = classify(A).dim_t
     for s in (10.0 ** exponent, 2.0 ** round(exponent * np.log2(10.0))):
         assert classify(A.scale(s)).dim_t == dim == t_basis(A.scale(s)).dim
+
+
+# a, b, c of three families on the class test's rank cut, at theta = 10^U[-12, -6]
+E1, E2, ONE, ZERO = np.eye(8)[1], np.eye(8)[2], np.eye(8)[0], np.zeros(8)
+ON_THE_CUT = {"a = theta e1, b = e2": lambda t: (t * E1, E2, ZERO),
+              "a = 1, b = 1 + theta e1": lambda t: (ONE, ONE + t * E1, ZERO),
+              "a = e1, b = c = theta e2": lambda t: (E1, t * E2, t * E2)}
+DIM_T = {"real": (1,), "complex": (2,), "quaternionic": (3, 4), "octonionic": (4,)}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=st.sampled_from([*ON_THE_CUT, *MASKS]), seed=st.integers(0, 2 ** 32 - 1),
+       u=st.floats(0.0, 1.0), zeroed=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_dim_t_is_the_class_tests_in_classify_t_basis_and_the_report(tmp_path_factory, case,
+                                                                      seed, u, zeroed):
+    # classify, t_basis and the eigen report read one decision on the imaginary rank: every
+    # class at 10^U[-8, 8] with rows zeroed at random, and the families on the cut
+    rng = np.random.default_rng(seed)
+    if case in MASKS:
+        off = rng.uniform(-1, 1, (3, 8)) * np.isin(np.arange(8), MASKS[case])
+        off[zeroed] = 0.0
+        off *= 10.0 ** (16.0 * u - 8.0)
+    else:
+        off = np.array(ON_THE_CUT[case](10.0 ** (6.0 * u - 12.0)))
+    A = Hermitian3(*rng.uniform(-1, 1, 3), *map(Octonion, off))
+    tag, dim_t = classify(A)
+    assert t_basis(A).dim == dim_t and dim_t in DIM_T[tag], (tag, dim_t)
+    mat = tmp_path_factory.mktemp("dim_t") / "m.json"
+    mat.write_text(json.dumps(A.to_json()))
+    main(["eigen", str(mat), "--out", str(mat.with_name("eigen.json"))])
+    report = json.loads(mat.with_name("eigen.json").read_text())
+    assert (report["class"], report["dim_t"]) == (tag, dim_t)
