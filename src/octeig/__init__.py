@@ -18,15 +18,6 @@ from .errors import (
     OcteigError,
     SingularChange,
 )
-from .harness import (
-    DEFAULT_TOLERANCE,
-    CheckResult,
-    random_hermitian,
-    random_octonion,
-    random_vector,
-    run_fuzz,
-    run_verification,
-)
 from .hermitian import (
     COMPLEX,
     OCTONIONIC,
@@ -90,5 +81,26 @@ from .subspace import (
     s_elements,
     t_basis,
 )
+from .tolerances import DEFAULT_TOLERANCE
+
+# the verification harness loads on first use (PEP 562), so `import octeig` loads the solver only
+_HARNESS = ("CheckResult", "random_hermitian", "random_octonion", "random_vector", "run_fuzz",
+            "run_verification")
 
 __version__ = "0.1.0"
+# the public names bound above and the lazy ones: what `from octeig import *` binds
+__all__ = sorted([n for n in globals() if not n.startswith("_")] + ["harness", *_HARNESS])
+
+
+def __getattr__(name):
+    """The harness module or one of its names, imported on first use and then bound here."""
+    if name != "harness" and name not in _HARNESS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    harness = importlib.import_module(".harness", __name__)
+    value = globals()[name] = harness if name == "harness" else getattr(harness, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -28,7 +28,7 @@ from .hermitian import (
     _lazy,
     _vnorm,
 )
-from .octonion import _CONJ, _ONE, _finite, _norm, _product, Octonion, left_mul_matrix
+from .octonion import _CONJ, _ONE, _finite, _left_mul, _norm, _product, Octonion
 from .projection import _six_way
 from .spectral import _RESIDUALS, _Systems, _family_dimensions, _lambda_roots, _same_family
 from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance, _Stack
@@ -226,7 +226,7 @@ class _Checks(_Context):
 
     def left_mul_isometry(self):
         q = self.uniform(8)
-        L, n2 = left_mul_matrix(q), np.vecdot(q, q)
+        L, n2 = _left_mul(q), np.vecdot(q, q)
         gram = L.swapaxes(-1, -2) @ L - n2[:, None, None] * np.eye(8)
         return np.abs(gram).max((-2, -1)) / _scale(n2)
 

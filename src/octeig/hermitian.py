@@ -24,9 +24,9 @@ from .octonion import (
     _finite,
     _finite_fault,
     _json_floats,
+    _left_mul,
     _norm,
     _product,
-    left_mul_matrix,
 )
 from .tolerances import ASSOCIATOR_TOL, SPAN_TOL
 
@@ -383,7 +383,7 @@ def outer(v: OctVector3) -> Hermitian3:
 
 
 def _block_form(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
-    la, lb, lc = (left_mul_matrix(off[..., k, :]) for k in range(3))
+    la, lb, lc = (_left_mul(off[..., k, :]) for k in range(3))
     lat, lbt, lct = (L.swapaxes(-1, -2) for L in (la, lb, lc))
     d, e, f = (dia[..., k, None, None] * np.eye(8) for k in range(3))
     return np.block([[d, la, lbt], [lat, e, lc], [lb, lct, f]])

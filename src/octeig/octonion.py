@@ -10,8 +10,8 @@ Any valid table would satisfy the identities implemented here; frozen
 test values assume this one.
 
 `mul`, `conj`, `inner`, `associator`, `assoc3form` and `left_mul_matrix`
-also take coordinate arrays of shape (..., 8), one octonion per stacked
-row, and then return arrays; an Octonion is the unstacked case.
+also take finite coordinate arrays of shape (..., 8), one octonion per
+stacked row, and then return arrays; an Octonion is the unstacked case.
 """
 
 import functools
@@ -257,12 +257,12 @@ def _on_arrays(fn):
     """Let fn, written for coordinate arrays (..., 8), take Octonions too.
 
     Octonion arguments go in as their coordinates; an (8,) result comes
-    back as an Octonion and a scalar one as a float.
+    back as an Octonion and a scalar one as a float.  Arrays must be finite.
     """
     @functools.wraps(fn)
     def wrapped(*args):
         if not isinstance(args[0], Octonion):
-            return fn(*(np.asarray(a, dtype=float) for a in args))
+            return fn(*map(_finite_coords, args))
         out = fn(*(a.coords for a in args))
         return Octonion._of(out) if out.ndim else float(out)
 
@@ -303,7 +303,19 @@ def assoc3form(a, b, c):
 def left_mul_matrix(q) -> np.ndarray:
     """8x8 real matrix L with L @ coords(x) = coords(q*x) for every x.
 
-    q may also be a coordinate array of shape (..., 8), giving shape (..., 8, 8).
+    q may also be a finite coordinate array of shape (..., 8), giving shape (..., 8, 8).
     """
-    c = q.coords if isinstance(q, Octonion) else np.asarray(q, dtype=float)
+    return _left_mul(q.coords if isinstance(q, Octonion) else _finite_coords(q))
+
+
+def _left_mul(c: np.ndarray) -> np.ndarray:
+    """`left_mul_matrix` of a float coordinate array (..., 8), unchecked, for the solve path."""
     return (c @ _TABLE_2D).reshape(c.shape[:-1] + (8, 8)).swapaxes(-1, -2)
+
+
+def _finite_coords(q) -> np.ndarray:
+    """q as a float array; ValueError in the parse path's words where a coordinate is not finite."""
+    c = np.asarray(q, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError(_finite_fault(c.tolist(), True))
+    return c

@@ -7,8 +7,6 @@ generalized projectors (v v^dagger) y, so a generic vector ends up with
 six components, every one an eigenvector of the matrix.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +78,8 @@ def matrix_fingerprint(A: Hermitian3) -> str:
 
 def _fingerprint(c: np.ndarray) -> str:
     """`matrix_fingerprint` of the matrix of 27 floats (27,), d, e, f, a, b, c."""
+    import hashlib   # here, so that only a caller of the fingerprint loads OpenSSL
+    import json
     v = c.tolist()
     entries = {"d": v[0], "e": v[1], "f": v[2], "a": v[3:11], "b": v[11:19], "c": v[19:]}
     return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()

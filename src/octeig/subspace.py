@@ -33,7 +33,7 @@ from .hermitian import (
     classify,
     real_form,
 )
-from .octonion import _CONJ, _ONE, Octonion, _finite, _norm, _product, left_mul_matrix
+from .octonion import _CONJ, _ONE, Octonion, _finite, _left_mul, _norm, _product
 from .tolerances import NORMALIZE_TOL, SINGULAR_CHANGE_TOL, SPAN_TOL
 
 __all__ = [
@@ -394,7 +394,7 @@ class _Stack:
         """The rank-one matrices v v^dagger of vectors v (n, 3, 8)."""
         X = v.reshape(-1, 3, 8)
         # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
-        off = np.einsum("nskj,nsj->nsk", left_mul_matrix(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
+        off = np.einsum("nskj,nsj->nsk", _left_mul(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
         return cls(np.einsum("nsi,nsi->ns", X, X), off)
 
     def rows(self, lo: int, hi: int) -> "_Stack":
@@ -408,7 +408,7 @@ class _Stack:
     @_lazy
     def L(self) -> np.ndarray:
         """The left multiplication matrices of a, b, c (n, 3, 8, 8)."""
-        return left_mul_matrix(self.off)
+        return _left_mul(self.off)
 
     @_lazy
     def alpha_phi(self) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +488,7 @@ class _Stack:
         r, B = np.zeros((len(Hb), nfam)), np.empty((len(Hb), nfam) + Hb.shape[1:])
         B[:, 0] = Hb
         if nfam == 2:   # 0 - 4 phi: +0.0, not -0.0, at phi = 0
-            r[:, 1], B[:, 1] = 0.0 - 4.0 * self.phi, left_mul_matrix(self.ell) @ Hb
+            r[:, 1], B[:, 1] = 0.0 - 4.0 * self.phi, _left_mul(self.ell) @ Hb
         return r, B
 
     @_lazy

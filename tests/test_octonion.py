@@ -246,3 +246,22 @@ def test_constructor_rejects_non_finite(bad, i):
     for given in (coords, coords.tolist()):
         with pytest.raises(ValueError, match=r"^octonion coordinates must be finite, got \["):
             Octonion(given)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("i", [0, 7])
+@pytest.mark.parametrize("shape", [(8,), (2, 3, 8)])
+def test_array_functions_reject_non_finite(bad, i, shape):
+    good = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+    x = good.copy()
+    x.reshape(-1, 8)[-1, i] = bad   # the last row alone
+    calls = [lambda: left_mul_matrix(x), lambda: conj(x), lambda: mul(good, x),
+             lambda: mul(x, good), lambda: inner(good, x), lambda: associator(good, good, x),
+             lambda: assoc3form(good, x, good)]
+    prefix = "octonion coordinates must be finite, got "
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^{prefix}\[") as err:
+            call()
+        # the coordinates as `_shown` cuts them, at most 200 characters
+        shown = str(err.value)[len(prefix):]
+        assert len(shown) <= 200 and (len(shape) == 1) == (not shown.endswith("..."))
