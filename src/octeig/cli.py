@@ -24,7 +24,7 @@ from .harness import (
 )
 from .hermitian import _TAGS, OCTONIONIC, _matrix_floats, _vector_floats
 from .projection import _fingerprint, _part_json, _six_way, _six_way_json
-from .spectral import _RESIDUALS, _eigen_json, _family_json, _Systems
+from .spectral import _RESIDUALS, _eigen_json, _family_json, _Stack
 from .subspace import _context_json, _contexts
 
 __all__ = ["main"]
@@ -179,7 +179,7 @@ def _cmd_eigen(args) -> int:
     """`eigensystem(A).to_json()`, written from the blocks of A's solved stack."""
     tol = _resolve_tolerance(args)
     c = _load(args.matrix, _matrix_floats)
-    S = _Systems(c[None, :3], c[3:].reshape(1, 3, 8))
+    S = _Stack(c[None, :3], c[3:].reshape(1, 3, 8))
     blocks = zip(_contexts(S), S.lams[0].tolist(), S.V[0].tolist(), S.residuals[0].tolist())
     families = [_family_json(_context_json(*context), lams, V, dict(zip(_RESIDUALS, res)))
                 for context, lams, V, res in blocks]
@@ -194,7 +194,7 @@ def _cmd_project(args) -> int:
     """`six_way(A, x).to_json()`, written from the parts of `_six_way` on A's solved stack."""
     tol = _resolve_tolerance(args)
     c, x = _load(args.matrix, _matrix_floats), _load(args.vector, _vector_floats)
-    S = _Systems(c[None, :3], c[3:].reshape(1, 3, 8))
+    S = _Stack(c[None, :3], c[3:].reshape(1, 3, 8))
     F, tag = S.nfam, _TAGS[S.codes[0]]
     comps, residuals, recon = _six_way(S, x[None])
     lams, comps = S.lams[0].tolist(), comps[0].reshape(F, 3, 3, 8).tolist()

@@ -30,8 +30,8 @@ from .hermitian import (
 )
 from .octonion import _CONJ, _ONE, _finite, _left_mul, _norm, _product, Octonion
 from .projection import _six_way
-from .spectral import _RESIDUALS, _Systems, _family_dimensions, _lambda_roots, _same_family
-from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance, _Stack
+from .spectral import _RESIDUALS, _Stack, _family_dimensions, _lambda_roots, _same_family
+from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance
 from .tolerances import ALGEBRA_FACTOR, DEFAULT_TOLERANCE, NORM_FLOOR, NORMALIZE_TOL
 
 __all__ = [
@@ -97,19 +97,19 @@ def random_hermitian(rng, kind: str = OCTONIONIC) -> Hermitian3:
     return H
 
 
-def _masked_stack(kind: str, dia: np.ndarray, off: np.ndarray) -> _Systems:
+def _masked_stack(kind: str, dia: np.ndarray, off: np.ndarray) -> _Stack:
     """Drawn matrices as one stack, off-diagonals masked in place to class `kind`, after its
     one class test, whose associators the checks and pools read: another class raises."""
     mask = _COORD_MASKS[kind]
     if mask is not None:
         off *= np.bincount(mask, minlength=8)
-    A = _Systems(dia, off)
+    A = _Stack(dia, off)
     if (A.codes != _TAGS.index(kind)).any():
         raise RuntimeError(f"failed to sample a {kind} matrix")
     return A
 
 
-def _draw_stack(rng, n: int, kind: str) -> _Systems:
+def _draw_stack(rng, n: int, kind: str) -> _Stack:
     """n random matrices of class `kind`, diagonals (n, 3) drawn before off-diagonals (n, 3, 8)."""
     return _masked_stack(kind, rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3, 8)))
 
@@ -118,8 +118,8 @@ def _draw_stack(rng, n: int, kind: str) -> _Systems:
 _MATRIX, _SAMPLE = 27, 51
 
 
-def _draw_fuzz(rng, n: int, kind: str) -> tuple[_Systems, np.ndarray]:
-    """n fuzz samples as one `_Systems` stack and vectors (n, 24): the doubles of n alternating
+def _draw_fuzz(rng, n: int, kind: str) -> tuple[_Stack, np.ndarray]:
+    """n fuzz samples as one `_Stack` and vectors (n, 24): the doubles of n alternating
     `random_hermitian(rng, kind)` and `random_vector(rng)` calls, drawn as one (n, 51) block."""
     rows = rng.uniform(-1.0, 1.0, (n, _SAMPLE))
     # contiguous copies, so the stacked kernels see the layout of freshly built arrays
@@ -144,8 +144,21 @@ def _check_samples(samples: int) -> int:
     return samples
 
 
-class _Context:
-    """The run's generator and flags, and the pools shared by the eigensystem checks."""
+def _scale(*terms):
+    """max(1, terms...) per sample: the checks' residual scales."""
+    return reduce(np.maximum, terms, 1.0)
+
+
+def _pool_residual(key: str):
+    """Check reading the `key` residual of the octonionic pool's eigensystems, per family."""
+    return lambda ctx: ctx.oct_pool.residuals[..., _RESIDUALS.index(key)]
+
+
+class _Checks:
+    """The run's generator, flags and draws, the pools that the eigensystem checks share, and
+    the checks, in report order: each public attribute but `_TOOLS` is one check, named by its
+    name with '-' for '_', and returns its residual per sample.  A matrix check is a generator:
+    it makes its own draws, takes its matrices at `A = yield`, then yields the residual."""
 
     def __init__(self, seed: int, samples: int, det_offset: float = 0.0):
         self.rng = np.random.default_rng(seed)
@@ -168,29 +181,13 @@ class _Context:
         return np.matvec(P if x.ndim == 2 else P[:, None], x)
 
     @_lazy
-    def oct_pool(self) -> _Systems:
+    def oct_pool(self) -> _Stack:
         return _draw_stack(np.random.default_rng(self.rng.integers(2 ** 63)), self.n, OCTONIONIC)
 
     @_lazy
-    def quat_pool(self) -> _Systems:
+    def quat_pool(self) -> _Stack:
         return _draw_stack(np.random.default_rng(self.rng.integers(2 ** 63)), max(1, self.n // 4),
                            QUATERNIONIC)
-
-
-def _scale(*terms):
-    """max(1, terms...) per sample: the checks' residual scales."""
-    return reduce(np.maximum, terms, 1.0)
-
-
-def _pool_residual(key: str):
-    """Check reading the `key` residual of the octonionic pool's eigensystems, per family."""
-    return lambda ctx: ctx.oct_pool.residuals[..., _RESIDUALS.index(key)]
-
-
-class _Checks(_Context):
-    """The checks, in report order: each public attribute is one check, named by its name
-    with '-' for '_', and returns its residual per sample.  A matrix check is a generator:
-    it makes its own draws, takes its matrices at `A = yield`, then yields the residual."""
 
     def composition_norm(self):
         p, q = self.uniform(8), self.uniform(8)
@@ -485,8 +482,11 @@ class _Checks(_Context):
         return _six_way(self.oct_pool, self.uniform(3, 8).reshape(-1, 24))
 
 
+# the public attributes of `_Checks` that are not checks
+_TOOLS = ("uniform", "family", "project", "oct_pool", "quat_pool")
 _CHECKS = tuple((name, fn, _FACTORS.get(name, 1.0)) for name, fn in (
-    (attr.replace("_", "-"), fn) for attr, fn in vars(_Checks).items() if not attr.startswith("_")))
+    (attr.replace("_", "-"), fn) for attr, fn in vars(_Checks).items()
+    if not attr.startswith("_") and attr not in _TOOLS))
 
 
 # the most rows of a shared stack: one stack of all 17 matrix checks is slower at n = 100

@@ -160,7 +160,7 @@ def _matrix_floats(data) -> np.ndarray:
 class _lazy:
     """`functools.cached_property` without the lock that it takes on every first read before
     Python 3.12: func's value, stored in the instance's __dict__, where later reads find it.
-    On a `_Stack.rows` view, whose `_view` is (stack, rows), it is the stack's value, sliced."""
+    On a `spectral._Stack.rows` view, whose `_view` is (stack, rows): the stack's, sliced."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -248,11 +248,11 @@ class Hermitian3:
 
     @_lazy
     def _stack(self):
-        """This matrix as a `spectral._Systems` stack of one, built on first use: every
+        """This matrix as a stack of one of `spectral._Stack`, built on first use: every
         per-matrix helper reads its row 0.  It holds arrays only, no reference back."""
-        from .spectral import _Systems   # spectral imports this module
+        from .spectral import _Stack   # spectral imports this module
         dia = np.array([[self.d, self.e, self.f]])
-        return _Systems(dia, np.array([[self.a.coords, self.b.coords, self.c.coords]]))
+        return _Stack(dia, np.array([[self.a.coords, self.b.coords, self.c.coords]]))
 
     def __getstate__(self) -> dict:
         """The entries without `_stack`: a copy or pickle solves again, as a fresh matrix does."""

@@ -116,7 +116,9 @@ class Octonion(_Immutable):
 
     @classmethod
     def unit(cls, i: int) -> "Octonion":
-        """Basis unit e_i; unit(0) is the real identity."""
+        """Basis unit e_i for an integer i in 0..7, not a bool; unit(0) is the real identity."""
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i <= 7:
+            raise ValueError(f"unit index must be an integer in 0..7, got {i!r}")
         c = np.zeros(8)
         c[i] = 1.0
         return cls._of(c)
@@ -314,8 +316,11 @@ def _left_mul(c: np.ndarray) -> np.ndarray:
 
 
 def _finite_coords(q) -> np.ndarray:
-    """q as a float array; ValueError in the parse path's words where a coordinate is not finite."""
+    """q as a float array (..., 8); ValueError in the parse path's words for another shape, or
+    where a coordinate is not finite."""
     c = np.asarray(q, dtype=float)
+    if c.shape[-1:] != (8,):
+        raise ValueError(f"octonion needs 8 coordinates, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError(_finite_fault(c.tolist(), True))
     return c

@@ -24,7 +24,7 @@ from .hermitian import (
     outer,
 )
 from .octonion import Octonion, _finite, _product
-from .spectral import EigenSystem, _norm_scale, _Systems, k_vector
+from .spectral import EigenSystem, _norm_scale, _Stack, k_vector
 from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
 
 __all__ = [
@@ -124,7 +124,7 @@ def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayD
     )
 
 
-def _six_way(S: _Systems, x: np.ndarray):
+def _six_way(S: _Stack, x: np.ndarray):
     """Parts (n, nfam, 3, 24), their eigen residuals (n, nfam, 3) and the reconstruction
     residuals (n,) of vectors x (n, 24) on stacked systems S.
 

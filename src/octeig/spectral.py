@@ -6,36 +6,28 @@ The real eigenvalues solve the cubic
 
 with r a root of the family quadratic, so an octonionic or quaternionic
 matrix carries two 3-eigenvalue families, and a complex or real one a single
-family.  Every class takes one route, stacked over whole arrays of matrices
-of one class (`_Systems`; `eigensystem` is its case of one): each family is
-one eigh of A on its invariant subspace, Q = kron(I3, B) with B from
-`_Stack.bases`, then the coordinate rule, and for repeated eigenvalues
-a sweep that applies v v^dagger through `_Stack.outer`.  `eigenvectors`
-keeps the SVD nullspace of R - lam I as the reference path; `lambda_roots`
-is a cross-check of the cubic for the harness.
+family.  `_Stack` is the one solver: stacked matrices of one class, with every
+invariant, the class test, K, the family bases and the eigensystems cached on
+first use (`eigensystem` is its case of one).  Each family is one eigh of A on
+its invariant subspace, Q = kron(I3, B) with B from `_Stack.bases`, then the
+coordinate rule, and for repeated eigenvalues a sweep that applies v v^dagger
+through `_Stack.outer`.  `eigenvectors` keeps the SVD nullspace of R - lam I as
+the reference path; `lambda_roots` is a cross-check of the cubic for the harness.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexProjector, ComplexRoots, ExtractionFailure
-from .hermitian import (
-    QUATERNIONIC,
-    _TAGS,
-    Hermitian3,
-    MatrixClass,
-    OctVector3,
-    _lazy,
-    _vnorm,
-    classify,
-    det,
-    mat_vec,
-    sigma,
-    trace,
-)
-from .octonion import _CONJ, _finite, _norm, _product
-from .subspace import FamilyContext, _family_contexts, _read_only, _Stack, apply_blockwise, k_matrix
+from .errors import (ComplexProjector, ComplexRoots, DegenerateFamily, ExtractionFailure,
+                     NotQuaternionic)
+from .hermitian import (OCTONIONIC, QUATERNIONIC, _TAGS, Hermitian3, MatrixClass, OctVector3,
+                        _alpha_phi, _associative, _classes, _det, _lazy, _sigma, _vnorm, classify,
+                        det, mat_vec, real_form, sigma, trace)
+from .octonion import _CONJ, _ONE, _finite, _left_mul, _norm, _product
+from .subspace import (_EYE8, FamilyContext, _family_bases, _family_contexts, _generators,
+                       _gram_schmidt, _k, _projector, _read_only, _roots, _subalgebra,
+                       apply_blockwise, k_matrix)
 from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
                          REAL_RANK_TOL)
 
@@ -296,15 +288,15 @@ def _hermitian_norm(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(dia, dia) + 2.0 * np.vecdot(off, off))
 
 
-def _norm_scale(A: _Stack) -> np.ndarray:
+def _norm_scale(A: "_Stack") -> np.ndarray:
     """||A||_F (n,), the residuals' scale, and 1 for A = 0, whose residuals are exact zeros."""
     return np.where(A.frobenius > 0.0, A.frobenius, 1.0)
 
 
-def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray,
+def _family_residuals(A: "_Stack", r: np.ndarray, lams: np.ndarray, V: np.ndarray,
                       vv: np.ndarray, keys=_RESIDUALS) -> np.ndarray:
     """The residuals `keys` (n, F, len(keys)), any of `_RESIDUALS`, of eigenpairs lams (n, F, 3),
-    V (n, F, 3, 24) and their `_Systems.outers` vv of stacked matrices A with family roots
+    V (n, F, 3, 24) and their `_Stack.outers` vv of stacked matrices A with family roots
     r (n, F).  The K residual and generalized orthogonality are computed only if asked for.
 
     Normwise: the eigen and matrix residuals are divided by ||A||_F and the
@@ -335,21 +327,128 @@ def _family_residuals(A: _Stack, r: np.ndarray, lams: np.ndarray, V: np.ndarray,
     return np.concatenate([out[k][..., None] for k in keys], axis=-1)
 
 
-class _Systems(_Stack):
-    """Stacked matrices of one class with their eigensystems, solved on first read from
-    `_Stack.bases` and one `_eigenpairs` call.  nfam is 2, or 1 for complex and real
-    stacks; per family (axis 1): the root r (n, nfam), slot basis B (n, nfam, 8, k),
-    eigenvalues lams (n, nfam, 3), eigenvectors V (n, nfam, 3, 3, 8), their `outers` and
-    `_RESIDUALS` (n, nfam, 5)."""
+class _Stack:
+    """Stacked matrices, diagonals (n, 3) and off-diagonals (n, 3, 8), with their invariants
+    and eigensystems, each computed on first use.  A caller that reads only invariants of the
+    off-diagonals, of any stacked shape, may pass no diagonals.  The eigensystems are solved
+    for a stack of one class, from `bases` and one `_eigenpairs` call.  nfam is 2, or 1 for
+    complex and real stacks; per family (axis 1): the root r (n, nfam), slot basis B
+    (n, nfam, 8, k), eigenvalues lams (n, nfam, 3), eigenvectors V (n, nfam, 3, 3, 8), their
+    `outers` and `_RESIDUALS` (n, nfam, 5)."""
+
+    def __init__(self, dia: np.ndarray, off: np.ndarray):
+        self.dia, self.off = dia, off
+
+    @classmethod
+    def outer(cls, v: np.ndarray) -> "_Stack":
+        """The rank-one matrices v v^dagger of vectors v (n, 3, 8)."""
+        X = v.reshape(-1, 3, 8)
+        # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
+        off = np.einsum("nskj,nsj->nsk", _left_mul(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
+        return cls(np.einsum("nsi,nsi->ns", X, X), off)
+
+    def rows(self, lo: int, hi: int) -> "_Stack":
+        """Rows lo:hi of a one-class stack, as `_masked_stack` returns it.  `_lazy` reads the
+        view's `_view` and gives it this stack's invariants, sliced: the rows' own."""
+        view = type(self)(self.dia[lo:hi], self.off[lo:hi])
+        view._view = self, slice(lo, hi)
+        return view
+
+    @_lazy
+    def L(self) -> np.ndarray:
+        """The left multiplication matrices of a, b, c (n, 3, 8, 8)."""
+        return _left_mul(self.off)
+
+    @_lazy
+    def alpha_phi(self) -> tuple[np.ndarray, np.ndarray]:
+        """The associators [a, b, c] (n, 8) and phi (n,), from shared products."""
+        return _alpha_phi(self.off, self.L)
+
+    alpha = property(lambda self: self.alpha_phi[0])
+    phi = property(lambda self: self.alpha_phi[1])
+
+    @_lazy
+    def associative(self) -> np.ndarray:
+        """Where the associator test of `_associative` finds a row associative (n,)."""
+        return _associative(self.off, self.alpha)
+
+    @_lazy
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,), by `_classes`:
+        a stack with no associative row is octonionic throughout, with no rank SVD."""
+        return _classes(self.off, self.associative)
+
+    codes = property(lambda self: self.classes[0])
+
+    @property
+    def tag(self) -> str:
+        """The class of a stack of one class, else ValueError."""
+        if np.logical_or.reduce(self.codes != self.codes[0], None):
+            raise ValueError("a stack is solved one class at a time, got rows of classes "
+                             f"{[_TAGS[c] for c in np.unique(self.codes)]}")
+        return _TAGS[self.codes[0]]
+
+    @_lazy
+    def roots(self) -> np.ndarray:
+        """The family roots r1 >= r2 (n, 2), which `bases` reads without the generators."""
+        return _roots(self.phi, self.alpha)
+
+    @_lazy
+    def families(self) -> tuple:
+        """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8), or
+        DegenerateFamily where a row is associative."""
+        if np.logical_or.reduce(self.associative, None):
+            raise DegenerateFamily(
+                "associator vanishes: no family generators s_m; eigensystem gives r and phi alone")
+        return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
+
+    @_lazy
+    def split(self) -> np.ndarray:
+        """For a stack of one class, else ValueError: H (n, k, 8), the basis of `_subalgebra`,
+        (1, i0) for complex and real stacks, (1, h1, h2, h1 h2) for the others."""
+        return _subalgebra(self.off, _TAGS.index(self.tag))
+
+    @_lazy
+    def ell(self) -> np.ndarray:
+        """ell (n, 8): the first unit e_i whose residual against `split`, projected off it twice
+        as a block, is above NORMALIZE_TOL, normalized; for a quaternionic H, ell H is the rest."""
+        H, resid = self.split, _EYE8[1:]
+        for _ in range(2):
+            resid = resid - (resid @ H.swapaxes(-1, -2)) @ H
+        n = _norm(resid)
+        found = n > NORMALIZE_TOL
+        if not np.logical_and.reduce(np.logical_or.reduce(found, -1)):
+            raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
+        i = np.arange(len(H)), found.argmax(-1)
+        return resid[i] * (1.0 / n[i])[:, None]
+
+    @_lazy
+    def bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """For a stack of one class, else ValueError: the family roots r (n, nfam) and orthonormal
+        bases B (n, nfam, 8, k) of subspaces of O whose span in each slot A maps into itself,
+        each eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
+        r_m, starting with s_m / |s_m| (k = 4).  Associative: H of `split` with r = 0, and for
+        quaternionic stacks ell H with -4 phi, the other root at alpha = 0 (k = 4, else 2)."""
+        tag = self.tag
+        if tag == OCTONIONIC:
+            return self.roots, _family_bases(self.K)
+        Hb = self.split.swapaxes(-1, -2)
+        nfam = 2 if tag == QUATERNIONIC else 1
+        r, B = np.zeros((len(Hb), nfam)), np.empty((len(Hb), nfam) + Hb.shape[1:])
+        B[:, 0] = Hb
+        if nfam == 2:   # 0 - 4 phi: +0.0, not -0.0, at phi = 0
+            r[:, 1], B[:, 1] = 0.0 - 4.0 * self.phi, _left_mul(self.ell) @ Hb
+        return r, B
+
+    r = property(lambda self: self.bases[0])
+    B = property(lambda self: self.bases[1])
+    nfam = property(lambda self: self.B.shape[1])
 
     @_lazy
     def _solved(self) -> tuple:
         """lams (n, nfam, 3) and V (n, nfam, 3, 24), as `_eigenpairs` returns them."""
         return _eigenpairs(self.R[:, None], _slotwise(self.B))
 
-    r = property(lambda self: self.bases[0])
-    B = property(lambda self: self.bases[1])
-    nfam = property(lambda self: self.B.shape[1])
     lams = property(lambda self: self._solved[0])
     V = property(lambda self: self._solved[1].reshape(self.lams.shape + (3, 8)))
 
@@ -366,9 +465,69 @@ class _Systems(_Stack):
         """The residuals `keys` (n, nfam, len(keys)), each one of `_RESIDUALS`."""
         return _family_residuals(self, self.r, self.lams, self._solved[1], self.outers, keys)
 
+    @_lazy
+    def K(self) -> np.ndarray:
+        return _k(self.L)
+
+    @_lazy
+    def P(self) -> np.ndarray:
+        """The family projectors (n, 2, 8, 8)."""
+        ph, _, rs, _ = self.families
+        return _projector(self.K[:, None], rs, ph[:, None])
+
+    @_lazy
+    def T(self) -> np.ndarray:
+        """For a stack of one class, else ValueError: orthonormal rows (n, 4, 8), the first
+        dim T of `classes` spanning T, then zero.  Octonionic: (1, a, b, c) by Gram-Schmidt,
+        all four kept.  Associative: the first dim T rows of `split`, 1, then i0 or h1, h2."""
+        if self.tag == OCTONIONIC:
+            one = np.broadcast_to(_ONE, self.off.shape[:-2] + (1, 8))
+            return _gram_schmidt(np.concatenate([one, self.off], axis=-2), 0.0)[0]
+        T = np.zeros(self.off.shape[:-2] + (4, 8))
+        T[:, :self.split.shape[1]] = self.split
+        return np.where(np.arange(4)[:, None] < self.classes[1][:, None, None], T, 0.0)
+
+    @_lazy
+    def R(self) -> np.ndarray:
+        return real_form(self.dia, self.off)
+
+    @_lazy
+    def trace(self) -> np.ndarray:
+        return np.add.reduce(self.dia, -1)
+
+    @_lazy
+    def sigma(self) -> np.ndarray:
+        return _sigma(self.dia, self.off)
+
+    @_lazy
+    def det(self) -> np.ndarray:
+        return _det(self.dia, self.off)
+
+    @_lazy
+    def frobenius(self) -> np.ndarray:
+        return np.sqrt(np.vecdot(self.dia, self.dia)
+                       + 2.0 * np.add.reduce(np.vecdot(self.off, self.off), -1))
+
+    def act(self, y: np.ndarray) -> np.ndarray:
+        """A y for vectors y (n, 3, 8)."""
+        return np.matvec(self.R, y.reshape(-1, 24)).reshape(y.shape)
+
+    def membership(self, w: np.ndarray) -> np.ndarray:
+        """|A(Aw) - tr(A) Aw| for vectors w (n, 3, 8); for A = u u^dagger, tr(A) = |u|^2
+        and the residual vanishes exactly when w lies in the family of u."""
+        aw = self.act(w)
+        return _vnorm(self.act(aw) - aw * self.trace[:, None, None])
+
+    def k_act(self, y: np.ndarray, det_offset: float = 0.0) -> np.ndarray:
+        """The matrix characteristic operator, A(A(Ay)) - tr A(Ay) + sigma Ay - det y."""
+        ay = self.act(y)
+        a2y = self.act(ay)
+        tr, sg, dt = (c[:, None, None] for c in (self.trace, self.sigma, self.det + det_offset))
+        return self.act(a2y) - tr * a2y + sg * ay - dt * y
+
 
 def eigensystem(A: Hermitian3) -> EigenSystem:
-    """Full eigenstructure, the n = 1 case of `_Systems`: two families for octonionic
+    """Full eigenstructure, the n = 1 case of `_Stack`: two families for octonionic
     (r-labeled) and quaternionic (plain and lifted, r = 0 and -4 phi) matrices, one, flagged
     as such, for complex and real ones."""
     S = A._stack

@@ -3,9 +3,10 @@
 For a matrix whose off-diagonal entries have nonvanishing associator,
 the octonions split into two orthogonal 4-spaces T_m = T s_m picked out
 by the characteristic operator K, which is r_m on T_m: one eigh of K gives
-both.  Everything here builds and exercises that split, `_subalgebra`, which a, b, c
-generate where it collapses, and `_Stack.bases`, the per-family subspaces every
-eigensystem is taken on.
+both.  Here are the stacked kernels of that split (`_k`, `_roots`, `_generators`,
+`_family_bases`, `_projector`), `_subalgebra`, which a, b, c generate where it
+collapses, and the per-matrix functions.  `spectral._Stack` caches the kernels' values
+per stack; its `bases` are the per-family subspaces every eigensystem is taken on.
 """
 
 from dataclasses import dataclass
@@ -22,19 +23,11 @@ from .hermitian import (
     _TAGS,
     Hermitian3,
     OctVector3,
-    _alpha_phi,
-    _associative,
-    _classes,
-    _det,
-    _lazy,
-    _sigma,
-    _vnorm,
     alpha,
     classify,
-    real_form,
 )
-from .octonion import _CONJ, _ONE, Octonion, _finite, _left_mul, _norm, _product
-from .tolerances import NORMALIZE_TOL, SINGULAR_CHANGE_TOL, SPAN_TOL
+from .octonion import _CONJ, _ONE, Octonion, _finite, _norm, _product
+from .tolerances import SINGULAR_CHANGE_TOL, SPAN_TOL
 
 __all__ = [
     "TBasis",
@@ -184,13 +177,13 @@ def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
     return _family_contexts(A._stack)
 
 
-def _family_contexts(S: "_Stack") -> tuple:
+def _family_contexts(S: "spectral._Stack") -> tuple:
     """Row 0's family contexts, one per family, as `FamilyContext`s of `_contexts`."""
     return tuple(FamilyContext(m, r, ph, Octonion(al), None if s is None else Octonion(s))
                  for m, r, ph, al, s in _contexts(S))
 
 
-def _contexts(S: "_Stack") -> list:
+def _contexts(S: "spectral._Stack") -> list:
     """Row 0's family contexts as (m, r, phi, alpha, s), octonions as lists; alpha = 0 and no s
     unless octonionic.  Quaternionic: the class test's phi, r = 0 and -4 phi; else phi = 0."""
     if S.codes[0] == _TAGS.index(OCTONIONIC):
@@ -371,182 +364,10 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
     return float(_basis_change_deviation(A._stack, M, shifts)[0])
 
 
-def _basis_change_deviation(A: "_Stack", M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _basis_change_deviation(A: "spectral._Stack", M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """`basis_invariance_check` for stacked matrices A, M (n, 3, 3) and shifts (n, 3)."""
     s = A.families[3]
-    moved = _Stack(None, M @ A.off + shifts[..., None] * _ONE).families[3]
+    moved = type(A)(None, M @ A.off + shifts[..., None] * _ONE).families[3]
     # det M < 0 swaps the two family labels
     moved = np.where((np.linalg.det(M) < 0)[..., None, None], moved[..., ::-1, :], moved)
     return _norm(moved - s).max(-1)
-
-
-class _Stack:
-    """Stacked matrices, diagonals (n, 3) and off-diagonals (n, 3, 8), with the
-    invariants of this module, each computed on first use.  A caller that reads only
-    invariants of the off-diagonals, of any stacked shape, may pass no diagonals.  The
-    family `bases`, and so every eigensystem, are solved for a stack of one class."""
-
-    def __init__(self, dia: np.ndarray, off: np.ndarray):
-        self.dia, self.off = dia, off
-
-    @classmethod
-    def outer(cls, v: np.ndarray) -> "_Stack":
-        """The rank-one matrices v v^dagger of vectors v (n, 3, 8)."""
-        X = v.reshape(-1, 3, 8)
-        # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
-        off = np.einsum("nskj,nsj->nsk", _left_mul(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
-        return cls(np.einsum("nsi,nsi->ns", X, X), off)
-
-    def rows(self, lo: int, hi: int) -> "_Stack":
-        """Rows lo:hi of a one-class stack, as `_masked_stack` returns it.  `_lazy` reads the
-        view's `_view` and gives it this stack's invariants, sliced: the rows' own, except that
-        `families`, `split` and `T` branch on every row, so on a mixed stack they may not be."""
-        view = type(self)(self.dia[lo:hi], self.off[lo:hi])
-        view._view = self, slice(lo, hi)
-        return view
-
-    @_lazy
-    def L(self) -> np.ndarray:
-        """The left multiplication matrices of a, b, c (n, 3, 8, 8)."""
-        return _left_mul(self.off)
-
-    @_lazy
-    def alpha_phi(self) -> tuple[np.ndarray, np.ndarray]:
-        """The associators [a, b, c] (n, 8) and phi (n,), from shared products."""
-        return _alpha_phi(self.off, self.L)
-
-    alpha = property(lambda self: self.alpha_phi[0])
-    phi = property(lambda self: self.alpha_phi[1])
-
-    @_lazy
-    def associative(self) -> np.ndarray:
-        """Where the associator test of `_associative` finds a row associative (n,)."""
-        return _associative(self.off, self.alpha)
-
-    @_lazy
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,), by `_classes`:
-        a stack with no associative row is octonionic throughout, with no rank SVD."""
-        return _classes(self.off, self.associative)
-
-    codes = property(lambda self: self.classes[0])
-
-    @property
-    def tag(self) -> str:
-        """The class of a stack of one class, else ValueError."""
-        if np.logical_or.reduce(self.codes != self.codes[0], None):
-            raise ValueError("a stack is solved one class at a time, got rows of classes "
-                             f"{[_TAGS[c] for c in np.unique(self.codes)]}")
-        return _TAGS[self.codes[0]]
-
-    @_lazy
-    def roots(self) -> np.ndarray:
-        """The family roots r1 >= r2 (n, 2), which `bases` reads without the generators."""
-        return _roots(self.phi, self.alpha)
-
-    @_lazy
-    def families(self) -> tuple:
-        """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8), or
-        DegenerateFamily where a row is associative."""
-        if np.logical_or.reduce(self.associative, None):
-            raise DegenerateFamily(
-                "associator vanishes: no family generators s_m; eigensystem gives r and phi alone")
-        return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
-
-    @_lazy
-    def split(self) -> np.ndarray:
-        """H (n, k, 8), the basis of `_subalgebra` keyed by the largest of `codes`: (1, i0) for
-        complex and real stacks, (1, h1, h2, h1 h2) for the others."""
-        return _subalgebra(self.off, np.maximum.reduce(self.codes, None))
-
-    @_lazy
-    def ell(self) -> np.ndarray:
-        """ell (n, 8): the first unit e_i whose residual against `split`, projected off it twice
-        as a block, is above NORMALIZE_TOL, normalized; for a quaternionic H, ell H is the rest."""
-        H, resid = self.split, _EYE8[1:]
-        for _ in range(2):
-            resid = resid - (resid @ H.swapaxes(-1, -2)) @ H
-        n = _norm(resid)
-        found = n > NORMALIZE_TOL
-        if not np.logical_and.reduce(np.logical_or.reduce(found, -1)):
-            raise NotQuaternionic("no unit direction orthogonal to the subalgebra found")
-        i = np.arange(len(H)), found.argmax(-1)
-        return resid[i] * (1.0 / n[i])[:, None]
-
-    @_lazy
-    def bases(self) -> tuple[np.ndarray, np.ndarray]:
-        """For a stack of one class, else ValueError: the family roots r (n, nfam) and orthonormal
-        bases B (n, nfam, 8, k) of subspaces of O whose span in each slot A maps into itself,
-        each eigenvalue of real multiplicity k there.  Octonionic: T_m, the eigenspace of K for
-        r_m, starting with s_m / |s_m| (k = 4).  Associative: H of `split` with r = 0, and for
-        quaternionic stacks ell H with -4 phi, the other root at alpha = 0 (k = 4, else 2)."""
-        tag = self.tag
-        if tag == OCTONIONIC:
-            return self.roots, _family_bases(self.K)
-        Hb = self.split.swapaxes(-1, -2)
-        nfam = 2 if tag == QUATERNIONIC else 1
-        r, B = np.zeros((len(Hb), nfam)), np.empty((len(Hb), nfam) + Hb.shape[1:])
-        B[:, 0] = Hb
-        if nfam == 2:   # 0 - 4 phi: +0.0, not -0.0, at phi = 0
-            r[:, 1], B[:, 1] = 0.0 - 4.0 * self.phi, _left_mul(self.ell) @ Hb
-        return r, B
-
-    @_lazy
-    def K(self) -> np.ndarray:
-        return _k(self.L)
-
-    @_lazy
-    def P(self) -> np.ndarray:
-        """The family projectors (n, 2, 8, 8)."""
-        ph, _, rs, _ = self.families
-        return _projector(self.K[:, None], rs, ph[:, None])
-
-    @_lazy
-    def T(self) -> np.ndarray:
-        """For a stack of one class, else ValueError: orthonormal rows (n, 4, 8), the first
-        dim T of `classes` spanning T, then zero.  Octonionic: (1, a, b, c) by Gram-Schmidt,
-        all four kept.  Associative: the first dim T rows of `split`, 1, then i0 or h1, h2."""
-        if self.tag == OCTONIONIC:
-            one = np.broadcast_to(_ONE, self.off.shape[:-2] + (1, 8))
-            return _gram_schmidt(np.concatenate([one, self.off], axis=-2), 0.0)[0]
-        T = np.zeros(self.off.shape[:-2] + (4, 8))
-        T[:, :self.split.shape[1]] = self.split
-        return np.where(np.arange(4)[:, None] < self.classes[1][:, None, None], T, 0.0)
-
-    @_lazy
-    def R(self) -> np.ndarray:
-        return real_form(self.dia, self.off)
-
-    @_lazy
-    def trace(self) -> np.ndarray:
-        return np.add.reduce(self.dia, -1)
-
-    @_lazy
-    def sigma(self) -> np.ndarray:
-        return _sigma(self.dia, self.off)
-
-    @_lazy
-    def det(self) -> np.ndarray:
-        return _det(self.dia, self.off)
-
-    @_lazy
-    def frobenius(self) -> np.ndarray:
-        return np.sqrt(np.vecdot(self.dia, self.dia)
-                       + 2.0 * np.add.reduce(np.vecdot(self.off, self.off), -1))
-
-    def act(self, y: np.ndarray) -> np.ndarray:
-        """A y for vectors y (n, 3, 8)."""
-        return np.matvec(self.R, y.reshape(-1, 24)).reshape(y.shape)
-
-    def membership(self, w: np.ndarray) -> np.ndarray:
-        """|A(Aw) - tr(A) Aw| for vectors w (n, 3, 8); for A = u u^dagger, tr(A) = |u|^2
-        and the residual vanishes exactly when w lies in the family of u."""
-        aw = self.act(w)
-        return _vnorm(self.act(aw) - aw * self.trace[:, None, None])
-
-    def k_act(self, y: np.ndarray, det_offset: float = 0.0) -> np.ndarray:
-        """The matrix characteristic operator, A(A(Ay)) - tr A(Ay) + sigma Ay - det y."""
-        ay = self.act(y)
-        a2y = self.act(ay)
-        tr, sg, dt = (c[:, None, None] for c in (self.trace, self.sigma, self.det + det_offset))
-        return self.act(a2y) - tr * a2y + sg * ay - dt * y

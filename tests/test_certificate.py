@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 import sympy
 
-from octeig import Hermitian3, Octonion, OctVector3, alpha, det, eigensystem, outer, phi, sigma
+from octeig import (Hermitian3, Octonion, OctVector3, alpha, classify, det, eigensystem, outer, phi,
+                    sigma)
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
@@ -64,15 +65,31 @@ def exact_invariants(m: dict) -> dict:
             "alpha2": _dot(al, al)}
 
 
-def _coords(rng, kind: str) -> np.ndarray:
-    """Three octonions (3, 8) with integer coordinates in [-2, 2] on the class's subalgebra."""
+def _coords(rng, kind: str, m: int = 2) -> np.ndarray:
+    """Three octonions (3, 8) with integer coordinates in [-m, m] on the class's subalgebra."""
     x = np.zeros((3, 8))
-    x[:, list(MASKS[kind])] = rng.integers(-2, 3, (3, len(MASKS[kind])))
+    x[:, list(MASKS[kind])] = rng.integers(-m, m + 1, (3, len(MASKS[kind])))
     return x
 
 
 def _draw(rng, kind: str) -> Hermitian3:
     return Hermitian3(*map(float, rng.integers(-3, 4, 3)), *map(Octonion, _coords(rng, kind)))
+
+
+# (entry, unit) of each +-1 that nudges an integer matrix of a class off it: e7 off the
+# quaternionic (1, e1, e2, e4), e2, e3 and e5 off the complex (1, e1), and e1, e2 and e3, which
+# are not a quaternionic triple, off the real
+NUDGES = {"quaternionic": ((2, 7),), "complex": ((0, 2), (1, 3), (2, 5)),
+          "real": ((0, 1), (1, 2), (2, 3))}
+
+
+def _near(rng, kind: str, m: int) -> Hermitian3:
+    """An octonionic matrix near class `kind`: `_coords` in [-m, m] plus the +-1 of `NUDGES`,
+    and diagonals in [-m, m]."""
+    x = _coords(rng, kind, m)
+    for entry, unit in NUDGES[kind]:
+        x[entry, unit] = rng.choice([-1.0, 1.0])
+    return Hermitian3(*map(float, rng.integers(-m, m + 1, 3)), *map(Octonion, x))
 
 
 def _matrices() -> list:
@@ -84,6 +101,9 @@ def _matrices() -> list:
     # quaternionic with c = 2b, so phi = 0 and the two roots r meet at 0
     q = _draw(rng, "quaternionic")
     cases.append(("quaternionic-b-parallel-c", Hermitian3(q.d, q.e, q.f, q.a, q.b, q.b * 2.0)))
+    # octonionic, an associator of size 1 against entries of size m: the class boundary
+    cases += [(f"octonionic-near-{kind}-{m}", _near(rng, kind, m))
+              for m in (500, 50) for kind in NUDGES]
     return cases
 
 
@@ -107,13 +127,15 @@ def test_two_family_certificate(name, A):
     kind = name.split("-")[0]
     assert (inv["alpha2"] == 0) == (kind != "octonionic")
     assert inv["phi"] == 0 or kind in ("octonionic", "quaternionic") and "parallel" not in name
+    # a nudged matrix is octonionic by the class test too, however small its associator
+    assert "near" not in name or classify(A).tag == "octonionic"
 
     # the sextic's roots at 40 digits, each square-free factor solved alone
     with mpmath.workdps(40):
         roots = []
         for factor, k in sextic.sqf_list()[1]:
             coeffs = [mpmath.mpf(x.p) / x.q for x in factor.all_coeffs()]
-            found = mpmath.polyroots(coeffs, maxsteps=100, extraprec=20)
+            found = mpmath.polyroots(coeffs, maxsteps=2000, extraprec=200)
             roots += [float(mpmath.re(z)) for z in found] * k
     roots = np.sort(roots)
     lams = [p.lam for p in eigensystem(A).all_pairs()]

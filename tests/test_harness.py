@@ -46,7 +46,7 @@ from octeig.hermitian import (
 from octeig.octonion import Octonion, associator, inner, left_mul_matrix
 from octeig.projection import quaternionic_six_way, six_way
 from octeig.spectral import (
-    _Systems,
+    _Stack,
     eigensystem,
     family_dimension_probe,
     k_vector,
@@ -54,7 +54,6 @@ from octeig.spectral import (
     same_family,
 )
 from octeig.subspace import (
-    _Stack,
     basis_invariance_check,
     conj_matrix,
     family_projector,
@@ -126,7 +125,7 @@ def t_elements(ctx, As):
 
 
 def families(ctx):
-    """The family index per pool matrix, drawn as `_Context.family` draws it."""
+    """The family index per pool matrix, drawn as `_Checks.family` draws it."""
     return ctx.rng.integers(0, 2, ctx.n)
 
 
@@ -820,9 +819,9 @@ def test_verify_derives_each_drawn_stack_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    for mod in (hermitian, subspace):
+    for mod in (hermitian, spectral):
         monkeypatch.setattr(mod, "_alpha_phi", alpha_phi)
-    for mod in (subspace, harness):
+    for mod in (spectral, harness):
         monkeypatch.setattr(mod, "_gram_schmidt", gram_schmidt)
     for mod in (octonion, subspace, harness):
         monkeypatch.setattr(mod, "inner", caller("inner", octonion.inner), raising=False)
@@ -861,14 +860,14 @@ def test_an_associative_row_still_fails_the_draw(monkeypatch, rows):
     # the second check's matrices have a real row 1, alone on its stack or shared
     drawn = []
 
-    def uniform(self, *shape, n=None, real=harness._Context.uniform):
+    def uniform(self, *shape, n=None, real=harness._Checks.uniform):
         x = real(self, *shape, n=n)
         drawn.append(shape)
         if drawn.count((3, 8)) == 2 and shape == (3, 8):
             x[1, :, 1:] = 0.0
         return x
 
-    monkeypatch.setattr(harness._Context, "uniform", uniform)
+    monkeypatch.setattr(harness._Checks, "uniform", uniform)
     monkeypatch.setattr(harness, "_STACK_ROWS", rows)
     with pytest.raises(RuntimeError, match="^failed to sample a octonionic matrix$"):
         _residuals(_Checks(0, 4), [_Checks.sigma_closed_form, _Checks.r_root_relations])
@@ -887,7 +886,7 @@ def test_the_class_test_reads_the_cached_associator_mask(monkeypatch):
         calls.append(len(args[0]))
         return real(*args)
 
-    for mod in (hermitian, subspace):
+    for mod in (hermitian, spectral):
         monkeypatch.setattr(mod, "_associative", associative)
     for kind in MASKS:
         drawn = _draw_stack(np.random.default_rng(7), 5, kind)
@@ -909,7 +908,7 @@ def test_a_one_class_stack_keeps_the_eigenpairs_it_solved(monkeypatch, kind):
 
     monkeypatch.setattr(spectral, "_eigenpairs", eigenpairs)
     drawn = _draw_stack(np.random.default_rng(8), 6, kind)
-    S = _Systems(drawn.dia, drawn.off)
+    S = _Stack(drawn.dia, drawn.off)
     S.V
     (lams, V), = returned
     assert S.lams is lams
@@ -981,8 +980,8 @@ def test_fuzz_forms_the_outer_products_once_and_no_k_residual(monkeypatch):
     # K residual nor generalized orthogonality, so it computes neither, and no sigma
     formed, asked, stacks = [], [], []
 
-    @functools.wraps(spectral._Systems.outers.func)
-    def outers(self, real=spectral._Systems.outers.func):
+    @functools.wraps(spectral._Stack.outers.func)
+    def outers(self, real=spectral._Stack.outers.func):
         formed.append(self)
         return real(self)
 
@@ -991,7 +990,7 @@ def test_fuzz_forms_the_outer_products_once_and_no_k_residual(monkeypatch):
         stacks.append(A)
         return real(A, *args)
 
-    monkeypatch.setattr(spectral._Systems, "outers", hermitian._lazy(outers))
+    monkeypatch.setattr(spectral._Stack, "outers", hermitian._lazy(outers))
     monkeypatch.setattr(spectral, "_family_residuals", family_residuals)
     for kind in MASKS:
         del formed[:], asked[:], stacks[:]

@@ -6,7 +6,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from octeig.harness import _Context, random_hermitian, random_vector, run_fuzz, run_verification
+from octeig.harness import _Checks, random_hermitian, random_vector, run_fuzz, run_verification
 from octeig.hermitian import (
     COMPLEX,
     OCTONIONIC,
@@ -27,9 +27,9 @@ from octeig.hermitian import (
 )
 from octeig.octonion import Octonion, assoc3form
 from octeig.projection import project_along, six_way
-from octeig.spectral import (_Systems, eigensystem, eigenvectors, lambda_roots, real_nullspace,
+from octeig.spectral import (_Stack, eigensystem, eigenvectors, lambda_roots, real_nullspace,
                              realify24, same_family)
-from octeig.subspace import _Stack, family_context, k_scalar, orthonormalize, quaternionic_split
+from octeig.subspace import family_context, k_scalar, orthonormalize, quaternionic_split
 
 E = [Octonion.unit(i) for i in range(8)]
 
@@ -476,12 +476,12 @@ def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
     assert a.value is first and calls == [a]
     monkeypatch.undo()
     assert b.value is not first and calls == [a, b]
-    # every cached attribute of the stacks, the harness context and the matrix is one
-    for cls, names in ((Hermitian3, ["_stack"]), (_Context, ["oct_pool", "quat_pool"]),
+    # every cached attribute of the stack, the harness checks and the matrix is one
+    for cls, names in ((Hermitian3, ["_stack"]), (_Checks, ["oct_pool", "quat_pool"]),
                        (_Stack, ["L", "alpha_phi", "associative", "classes", "roots",
-                                 "families", "split", "ell", "bases", "K", "P", "T", "R", "trace",
-                                 "sigma", "det", "frobenius"]),
-                       (_Systems, ["_solved", "outers", "residuals"])):
+                                 "families", "split", "ell", "bases", "_solved", "outers",
+                                 "residuals", "K", "P", "T", "R", "trace", "sigma", "det",
+                                 "frobenius"])):
         for name in names:
             assert isinstance(vars(cls)[name], _lazy) and callable(vars(cls)[name].func), name
     # the matrix's stack stays out of a pickle or a deep copy

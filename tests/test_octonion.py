@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -265,3 +267,25 @@ def test_array_functions_reject_non_finite(bad, i, shape):
         # the coordinates as `_shown` cuts them, at most 200 characters
         shown = str(err.value)[len(prefix):]
         assert len(shown) <= 200 and (len(shape) == 1) == (not shown.endswith("..."))
+
+
+@pytest.mark.parametrize("shape", [(3,), (7,), (2, 9)])
+def test_array_functions_reject_a_last_axis_other_than_8(shape):
+    x, good = np.ones(shape), np.ones(shape[:-1] + (8,))
+    calls = [lambda: left_mul_matrix(x), lambda: conj(x), lambda: mul(x, x), lambda: mul(good, x),
+             lambda: inner(x, x), lambda: associator(x, x, x), lambda: assoc3form(good, good, x)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^octonion needs 8 coordinates, got shape "
+                                             + re.escape(str(shape)) + "$"):
+            call()
+
+
+@pytest.mark.parametrize("i", [-1, 8, 1.5, True, np.int64(3)])
+def test_unit_takes_an_integer_index_in_0_to_7(i):
+    # a numpy integer is an integer; a bool is not, though numpy reads a bool index as "all"
+    if isinstance(i, np.integer):
+        assert Octonion.unit(i).coords.tolist() == np.eye(8)[3].tolist()
+        return
+    with pytest.raises(ValueError, match="^unit index must be an integer in 0..7, got "
+                                         + re.escape(repr(i)) + "$"):
+        Octonion.unit(i)

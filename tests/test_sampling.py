@@ -20,8 +20,7 @@ from octeig.harness import (
     run_verification,
 )
 from octeig.hermitian import _TAGS, _classes, _lazy
-from octeig.spectral import _Systems
-from octeig.subspace import _Stack
+from octeig.spectral import _Stack
 
 
 def interleaved(rng, n, kind):
@@ -65,7 +64,7 @@ def test_a_rejected_draw_raises(monkeypatch, kind, cut):
         calls.append(len(A.off))
         return np.where(A.off[..., 0, 0] > cut, (code + 1) % len(_TAGS), code)
 
-    monkeypatch.setattr(_Systems, "codes", _lazy(codes))
+    monkeypatch.setattr(_Stack, "codes", _lazy(codes))
     raised = 0
     for seed in (0, 1, 2):
         for n in (1, 8, 25):
@@ -103,7 +102,7 @@ def test_rejecting_a_class_makes_its_samplers_raise_after_one_draw(monkeypatch, 
         calls.append(int(found[0]))
         return np.where(found == _TAGS.index(kind), (found + 1) % len(_TAGS), found), dim_t
 
-    monkeypatch.setattr(_Systems, "classes", _lazy(classes))
+    monkeypatch.setattr(_Stack, "classes", _lazy(classes))
     for draw in (lambda: random_hermitian(np.random.default_rng(0), kind),
                  lambda: run_fuzz(0, 8, kind)):
         calls.clear()

@@ -24,6 +24,7 @@ from octeig.spectral import (
     EigenPair,
     _column_basis,
     _RESIDUALS,
+    _Stack,
     _family_dimensions,
     _family_residuals,
     _lambda_roots,
@@ -38,7 +39,6 @@ from octeig.spectral import (
     same_family,
 )
 from octeig.subspace import (
-    _Stack,
     conj_matrix,
     family_context,
     k_matrix,

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from octeig import subspace
+from octeig import spectral, subspace
 from octeig.cli import main
 from octeig.errors import DegenerateFamily, OcteigError
 from octeig.harness import _draw_stack, random_hermitian, random_vector
 from octeig.hermitian import _TAGS, _lazy, Hermitian3, OctVector3, classify, det, outer, sigma
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
-from octeig.spectral import _RESIDUALS, _slotwise, _Systems, eigensystem, eigenvectors
-from octeig.subspace import _Stack, quaternionic_split
+from octeig.spectral import _RESIDUALS, _slotwise, _Stack, eigensystem, eigenvectors
+from octeig.subspace import quaternionic_split
 from octeig.tolerances import ZERO_PART_TOL
 
 KINDS = ("octonionic", "quaternionic", "complex", "real")
@@ -75,7 +75,7 @@ def test_stacked_rows_equal_the_single_matrix_call():
     tag = lambda A: classify(A).tag
     groups += [list(g) for _, g in groupby(sorted(cluster_cases(rng), key=tag), key=tag)]
     for mats in groups:
-        S = _Systems(*stack(mats))
+        S = _Stack(*stack(mats))
         X = rng.uniform(-1, 1, (len(mats), 24))
         parts, part_residuals, recon = _six_way(S, X)
         for i, (A, x) in enumerate(zip(mats, X)):
@@ -87,7 +87,7 @@ def test_octonionic_rows_match_the_nullspace_reference():
     rng = np.random.default_rng(42)
     mats = [random_hermitian(rng).scale(s) for s in SCALES for _ in range(4)]
     mats.append(outer(random_vector(rng).normalized()))
-    S = _Systems(*stack(mats))
+    S = _Stack(*stack(mats))
     for i, A in enumerate(mats):
         for fam in eigensystem(A).families:
             f = fam.context.m - 1
@@ -150,7 +150,7 @@ def test_octonionic_stacks_run_no_svd(monkeypatch):
         raise AssertionError("rank SVD on an octonionic stack")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    S = _Systems(dia, off)
+    S = _Stack(dia, off)
     assert S.codes.tolist() == [_TAGS.index("octonionic")] * 5
     _six_way(S, rng.uniform(-1, 1, (5, 24)))
 
@@ -180,7 +180,7 @@ def test_one_stack_per_matrix(monkeypatch):
     monkeypatch.setattr(_Stack, "__init__", counted("stack", _Stack.__init__))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(subspace, "_k", counted("k", subspace._k))
+    monkeypatch.setattr(spectral, "_k", counted("k", spectral._k))
     rng = np.random.default_rng(48)
     for kind in KINDS:
         # counted from the draw on: the matrix keeps the stack its class was tested on
@@ -201,13 +201,13 @@ def test_one_stack_per_matrix(monkeypatch):
 
 def test_a_drawn_matrix_derives_alpha_and_phi_once(monkeypatch):
     # the class test of the draw, classify and the eigensystem read one set of associators
-    calls, alpha_phi = [], subspace._alpha_phi
+    calls, alpha_phi = [], spectral._alpha_phi
 
     def counted(*args):
         calls.append(1)
         return alpha_phi(*args)
 
-    monkeypatch.setattr(subspace, "_alpha_phi", counted)
+    monkeypatch.setattr(spectral, "_alpha_phi", counted)
     for kind in KINDS:
         calls.clear()
         A = random_hermitian(np.random.default_rng(7), kind)
@@ -263,9 +263,10 @@ def test_a_stack_of_two_classes_is_not_solved():
     for first, second in (("octonionic", "quaternionic"), ("quaternionic", "complex"),
                           ("complex", "real"), ("real", "octonionic")):
         dia, off = stack([random_hermitian(rng, first), random_hermitian(rng, second)])
-        for solve in (lambda: _Stack(dia, off).bases, lambda: _Systems(dia, off).V):
+        # the family bases and eigenvectors, and the split and T, which key on the one class
+        for name in ("bases", "V", "split", "T"):
             with pytest.raises(ValueError, match="one class at a time"):
-                solve()
+                getattr(_Stack(dia, off), name)
 
 
 def outcome(S, name):
@@ -284,9 +285,9 @@ def test_a_row_view_equals_a_fresh_stack_of_its_rows(kind):
     # of those 5 rows alone, byte for byte; the view reads them from the stack, and raises
     # what a fresh stack raises
     drawn = _draw_stack(np.random.default_rng(9), 12, kind)
-    lazies = [k for cls in _Systems.__mro__ for k, v in vars(cls).items() if isinstance(v, _lazy)]
-    S = _Systems(drawn.dia.copy(), drawn.off.copy())
-    view, fresh = S.rows(4, 9), _Systems(drawn.dia[4:9].copy(), drawn.off[4:9].copy())
+    lazies = [k for cls in _Stack.__mro__ for k, v in vars(cls).items() if isinstance(v, _lazy)]
+    S = _Stack(drawn.dia.copy(), drawn.off.copy())
+    view, fresh = S.rows(4, 9), _Stack(drawn.dia[4:9].copy(), drawn.off[4:9].copy())
     for name in lazies:
         assert outcome(view, name) == outcome(fresh, name), name
         assert name in vars(S) or name not in vars(view), name
@@ -296,7 +297,7 @@ def test_a_row_view_equals_a_fresh_stack_of_its_rows(kind):
 def test_a_one_family_stack_has_one_family_axis(kind):
     rng = np.random.default_rng(53)
     n = 5
-    S = _Systems(*stack([random_hermitian(rng, kind) for _ in range(n)]))
+    S = _Stack(*stack([random_hermitian(rng, kind) for _ in range(n)]))
     assert type(S.nfam) is int and S.nfam == 1
     assert S.r.shape == (n, 1) and S.B.shape == (n, 1, 8, 2)
     assert S.lams.shape == (n, 1, 3) and S.V.shape == (n, 1, 3, 3, 8)

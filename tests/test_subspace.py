@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from octeig import subspace
+from octeig import spectral, subspace
 from octeig.cli import main
 from octeig.errors import (
     AmbiguousSubalgebra,
@@ -26,10 +26,9 @@ from octeig.hermitian import (
 )
 from octeig.harness import _draw_stack
 from octeig.octonion import Octonion, _product, associator, inner
-from octeig.spectral import _slotwise, realify24
+from octeig.spectral import _slotwise, _Stack, realify24
 from octeig.subspace import (
     _gram_schmidt,
-    _Stack,
     _subalgebra,
     basis_invariance_check,
     cd_table_check,
@@ -484,7 +483,7 @@ def test_cached_values_equal_a_fresh_computation(rng, mask, monkeypatch):
         with monkeypatch.context() as patch:
             # a second call does no new work: no SVD, eigh or K, nothing new in the stack
             state = stack_state(A)
-            for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"), (subspace, "_k")):
+            for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"), (spectral, "_k")):
                 patch.setattr(owner, name, lambda *a, **k: pytest.fail("recomputed"))
             again = fn(A, *args)
             assert stack_state(A) == state
