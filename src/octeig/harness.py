@@ -239,21 +239,21 @@ class _Checks:
         yield _norm(diff) / (_scale(A.frobenius) ** 3 * _scale(_vnorm(x)))[:, None]
 
     def r_root_relations(self):
-        ph, al, rs, _ = (yield).families
-        (r1, r2), al2 = rs.T, np.vecdot(al, al)
-        yield (np.maximum(np.abs(r1 + r2 + 4.0 * ph), np.abs(r1 * r2 + al2))
+        A = yield
+        (r1, r2), al2 = A.roots.T, np.vecdot(A.alpha, A.alpha)
+        yield (np.maximum(np.abs(r1 + r2 + 4.0 * A.phi), np.abs(r1 * r2 + al2))
                / _scale(np.abs(r1), np.abs(r2), al2))
 
     def lambda_root_relations(self):
         A = yield
-        tr, target = A.trace[:, None], A.det[:, None] + A.families[2]
+        tr, target = A.trace[:, None], A.det[:, None] + A.roots
         lams = _lambda_roots(tr, A.sigma[:, None], target)
         scale = _scale(np.abs(tr), np.abs(target), np.abs(lams).max(-1) ** 3)
         yield np.maximum(np.abs(lams.sum(-1) - tr), np.abs(lams.prod(-1) - target)) / scale
 
     def s_normalization(self):
-        ph, al, rs, s = (yield).families
-        s1, s2 = s[:, 0], s[:, 1]
+        A = yield
+        ph, al, rs, (s1, s2) = A.phi, A.alpha, A.roots, A.generators.swapaxes(0, 1)
         cross = _product(s1 * _CONJ, s2)
         coef = np.vecdot(cross, al) / np.vecdot(al, al)
         yield np.maximum.reduce([
@@ -263,12 +263,12 @@ class _Checks:
 
     def k_on_t(self):
         c, A = self.uniform(4), (yield)
-        al, t = A.families[1], np.vecmat(c, A.T)   # a random element of each matrix's T
+        al, t = A.alpha, np.vecmat(c, A.T)   # a random element of each matrix's T
         yield _norm(np.matvec(A.K, t) - _product(t, al)) / _scale(_norm(t) * _norm(al))
 
     def k_on_t_perp(self):
         c, A = self.uniform(4), (yield)
-        ph, al = A.families[:2]
+        ph, al = A.phi, A.alpha
         u = _product(np.vecmat(c, A.T), al)
         rhs = -1.0 * _product(u, al + (4.0 * ph)[:, None] * _ONE)
         scale = _scale(_norm(u) * _norm(al), _norm(u) * np.abs(4 * ph))
@@ -276,7 +276,7 @@ class _Checks:
 
     def k_operator_quadratic(self):
         p, A = self.uniform(8), (yield)
-        ph, al = A.families[:2]
+        ph, al = A.phi, A.alpha
         al2, kp = np.vecdot(al, al), np.matvec(A.K, p)
         resid = np.matvec(A.K, kp) + kp * (4.0 * ph)[:, None] - p * al2[:, None]
         yield _norm(resid) / _scale(al2 * _norm(p))
@@ -297,17 +297,17 @@ class _Checks:
 
     def cayley_dickson_table(self):
         c1, c2, A = self.uniform(4), self.uniform(4), (yield)
-        t1, t2, al = np.vecmat(c1, A.T), np.vecmat(c2, A.T), A.families[1]
+        t1, t2, al = np.vecmat(c1, A.T), np.vecmat(c2, A.T), A.alpha
         yield _cd_residuals(al, t1, t2).max(-1) / _scale(_norm(t1) * _norm(t2) * np.vecdot(al, al))
 
     def t_perp_is_t_alpha(self):
         A = yield
-        ta, keep = _gram_schmidt(_product(A.T, A.families[1][:, None]))
+        ta, keep = _gram_schmidt(_product(A.T, A.alpha[:, None]))
         yield np.where(keep.all(-1), np.abs(A.T @ ta.swapaxes(-1, -2)).max((-2, -1)), np.inf)
 
     def t2_is_t1_alpha(self):
         A = yield
-        _, al, _, s = A.families
+        al, s = A.alpha, A.generators
         # both families' bases T s_m in one call, along axis 1
         basis = _gram_schmidt(_product(A.T[:, None], s[:, :, None]))[0]
         lifted = _gram_schmidt(_product(basis[:, 0], al[:, None]))[0]
@@ -316,7 +316,7 @@ class _Checks:
 
     def eigenspace_characterization(self):
         c, x, A = self.uniform(2, 4), self.uniform(2, 8), (yield)
-        ph, al, rs, _ = A.families
+        ph, al, rs = A.phi, A.alpha, A.roots
         # per family m, along axis 1: gen = r_m + 4 phi + alpha, and T gen
         gen = (rs + 4.0 * ph[:, None])[..., None] * _ONE + al[:, None]
         q = _product(np.vecmat(c, A.T[:, None]), gen)

@@ -7,7 +7,9 @@ octonions (a, b, c) laid out as
     [ conj(a)  e     c    ]
     [ b     conj(c)  f    ]
 
-so hermiticity holds by construction.
+so hermiticity holds by construction.  The invariants and the class test are computed
+once per matrix, as attributes of its stack of one (`Hermitian3._stack`, a
+`spectral._Stack`), and the per-matrix functions here read them.
 """
 
 import math
@@ -17,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .octonion import (
-    _CONJ,
     Octonion,
     _Immutable,
     _scaled,
@@ -25,10 +26,7 @@ from .octonion import (
     _finite_fault,
     _json_floats,
     _left_mul,
-    _norm,
-    _product,
 )
-from .tolerances import ASSOCIATOR_TOL, SPAN_TOL
 
 __all__ = [
     "OctVector3",
@@ -185,7 +183,12 @@ class Hermitian3:
     c: Octonion
 
     def __post_init__(self):
-        """A NaN or infinite entry raises ValueError, worded as `from_json` words it."""
+        """An a, b or c that is not an Octonion, or a NaN or infinite entry, raises ValueError,
+        the latter worded as `from_json` words it."""
+        for k in "abc":
+            if not isinstance(getattr(self, k), Octonion):
+                raise ValueError(f"field {k!r}: Hermitian3 needs an Octonion, "
+                                 f"got {type(getattr(self, k)).__name__}")
         entries = (self.d, self.e, self.f, self.a.coords, self.b.coords, self.c.coords)
         if all(map(math.isfinite, entries[:3])) and np.isfinite(np.concatenate(entries[3:])).all():
             return
@@ -277,46 +280,13 @@ def trace(A: Hermitian3) -> float:
     return A.d + A.e + A.f
 
 
-def _sigma(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """`sigma` of stacked matrices, diagonals (..., 3) and off-diagonals (..., 3, 8)."""
-    # tr(A^2) as the sum of Re(A_ij A_ji) over the 9 entries in row order; no
-    # hand-derived closed form.  aa = Re(a abar), aa_ = Re(abar a), and so on.
-    sq = dia * dia
-    d, e, f = sq[..., 0], sq[..., 1], sq[..., 2]
-    same, swapped = _product(off, off * _CONJ)[..., 0], _product(off * _CONJ, off)[..., 0]
-    aa, bb, cc = same[..., 0], same[..., 1], same[..., 2]
-    aa_, bb_, cc_ = swapped[..., 0], swapped[..., 1], swapped[..., 2]
-    t = np.add.reduce(dia, -1)
-    return 0.5 * (t * t - (d + aa + bb_ + aa_ + e + cc + bb + cc_ + f))
-
-
-def _det(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """`det` of stacked matrices."""
-    d, e, f = dia[..., 0], dia[..., 1], dia[..., 2]
-    a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
-    n2 = np.vecdot(off, off)
-    return (d * e * f - d * n2[..., 2] - e * n2[..., 1] - f * n2[..., 0]
-            + 2.0 * _product(_product(c, b), a)[..., 0])
-
-
-def _alpha_phi(off: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`alpha` (..., 8) and `phi` (...) of stacked off-diagonals (..., 3, 8), by the left
-    multiplication matrices L (..., 3, 8, 8) of a, b, c: from ab, bc and ba,
-    (ab)c - a(bc), and (Re(c(ba)) - Re(a(bc))) / 2 as in `assoc3form`."""
-    a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
-    ba_bc = np.matvec(L[..., 1:2, :, :], off[..., ::2, :])
-    ba, bc = ba_bc[..., 0, :], ba_bc[..., 1, :]
-    return (_product(np.matvec(L[..., 0, :, :], b), c) - np.matvec(L[..., 0, :, :], bc),
-            0.5 * (np.vecdot(c * _CONJ, ba) - np.vecdot(a * _CONJ, bc)))
-
-
 def sigma(A: Hermitian3) -> float:
-    """Second characteristic invariant ((tr A)^2 - tr(A^2)) / 2."""
+    """Second characteristic invariant ((tr A)^2 - tr(A^2)) / 2, as `_Stack.sigma` computes it."""
     return float(A._stack.sigma[0])
 
 
 def det(A: Hermitian3) -> float:
-    """Determinant def - d|c|^2 - e|b|^2 - f|a|^2 + 2 Re((cb)a).
+    """Determinant def - d|c|^2 - e|b|^2 - f|a|^2 + 2 Re((cb)a), as `_Stack.det` computes it.
 
     Validated against the diagonality of the characteristic operator; a
     wrong sign on the Re((cb)a) term breaks that identity immediately.
@@ -325,42 +295,21 @@ def det(A: Hermitian3) -> float:
 
 
 def phi(A: Hermitian3) -> float:
-    """Associative 3-form of the off-diagonal entries."""
+    """Associative 3-form of the off-diagonal entries, from `_Stack.alpha_phi`."""
     return float(A._stack.phi[0])
 
 
 def alpha(A: Hermitian3) -> Octonion:
-    """Associator [a, b, c] of the off-diagonal entries."""
+    """Associator [a, b, c] of the off-diagonal entries, from `_Stack.alpha_phi`."""
     return Octonion._of(A._stack.alpha[0])
-
-
-def _associative(off: np.ndarray, al: np.ndarray) -> np.ndarray:
-    """Where |alpha| <= ASSOCIATOR_TOL |a||b||c|: both sides are homogeneous of degree 3,
-    so the test does not depend on the matrix's scale."""
-    n = _norm(off)
-    return _norm(al) <= ASSOCIATOR_TOL * n[..., 0] * n[..., 1] * n[..., 2]
-
-
-def _classes(off: np.ndarray, assoc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index into _TAGS and dim T for off-diagonals (..., 3, 8) and their `_associative` mask:
-    the one decision on the imaginary rank, which `subspace._subalgebra` and `_Stack.T` obey.
-    The rank counts singular values of the imaginary parts above SPAN_TOL times the largest,
-    from one SVD, taken only where some row is associative.  An associative row is real,
-    complex or quaternionic at rank 0, 1 or more, and dim T = 1 + rank; an octonionic row
-    has dim T = 4, since [a, b, c] != 0 makes 1, a, b, c independent."""
-    if not np.logical_or.reduce(assoc, None):
-        return np.full(assoc.shape, _TAGS.index(OCTONIONIC)), np.full(assoc.shape, 4)
-    s = np.linalg.svd(off[..., 1:], compute_uv=False)
-    rank = np.add.reduce(s > SPAN_TOL * s[..., :1], -1)
-    return np.where(assoc, np.minimum(rank, 2), 3), np.where(assoc, 1 + rank, 4)
 
 
 def classify(A: Hermitian3) -> MatrixClass:
     """Classify by the smallest subalgebra containing the off-diagonal entries; dim T, that of
-    span{1, a, b, c}, comes from the same decision (`_classes`).
+    span{1, a, b, c}, comes from the same decision, `_Stack.classes`.
 
-    The octonionic test is |alpha| against ASSOCIATOR_TOL |a||b||c|; matrices routed
-    below it land on the quaternionic/complex/real paths, which are exact
+    The octonionic test, `_Stack.associative`, is |alpha| against ASSOCIATOR_TOL |a||b||c|;
+    matrices routed below it land on the quaternionic/complex/real paths, which are exact
     there and a limit elsewhere.  There the imaginary rank picks the class, and dim T = 1 + rank.
     """
     code, dim_t = (int(x[0]) for x in A._stack.classes)

@@ -259,11 +259,15 @@ def _on_arrays(fn):
     """Let fn, written for coordinate arrays (..., 8), take Octonions too.
 
     Octonion arguments go in as their coordinates; an (8,) result comes
-    back as an Octonion and a scalar one as a float.  Arrays must be finite.
+    back as an Octonion and a scalar one as a float.  Arrays must be finite, and the
+    arguments must be all Octonions or all arrays.
     """
     @functools.wraps(fn)
     def wrapped(*args):
-        if not isinstance(args[0], Octonion):
+        octs = sum(isinstance(a, Octonion) for a in args)
+        if 0 < octs < len(args):
+            raise ValueError(f"{fn.__name__} takes Octonions or coordinate arrays, not a mix")
+        if not octs:
             return fn(*map(_finite_coords, args))
         out = fn(*(a.coords for a in args))
         return Octonion._of(out) if out.ndim else float(out)

@@ -6,9 +6,10 @@ The real eigenvalues solve the cubic
 
 with r a root of the family quadratic, so an octonionic or quaternionic
 matrix carries two 3-eigenvalue families, and a complex or real one a single
-family.  `_Stack` is the one solver: stacked matrices of one class, with every
-invariant, the class test, K, the family bases and the eigensystems cached on
-first use (`eigensystem` is its case of one).  Each family is one eigh of A on
+family.  `_Stack` is the one solver: stacked matrices of one class, whose attributes
+compute every invariant (sigma, det, alpha, phi), the class test, the family roots
+and generators, K, the family bases and the eigensystems, each on first use
+(`eigensystem` is its case of one).  Each family is one eigh of A on
 its invariant subspace, Q = kron(I3, B) with B from `_Stack.bases`, then the
 coordinate rule, and for repeated eigenvalues a sweep that applies v v^dagger
 through `_Stack.outer`.  `eigenvectors` keeps the SVD nullspace of R - lam I as
@@ -22,14 +23,12 @@ import numpy as np
 from .errors import (ComplexProjector, ComplexRoots, DegenerateFamily, ExtractionFailure,
                      NotQuaternionic)
 from .hermitian import (OCTONIONIC, QUATERNIONIC, _TAGS, Hermitian3, MatrixClass, OctVector3,
-                        _alpha_phi, _associative, _classes, _det, _lazy, _sigma, _vnorm, classify,
-                        det, mat_vec, real_form, sigma, trace)
+                        _lazy, _vnorm, classify, det, mat_vec, real_form, sigma, trace)
 from .octonion import _CONJ, _ONE, _finite, _left_mul, _norm, _product
-from .subspace import (_EYE8, FamilyContext, _family_bases, _family_contexts, _generators,
-                       _gram_schmidt, _k, _projector, _read_only, _roots, _subalgebra,
-                       apply_blockwise, k_matrix)
-from .tolerances import (CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL, NORMALIZE_TOL,
-                         REAL_RANK_TOL)
+from .subspace import (_EYE8, FamilyContext, _family_contexts, _gram_schmidt, _projector,
+                       _read_only, _subalgebra, apply_blockwise, k_matrix)
+from .tolerances import (ASSOCIATOR_TOL, CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL,
+                         NORMALIZE_TOL, REAL_RANK_TOL, SPAN_TOL)
 
 __all__ = [
     "EigenPair",
@@ -47,6 +46,7 @@ __all__ = [
 
 _EYE24 = np.eye(24)
 _EYE3 = np.eye(3)
+_E4 = np.eye(4)
 # `_pick_representative`'s row order for coordinate blocks of 2, 4 and 8: 0, block, 2 * block,
 # then the rest, and `_eigenpairs`' mask of the cluster edges between its 3 eigenvalues of
 # multiplicity 2 or 4
@@ -245,12 +245,6 @@ def eigenvectors(A: Hermitian3, fam: FamilyContext, lam: float,
             for rep in _sweep(space, lam, multiplicity, _EYE24)]
 
 
-def _slotwise(B: np.ndarray) -> np.ndarray:
-    """Q = kron(I3, B) (..., 24, 3k): the bases B (..., 8, k) applied in each octonion slot."""
-    Q = _EYE3[:, None, :, None] * B[..., None, :, None, :]
-    return Q.reshape(B.shape[:-2] + (24, 3 * B.shape[-1]))
-
-
 def _eigenpairs(R: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (..., F, 3), ascending, and eigenvectors (..., F, 3, 24) of each family,
     from one stacked eigh of R (..., 1, 24, 24) on the span of Q (..., F, 24, 3k).
@@ -361,22 +355,39 @@ class _Stack:
 
     @_lazy
     def alpha_phi(self) -> tuple[np.ndarray, np.ndarray]:
-        """The associators [a, b, c] (n, 8) and phi (n,), from shared products."""
-        return _alpha_phi(self.off, self.L)
+        """The associators [a, b, c] (n, 8) and phi (n,), from the products ab, bc and ba that
+        L gives: (ab)c - a(bc), and (Re(c(ba)) - Re(a(bc))) / 2 as in `assoc3form`."""
+        off, L = self.off, self.L
+        a, b, c = off[..., 0, :], off[..., 1, :], off[..., 2, :]
+        ba_bc = np.matvec(L[..., 1:2, :, :], off[..., ::2, :])
+        ba, bc = ba_bc[..., 0, :], ba_bc[..., 1, :]
+        return (_product(np.matvec(L[..., 0, :, :], b), c) - np.matvec(L[..., 0, :, :], bc),
+                0.5 * (np.vecdot(c * _CONJ, ba) - np.vecdot(a * _CONJ, bc)))
 
     alpha = property(lambda self: self.alpha_phi[0])
     phi = property(lambda self: self.alpha_phi[1])
 
     @_lazy
     def associative(self) -> np.ndarray:
-        """Where the associator test of `_associative` finds a row associative (n,)."""
-        return _associative(self.off, self.alpha)
+        """Where |alpha| <= ASSOCIATOR_TOL |a||b||c| (n,): both sides are homogeneous of degree 3,
+        so the test does not depend on the matrix's scale."""
+        n = _norm(self.off)
+        return _norm(self.alpha) <= ASSOCIATOR_TOL * n[..., 0] * n[..., 1] * n[..., 2]
 
     @_lazy
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,), by `_classes`:
-        a stack with no associative row is octonionic throughout, with no rank SVD."""
-        return _classes(self.off, self.associative)
+        """Each matrix's class, as an index into `_TAGS`, and dim T, both (n,): the one decision
+        on the imaginary rank, which `_subalgebra` and `T` obey.  The rank counts singular values
+        of the imaginary parts above SPAN_TOL times the largest, from one SVD, taken only where
+        some row is `associative`.  An associative row is real, complex or quaternionic at rank
+        0, 1 or more, and dim T = 1 + rank; an octonionic row has dim T = 4, since
+        [a, b, c] != 0 makes 1, a, b, c independent."""
+        assoc = self.associative
+        if not np.logical_or.reduce(assoc, None):
+            return np.full(assoc.shape, _TAGS.index(OCTONIONIC)), np.full(assoc.shape, 4)
+        s = np.linalg.svd(self.off[..., 1:], compute_uv=False)
+        rank = np.add.reduce(s > SPAN_TOL * s[..., :1], -1)
+        return np.where(assoc, np.minimum(rank, 2), 3), np.where(assoc, 1 + rank, 4)
 
     codes = property(lambda self: self.classes[0])
 
@@ -390,17 +401,25 @@ class _Stack:
 
     @_lazy
     def roots(self) -> np.ndarray:
-        """The family roots r1 >= r2 (n, 2), which `bases` reads without the generators."""
-        return _roots(self.phi, self.alpha)
+        """The family roots r1 >= r2 (n, 2) of r^2 + 4 phi r - |alpha|^2, which `bases` reads
+        without the generators."""
+        ph, al2 = self.phi, np.vecdot(self.alpha, self.alpha)
+        # the root of sign opposite to phi does not cancel; Vieta gives the other
+        far = -2.0 * ph - np.copysign(np.sqrt(4.0 * ph * ph + al2), ph)
+        near = -al2 / np.where(far != 0.0, far, 1.0)   # 0 where phi = alpha = 0
+        return np.stack([np.maximum(far, near), np.minimum(far, near)], -1)
 
     @_lazy
-    def families(self) -> tuple:
-        """phi (n,), alpha (n, 8), the roots (n, 2) and the generators s_m (n, 2, 8), or
+    def generators(self) -> np.ndarray:
+        """The family generators s_m = (r_m + 4 phi + alpha) / (2 (r_m + 2 phi)) (n, 2, 8), or
         DegenerateFamily where a row is associative."""
         if np.logical_or.reduce(self.associative, None):
             raise DegenerateFamily(
                 "associator vanishes: no family generators s_m; eigensystem gives r and phi alone")
-        return self.phi, self.alpha, self.roots, _generators(self.phi, self.alpha, self.roots)
+        rs = self.roots
+        # r_m + 4 phi = -r_other, without the cancellation of the sum
+        num = -rs[..., ::-1, None] * _ONE + self.alpha[..., None, :]
+        return num / (2.0 * (rs + 2.0 * self.phi[..., None]))[..., None]
 
     @_lazy
     def split(self) -> np.ndarray:
@@ -431,7 +450,16 @@ class _Stack:
         quaternionic stacks ell H with -4 phi, the other root at alpha = 0 (k = 4, else 2)."""
         tag = self.tag
         if tag == OCTONIONIC:
-            return self.roots, _family_bases(self.K)
+            # one eigh of K, r1 > r2; a Householder reflection H of its coefficients turns each
+            # basis U so that its first column is U U^T 1 / |U^T 1| = P_m 1 / |P_m 1| = s_m / |s_m|
+            U = np.linalg.eigh(self.K)[1]
+            U = U.reshape(U.shape[:-1] + (2, 4))[..., ::-1, :].swapaxes(-3, -2)
+            c = U[..., 0, :]
+            # t = +-1 with t c_0 <= 0: w = e_1 - t c / |c| does not cancel, and H e_1 = t c / |c|
+            t = np.copysign(1.0, -c[..., 0])
+            w = _E4[0] - c * (t / _norm(c))[..., None]
+            H = _E4 - w[..., :, None] * (w / w[..., :1])[..., None, :]
+            return self.roots, (U @ H) * t[..., None, None]
         Hb = self.split.swapaxes(-1, -2)
         nfam = 2 if tag == QUATERNIONIC else 1
         r, B = np.zeros((len(Hb), nfam)), np.empty((len(Hb), nfam) + Hb.shape[1:])
@@ -446,8 +474,11 @@ class _Stack:
 
     @_lazy
     def _solved(self) -> tuple:
-        """lams (n, nfam, 3) and V (n, nfam, 3, 24), as `_eigenpairs` returns them."""
-        return _eigenpairs(self.R[:, None], _slotwise(self.B))
+        """lams (n, nfam, 3) and V (n, nfam, 3, 24), as `_eigenpairs` returns them on
+        Q = kron(I3, B) (n, nfam, 24, 3k): the bases B applied in each octonion slot."""
+        B = self.B
+        Q = _EYE3[:, None, :, None] * B[..., None, :, None, :]
+        return _eigenpairs(self.R[:, None], Q.reshape(B.shape[:-2] + (24, 3 * B.shape[-1])))
 
     lams = property(lambda self: self._solved[0])
     V = property(lambda self: self._solved[1].reshape(self.lams.shape + (3, 8)))
@@ -467,13 +498,17 @@ class _Stack:
 
     @_lazy
     def K(self) -> np.ndarray:
-        return _k(self.L)
+        """K (n, 8, 8): M + M^T - 2 M[0, 0] I with M = L_c L_b L_a, as L_abar L_bbar L_cbar = M^T
+        and M[0, 0] = Re(c(ba)) = Re((cb)a)."""
+        L = self.L
+        M = L[..., 2, :, :] @ (L[..., 1, :, :] @ L[..., 0, :, :])
+        return M + M.swapaxes(-1, -2) - 2.0 * M[..., :1, :1] * _EYE8
 
     @_lazy
     def P(self) -> np.ndarray:
-        """The family projectors (n, 2, 8, 8)."""
-        ph, _, rs, _ = self.families
-        return _projector(self.K[:, None], rs, ph[:, None])
+        """The family projectors (n, 2, 8, 8), or DegenerateFamily where `generators` raises."""
+        self.generators
+        return _projector(self.K[:, None], self.roots, self.phi[:, None])
 
     @_lazy
     def T(self) -> np.ndarray:
@@ -497,11 +532,24 @@ class _Stack:
 
     @_lazy
     def sigma(self) -> np.ndarray:
-        return _sigma(self.dia, self.off)
+        """((tr A)^2 - tr(A^2)) / 2 (n,), with tr(A^2) the sum of Re(A_ij A_ji) over the 9 entries
+        in row order; no hand-derived closed form.  aa = Re(a abar), aa_ = Re(abar a), and so on."""
+        sq = self.dia * self.dia
+        d, e, f = sq[..., 0], sq[..., 1], sq[..., 2]
+        same = _product(self.off, self.off * _CONJ)[..., 0]
+        swapped = _product(self.off * _CONJ, self.off)[..., 0]
+        aa, bb, cc = same[..., 0], same[..., 1], same[..., 2]
+        aa_, bb_, cc_ = swapped[..., 0], swapped[..., 1], swapped[..., 2]
+        return 0.5 * (self.trace * self.trace - (d + aa + bb_ + aa_ + e + cc + bb + cc_ + f))
 
     @_lazy
     def det(self) -> np.ndarray:
-        return _det(self.dia, self.off)
+        """def - d|c|^2 - e|b|^2 - f|a|^2 + 2 Re((cb)a) (n,)."""
+        d, e, f = self.dia[..., 0], self.dia[..., 1], self.dia[..., 2]
+        a, b, c = self.off[..., 0, :], self.off[..., 1, :], self.off[..., 2, :]
+        n2 = np.vecdot(self.off, self.off)
+        return (d * e * f - d * n2[..., 2] - e * n2[..., 1] - f * n2[..., 0]
+                + 2.0 * _product(_product(c, b), a)[..., 0])
 
     @_lazy
     def frobenius(self) -> np.ndarray:

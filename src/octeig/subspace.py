@@ -3,10 +3,11 @@
 For a matrix whose off-diagonal entries have nonvanishing associator,
 the octonions split into two orthogonal 4-spaces T_m = T s_m picked out
 by the characteristic operator K, which is r_m on T_m: one eigh of K gives
-both.  Here are the stacked kernels of that split (`_k`, `_roots`, `_generators`,
-`_family_bases`, `_projector`), `_subalgebra`, which a, b, c generate where it
-collapses, and the per-matrix functions.  `spectral._Stack` caches the kernels' values
-per stack; its `bases` are the per-family subspaces every eigensystem is taken on.
+both.  `spectral._Stack` computes that split once per stack, as its attributes `K`,
+`roots`, `generators`, `P` and `bases`, the per-family subspaces every eigensystem is
+taken on.  Here are the per-matrix functions that read them, `_subalgebra`, which a, b,
+c generate where the split collapses, and the kernels with a caller besides `_Stack`
+(`_projector`, `_gram_schmidt`).
 """
 
 from dataclasses import dataclass
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 _EYE8 = np.eye(8)
-_E4 = np.eye(4)
 # the imaginary coordinates
 _IMAG = np.arange(8) > 0
 
@@ -145,22 +145,6 @@ def t_basis(A: Hermitian3) -> TBasis:
     return TBasis(vectors=tuple(map(Octonion._of, A._stack.T[0, :dim])), dim=dim)
 
 
-def _roots(ph: np.ndarray, al: np.ndarray) -> np.ndarray:
-    """Family roots (..., 2), r1 >= r2, from stacked phi (...) and alpha (..., 8)."""
-    al2 = np.vecdot(al, al)
-    # the root of sign opposite to phi does not cancel; Vieta gives the other
-    far = -2.0 * ph - np.copysign(np.sqrt(4.0 * ph * ph + al2), ph)
-    near = -al2 / np.where(far != 0.0, far, 1.0)   # 0 where phi = alpha = 0
-    return np.concatenate([np.maximum(far, near)[..., None], np.minimum(far, near)[..., None]], -1)
-
-
-def _generators(ph: np.ndarray, al: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """s_m (..., 2, 8) from phi (...), alpha (..., 8) and the roots (..., 2)."""
-    # r_m + 4 phi = -r_other, without the cancellation of the sum
-    num = -rs[..., ::-1, None] * _ONE + al[..., None, :]
-    return num / (2.0 * (rs + 2.0 * ph[..., None]))[..., None]
-
-
 def r_roots(A: Hermitian3) -> tuple[float, float]:
     """Roots r1 >= r2 of r^2 + 4 phi r - |alpha|^2 = 0, distinct when alpha != 0."""
     return tuple(fam.r for fam in family_contexts(A))
@@ -173,7 +157,7 @@ def s_elements(A: Hermitian3) -> tuple[Octonion, Octonion]:
 
 def family_contexts(A: Hermitian3) -> tuple[FamilyContext, FamilyContext]:
     """Both family contexts, m = 1 and m = 2, or DegenerateFamily where A is associative."""
-    A._stack.families   # the generators, which an associative matrix lacks
+    A._stack.generators   # which an associative matrix lacks
     return _family_contexts(A._stack)
 
 
@@ -187,7 +171,7 @@ def _contexts(S: "spectral._Stack") -> list:
     """Row 0's family contexts as (m, r, phi, alpha, s), octonions as lists; alpha = 0 and no s
     unless octonionic.  Quaternionic: the class test's phi, r = 0 and -4 phi; else phi = 0."""
     if S.codes[0] == _TAGS.index(OCTONIONIC):
-        ph, al, rs, s = (x[0].tolist() for x in S.families)
+        ph, al, rs, s = (x[0].tolist() for x in (S.phi, S.alpha, S.roots, S.generators))
         return [(m, rs[m - 1], ph, al, s[m - 1]) for m in (1, 2)]
     ph = S.phi[0].item() if S.codes[0] == _TAGS.index(QUATERNIONIC) else 0.0
     return [(m, r, ph, [0.0] * 8, None) for m, r in zip((1, 2), S.bases[0][0].tolist())]
@@ -211,14 +195,6 @@ def k_scalar(A: Hermitian3, p: Octonion) -> Octonion:
     a, b, c = A.a, A.b, A.c
     bracket = 2.0 * ((c * b) * a).real
     return c * (b * (a * p)) + a.conj() * (b.conj() * (c.conj() * p)) - p * bracket
-
-
-def _k(L: np.ndarray) -> np.ndarray:
-    """K (..., 8, 8) from the left multiplication matrices L (..., 3, 8, 8) of a, b, c:
-    M + M^T - 2 M[0, 0] I with M = L_c L_b L_a, as L_abar L_bbar L_cbar = M^T and
-    M[0, 0] = Re(c(ba)) = Re((cb)a)."""
-    M = L[..., 2, :, :] @ (L[..., 1, :, :] @ L[..., 0, :, :])
-    return M + M.swapaxes(-1, -2) - 2.0 * M[..., :1, :1] * _EYE8
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -333,20 +309,6 @@ def conj_matrix(A: Hermitian3) -> Hermitian3:
     return Hermitian3(A.d, A.e, A.f, A.a.conj(), A.b.conj(), A.c.conj())
 
 
-def _family_bases(K: np.ndarray) -> np.ndarray:
-    """Orthonormal bases (..., 2, 8, 4) of T_1 and T_2 from one eigh of K (..., 8, 8), which
-    is r_m on T_m, r1 > r2.  One Householder reflection of its coefficients turns each basis
-    U so that its first column is U U^T 1 / |U^T 1| = P_m 1 / |P_m 1| = s_m / |s_m|."""
-    U = np.linalg.eigh(K)[1]
-    U = U.reshape(U.shape[:-1] + (2, 4))[..., ::-1, :].swapaxes(-3, -2)
-    c = U[..., 0, :]
-    # t = +-1 with t c_0 <= 0, so that w = e_1 - t c / |c| does not cancel; H e_1 = t c / |c|
-    t = np.copysign(1.0, -c[..., 0])
-    w = _E4[0] - c * (t / _norm(c))[..., None]
-    H = _E4 - w[..., :, None] * (w / w[..., :1])[..., None, :]
-    return (U @ H) * t[..., None, None]
-
-
 def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
     """Largest deviation of the family generators under an off-diagonal basis change.
 
@@ -366,8 +328,8 @@ def basis_invariance_check(A: Hermitian3, M, shifts=(0.0, 0.0, 0.0)) -> float:
 
 def _basis_change_deviation(A: "spectral._Stack", M: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """`basis_invariance_check` for stacked matrices A, M (n, 3, 3) and shifts (n, 3)."""
-    s = A.families[3]
-    moved = type(A)(None, M @ A.off + shifts[..., None] * _ONE).families[3]
+    s = A.generators
+    moved = type(A)(None, M @ A.off + shifts[..., None] * _ONE).generators
     # det M < 0 swaps the two family labels
     moved = np.where((np.linalg.det(M) < 0)[..., None, None], moved[..., ::-1, :], moved)
     return _norm(moved - s).max(-1)

@@ -9,6 +9,7 @@ import numpy as np
 
 from octeig.harness import random_hermitian, random_octonion, random_vector
 from octeig.hermitian import (
+    OctVector3,
     alpha,
     det,
     hermitian_combination,
@@ -19,7 +20,7 @@ from octeig.hermitian import (
 )
 from octeig.octonion import Octonion, associator, inner
 from octeig.projection import quaternionic_six_way, six_way
-from octeig.spectral import k_vector, lambda_roots
+from octeig.spectral import eigensystem, k_vector, lambda_roots
 from octeig.subspace import (
     basis_invariance_check,
     k_scalar,
@@ -30,6 +31,7 @@ from octeig.subspace import (
     s_elements,
     t_basis,
 )
+from octeig.tolerances import ZERO_PART_TOL
 
 
 def _report(criterion: str, worst: float, tol: float):
@@ -307,3 +309,37 @@ def test_c12_negative_control():
     # the corruption must not silence any other check
     others = [r for r in results if r.name != "k-diagonality"]
     assert all(r.passed for r in others)
+
+
+def _one_family_split(A, fam, x):
+    """x expanded along one family's pairs, (v_i v_i^dagger) x, each part below ZERO_PART_TOL |x|
+    zeroed as the six-way split zeroes it: the sum's relative error, and the worst normwise
+    eigen residual |A p - lam p| / (||A||_F |p|) of the nonzero parts."""
+    parts = [(p.lam, mat_vec(outer(p.v), x)) for p in fam.pairs]
+    parts = [(lam, part) for lam, part in parts if part.norm() >= ZERO_PART_TOL * x.norm()]
+    total = OctVector3.from_coords(sum(part.to_coords() for _, part in parts))
+    worst = max((mat_vec(A, part) - part.scale(lam)).norm() / (A.frobenius() * part.norm())
+                for lam, part in parts)
+    return (total - x).norm() / x.norm(), worst
+
+
+def test_c13_one_family_is_not_enough():
+    # each family decomposes the identity, so one family's parts sum to x; but only for x in
+    # that family's span are they eigenvectors, and the six-way split needs both families
+    worst_sum, generic, own, six = 0.0, np.inf, 0.0, 0.0
+    for seed in range(4):
+        for kind in ("octonionic", "quaternionic"):
+            rng = np.random.default_rng(seed)
+            A = random_hermitian(rng, kind)
+            fam, x = eigensystem(A).families[0], random_vector(rng)
+            (sum_x, resid_x), (sum_v, resid_v) = (_one_family_split(A, fam, y)
+                                                  for y in (x, fam.pairs[0].v))
+            worst_sum = max(worst_sum, sum_x, sum_v)
+            generic, own = min(generic, resid_x), max(own, resid_v)
+            six = max(six, max(six_way(A, x).eigen_residuals))
+    print(f"\n[acceptance] C13 one family: parts sum to x within {worst_sum:.1e}; "
+          f"generic x, smallest worst part residual {generic:.2f}")
+    assert worst_sum <= 1e-14
+    assert generic > 0.05
+    _report("C13 one family suffices for its own eigenvector (8 matrices)", own, 1e-13)
+    _report("C13 the six-way parts are eigenvectors (8 matrices)", six, 1e-13)

@@ -30,9 +30,6 @@ from octeig.hermitian import (
     _TAGS,
     Hermitian3,
     OctVector3,
-    _classes,
-    _det,
-    _sigma,
     alpha,
     classify,
     det,
@@ -727,13 +724,13 @@ def test_stacked_invariants_equal_the_scalar_ones(kind):
     drawn = _draw_stack(np.random.default_rng(5), 40, kind)
     dia, off = drawn.dia, drawn.off
     As = mats(_Stack(dia, off))
-    bare = _Stack(None, off)
-    codes, dim_t = _classes(off, bare.associative)
+    bare, stack = _Stack(None, off), _Stack(dia, off)
+    codes, dim_t = bare.classes
     for i, A in enumerate(As):
         assert classify(A).tag == kind == _TAGS[codes[i]]
         assert classify(A).dim_t == dim_t[i]
-        assert _sigma(dia, off)[i] == sigma(A)
-        assert _det(dia, off)[i] == det(A)
+        assert stack.sigma[i] == sigma(A)
+        assert stack.det[i] == det(A)
         assert bare.phi[i] == phi(A)
         assert np.array_equal(bare.alpha[i], alpha(A).coords)
         # and the scalar ones agree with the octonion-product formulas
@@ -743,8 +740,7 @@ def test_stacked_invariants_equal_the_scalar_ones(kind):
         assert np.allclose(alpha(A).coords, old_alpha(A).coords, rtol=0, atol=1e-15)
     if kind != "octonionic":
         return
-    stack = _Stack(dia, off)
-    ph, al, rs, s = stack.families
+    rs, s = stack.roots, stack.generators
     for i, A in enumerate(As):
         assert np.allclose(rs[i], r_roots(A), rtol=1e-14, atol=0)
         assert np.allclose(rs[i], old_roots(A), rtol=1e-13, atol=1e-15)
@@ -805,7 +801,7 @@ def test_verify_derives_each_drawn_stack_once(monkeypatch):
     # SVD and no random probe
     seen = {"alpha_phi": 0, "gram_schmidt": 0, "inner": [], "svd": [], "eigvalsh": [], "rng": []}
 
-    def alpha_phi(*args, real=hermitian._alpha_phi):
+    def alpha_phi(*args, real=_Stack.alpha_phi.func):
         seen["alpha_phi"] += 1
         return real(*args)
 
@@ -819,8 +815,7 @@ def test_verify_derives_each_drawn_stack_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    for mod in (hermitian, spectral):
-        monkeypatch.setattr(mod, "_alpha_phi", alpha_phi)
+    monkeypatch.setattr(_Stack.alpha_phi, "func", alpha_phi)
     for mod in (spectral, harness):
         monkeypatch.setattr(mod, "_gram_schmidt", gram_schmidt)
     for mod in (octonion, subspace, harness):
@@ -882,12 +877,11 @@ def test_a_wrong_family_dimension_fails_its_check_alone(monkeypatch):
 def test_the_class_test_reads_the_cached_associator_mask(monkeypatch):
     calls = []
 
-    def associative(*args, real=hermitian._associative):
-        calls.append(len(args[0]))
+    def associative(*args, real=_Stack.associative.func):
+        calls.append(len(args[0].off))
         return real(*args)
 
-    for mod in (hermitian, spectral):
-        monkeypatch.setattr(mod, "_associative", associative)
+    monkeypatch.setattr(_Stack.associative, "func", associative)
     for kind in MASKS:
         drawn = _draw_stack(np.random.default_rng(7), 5, kind)
         dia, off = drawn.dia, drawn.off

@@ -268,6 +268,16 @@ def test_constructor_rejects_non_finite(rng, bad, field):
         assert str(info.value) == want
 
 
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+@pytest.mark.parametrize("bad", [[0.0] * 8, np.zeros(8)], ids=["list", "ndarray"])
+def test_constructor_rejects_an_entry_that_is_not_an_octonion(field, bad):
+    z = Octonion.zero()
+    entries = {"a": z, "b": z, "c": z, field: bad}
+    with pytest.raises(ValueError, match=rf"^field '{field}': Hermitian3 needs an Octonion, "
+                                         rf"got {type(bad).__name__}$"):
+        Hermitian3(0.0, 0.0, 0.0, entries["a"], entries["b"], entries["c"])
+
+
 @pytest.mark.parametrize("make", [
     lambda A: Hermitian3.diagonal(1.0, float("nan"), 2.0),
     lambda A: A.scale(float("inf")),
@@ -479,7 +489,7 @@ def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
     # every cached attribute of the stack, the harness checks and the matrix is one
     for cls, names in ((Hermitian3, ["_stack"]), (_Checks, ["oct_pool", "quat_pool"]),
                        (_Stack, ["L", "alpha_phi", "associative", "classes", "roots",
-                                 "families", "split", "ell", "bases", "_solved", "outers",
+                                 "generators", "split", "ell", "bases", "_solved", "outers",
                                  "residuals", "K", "P", "T", "R", "trace", "sigma", "det",
                                  "frobenius"])):
         for name in names:

@@ -289,3 +289,16 @@ def test_unit_takes_an_integer_index_in_0_to_7(i):
     with pytest.raises(ValueError, match="^unit index must be an integer in 0..7, got "
                                          + re.escape(repr(i)) + "$"):
         Octonion.unit(i)
+
+
+def test_array_functions_reject_octonions_mixed_with_arrays():
+    # both orders, and a mix of three, raise the same ValueError before any product
+    q, x = Octonion.unit(1), np.ones(8)
+    calls = {"mul": [lambda: mul(x, q), lambda: mul(q, x)],
+             "inner": [lambda: inner(x, q), lambda: inner(q, x)],
+             "associator": [lambda: associator(q, x, q), lambda: associator(x, q, x)]}
+    for name, mixed in calls.items():
+        for call in mixed:
+            with pytest.raises(ValueError, match=f"^{name} takes Octonions or coordinate "
+                                                 "arrays, not a mix$"):
+                call()

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from octeig import spectral, subspace
+from octeig import subspace
 from octeig.cli import main
 from octeig.errors import DegenerateFamily, OcteigError
 from octeig.harness import _draw_stack, random_hermitian, random_vector
 from octeig.hermitian import _TAGS, _lazy, Hermitian3, OctVector3, classify, det, outer, sigma
 from octeig.octonion import Octonion
 from octeig.projection import _six_way, six_way
-from octeig.spectral import _RESIDUALS, _slotwise, _Stack, eigensystem, eigenvectors
+from octeig.spectral import _RESIDUALS, _Stack, eigensystem, eigenvectors
 from octeig.subspace import quaternionic_split
 from octeig.tolerances import ZERO_PART_TOL
 
@@ -180,7 +180,7 @@ def test_one_stack_per_matrix(monkeypatch):
     monkeypatch.setattr(_Stack, "__init__", counted("stack", _Stack.__init__))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(spectral, "_k", counted("k", spectral._k))
+    monkeypatch.setattr(_Stack.K, "func", counted("k", _Stack.K.func))
     rng = np.random.default_rng(48)
     for kind in KINDS:
         # counted from the draw on: the matrix keeps the stack its class was tested on
@@ -201,13 +201,13 @@ def test_one_stack_per_matrix(monkeypatch):
 
 def test_a_drawn_matrix_derives_alpha_and_phi_once(monkeypatch):
     # the class test of the draw, classify and the eigensystem read one set of associators
-    calls, alpha_phi = [], spectral._alpha_phi
+    calls, alpha_phi = [], _Stack.alpha_phi.func
 
     def counted(*args):
         calls.append(1)
         return alpha_phi(*args)
 
-    monkeypatch.setattr(spectral, "_alpha_phi", counted)
+    monkeypatch.setattr(_Stack.alpha_phi, "func", counted)
     for kind in KINDS:
         calls.clear()
         A = random_hermitian(np.random.default_rng(7), kind)
@@ -255,7 +255,7 @@ def test_a_stack_given_the_octonionic_class_still_tests_the_associator():
     for kind in ("quaternionic", "complex", "real"):
         S = _Stack(*stack([random_hermitian(rng), random_hermitian(rng, kind)]))
         with pytest.raises(DegenerateFamily):
-            S.families
+            S.generators
 
 
 def test_a_stack_of_two_classes_is_not_solved():
@@ -328,7 +328,7 @@ def test_family_bases_span_the_eigenspaces_of_k(seed, exponent, nudge):
     A = nudged(seed, exponent, nudge)
     S = A._stack
     assume(_TAGS[S.codes[0]] == "octonionic")
-    _, _, rs, s = (x[0] for x in S.families)
+    rs, s = S.roots[0], S.generators[0]
     eps = np.finfo(float).eps
     size = A.a.norm() * A.b.norm() * A.c.norm()
     for m, B in enumerate(S.B[0]):
@@ -345,7 +345,7 @@ def assert_parts_are_the_rank_one_forms(A, x):
     # real form of v v^dagger applied to its family's piece
     S = A._stack
     parts = _six_way(S, x[None])[0][0]
-    Q = _slotwise(S.B[0, 0])
+    Q = np.kron(np.eye(3), S.B[0, 0])
     x1 = Q @ (Q.T @ x) if S.nfam == 2 else x
     forms = _Stack.outer(S.V[0]).R.reshape(S.nfam, 3, 24, 24)
     want = np.matvec(forms, np.stack([x1, x - x1][:S.nfam])[:, None])

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from octeig import spectral, subspace
 from octeig.cli import main
 from octeig.errors import (
     AmbiguousSubalgebra,
@@ -26,7 +25,7 @@ from octeig.hermitian import (
 )
 from octeig.harness import _draw_stack
 from octeig.octonion import Octonion, _product, associator, inner
-from octeig.spectral import _slotwise, _Stack, realify24
+from octeig.spectral import _Stack, realify24
 from octeig.subspace import (
     _gram_schmidt,
     _subalgebra,
@@ -483,7 +482,7 @@ def test_cached_values_equal_a_fresh_computation(rng, mask, monkeypatch):
         with monkeypatch.context() as patch:
             # a second call does no new work: no SVD, eigh or K, nothing new in the stack
             state = stack_state(A)
-            for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"), (spectral, "_k")):
+            for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"), (_Stack.K, "func")):
                 patch.setattr(owner, name, lambda *a, **k: pytest.fail("recomputed"))
             again = fn(A, *args)
             assert stack_state(A) == state
@@ -524,7 +523,7 @@ def test_family_bases_span_invariant_subspaces(rng, mask, families):
             assert abs(rs[-1] - gap) <= 1e-14 * A.frobenius() ** 3
         for m, (r_m, b) in enumerate(zip(rs, bs), start=1):
             assert r_m == roots[m - 1]
-            Q = _slotwise(b)
+            Q = np.kron(np.eye(3), b)
             assert np.abs(Q.T @ Q - np.eye(3 * k)).max() < 1e-13
             # A maps the span of Q into itself
             assert np.abs(R @ Q - Q @ (Q.T @ R @ Q)).max() < 1e-13 * A.frobenius()
@@ -540,7 +539,7 @@ def test_family_bases_span_invariant_subspaces(rng, mask, families):
 def test_stacked_gram_schmidt_equals_per_family_calls_bit_for_bit(n):
     # the t2-is-t1-alpha check orthonormalizes T s_1 and T s_2 as one (n, 2, 4, 8) stack
     A = _draw_stack(np.random.default_rng(n), n, "octonionic")
-    s = A.families[3]
+    s = A.generators
     X = _product(A.T[:, None], s[:, :, None])
     X[0, 1, 3] = 2.0 * X[0, 1, 0] + X[0, 1, 1]  # a row to drop
     Q, keep = _gram_schmidt(X)
