@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 failure or parse error, 2 degenerate-class
 routing notice (the matrix was handled by the quaternionic, complex, or
 real path).  Reports are deterministic given the same seed and flags.
+`eigen` and `project` keep the last matrix's solve (`_solve`), which
+changes no report.
 """
 
 import argparse
@@ -175,17 +177,25 @@ def _conclude(payload: dict, tag: str, worst: float, tol: float, out: str) -> in
     return _EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
+def _solve(key: bytes) -> tuple[_Stack, str]:
+    """The stack of one matrix, whose 27 floats are the bytes key, and its fingerprint.  The
+    last matrix's stack is kept with all that requests solved of it, so that a request on
+    equal floats, under any path, reuses it; an attribute whose solve raised is not stored."""
+    c = np.frombuffer(key)
+    return _Stack(c[None, :3], c[3:].reshape(1, 3, 8)), _fingerprint(c)
+
+
 def _cmd_eigen(args) -> int:
     """`eigensystem(A).to_json()`, written from the blocks of A's solved stack."""
     tol = _resolve_tolerance(args)
-    c = _load(args.matrix, _matrix_floats)
-    S = _Stack(c[None, :3], c[3:].reshape(1, 3, 8))
+    S, fingerprint = _solve(_load(args.matrix, _matrix_floats).tobytes())
     blocks = zip(_contexts(S), S.lams[0].tolist(), S.V[0].tolist(), S.residuals[0].tolist())
     families = [_family_json(_context_json(*context), lams, V, dict(zip(_RESIDUALS, res)))
                 for context, lams, V, res in blocks]
     code, dim_t = (int(x[0]) for x in S.classes)
     payload = _eigen_json(_TAGS[code], dim_t, families)
-    payload["fingerprint"] = _fingerprint(c)
+    payload["fingerprint"] = fingerprint
     worst = float(np.maximum.reduce(S.residuals[0], None))
     return _conclude(payload, _TAGS[code], worst, tol, args.out)
 
@@ -193,14 +203,14 @@ def _cmd_eigen(args) -> int:
 def _cmd_project(args) -> int:
     """`six_way(A, x).to_json()`, written from the parts of `_six_way` on A's solved stack."""
     tol = _resolve_tolerance(args)
-    c, x = _load(args.matrix, _matrix_floats), _load(args.vector, _vector_floats)
-    S = _Stack(c[None, :3], c[3:].reshape(1, 3, 8))
+    S, fingerprint = _solve(_load(args.matrix, _matrix_floats).tobytes())
+    x = _load(args.vector, _vector_floats)
     F, tag = S.nfam, _TAGS[S.codes[0]]
     comps, residuals, recon = _six_way(S, x[None])
     lams, comps = S.lams[0].tolist(), comps[0].reshape(F, 3, 3, 8).tolist()
     parts = [_part_json(f + 1, lam, c) for f in range(F) for lam, c in zip(lams[f], comps[f])]
     residuals, recon = residuals[0].ravel().tolist(), float(recon[0])
-    payload = _six_way_json(tag, _fingerprint(c), parts, recon, residuals)
+    payload = _six_way_json(tag, fingerprint, parts, recon, residuals)
     if tag != OCTONIONIC:
         payload["single_family"] = F == 1
     return _conclude(payload, tag, float(np.maximum.reduce([recon, *residuals])), tol, args.out)

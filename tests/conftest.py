@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from octeig import eigensystem
+from octeig import cli, eigensystem
 from octeig.harness import random_hermitian
+
+
+@pytest.fixture(autouse=True)
+def fresh_solve():
+    """Each test starts without the CLI's kept solve: the `files` fixture draws the same
+    matrices in every test, so a test that patches a kernel would otherwise read a stack
+    that an earlier test solved."""
+    cli._solve.cache_clear()
 
 
 @pytest.fixture

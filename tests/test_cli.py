@@ -3,14 +3,16 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octeig import cli
+from octeig import cli, spectral
 from octeig.cli import _build_parser, _encode, main
+from octeig.errors import ExtractionFailure
 from octeig.harness import (DEFAULT_TOLERANCE, random_hermitian, random_vector, run_fuzz,
                             run_verification)
 from octeig.hermitian import OCTONIONIC, Hermitian3, OctVector3, phi
@@ -839,3 +841,86 @@ def test_number_spellings_give_the_same_reports(tmp_path, spell):
 
     assert "100000000000000000000" in _spelled(m, _integer)
     assert reports(spell) == reports(repr)
+
+
+def _memo_files(tmp_path, kind):
+    """Write matrix A of class `kind`, a matrix B of the next class and two vectors; returns
+    the path writer and the paths."""
+    rng = np.random.default_rng(32)
+    other = list(MASKS)[(list(MASKS).index(kind) + 1) % len(MASKS)]
+    A, B = random_hermitian(rng, kind).to_json(), random_hermitian(rng, other).to_json()
+
+    def write(name, payload, indent=None):
+        (tmp_path / name).write_text(json.dumps(payload, indent=indent))
+        return str(tmp_path / name)
+
+    paths = {"A": write("a.json", A), "B": write("b.json", B),
+             "x": write("x.json", random_vector(rng).to_json()),
+             "y": write("y.json", random_vector(rng).to_json()),
+             # A's floats, spelled otherwise, under another path
+             "A2": write("a-copy.json", A, indent=3)}
+    return write, paths, A, B
+
+
+def _steps(steps, capsys, clear: bool):
+    """(exit code, --out bytes, stderr) of each request in steps, in order, the kept solve
+    cleared before each request if clear; a step that is not a request is called."""
+    got = []
+    for k, step in enumerate(steps):
+        if callable(step):
+            step()
+            continue
+        if clear:
+            cli._solve.cache_clear()
+        out = Path(step[1]).parent / f"out-{k}.json"
+        got.append((main([*step, "--out", str(out)]), out.read_bytes(), capsys.readouterr().err))
+    return got
+
+
+@pytest.mark.parametrize("kind", MASKS)
+@pytest.mark.parametrize("case", ["repeat", "a-b-a", "another-path", "rewritten"])
+def test_a_kept_solve_writes_what_a_fresh_one_writes(tmp_path, capsys, kind, case):
+    write, p, A, B = _memo_files(tmp_path, kind)
+    steps, hits = {
+        "repeat": ([["eigen", p["A"]], ["project", p["A"], p["x"]],
+                    ["project", p["A"], p["y"]], ["eigen", p["A"]]], 3),
+        "a-b-a": ([["eigen", p["A"]], ["project", p["A"], p["x"]], ["eigen", p["B"]],
+                   ["project", p["B"], p["x"]], ["project", p["A"], p["y"]],
+                   ["eigen", p["A"]]], 3),
+        # the key is the floats, not the path or the text
+        "another-path": ([["eigen", p["A"]], ["project", p["A2"], p["x"]],
+                          ["eigen", p["A2"]]], 2),
+        # a file rewritten in place is a new matrix, and rewritten back the old one
+        "rewritten": ([["eigen", p["A"]], lambda: write("a.json", B),
+                       ["eigen", p["A"]], ["project", p["A"], p["x"]],
+                       lambda: write("a.json", A), ["project", p["A"], p["x"]],
+                       ["eigen", p["B"]]], 1),
+    }[case]
+    fresh = _steps(steps, capsys, clear=True)
+    cli._solve.cache_clear()
+    kept = _steps(steps, capsys, clear=False)
+    assert kept == fresh
+    assert cli._solve.cache_info().hits == hits
+    assert kept[0][0] == (0 if kind == OCTONIONIC else 2)
+    if case == "rewritten":   # B's report, then A's again
+        assert kept[1] == kept[4] != kept[0] and kept[3] != kept[2]
+
+
+@pytest.mark.parametrize("kind", MASKS)
+def test_a_solve_that_raised_raises_again(tmp_path, capsys, monkeypatch, kind):
+    _, p, _, _ = _memo_files(tmp_path, kind)
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise ExtractionFailure("stand-in extraction failure")
+
+    monkeypatch.setattr(spectral, "_eigenpairs", fail)
+    for argv in (["eigen", p["A"]], ["eigen", p["A"]], ["project", p["A"], p["x"]]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: stand-in extraction failure\n"
+    # the stack is kept, its eigenpairs are not: each request solved them again
+    assert len(calls) == 3 and cli._solve.cache_info().hits == 2
+    monkeypatch.undo()
+    steps = [["eigen", p["A"]], ["project", p["A"], p["x"]]]
+    assert _steps(steps, capsys, clear=False) == _steps(steps, capsys, clear=True)

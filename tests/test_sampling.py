@@ -11,8 +11,10 @@ import pytest
 from octeig.harness import (
     FUZZ_CLASSES,
     _CHECKS,
+    _COORD_MASKS,
     _Checks,
     _draw_fuzz,
+    _masked_stack,
     _residuals,
     random_hermitian,
     random_vector,
@@ -136,8 +138,24 @@ def test_rejection_test_agrees_with_the_class_test():
     codes = _Stack(None, off).codes
     assert set(codes.tolist()) == {0, 1, 2, 3}
     assert (codes[-400:] == 3).sum() > 50 and (codes[-400:] == 2).sum() > 50
-    for code in range(len(_TAGS)):
-        assert np.array_equal(_Stack(None, off).codes != code, codes != code), _TAGS[code]
+    # each row, tested alone, gets the code that the stacked test gave it
+    alone = [_Stack(None, off[i:i + 1]).codes[0] for i in range(len(off))]
+    assert np.array_equal(alone, codes)
+    # the harness's rejection test accepts a row as `kind` exactly where its code is `kind`,
+    # on the rows that kind's coordinate mask leaves as they are
+    for kind in FUZZ_CLASSES:
+        mask = _COORD_MASKS[kind]
+        keep = np.ones(8) if mask is None else np.bincount(mask, minlength=8)
+        rows = np.flatnonzero((off * keep == off).all((-2, -1)))
+        accepted = []
+        for i in rows:
+            try:
+                _masked_stack(kind, None, off[i:i + 1].copy())
+                accepted.append(True)
+            except RuntimeError:
+                accepted.append(False)
+        assert np.array_equal(accepted, codes[rows] == _TAGS.index(kind)), kind
+        assert any(accepted)
 
 
 def test_codes_of_a_stack_without_diagonals():
