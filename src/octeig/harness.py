@@ -487,6 +487,8 @@ _TOOLS = ("uniform", "family", "project", "oct_pool", "quat_pool")
 _CHECKS = tuple((name, fn, _FACTORS.get(name, 1.0)) for name, fn in (
     (attr.replace("_", "-"), fn) for attr, fn in vars(_Checks).items()
     if not attr.startswith("_") and attr not in _TOOLS))
+# the matrix checks, which are the generator functions among the checks, decided at import
+_MATRIX_CHECKS = frozenset(fn for _, fn, _ in _CHECKS if isgeneratorfunction(fn))
 
 
 # the most rows of a shared stack: one stack of all 17 matrix checks is slower at n = 100
@@ -499,7 +501,7 @@ def _residuals(ctx: _Checks, checks) -> list:
     out[-m:], share a class-tested stack of `_STACK_ROWS` rows at most (or n), each fed its rows."""
     out, group = [], []
     for fn in (*checks, None):   # None: the end, where the last group is solved
-        primed = isgeneratorfunction(fn)
+        primed = fn in _MATRIX_CHECKS
         if group and not (primed and (len(group) + 1) * ctx.n <= _STACK_ROWS):
             A, m = _masked_stack(OCTONIONIC, *map(np.concatenate, zip(*group))), len(group)
             out[-m:] = [g.send(A.rows(k * ctx.n, (k + 1) * ctx.n)) for k, g in enumerate(out[-m:])]
@@ -520,7 +522,7 @@ def run_verification(seed: int, samples: int, tolerance: float = DEFAULT_TOLERAN
     ctx = _Checks(seed, samples, det_offset=det_offset)
     results = []
     for (name, _, factor), res in zip(_CHECKS, _residuals(ctx, [fn for _, fn, _ in _CHECKS])):
-        residual, tol = float(np.max(res)), tolerance * factor
+        residual, tol = float(np.asarray(res).max()), tolerance * factor
         results.append(CheckResult(name, residual, tol, residual <= tol))
     return results
 

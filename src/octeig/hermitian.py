@@ -158,7 +158,8 @@ def _matrix_floats(data) -> np.ndarray:
 class _lazy:
     """`functools.cached_property` without the lock that it takes on every first read before
     Python 3.12: func's value, stored in the instance's __dict__, where later reads find it.
-    On a `spectral._Stack.rows` view, whose `_view` is (stack, rows): the stack's, sliced."""
+    On a `spectral._Stack.rows` view, whose `_view` is (stack, rows): the stack's, its arrays
+    sliced; a value that is not an array, such as the one-class stack's `tag`, as it is."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -169,8 +170,11 @@ class _lazy:
         if "_view" not in obj.__dict__:
             return obj.__dict__.setdefault(self.name, self.func(obj))
         value, rows = getattr(obj._view[0], self.name), obj._view[1]
-        return obj.__dict__.setdefault(self.name, tuple(x[rows] for x in value)
-                                       if isinstance(value, tuple) else value[rows])
+        if isinstance(value, tuple):
+            value = tuple(x[rows] for x in value)
+        elif isinstance(value, np.ndarray):
+            value = value[rows]
+        return obj.__dict__.setdefault(self.name, value)
 
 
 @dataclass(frozen=True, eq=False)

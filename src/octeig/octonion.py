@@ -61,7 +61,16 @@ _ONE.flags.writeable = _CONJ.flags.writeable = False
 
 def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Coordinates of p*q for coordinate arrays (..., 8), broadcast along the stack."""
-    return np.vecmat(q, (p @ _TABLE_2D).reshape(*p.shape[:-1], 8, 8))
+    return np.vecmat(q, _contract(p))
+
+
+def _contract(c: np.ndarray) -> np.ndarray:
+    """The table contracted with each coordinate row of c (..., 8), as (..., 8, 8).
+
+    The stack is flattened first: matmul of an N-d stack makes one BLAS call per trailing
+    2-D block, of a 2-D one a single call.  Each table entry is 0 or +-1, so each output is
+    one input coordinate, or a zero, whatever the blocking."""
+    return (c.reshape(-1, 8) @ _TABLE_2D).reshape(c.shape[:-1] + (8, 8))
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -86,7 +95,8 @@ class _Immutable:
 
 
 class Octonion(_Immutable):
-    """A real octonion, immutable after construction."""
+    """A real octonion, immutable after construction.  The arithmetic operators raise
+    OverflowError where a result coordinate leaves the float range."""
 
     __slots__ = ("coords",)
 
@@ -156,31 +166,31 @@ class Octonion(_Immutable):
         return Octonion._of(inv)
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion._of(self.coords + other.coords)
+        return _in_range(self.coords + other.coords)
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion._of(self.coords - other.coords)
+        return _in_range(self.coords - other.coords)
 
     def __neg__(self) -> "Octonion":
         return Octonion._of(-self.coords)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            return Octonion._of(_product(self.coords, other.coords))
+            return _in_range(_product(self.coords, other.coords))
         if isinstance(other, numbers.Real):
-            return Octonion._of(self.coords * _finite(other, "factor"))
+            return _in_range(self.coords * _finite(other, "factor"))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Real):
-            return Octonion._of(self.coords * _finite(other, "factor"))
+            return _in_range(self.coords * _finite(other, "factor"))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Real):
             if _finite(other, "divisor") == 0.0:
                 raise ZeroDivisionError("octonion division by zero")
-            return Octonion._of(self.coords / float(other))
+            return _in_range(self.coords / float(other))
         return NotImplemented
 
     def __repr__(self):
@@ -196,6 +206,14 @@ class Octonion(_Immutable):
     @classmethod
     def from_json(cls, data) -> "Octonion":
         return cls._of(_json_floats([("", data, True)]))
+
+
+def _in_range(c: np.ndarray) -> Octonion:
+    """The Octonion of the fresh result c (8,) of arithmetic on finite operands, or
+    OverflowError where a coordinate left the float range (inf, or nan from inf - inf)."""
+    if not all(map(math.isfinite, c.tolist())):
+        raise OverflowError("octonion arithmetic is out of the float range")
+    return Octonion._of(c)
 
 
 def _scaled(c: np.ndarray, zero: str) -> tuple[np.ndarray, int]:
@@ -316,7 +334,7 @@ def left_mul_matrix(q) -> np.ndarray:
 
 def _left_mul(c: np.ndarray) -> np.ndarray:
     """`left_mul_matrix` of a float coordinate array (..., 8), unchecked, for the solve path."""
-    return (c @ _TABLE_2D).reshape(c.shape[:-1] + (8, 8)).swapaxes(-1, -2)
+    return _contract(c).swapaxes(-1, -2)
 
 
 def _finite_coords(q) -> np.ndarray:

@@ -24,7 +24,7 @@ from .hermitian import (
     outer,
 )
 from .octonion import Octonion, _finite, _product
-from .spectral import EigenSystem, _norm_scale, _Stack, k_vector
+from .spectral import EigenSystem, _Stack, k_vector
 from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
 
 __all__ = [
@@ -143,7 +143,7 @@ def _six_way(S: _Stack, x: np.ndarray):
     zero = size < ZERO_PART_TOL * xnorm[:, None, None]
     comps = np.where(zero[..., None], 0.0, comps)
     err = np.matvec(S.R[:, None, None], comps) - S.lams[..., None] * comps
-    denom = _norm_scale(S)[:, None, None] * np.where(zero, 1.0, size)
+    denom = S.residual_scale[:, None, None] * np.where(zero, 1.0, size)
     residuals = np.sqrt(np.vecdot(err, err)) / denom   # a zero part: err = 0 over ||A||_F
     total = np.add.reduce(comps.reshape(len(x), -1, 24), 1) - x
     return comps, residuals, np.sqrt(np.vecdot(total, total)) / xnorm

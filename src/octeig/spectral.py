@@ -52,6 +52,12 @@ _E4 = np.eye(4)
 # multiplicity 2 or 4
 _FIRST_ROWS = {k: np.argsort(np.arange(3 * k) % k != 0, stable=True) for k in (2, 4, 8)}
 _EDGES = {k: np.arange(1, 3 * k) % k == 0 for k in (2, 4)}
+# the slots (a, b) of v_a conj(v_b) that give the entries a, b, c of v v^dagger, and the
+# eigenvector pairs i < j of `_family_residuals`
+_OFF_SLOTS = np.array([0, 2, 1]), np.array([1, 0, 2])
+_PAIRS = np.array([0, 0, 1]), np.array([1, 2, 2])
+# the angles 2 pi k / 3 of `_lambda_roots`' trigonometric roots
+_THIRDS = 2.0 * np.pi * np.arange(3) / 3.0
 # the keys of FamilyEigensystem.residuals, in the order of `_family_residuals`
 _RESIDUALS = ("eigen", "k_eigen", "identity_decomposition", "matrix_decomposition",
               "generalized_orthogonality")
@@ -135,25 +141,24 @@ def _lambda_roots(tr, sg, target) -> np.ndarray:
                            "the family root r is inconsistent with this matrix")
     shift = -b / 3.0
     m = 2.0 * np.sqrt(np.maximum(-p, 0.0) / 3.0)
+    # 0 / 0 where p = 0 (the trigonometric roots are then not taken) or f' = 0 (no step)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
-        trig = shift[..., None] + m[..., None] * np.cos(
-            theta[..., None] - 2.0 * np.pi * np.arange(3) / 3.0)
-    # p >= 0: all roots collapse within rounding
-    t0 = np.copysign(np.abs(q) ** (1.0 / 3.0), -q)
-    x = np.where((p >= 0.0)[..., None], (shift + t0)[..., None], trig)
-    # at a double root f' is rounding noise: a step needs f' above NEWTON_TOL s^2,
-    # and is kept only if |f| grows by no more than rounding
-    s, b, c, d = s[..., None], b[..., None], c[..., None], d[..., None]
-    fx = ((x + b) * x + c) * x + d
-    for _ in range(2):
-        dfx = (3.0 * x + 2.0 * b) * x + c
-        with np.errstate(divide="ignore", invalid="ignore"):
+        trig = shift[..., None] + m[..., None] * np.cos(theta[..., None] - _THIRDS)
+        # p >= 0: all roots collapse within rounding
+        t0 = np.copysign(np.abs(q) ** (1.0 / 3.0), -q)
+        x = np.where((p >= 0.0)[..., None], (shift + t0)[..., None], trig)
+        # at a double root f' is rounding noise: a step needs f' above NEWTON_TOL s^2,
+        # and is kept only if |f| grows by no more than rounding
+        s, b, c, d = s[..., None], b[..., None], c[..., None], d[..., None]
+        fx = ((x + b) * x + c) * x + d
+        for _ in range(2):
+            dfx = (3.0 * x + 2.0 * b) * x + c
             xn = x - fx / dfx
-        fn = ((xn + b) * xn + c) * xn + d
-        step = ((np.abs(dfx) > NEWTON_TOL * s * s)
-                & (np.abs(fn) <= np.abs(fx) + HORNER_EPS * s ** 3))
-        x, fx = np.where(step, xn, x), np.where(step, fn, fx)
+            fn = ((xn + b) * xn + c) * xn + d
+            step = ((np.abs(dfx) > NEWTON_TOL * s * s)
+                    & (np.abs(fn) <= np.abs(fx) + HORNER_EPS * s ** 3))
+            x, fx = np.where(step, xn, x), np.where(step, fn, fx)
     return np.sort(x, axis=-1)
 
 
@@ -196,9 +201,10 @@ def _pick_representative(space: np.ndarray, block: int) -> np.ndarray:
     """
     rows = space.reshape((-1,) + space.shape[-2:])[:, _FIRST_ROWS[block]]
     usable = np.sqrt(np.vecdot(rows, rows)) > NORMALIZE_TOL
-    if not np.logical_and.reduce(np.logical_or.reduce(usable, -1)):
+    first = np.arange(len(rows)), usable.argmax(-1)   # row 0 where none is usable
+    if not np.logical_and.reduce(usable[first]):
         raise ExtractionFailure("could not pick a representative from the candidate subspace")
-    row = rows[np.arange(len(rows)), usable.argmax(-1)]
+    row = rows[first]
     w = np.matvec(space, row.reshape(space.shape[:-2] + row.shape[-1:]))
     return w / np.sqrt(np.vecdot(w, w))[..., None]
 
@@ -282,11 +288,6 @@ def _hermitian_norm(dia: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(dia, dia) + 2.0 * np.vecdot(off, off))
 
 
-def _norm_scale(A: "_Stack") -> np.ndarray:
-    """||A||_F (n,), the residuals' scale, and 1 for A = 0, whose residuals are exact zeros."""
-    return np.where(A.frobenius > 0.0, A.frobenius, 1.0)
-
-
 def _family_residuals(A: "_Stack", r: np.ndarray, lams: np.ndarray, V: np.ndarray,
                       vv: np.ndarray, keys=_RESIDUALS) -> np.ndarray:
     """The residuals `keys` (n, F, len(keys)), any of `_RESIDUALS`, of eigenpairs lams (n, F, 3),
@@ -298,10 +299,10 @@ def _family_residuals(A: "_Stack", r: np.ndarray, lams: np.ndarray, V: np.ndarra
     """
     R = A.R[:, None, None]
     RV = np.matvec(R, V)
-    scale = _norm_scale(A)[:, None]
+    scale = A.residual_scale[:, None]
     # the entries of each v v^dagger: |v_a|^2 on the diagonal, v_a conj(v_b) off it
     W = V.reshape(V.shape[:-1] + (3, 8))
-    dia, off = np.vecdot(W, W), vv[..., [0, 2, 1], [1, 0, 2], :].reshape(V.shape)
+    dia, off = np.vecdot(W, W), vv[..., _OFF_SLOTS[0], _OFF_SLOTS[1], :].reshape(V.shape)
     amat = _hermitian_norm(np.vecmat(lams, dia) - A.dia[:, None],
                            np.vecmat(lams, off) - A.off.reshape(-1, 1, 24))
     out = {"eigen": np.maximum.reduce(_norm(RV - lams[..., None] * V), -1) / scale,
@@ -316,7 +317,7 @@ def _family_residuals(A: "_Stack", r: np.ndarray, lams: np.ndarray, V: np.ndarra
                           / np.float_power(scale, 3))
     if "generalized_orthogonality" in keys:
         # |(v_i v_i^dagger) v_j| for every i < j, slot a the sum over b of (v_ia conj(v_ib)) v_jb
-        pairs = _product(vv[..., [0, 0, 1], :, :, :], W[..., [1, 2, 2], None, :, :])
+        pairs = _product(vv[..., _PAIRS[0], :, :, :], W[..., _PAIRS[1], None, :, :])
         out["generalized_orthogonality"] = np.maximum.reduce(_vnorm(np.add.reduce(pairs, -2)), -1)
     return np.concatenate([out[k][..., None] for k in keys], axis=-1)
 
@@ -338,7 +339,8 @@ class _Stack:
         """The rank-one matrices v v^dagger of vectors v (n, 3, 8)."""
         X = v.reshape(-1, 3, 8)
         # v1 conj(v2), v3 conj(v1), v2 conj(v3) from one contraction with the octonion table
-        off = np.einsum("nskj,nsj->nsk", _left_mul(X[:, [0, 2, 1]]), X[:, [1, 0, 2]] * _CONJ)
+        a, b = _OFF_SLOTS
+        off = np.einsum("nskj,nsj->nsk", _left_mul(X[:, a]), X[:, b] * _CONJ)
         return cls(np.einsum("nsi,nsi->ns", X, X), off)
 
     def rows(self, lo: int, hi: int) -> "_Stack":
@@ -391,7 +393,7 @@ class _Stack:
 
     codes = property(lambda self: self.classes[0])
 
-    @property
+    @_lazy
     def tag(self) -> str:
         """The class of a stack of one class, else ValueError."""
         if np.logical_or.reduce(self.codes != self.codes[0], None):
@@ -555,6 +557,11 @@ class _Stack:
     def frobenius(self) -> np.ndarray:
         return np.sqrt(np.vecdot(self.dia, self.dia)
                        + 2.0 * np.add.reduce(np.vecdot(self.off, self.off), -1))
+
+    @_lazy
+    def residual_scale(self) -> np.ndarray:
+        """||A||_F (n,), the residuals' scale, and 1 for A = 0, whose residuals are exact zeros."""
+        return np.where(self.frobenius > 0.0, self.frobenius, 1.0)
 
     def act(self, y: np.ndarray) -> np.ndarray:
         """A y for vectors y (n, 3, 8)."""

@@ -112,8 +112,11 @@ def _gram_schmidt(X: np.ndarray, tol: float = SPAN_TOL) -> tuple[np.ndarray, np.
                 v = v - q * np.vecdot(q, v)[..., None]
         n = _norm(v)
         kept = keep[..., j] = n > cut[..., j]
-        inv = 1.0 / np.where(kept, n, 1.0)
-        rows.append(np.where(kept[..., None], v * inv[..., None], 0.0))
+        if np.logical_and.reduce(kept, None):   # the same bits as the masked form below
+            rows.append(v * (1.0 / n)[..., None])
+        else:
+            inv = 1.0 / np.where(kept, n, 1.0)
+            rows.append(np.where(kept[..., None], v * inv[..., None], 0.0))
         Q[..., j, :] = rows[-1]
     return Q, keep
 

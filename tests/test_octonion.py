@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from octeig.hermitian import OctVector3
 from octeig.octonion import (
+    _CONJ,
     Octonion,
+    _left_mul,
+    _product,
     assoc3form,
     associator,
     conj,
@@ -302,3 +305,110 @@ def test_array_functions_reject_octonions_mixed_with_arrays():
             with pytest.raises(ValueError, match=f"^{name} takes Octonions or coordinate "
                                                  "arrays, not a mix$"):
                 call()
+
+
+# every (p, q) stack shape that the package passes to `_product`, n rows of matrices or
+# samples, F families; q broadcasts against p.  `_left_mul` takes (n, 8) and (n, 3, 8), and
+# is checked on every p.
+PRODUCT_SHAPES = [((8,), (8,)), ((1, 7, 8), (8, 1, 8)), ((8, 1, 8), (1, 7, 8))] + [
+    (tuple(d for d in p if d), tuple(d for d in q if d)) for n in (1, 2, 8, 30) for F in (1, 2)
+    for p, q in [((n, 8), (n, 8)), ((n, 3, 8), (n, 3, 8)), ((n, 3, 8), (n, 1, 8)),
+                 ((n, 4, 8), (n, 1, 8)), ((n, 1, 8), (n, 3, 8)), ((n, 1, 8), (n, 4, 8)),
+                 ((n, 1, 8), (n, F, 8)), ((n, F, 8), (n, F, 8)), ((n, 1, 4, 8), (n, 2, 1, 8)),
+                 ((n, 3, 3, 8), (n, 1, 3, 8)), ((n, 3, 3, 8), (n, 3, 1, 8)),
+                 ((n, F, 3, 3, 1, 8), (n, F, 3, 1, 3, 8)), ((n, F, 3, 3, 3, 8), (n, F, 1, 1, 3, 8)),
+                 ((n, F, 3, 3, 3, 8), (n, F, 3, 1, 3, 8))]]
+
+
+def _with_zeros(rng, shape):
+    """Coordinates with about a third of them +0.0, and after `* _CONJ` on every other draw,
+    -0.0 on the imaginary ones, as the package's conjugated operands hold them."""
+    x = rng.uniform(-1, 1, shape) * (rng.random(shape) < 0.7)
+    return x * _CONJ if rng.random() < 0.5 else x
+
+
+@pytest.mark.parametrize("p_shape,q_shape", sorted(set(PRODUCT_SHAPES)))
+def test_stacked_products_equal_row_by_row_calls_bit_for_bit(p_shape, q_shape):
+    # the table contraction flattens the stack into one matmul; each output coordinate is one
+    # input coordinate times +-1, or a zero, so no blocking may change a bit, the sign of a zero
+    # included
+    rng = np.random.default_rng(sum(p_shape) * 1000 + sum(q_shape))
+    for _ in range(3):
+        p, q = _with_zeros(rng, p_shape), _with_zeros(rng, q_shape)
+        got = _product(p, q)
+        pb, qb = np.broadcast_arrays(p, q)
+        want = np.array([_product(pb[i], qb[i]) for i in np.ndindex(pb.shape[:-1])])
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+        L = _left_mul(p)
+        rows = np.array([_left_mul(p[i]) for i in np.ndindex(p.shape[:-1])])
+        assert L.tobytes() == rows.reshape(L.shape).tobytes()
+
+
+def _dagger_dot(u, w):
+    """`dagger_dot`'s partial sums as it forms them: 0 + conj(u1) w1, + conj(u2) w2, ..."""
+    acc, steps = np.zeros(8), []
+    for a, b in zip(u, w):
+        term = _product(a * _CONJ, b)
+        acc = acc + term
+        steps += [term, acc]
+    return acc, steps
+
+
+# each public operator, and its result's coordinates from the same numpy operations with
+# every intermediate that must stay in range: (operator, reference)
+_ARITHMETIC = {
+    "p + q": (lambda p, q, u, w, t: p + q, lambda p, q, u, w, t: (p + q, [])),
+    "p - q": (lambda p, q, u, w, t: p - q, lambda p, q, u, w, t: (p - q, [])),
+    "p * q": (lambda p, q, u, w, t: p * q, lambda p, q, u, w, t: (_product(p, q), [])),
+    "p * t": (lambda p, q, u, w, t: p * t, lambda p, q, u, w, t: (p * t, [])),
+    "t * p": (lambda p, q, u, w, t: t * p, lambda p, q, u, w, t: (p * t, [])),
+    "p / t": (lambda p, q, u, w, t: p / t, lambda p, q, u, w, t: (p / t, [])),
+    "u + w": (lambda p, q, u, w, t: u + w, lambda p, q, u, w, t: (u + w, [])),
+    "u - w": (lambda p, q, u, w, t: u - w, lambda p, q, u, w, t: (u - w, [])),
+    "u.scale(t)": (lambda p, q, u, w, t: u.scale(t), lambda p, q, u, w, t: (u * t, [])),
+    "u.right_mul(q)": (lambda p, q, u, w, t: u.right_mul(q),
+                       lambda p, q, u, w, t: (np.array([_product(a, q) for a in u]), [])),
+    "u.dagger_dot(w)": (lambda p, q, u, w, t: u.dagger_dot(w),
+                        lambda p, q, u, w, t: _dagger_dot(u, w)),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), e=st.integers(0, 1023) | st.integers(1000, 1023),
+       f=st.integers(-1074, 1023), op=st.sampled_from(sorted(_ARITHMETIC)))
+def test_public_arithmetic_never_returns_a_non_finite_coordinate(seed, e, f, op):
+    # finite operands of binary exponents e - 30 to e, up to DBL_MAX, and a scalar t of
+    # exponent f: the result is the numpy result where that and every intermediate is finite,
+    # else OverflowError
+    rng = np.random.default_rng(seed)
+
+    def coords(*shape):
+        signed = rng.uniform(1, 2, shape) * rng.choice([-1.0, 1.0], shape)
+        return np.ldexp(signed, rng.integers(e - 30, e + 1, shape))
+
+    p, q, u, w = coords(8), coords(8), coords(3, 8), coords(3, 8)
+    t = float(np.ldexp(rng.uniform(1, 2) * rng.choice([-1.0, 1.0]), f))
+    call, reference = _ARITHMETIC[op]
+    # numpy warns of the overflow first; the suite turns that RuntimeWarning into an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, steps = reference(p, q, u, w, t)
+        args = (Octonion(p), Octonion(q), OctVector3.from_coords(u), OctVector3.from_coords(w), t)
+        if all(np.isfinite(x).all() for x in (want, *steps)):
+            got = call(*args)
+            coords = got.to_coords() if isinstance(got, OctVector3) else got.coords
+            assert coords.tobytes() == np.ravel(want).tobytes()
+        else:
+            with pytest.raises(OverflowError, match="^octonion arithmetic is out of the float "
+                                                    "range$"):
+                call(*args)
+
+
+def test_overflowing_arithmetic_raises_overflow_error():
+    # ROADMAP item 7's two cases, which returned infinite coordinates before, and sums
+    big, v = Octonion(np.full(8, 1e308)), OctVector3.from_coords(np.full(24, 1e308))
+    calls = [lambda: Octonion(np.full(8, 1e300)) * 1e10, lambda: big + big, lambda: big - -big,
+             lambda: OctVector3.from_coords(np.full(24, 1e300)).scale(1e10), lambda: v + v]
+    for call in calls:
+        with np.errstate(over="ignore"), pytest.raises(OverflowError,
+                                                       match="out of the float range"):
+            call()

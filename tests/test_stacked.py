@@ -270,11 +270,14 @@ def test_a_stack_of_two_classes_is_not_solved():
 
 
 def outcome(S, name):
-    """The bytes and shapes of S's lazy `name`, an array or a tuple of them, or what it raised."""
+    """The bytes and shapes of S's lazy `name`, an array or a tuple of them, or the string `tag`,
+    or what it raised."""
     try:
         value = getattr(S, name)
     except (ValueError, OcteigError) as exc:
         return type(exc), str(exc)
+    if isinstance(value, str):
+        return value
     values = value if isinstance(value, tuple) else [value]
     return [(x.shape, x.dtype, x.tobytes()) for x in values]
 

@@ -11,8 +11,10 @@ tree, one after the other; the parent goes first in even pairs and the change in
 ones, so that a host that drifts within a pair favours neither side.  --workload may be
 given more than once.
 
-The file records both commits and the trees of their `src/`, the versions, nproc, the
-PYTHONDONTWRITEBYTECODE setting, the seeds and every run's result line and metrics.  For
+The file records both commits and the trees of their `src/`, each tree's `src_lines` (as
+perfbench counts them) and its Tier-1 result (the pass and fail counts and the wall time of
+the ROADMAP's Tier-1 command, run once on that tree before the pairs), the versions, nproc,
+the PYTHONDONTWRITEBYTECODE setting, the seeds and every run's result line and metrics.  For
 each end-to-end metric of BENCHMARK.json and each workload it gives the median with
 [Q1, Q3] of either side, and in how many pairs the change was better.  It is written
 again after every pair, so an interrupted session keeps the pairs it finished.
@@ -22,10 +24,12 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +50,26 @@ def archive(rev: str, dest: Path):
     tar.stdin.close()
     if tar.wait():
         sys.exit(f"could not unpack {rev}")
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of the tree's `src/**/*.py`, as perfbench's context counts them."""
+    return sum(len(p.read_text().splitlines()) for p in (tree / "src").rglob("*.py"))
+
+
+def tier1(tree: Path) -> dict:
+    """The pass and fail counts and the wall time of the Tier-1 command on tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                           "-p", "no:cacheprovider"], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - start
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    count = {k: int(m.group(1)) if (m := re.search(rf"(\d+) {k}", last)) else 0
+             for k in ("passed", "failed", "error")}
+    return {**count, "exit": proc.returncode, "wall_s": round(wall, 2), "summary": last}
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -117,6 +141,10 @@ def main() -> int:
         trees = {s: Path(tmp) / s for s in SIDES}
         for s in SIDES:
             archive(revs[s], trees[s])
+            record[s]["src_lines"] = src_lines(trees[s])
+        for s in SIDES:
+            record[s]["tier1"] = tier1(trees[s])
+            print(f"{s} tier-1: {record[s]['tier1']['summary']}", file=sys.stderr)
         for wl in args.workload:
             for k, seed in enumerate(record["seeds"]):
                 for side in SIDES[::1 if k % 2 == 0 else -1]:
