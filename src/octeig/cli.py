@@ -206,7 +206,10 @@ def _cmd_project(args) -> int:
     S, fingerprint = _solve(_load(args.matrix, _matrix_floats).tobytes())
     x = _load(args.vector, _vector_floats)
     F, tag = S.nfam, _TAGS[S.codes[0]]
-    comps, residuals, recon = _six_way(S, x[None])
+    try:
+        comps, residuals, recon = _six_way(S, x[None])
+    except OverflowError as exc:
+        raise OcteigError(f"{args.vector}: {exc}")
     lams, comps = S.lams[0].tolist(), comps[0].reshape(F, 3, 3, 8).tolist()
     parts = [_part_json(f + 1, lam, c) for f in range(F) for lam, c in zip(lams[f], comps[f])]
     residuals, recon = residuals[0].ravel().tolist(), float(recon[0])

@@ -221,19 +221,19 @@ class Hermitian3:
 
     def __add__(self, other: "Hermitian3") -> "Hermitian3":
         return Hermitian3(
-            self.d + other.d, self.e + other.e, self.f + other.f,
+            *_diagonal_in_range(self.d + other.d, self.e + other.e, self.f + other.f),
             self.a + other.a, self.b + other.b, self.c + other.c,
         )
 
     def __sub__(self, other: "Hermitian3") -> "Hermitian3":
         return Hermitian3(
-            self.d - other.d, self.e - other.e, self.f - other.f,
+            *_diagonal_in_range(self.d - other.d, self.e - other.e, self.f - other.f),
             self.a - other.a, self.b - other.b, self.c - other.c,
         )
 
     def scale(self, t: float) -> "Hermitian3":
         t = _finite(t, "t")
-        return Hermitian3(t * self.d, t * self.e, t * self.f,
+        return Hermitian3(*_diagonal_in_range(t * self.d, t * self.e, t * self.f),
                           self.a * t, self.b * t, self.c * t)
 
     def frobenius(self) -> float:
@@ -268,6 +268,14 @@ class Hermitian3:
     def __repr__(self):
         return (f"Hermitian3(d={self.d:g}, e={self.e:g}, f={self.f:g}, "
                 f"a={self.a!r}, b={self.b!r}, c={self.c!r})")
+
+
+def _diagonal_in_range(*entries: float) -> tuple:
+    """The diagonal entries, computed from finite ones; OverflowError where one left the float
+    range, as the octonion operators raise it for a, b and c."""
+    if not all(map(math.isfinite, entries)):
+        raise OverflowError("matrix arithmetic is out of the float range")
+    return entries
 
 
 class MatrixClass(NamedTuple):

@@ -225,6 +225,13 @@ def _scaled(c: np.ndarray, zero: str) -> tuple[np.ndarray, int]:
     return np.ldexp(c, -e), e
 
 
+def _scaled_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of v (n, ...) over 2^e, exact, with its largest |entry| in [1/2, 1) (a zero
+    row as it is), and e (n,): a homogeneous test or map reads the same on either."""
+    e = np.frexp(np.maximum.reduce(np.abs(v.reshape(len(v), -1)), -1))[1]
+    return np.ldexp(v, -e.reshape((-1,) + (1,) * (v.ndim - 1))), e
+
+
 def _shown(value, limit: int = 200) -> str:
     """repr(value) for an error message, cut to `limit` characters with an ellipsis."""
     text = repr(value)

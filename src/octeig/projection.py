@@ -12,19 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FamilyMismatch, NotQuaternionic
-from .hermitian import (
-    QUATERNIONIC,
-    _TAGS,
-    Hermitian3,
-    OctVector3,
-    _vnorm,
-    classify,
-    det,
-    mat_vec,
-    outer,
-)
-from .octonion import Octonion, _finite, _product
-from .spectral import EigenSystem, _Stack, k_vector
+from .hermitian import QUATERNIONIC, _TAGS, Hermitian3, OctVector3, _vnorm, classify
+from .octonion import Octonion, _finite, _in_range, _product, _scaled_rows
+from .spectral import EigenSystem, _Stack, _same_family
 from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
 
 __all__ = [
@@ -90,19 +80,18 @@ def project_along(v: OctVector3, y: OctVector3, check: bool = True,
     """Generalized projection (v v^dagger) y for y in the same K eigenspace as v.
 
     On that eigenspace the map is idempotent and returns an eigenvector of
-    the rank-one matrix v v^dagger.  With check enabled, membership is
-    tested through the characteristic operator of v v^dagger, whose
-    eigenvalue on the family of v is minus its determinant; the residual,
-    of degree 6 in v and 1 in y, is compared with tol |v|^6 |y|.
+    the rank-one matrix v v^dagger.  With check enabled, y must pass the membership
+    test of `same_family` (`spectral._same_family`, which accepts every y where
+    v v^dagger is complex), or FamilyMismatch is raised.  Computed on v / 2^e and y / 2^f
+    (`_scaled_rows`) and scaled back by 2^(2e + f): OverflowError where that leaves the
+    float range.
     """
-    tol, B = _finite(tol, "tol"), outer(v)
-    if check:
-        resid = (k_vector(B, y) + y.scale(det(B))).norm()
-        if resid > tol * v.norm2() ** 3 * y.norm():
-            raise FamilyMismatch(
-                f"vector is not in the K eigenspace of the projector (residual {resid:.3e})"
-            )
-    return mat_vec(B, y)
+    tol = _finite(tol, "tol")
+    (u, e), (w, f) = (_scaled_rows(z.to_coords().reshape(1, 3, 8)) for z in (v, y))
+    if check and not _same_family(u, w, tol)[0]:
+        raise FamilyMismatch("y is not in the family of v")
+    with np.errstate(over="ignore"):
+        return OctVector3(tuple(map(_in_range, np.ldexp(_Stack.outer(u).act(w), 2 * e + f)[0])))
 
 
 def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:
@@ -131,8 +120,12 @@ def _six_way(S: _Stack, x: np.ndarray):
     With two families, x_1 = B_1 B_1^T x in each slot and family 2 takes the rest; with one,
     x is its piece.  Each piece y is expanded along its family's pairs, (v v^dagger) y, whose
     slot i is sum_j (v_i conj(v_j)) y_j.  A part below ZERO_PART_TOL |x| is zero with
-    residual 0; the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).
+    residual 0; the others' residuals are normwise, |A c - lam c| / (||A||_F |c|).  Each row
+    is split as x / 2^e (`_scaled_rows`) and its parts scaled back, so at any scale of x:
+    OverflowError where a part leaves the float range, as a coordinate of a part can exceed
+    every coordinate of x.
     """
+    x, e = _scaled_rows(x)
     B, y = S.B[:, :1], x.reshape(-1, 1, 3, 8)
     if S.nfam == 2:
         y1 = (y @ B) @ B.swapaxes(-1, -2)
@@ -146,7 +139,13 @@ def _six_way(S: _Stack, x: np.ndarray):
     denom = S.residual_scale[:, None, None] * np.where(zero, 1.0, size)
     residuals = np.sqrt(np.vecdot(err, err)) / denom   # a zero part: err = 0 over ||A||_F
     total = np.add.reduce(comps.reshape(len(x), -1, 24), 1) - x
-    return comps, residuals, np.sqrt(np.vecdot(total, total)) / xnorm
+    recon = np.sqrt(np.vecdot(total, total)) / xnorm
+    if e.any():   # else x was split as it is
+        with np.errstate(over="ignore"):
+            comps = np.ldexp(comps, e[:, None, None, None])
+        if not np.isfinite(comps).all():
+            raise OverflowError("a six-way part is out of the float range")
+    return comps, residuals, recon
 
 
 def quaternionic_six_way(A: Hermitian3, x: OctVector3,
@@ -154,10 +153,9 @@ def quaternionic_six_way(A: Hermitian3, x: OctVector3,
     """`six_way` for a quaternionic matrix: the split O = H + ell H.
 
     The quaternionic piece of x is expanded along the eigenvectors of A,
-    the purely octonionic piece along the lifted eigenvectors.  A supplied
-    system's class stands for the class of A.
+    the purely octonionic piece along the lifted eigenvectors.  The class is A's
+    own, as in `six_way`; `system` is accepted and not needed.
     """
-    tag = classify(A).tag if system is None else system.matrix_class.tag
-    if tag != QUATERNIONIC:
+    if classify(A).tag != QUATERNIONIC:
         raise NotQuaternionic("matrix entries are not quaternionic")
     return six_way(A, x, system=system)

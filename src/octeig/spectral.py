@@ -24,7 +24,7 @@ from .errors import (ComplexProjector, ComplexRoots, DegenerateFamily, Extractio
                      NotQuaternionic)
 from .hermitian import (OCTONIONIC, QUATERNIONIC, _TAGS, Hermitian3, MatrixClass, OctVector3,
                         _lazy, _vnorm, classify, det, mat_vec, real_form, sigma, trace)
-from .octonion import _CONJ, _ONE, _finite, _left_mul, _norm, _product
+from .octonion import _CONJ, _ONE, _finite, _left_mul, _norm, _product, _scaled_rows
 from .subspace import (_EYE8, FamilyContext, _family_contexts, _gram_schmidt, _projector,
                        _read_only, _subalgebra, apply_blockwise, k_matrix)
 from .tolerances import (ASSOCIATOR_TOL, CLUSTER_TOL, DISC_TOL, FAMILY_TOL, HORNER_EPS, NEWTON_TOL,
@@ -601,9 +601,10 @@ def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.nd
 
 
 def _noncomplex(u: OctVector3) -> np.ndarray:
-    """u's coordinates (1, 3, 8), after the class test of u u^dagger: raises ComplexProjector
-    for a complex or real projector, whose membership condition holds identically."""
-    u = u.to_coords().reshape(1, 3, 8)
+    """u's coordinates over 2^e (1, 3, 8), `_scaled_rows`, after the class test of u u^dagger:
+    raises ComplexProjector for a complex or real projector, whose membership condition holds
+    identically."""
+    u = _scaled_rows(u.to_coords().reshape(1, 3, 8))[0]
     if _Stack.outer(u).codes[0] < _TAGS.index(QUATERNIONIC):
         raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
     return u
@@ -612,10 +613,12 @@ def _noncomplex(u: OctVector3) -> np.ndarray:
 def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
     """Family membership predicate: u u^dagger (u u^dagger w) = (u^dagger u)(u u^dagger w).
 
-    Defined for normalized u with a non-complex projector u u^dagger.
+    Defined for normalized u with a non-complex projector u u^dagger.  Decided on u / 2^e and
+    w / 2^f (`_scaled_rows`), so at any scale of either.
     """
     tol = _finite(tol, "tol")
-    return bool(_same_family(_noncomplex(u), w.to_coords().reshape(1, 3, 8), tol)[0])
+    w = _scaled_rows(w.to_coords().reshape(1, 3, 8))[0]
+    return bool(_same_family(_noncomplex(u), w, tol)[0])
 
 
 def _family_dimensions(v: np.ndarray, samples: int = 24) -> np.ndarray:
@@ -630,8 +633,8 @@ def _family_dimensions(v: np.ndarray, samples: int = 24) -> np.ndarray:
 def family_dimension_probe(v: OctVector3, samples: int = 24, seed: int = 0) -> int:
     """Real dimension of the family determined by v, up to `samples`: the nullity, relative to
     the largest singular value, of the linear membership conditions (12 for a generic
-    non-complex v).  Raises ComplexProjector, as `same_family` does, where v v^dagger is complex
-    or real.  `seed` is accepted for compatibility and no longer needed: the count is exact,
+    non-complex v), decided on v / 2^e (`_noncomplex`), so at any scale of v.  Raises
+    ComplexProjector, as `same_family` does, where v v^dagger is complex or real.  `seed` is accepted for compatibility and no longer needed: the count is exact,
     where a random probe of `samples` vectors gave the same number with probability one."""
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")

@@ -14,6 +14,6 @@ SINGULAR_CHANGE_TOL = 1e-12  # singular change of basis: |det M| at most this ti
 DISC_TOL = 1e-9              # ComplexRoots: discriminant below -this s^6, s the size of the roots
 NEWTON_TOL = 1e-12           # a Newton step on the cubic needs |f'| above this times s^2
 HORNER_EPS = 8.0 * np.finfo(float).eps  # rounding of the cubic's Horner value, relative to s^3
-FAMILY_TOL = 1e-8            # same family: residual at most this times |u|^4 |w|, or |v|^6 |y|
+FAMILY_TOL = 1e-8            # same family: the membership residual at most this times |u|^4 |w|
 ZERO_PART_TOL = 1e-10        # a six-way part below this times |x| is zero
 NORM_FLOOR = 1e-300          # least divisor standing for a norm, so a zero norm gives 0, not nan

@@ -283,12 +283,16 @@ def test_constructor_rejects_an_entry_that_is_not_an_octonion(field, bad):
     (lambda A: A.scale(float("inf")), ValueError),
     (lambda A: A.scale(1e300).scale(1e300), OverflowError),
     (lambda A: Hermitian3.diagonal(1e308, 0.0, 0.0) + Hermitian3.diagonal(1e308, 0.0, 0.0),
-     ValueError),
+     OverflowError),
+    (lambda A: Hermitian3.diagonal(0.0, 1e300, 0.0).scale(1e10), OverflowError),
+    (lambda A: Hermitian3.diagonal(0.0, 0.0, -1e308) - Hermitian3.diagonal(0.0, 0.0, 1e308),
+     OverflowError),
     (lambda A: with_big_c(A) + with_big_c(A), OverflowError),
-], ids=["diagonal", "scale-inf", "scale-overflow", "add-diagonal-overflow", "add-overflow"])
+], ids=["diagonal", "scale-inf", "scale-overflow", "add-diagonal-overflow",
+        "scale-diagonal-overflow", "sub-diagonal-overflow", "add-overflow"])
 def test_derived_matrices_reject_non_finite(rng, make, error):
-    # a diagonal entry that overflows silently in numpy here raises in the constructor's check;
-    # an octonion entry's sum or product raises in the octonion operator
+    # a non-finite argument or entry raises ValueError; finite arithmetic that leaves the float
+    # range raises OverflowError, for a diagonal entry as for an octonion entry
     A = rand_herm(rng)
     match = "finite number|must be finite" if error is ValueError else "out of the float range"
     with np.errstate(over="ignore"), pytest.raises(error, match=match):

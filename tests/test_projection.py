@@ -10,6 +10,7 @@ from octeig.projection import (
     quaternionic_six_way,
     six_way,
 )
+from octeig.spectral import _same_family, eigensystem
 from octeig.subspace import project_km_vec, quaternionic_split
 
 
@@ -59,6 +60,54 @@ def test_project_along_family_mismatch(rng, octonionic_pool):
     y = project_km_vec(A, 2, rand_vec(rng))  # wrong family
     with pytest.raises(FamilyMismatch):
         project_along(v, y)
+
+
+def family_draws(rng, A, es):
+    """(v, y) pairs for each eigenvector v of A: y from v's family, from the other family, and
+    generic.  For a quaternionic A the family pieces are the parts of six_way."""
+    for f, fam in enumerate(es.families):
+        for pair in fam.pairs:
+            x = rand_vec(rng)
+            if len(es.families) == 1:
+                pieces = [x]
+            elif es.matrix_class.tag == "octonionic":
+                pieces = [project_km_vec(A, m, x) for m in (fam.context.m, 3 - fam.context.m)]
+            else:
+                parts = six_way(A, x, system=es).parts
+                pieces = [OctVector3.from_coords(sum(p.component.to_coords()
+                                                     for p in parts[3 * g:3 * g + 3]))
+                          for g in (f, 1 - f)]
+            for y in (*pieces, x):
+                yield pair.v, y
+
+
+def raises_family_mismatch(v, y) -> bool:
+    try:
+        project_along(v, y)
+    except FamilyMismatch:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("pool", ["octonionic_pool", "quaternionic_pool", "complex"])
+def test_project_along_rejects_exactly_what_same_family_rejects(rng, request, pool):
+    # one membership rule: project_along raises where the stacked test of same_family is False
+    if pool == "complex":
+        mats = [rand_herm(rng, mask=(0, 1)) for _ in range(5)]
+        systems = [(A, eigensystem(A)) for A in mats]
+    else:
+        systems = request.getfixturevalue(pool)[:10]
+    verdicts = []
+    for A, es in systems:
+        for v, y in family_draws(rng, A, es):
+            member = bool(_same_family(v.to_coords().reshape(1, 3, 8),
+                                       y.to_coords().reshape(1, 3, 8))[0])
+            assert raises_family_mismatch(v, y) == (not member)
+            verdicts.append(member)
+    if pool == "complex":   # the membership condition of a complex v v^dagger holds identically
+        assert all(verdicts)
+    else:                   # own family, other family, generic: accepted, rejected, rejected
+        assert verdicts == [True, False, False] * (len(verdicts) // 3)
 
 
 def test_six_way_eigenvector_input(rng, octonionic_pool):
@@ -206,6 +255,13 @@ def test_quaternionic_lifted_part_not_right_multiple(rng, quaternionic_pool):
 def test_quaternionic_six_way_rejects_other_classes(rng):
     with pytest.raises(NotQuaternionic):
         quaternionic_six_way(rand_herm(rng), rand_vec(rng))
+
+
+def test_quaternionic_six_way_takes_the_class_of_its_matrix(rng, quaternionic_pool):
+    # the class is A's, as in six_way: a quaternionic matrix's system does not stand for it
+    _, es = quaternionic_pool[0]
+    with pytest.raises(NotQuaternionic):
+        quaternionic_six_way(rand_herm(rng), rand_vec(rng), system=es)
 
 
 def test_complex_path_three_parts(rng):

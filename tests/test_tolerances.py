@@ -9,17 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octeig import tolerances
 from octeig.cli import main
 from octeig.errors import ComplexRoots, FamilyMismatch, SingularChange
-from octeig.harness import random_hermitian
-from octeig.hermitian import Hermitian3, classify, det, sigma, trace
+from octeig.harness import random_hermitian, random_vector
+from octeig.hermitian import Hermitian3, OctVector3, classify, det, sigma, trace
 from octeig.octonion import Octonion
-from octeig.projection import project_along
-from octeig.spectral import _same_family, eigensystem, lambda_roots
+from octeig.projection import project_along, six_way
+from octeig.spectral import (_same_family, eigensystem, family_dimension_probe, lambda_roots,
+                             same_family)
 from octeig.subspace import basis_invariance_check, t_basis
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "octeig"
@@ -91,14 +92,18 @@ def test_a_scaled_identity_is_a_regular_change_of_basis(scale):
             basis_invariance_check(A, M)
 
 
-@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, *(2.0 ** k for k in (
+    -600, -300, -100, 100, 300, 600))])
 def test_project_along_rejects_the_other_family_at_every_scale(scale):
-    # at |v| = 0.01 the floor max(1, |v|^2)^3 let a vector of the other family through
+    # at |v| = 0.01 the floor max(1, |v|^2)^3 let a vector of the other family through, and
+    # at |v| <= 2^-100 the K residual against |v|^6 |y| did
     es = eigensystem(random_hermitian(np.random.default_rng(2)))
     v, own, other = es.families[0].pairs[0].v, es.families[0].pairs[1].v, es.families[1].pairs[0].v
     with pytest.raises(FamilyMismatch):
         project_along(v.scale(scale), other)
-    assert project_along(v.scale(scale), own).norm() < 1e-12 * scale ** 2
+    # (v v^dagger) own vanishes against |v|^2 |own|: (v s v s^dagger) (own / s) / s is it,
+    # with every square in range
+    assert project_along(v.scale(scale), own.scale(1.0 / scale)).scale(1.0 / scale).norm() < 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2])
@@ -107,6 +112,93 @@ def test_same_family_does_not_depend_on_the_scale_of_u(scale):
     u = np.stack([V[0].pairs[0].v.to_coords().reshape(3, 8)] * 2) * scale
     w = np.stack([V[0].pairs[1].v.to_coords(), V[1].pairs[0].v.to_coords()]).reshape(2, 3, 8)
     assert _same_family(u, w).tolist() == [True, False]
+
+
+def ldexp_vector(v: OctVector3, k: int) -> OctVector3:
+    return OctVector3.from_coords(np.ldexp(v.to_coords(), k))
+
+
+def normal_at(v: OctVector3, k: int) -> bool:
+    """Every nonzero coordinate of v 2^k is a normal float."""
+    c = np.abs(np.ldexp(v.to_coords(), k))
+    return bool(np.all((c == 0.0) | ((c >= np.finfo(float).tiny) & (c <= np.finfo(float).max))))
+
+
+@pytest.mark.parametrize("kind", ["octonionic", "quaternionic"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-1000, 1000), j=st.integers(-500, 500))
+def test_vectors_at_any_scale(tmp_path_factory, kind, seed, k, j):
+    # every map and test of a vector is homogeneous, and a power of two scales it exactly:
+    # x 2^-600 gave six zero parts, and x 2^600 NaN residuals; v 2^-300 a 24-dimensional
+    # family and v 2^300 a LinAlgError; w 2^-540 and 2^520 a false same family
+    rng = np.random.default_rng(seed)
+    A = random_hermitian(rng, kind)
+    x, es = random_vector(rng), eigensystem(A)
+    (v, own), other = [p.v for p in es.families[0].pairs[:2]], es.families[1].pairs[0].v
+    base = six_way(A, x)
+    y = OctVector3.from_coords(sum(p.component.to_coords() for p in base.parts[:3]))  # v's family
+    assume(all(normal_at(z, k) for z in (x, own, other, y)) and normal_at(v, j))
+    xk, vj = ldexp_vector(x, k), ldexp_vector(v, j)
+
+    scaled = six_way(A, xk)
+    assert [p.component.to_coords().tolist() for p in scaled.parts] == [
+        np.ldexp(p.component.to_coords(), k).tolist() for p in base.parts]
+    assert (scaled.eigen_residuals, scaled.reconstruction_residual) == (
+        base.eigen_residuals, base.reconstruction_residual)
+
+    tmp = tmp_path_factory.mktemp("vector-scale")
+    (tmp / "m.json").write_text(json.dumps(A.to_json()))
+    reports = []
+    for name, z in (("x", x), ("xk", xk)):
+        (tmp / f"{name}.json").write_text(json.dumps(z.to_json()))
+        code = main(["project", str(tmp / "m.json"), str(tmp / f"{name}.json"),
+                     "--out", str(tmp / f"{name}-out.json")])
+        reports.append((code, json.loads((tmp / f"{name}-out.json").read_text())))
+    (code, report), (code_k, report_k) = reports
+    assert code_k == code == (0 if kind == "octonionic" else 2)
+    assert [p["component"] for p in report_k["parts"]] == [
+        np.ldexp(p["component"], k).tolist() for p in report["parts"]]
+    for key in ("eigen_residuals", "reconstruction_residual", "worst_residual", "pass"):
+        assert report_k[key] == report[key]
+
+    assert (same_family(vj, ldexp_vector(own, k)), same_family(vj, ldexp_vector(other, k))) == (
+        True, False)
+    assert family_dimension_probe(vj) == family_dimension_probe(v) == 12
+    with pytest.raises(FamilyMismatch):
+        project_along(vj, ldexp_vector(other, k))
+    with np.errstate(over="ignore"):
+        want = np.ldexp(project_along(v, y).to_coords(), 2 * j + k)
+        if np.isfinite(want).all():
+            assert project_along(vj, ldexp_vector(y, k)).to_coords().tolist() == want.tolist()
+        else:
+            with pytest.raises(OverflowError, match="out of the float range"):
+                project_along(vj, ldexp_vector(y, k))
+
+
+def test_a_part_beyond_the_float_range_raises(tmp_path, capsys):
+    # the eigenvector (2, 1, 1) / sqrt(6) of this real matrix takes 4/3 of x = c (1, 1, 1) into
+    # its first slot: at c = 1.5e308 that part was inf, written as Infinity with "pass": true
+    A = Hermitian3(2.0, 1.0, 1.0, Octonion.from_real(1.0), Octonion.from_real(1.0),
+                   Octonion.zero())
+    (tmp_path / "m.json").write_text(json.dumps(A.to_json()))
+
+    def project(c):
+        x = OctVector3((Octonion.from_real(c),) * 3)
+        (tmp_path / "x.json").write_text(json.dumps(x.to_json()))
+        out = tmp_path / f"out-{c}.json"
+        code = main(["project", str(tmp_path / "m.json"), str(tmp_path / "x.json"),
+                     "--out", str(out)])
+        return x, code, out, capsys.readouterr().err
+
+    x, code, out, err = project(1e308)
+    parts = np.array([p.component.to_coords() for p in six_way(A, x).parts])
+    assert np.abs(parts).max() == pytest.approx(4.0 / 3.0 * 1e308)
+    assert (code, json.loads(out.read_text())["pass"]) == (2, True)   # 2: the real path
+    x, code, out, err = project(1.5e308)
+    with pytest.raises(OverflowError, match="a six-way part is out of the float range"):
+        six_way(A, x)
+    assert (code, err, out.exists()) == (
+        1, f"error: {tmp_path / 'x.json'}: a six-way part is out of the float range\n", False)
 
 
 def test_dim_t_of_one_matrix_at_many_scales():
