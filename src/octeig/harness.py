@@ -32,7 +32,7 @@ from .octonion import _CONJ, _ONE, _finite, _left_mul, _norm, _product, Octonion
 from .projection import _six_way
 from .spectral import _RESIDUALS, _Stack, _family_dimensions, _lambda_roots, _same_family
 from .subspace import _basis_change_deviation, _cd_residuals, _gram_schmidt, _span_distance
-from .tolerances import ALGEBRA_FACTOR, DEFAULT_TOLERANCE, NORM_FLOOR, NORMALIZE_TOL
+from .tolerances import ALGEBRA_FACTOR, DEFAULT_TOLERANCE, NORMALIZE_TOL
 
 __all__ = [
     "CheckResult",
@@ -192,7 +192,7 @@ class _Checks:
     def composition_norm(self):
         p, q = self.uniform(8), self.uniform(8)
         pq = _norm(p) * _norm(q)
-        return np.abs(_norm(_product(p, q)) - pq) / np.maximum(NORM_FLOOR, pq)
+        return np.abs(_norm(_product(p, q)) - pq) / np.where(pq > 0.0, pq, 1.0)
 
     def alternativity(self):
         p, q = self.uniform(8), self.uniform(8)
@@ -360,12 +360,12 @@ class _Checks:
     def eigen_projection_idempotence(self):
         P, V, _ = self.family()
         v, y = V[np.arange(self.n), self.rng.integers(0, 3, self.n)], self.project(P, 3)
-        return _Stack.outer(v).membership(y) / _scale(_vnorm(y))
+        return _Stack.outer(v).membership(y)[1] / _scale(_vnorm(y))
 
     def general_projection_idempotence(self):
         P = self.family()[0]
         y, z = self.project(P, 3), self.project(P, 3)
-        return _Stack.outer(y).membership(z) / _scale(np.vecdot(y, y).sum(-1) ** 2 * _vnorm(z))
+        return _Stack.outer(y).membership(z)[1] / _scale(np.vecdot(y, y).sum(-1) ** 2 * _vnorm(z))
 
     def restricted_projector_orthogonality(self):
         P, V, _ = self.family()
@@ -433,12 +433,12 @@ class _Checks:
         pool = self.oct_pool
         i, j = self.rng.integers(0, 3, (2, self.n))
         u, w = pool.V[self.rows, 0, i], pool.V[self.rows, 1, j]
-        return float(_same_family(u, w).sum() + (~_same_family(u, u)).sum())
+        return float(_same_family(u, w)[0].sum() + (~_same_family(u, u)[0]).sum())
 
     def family_dimension(self):
         V = self.oct_pool.V[:8]
         v = V[np.arange(len(V)), self.rng.integers(0, 2, len(V)), 0]
-        return np.abs(_family_dimensions(v) - 12)
+        return np.abs(_family_dimensions(_Stack.outer(v)) - 12)
 
     def quaternionic_lift(self):
         pool = self.quat_pool

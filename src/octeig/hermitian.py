@@ -21,11 +21,11 @@ import numpy as np
 from .octonion import (
     Octonion,
     _Immutable,
-    _scaled,
     _finite,
     _finite_fault,
     _json_floats,
     _left_mul,
+    _scaled_rows,
 )
 
 __all__ = [
@@ -111,8 +111,10 @@ class OctVector3(_Immutable):
         return float(np.sqrt(self.norm2()))
 
     def normalized(self) -> "OctVector3":
-        """v / |v| as u / |u|, u = v / 2^e (`_scaled`): no square of u underflows or overflows."""
-        u = OctVector3.from_coords(_scaled(self.to_coords(), "cannot normalize the zero vector")[0])
+        """v / |v| as u / |u|, u = v / 2^e (`_scaled_rows`): no square of u under- or overflows."""
+        if not (c := self.to_coords()).any():
+            raise ZeroDivisionError("cannot normalize the zero vector")
+        u = OctVector3.from_coords(_scaled_rows(c[None])[0][0])
         return u.scale(1.0 / u.norm())
 
     def outer(self) -> "Hermitian3":

@@ -157,8 +157,10 @@ class Octonion(_Immutable):
         return math.sqrt(self.coords @ self.coords)
 
     def inverse(self) -> "Octonion":
-        """conj(q) / |q|^2 as 2^-e conj(p) / |p|^2, p = q / 2^e (`_scaled`): |p|^2 is in range."""
-        p, e = _scaled(self.coords, "zero octonion has no inverse")
+        """conj(q) / |q|^2 as 2^-e conj(p) / |p|^2, p = q / 2^e (`_scaled_rows`), |p|^2 in range."""
+        if not self.coords.any():
+            raise ZeroDivisionError("zero octonion has no inverse")
+        (p,), (e,) = _scaled_rows(self.coords[None])
         with np.errstate(over="ignore"):
             inv = np.ldexp(p * _CONJ / (p @ p), -e)
         if not np.isfinite(inv).all():   # |q| below 1 / DBL_MAX, a subnormal
@@ -214,15 +216,6 @@ def _in_range(c: np.ndarray) -> Octonion:
     if not all(map(math.isfinite, c.tolist())):
         raise OverflowError("octonion arithmetic is out of the float range")
     return Octonion._of(c)
-
-
-def _scaled(c: np.ndarray, zero: str) -> tuple[np.ndarray, int]:
-    """c / 2^e, exact, with its largest |entry| in [1/2, 1), and e; ZeroDivisionError(zero) at 0."""
-    m = np.abs(c).max()
-    if m == 0.0:
-        raise ZeroDivisionError(zero)
-    e = int(np.frexp(m)[1])
-    return np.ldexp(c, -e), e
 
 
 def _scaled_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

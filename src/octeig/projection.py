@@ -15,7 +15,7 @@ from .errors import FamilyMismatch, NotQuaternionic
 from .hermitian import QUATERNIONIC, _TAGS, Hermitian3, OctVector3, _vnorm, classify
 from .octonion import Octonion, _finite, _in_range, _product, _scaled_rows
 from .spectral import EigenSystem, _Stack, _same_family
-from .tolerances import FAMILY_TOL, NORM_FLOOR, ZERO_PART_TOL
+from .tolerances import FAMILY_TOL, ZERO_PART_TOL
 
 __all__ = [
     "DecompositionPart",
@@ -79,19 +79,22 @@ def project_along(v: OctVector3, y: OctVector3, check: bool = True,
                   tol: float = FAMILY_TOL) -> OctVector3:
     """Generalized projection (v v^dagger) y for y in the same K eigenspace as v.
 
-    On that eigenspace the map is idempotent and returns an eigenvector of
-    the rank-one matrix v v^dagger.  With check enabled, y must pass the membership
-    test of `same_family` (`spectral._same_family`, which accepts every y where
-    v v^dagger is complex), or FamilyMismatch is raised.  Computed on v / 2^e and y / 2^f
-    (`_scaled_rows`) and scaled back by 2^(2e + f): OverflowError where that leaves the
-    float range.
+    On that eigenspace the map is idempotent and returns an eigenvector of the rank-one
+    matrix v v^dagger.  With check enabled, y must pass the membership test of `same_family`
+    (`spectral._same_family`, which accepts every y where v v^dagger is complex), or
+    FamilyMismatch is raised; the result is the B y that test computed.  Computed on v / 2^e
+    and y / 2^f (`_scaled_rows`), scaled back by 2^(2e + f): OverflowError out of range.
     """
     tol = _finite(tol, "tol")
     (u, e), (w, f) = (_scaled_rows(z.to_coords().reshape(1, 3, 8)) for z in (v, y))
-    if check and not _same_family(u, w, tol)[0]:
-        raise FamilyMismatch("y is not in the family of v")
+    if check:
+        member, _, bw = _same_family(u, w, tol)
+        if not member[0]:
+            raise FamilyMismatch("y is not in the family of v")
+    else:
+        bw = _Stack.outer(u).act(w)
     with np.errstate(over="ignore"):
-        return OctVector3(tuple(map(_in_range, np.ldexp(_Stack.outer(u).act(w), 2 * e + f)[0])))
+        return OctVector3(tuple(map(_in_range, np.ldexp(bw, 2 * e + f)[0])))
 
 
 def six_way(A: Hermitian3, x: OctVector3, system: EigenSystem = None) -> SixWayDecomposition:
@@ -132,7 +135,8 @@ def _six_way(S: _Stack, x: np.ndarray):
         y = np.concatenate([y1, y - y1], axis=1)
     comps = np.add.reduce(_product(S.outers, y[:, :, None, None]), -2).reshape(S.lams.shape + (24,))
     size = np.sqrt(np.vecdot(comps, comps))
-    xnorm = np.maximum(_vnorm(x.reshape(-1, 3, 8)), NORM_FLOOR)
+    xnorm = _vnorm(x.reshape(-1, 3, 8))
+    xnorm = np.where(xnorm > 0.0, xnorm, 1.0)
     zero = size < ZERO_PART_TOL * xnorm[:, None, None]
     comps = np.where(zero[..., None], 0.0, comps)
     err = np.matvec(S.R[:, None, None], comps) - S.lams[..., None] * comps

@@ -567,11 +567,11 @@ class _Stack:
         """A y for vectors y (n, 3, 8)."""
         return np.matvec(self.R, y.reshape(-1, 24)).reshape(y.shape)
 
-    def membership(self, w: np.ndarray) -> np.ndarray:
-        """|A(Aw) - tr(A) Aw| for vectors w (n, 3, 8); for A = u u^dagger, tr(A) = |u|^2
-        and the residual vanishes exactly when w lies in the family of u."""
+    def membership(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Aw and |A(Aw) - tr(A) Aw| for vectors w (n, 3, 8); for A = u u^dagger, tr(A) = |u|^2,
+        Aw is the projection of w, and the residual vanishes exactly when w lies in u's family."""
         aw = self.act(w)
-        return _vnorm(self.act(aw) - aw * self.trace[:, None, None])
+        return aw, _vnorm(self.act(aw) - aw * self.trace[:, None, None])
 
     def k_act(self, y: np.ndarray, det_offset: float = 0.0) -> np.ndarray:
         """The matrix characteristic operator, A(A(Ay)) - tr A(Ay) + sigma Ay - det y."""
@@ -594,20 +594,20 @@ def eigensystem(A: Hermitian3) -> EigenSystem:
     return EigenSystem(matrix_class=classify(A), families=families)
 
 
-def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> np.ndarray:
-    """`same_family` of stacked vectors u, w (n, 3, 8) without its class check, by tol |u|^4 |w|."""
-    resid = _Stack.outer(u).membership(w)
-    return resid <= tol * _vnorm(w) * np.vecdot(u, u).sum(-1) ** 2
+def _same_family(u: np.ndarray, w: np.ndarray, tol: float = FAMILY_TOL) -> tuple:
+    """`same_family` of stacked vectors u, w (n, 3, 8) without its class check, by tol |u|^4 |w|:
+    the verdicts (n,), with B = u u^dagger (a `_Stack`) and the projections B w it tested."""
+    B = _Stack.outer(u)
+    bw, resid = B.membership(w)
+    return resid <= tol * _vnorm(w) * np.vecdot(u, u).sum(-1) ** 2, B, bw
 
 
-def _noncomplex(u: OctVector3) -> np.ndarray:
-    """u's coordinates over 2^e (1, 3, 8), `_scaled_rows`, after the class test of u u^dagger:
-    raises ComplexProjector for a complex or real projector, whose membership condition holds
-    identically."""
-    u = _scaled_rows(u.to_coords().reshape(1, 3, 8))[0]
-    if _Stack.outer(u).codes[0] < _TAGS.index(QUATERNIONIC):
+def _noncomplex(B: _Stack) -> _Stack:
+    """B, a stack of one u u^dagger, after its class test: raises ComplexProjector for a
+    complex or real projector, whose membership condition holds identically."""
+    if B.codes[0] < _TAGS.index(QUATERNIONIC):
         raise ComplexProjector("u u^dagger is complex; the membership predicate is undefined")
-    return u
+    return B
 
 
 def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
@@ -617,15 +617,16 @@ def same_family(u: OctVector3, w: OctVector3, tol: float = FAMILY_TOL) -> bool:
     w / 2^f (`_scaled_rows`), so at any scale of either.
     """
     tol = _finite(tol, "tol")
-    w = _scaled_rows(w.to_coords().reshape(1, 3, 8))[0]
-    return bool(_same_family(_noncomplex(u), w, tol)[0])
+    u, w = (_scaled_rows(z.to_coords().reshape(1, 3, 8))[0] for z in (u, w))
+    member, B, _ = _same_family(u, w, tol)
+    _noncomplex(B)
+    return bool(member[0])
 
 
-def _family_dimensions(v: np.ndarray, samples: int = 24) -> np.ndarray:
-    """`family_dimension_probe` of each stacked vector v (n, 3, 8), without its class test: the
-    nullity of the symmetric membership map R^2 - tr R, the count of its eigenvalues within
+def _family_dimensions(B: _Stack, samples: int = 24) -> np.ndarray:
+    """`family_dimension_probe` of each v of the stack B = v v^dagger, without its class test:
+    the nullity of the symmetric membership map R^2 - tr R, the count of its eigenvalues within
     REAL_RANK_TOL of the largest in size, from one stacked eigvalsh, capped at `samples`."""
-    B = _Stack.outer(v)
     w = np.abs(np.linalg.eigvalsh(B.R @ B.R - B.trace[:, None, None] * B.R))
     return np.minimum((w <= REAL_RANK_TOL * w.max(-1, keepdims=True)).sum(-1), samples)
 
@@ -633,9 +634,10 @@ def _family_dimensions(v: np.ndarray, samples: int = 24) -> np.ndarray:
 def family_dimension_probe(v: OctVector3, samples: int = 24, seed: int = 0) -> int:
     """Real dimension of the family determined by v, up to `samples`: the nullity, relative to
     the largest singular value, of the linear membership conditions (12 for a generic
-    non-complex v), decided on v / 2^e (`_noncomplex`), so at any scale of v.  Raises
+    non-complex v), decided on v / 2^e (`_scaled_rows`), so at any scale of v.  Raises
     ComplexProjector, as `same_family` does, where v v^dagger is complex or real.  `seed` is accepted for compatibility and no longer needed: the count is exact,
     where a random probe of `samples` vectors gave the same number with probability one."""
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
-    return int(_family_dimensions(_noncomplex(v), samples)[0])
+    B = _Stack.outer(_scaled_rows(v.to_coords().reshape(1, 3, 8))[0])
+    return int(_family_dimensions(_noncomplex(B), samples)[0])

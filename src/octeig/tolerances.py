@@ -16,4 +16,3 @@ NEWTON_TOL = 1e-12           # a Newton step on the cubic needs |f'| above this 
 HORNER_EPS = 8.0 * np.finfo(float).eps  # rounding of the cubic's Horner value, relative to s^3
 FAMILY_TOL = 1e-8            # same family: the membership residual at most this times |u|^4 |w|
 ZERO_PART_TOL = 1e-10        # a six-way part below this times |x| is zero
-NORM_FLOOR = 1e-300          # least divisor standing for a norm, so a zero norm gives 0, not nan

@@ -101,7 +101,7 @@ def test_project_along_rejects_exactly_what_same_family_rejects(rng, request, po
     for A, es in systems:
         for v, y in family_draws(rng, A, es):
             member = bool(_same_family(v.to_coords().reshape(1, 3, 8),
-                                       y.to_coords().reshape(1, 3, 8))[0])
+                                       y.to_coords().reshape(1, 3, 8))[0][0])
             assert raises_family_mismatch(v, y) == (not member)
             verdicts.append(member)
     if pool == "complex":   # the membership condition of a complex v v^dagger holds identically

@@ -732,7 +732,7 @@ def test_family_dimensions_from_eigh_equal_the_svd_formulation(seed, exponent, k
     v = rng.uniform(-1, 1, (6, 3, 8)) * 10.0 ** exponent
     if CLASS_MASKS[kind] is not None:
         v = v * np.isin(np.arange(8), CLASS_MASKS[kind])
-    dims = _family_dimensions(v)
+    dims = _family_dimensions(_Stack.outer(v))
     assert dims.tolist() == svd_family_dimensions(v).tolist()
     if kind == "octonionic":
         assert dims.tolist() == [12] * 6
