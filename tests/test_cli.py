@@ -412,6 +412,22 @@ def test_bad_tolerance_rejected(files, monkeypatch, capsys, command, value):
     assert not out.exists()
 
 
+def test_a_tolerance_variable_that_is_not_a_number_is_an_error(files, monkeypatch, capsys):
+    out = files["tmp"] / "out.json"
+    monkeypatch.setenv("OCTO_TOLERANCE", "abc")
+    assert main(["eigen", files["oct"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: OCTO_TOLERANCE='abc' is not a number\n"
+    assert not out.exists()
+
+
+def test_a_matrix_file_that_is_not_an_object_is_an_error(files, capsys):
+    path = files["tmp"] / "array.json"
+    path.write_text("[1, 2]")
+    assert main(["eigen", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: matrix JSON must be an object with fields d, e, f, a, b, c\n")
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 @pytest.mark.parametrize("command", ["verify", "fuzz"])
 def test_samples_below_one_rejected(files, capsys, command, samples):

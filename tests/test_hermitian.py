@@ -506,3 +506,15 @@ def test_lazy_attributes_are_computed_once_without_a_lock(monkeypatch):
     assert A._stack is A._stack and "_stack" in vars(A)
     for copy in (lambda x: pickle.loads(pickle.dumps(x)), deepcopy):
         assert "_stack" not in vars(copy(A))
+
+
+def test_vector_arity_negation_and_reprs():
+    q = Octonion([1.5, 0, -2, 0, 0, 0, 0, 0.25])
+    with pytest.raises(ValueError, match="^OctVector3 needs exactly 3 octonion components$"):
+        OctVector3((q, q))
+    v = OctVector3((q, Octonion.zero(), Octonion.unit(3)))
+    assert (-v).to_coords().tobytes() == (-v.to_coords()).tobytes()
+    assert repr(v) == "OctVector3(Octonion<1.5 + -2*e2 + 0.25*e7>, Octonion<0>, Octonion<1*e3>)"
+    A = Hermitian3(1.0, 2.5, -3.0, q, Octonion.zero(), Octonion.unit(1))
+    assert repr(A) == ("Hermitian3(d=1, e=2.5, f=-3, a=Octonion<1.5 + -2*e2 + 0.25*e7>, "
+                       "b=Octonion<0>, c=Octonion<1*e1>)")

@@ -276,7 +276,8 @@ def test_array_functions_reject_non_finite(bad, i, shape):
 def test_array_functions_reject_a_last_axis_other_than_8(shape):
     x, good = np.ones(shape), np.ones(shape[:-1] + (8,))
     calls = [lambda: left_mul_matrix(x), lambda: conj(x), lambda: mul(x, x), lambda: mul(good, x),
-             lambda: inner(x, x), lambda: associator(x, x, x), lambda: assoc3form(good, good, x)]
+             lambda: inner(x, x), lambda: associator(x, x, x), lambda: assoc3form(good, good, x),
+             lambda: Octonion(x)]
     for call in calls:
         with pytest.raises(ValueError, match="^octonion needs 8 coordinates, got shape "
                                              + re.escape(str(shape)) + "$"):
@@ -412,3 +413,21 @@ def test_overflowing_arithmetic_raises_overflow_error():
         with np.errstate(over="ignore"), pytest.raises(OverflowError,
                                                        match="out of the float range"):
             call()
+
+
+def test_operators_refuse_a_string_and_repr_lists_the_nonzero_terms():
+    q = Octonion([1.5, 0, -2, 0, 0, 0, 0, 0.25])
+    for op in (lambda: q * "x", lambda: "x" * q, lambda: q / "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert repr(q) == "Octonion<1.5 + -2*e2 + 0.25*e7>"
+    assert repr(Octonion.zero()) == repr(-Octonion.zero()) == "Octonion<0>"
+
+
+def test_a_zero_octonion_has_no_inverse_and_a_zero_vector_no_direction():
+    for zero in (Octonion.zero(), -Octonion.zero()):
+        with pytest.raises(ZeroDivisionError, match="^zero octonion has no inverse$"):
+            zero.inverse()
+    for zero in (np.zeros(24), -np.zeros(24)):
+        with pytest.raises(ZeroDivisionError, match="^cannot normalize the zero vector$"):
+            OctVector3.from_coords(zero).normalized()

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from octeig.errors import FamilyMismatch, NotQuaternionic
-from octeig.hermitian import Hermitian3, OctVector3, mat_vec, outer
-from octeig.octonion import Octonion, inner
+from octeig.errors import ComplexProjector, FamilyMismatch, NotQuaternionic
+from octeig.hermitian import Hermitian3, OctVector3, _vnorm, mat_vec, outer
+from octeig.octonion import Octonion, _scaled_rows, inner
 from octeig.projection import (
     matrix_fingerprint,
     project_along,
     quaternionic_six_way,
     six_way,
 )
-from octeig.spectral import _same_family, eigensystem
+from octeig.spectral import _Stack, _same_family, eigensystem, family_dimension_probe, same_family
 from octeig.subspace import project_km_vec, quaternionic_split
 
 
@@ -302,3 +302,45 @@ def test_serialization(rng, octonionic_pool):
     assert data["fingerprint"] == matrix_fingerprint(A)
     assert len(data["parts"][0]["component"]) == 3
     assert data["reconstruction_residual"] < 1e-8
+
+
+def test_each_vector_call_builds_one_rank_one_stack(monkeypatch, octonionic_pool):
+    # the membership test's u u^dagger and its B y are what the call uses: one build a call
+    real, built = _Stack.outer.__func__, []
+    monkeypatch.setattr(_Stack, "outer", classmethod(lambda cls, v: built.append(v) or real(cls, v)))
+    _, es = octonionic_pool[5]
+    v, own, other = es.families[0].pairs[0].v, es.families[0].pairs[1].v, es.families[1].pairs[0].v
+    complex_v = OctVector3((Octonion.unit(1), Octonion.zero(), Octonion.zero()))
+    calls = {
+        "same_family": lambda: same_family(v, own),
+        "same_family, rejecting": lambda: same_family(v, other),
+        "same_family, complex": lambda: pytest.raises(ComplexProjector, same_family, complex_v, v),
+        "project_along": lambda: project_along(v, own),
+        "project_along, unchecked": lambda: project_along(v, other, check=False),
+        "project_along, rejecting": lambda: pytest.raises(FamilyMismatch, project_along, v, other),
+        "family_dimension_probe": lambda: family_dimension_probe(v),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert len(built) == 1, name
+
+
+def test_the_membership_test_returns_the_projection_it_tested(rng, octonionic_pool):
+    u = np.stack([fam.pairs[0].v.to_coords().reshape(3, 8)
+                  for _, es in octonionic_pool[:10] for fam in es.families])
+    w = rng.uniform(-1, 1, u.shape)
+    B = _Stack.outer(u)
+    bw, resid = B.membership(w)
+    assert bw.tobytes() == B.act(w).tobytes()
+    assert resid.tobytes() == _vnorm(B.act(bw) - bw * B.trace[:, None, None]).tobytes()
+    member, B2, bw2 = _same_family(u, w)
+    assert (B2.R.tobytes(), bw2.tobytes()) == (B.R.tobytes(), bw.tobytes())
+    # project_along scales that projection back: (v v^dagger) y built afresh, bit for bit
+    for i, (j, k) in enumerate([(-300, 0), (0, 0), (200, -500)]):
+        v, y = np.ldexp(u[i], j), np.ldexp(w[i], k)
+        (su, e), (sw, f) = _scaled_rows(v[None]), _scaled_rows(y[None])
+        want = np.ldexp(_Stack.outer(su).act(sw), 2 * e + f)
+        got = project_along(OctVector3.from_coords(v.ravel()), OctVector3.from_coords(y.ravel()),
+                            check=False)
+        assert got.to_coords().tobytes() == want.tobytes()

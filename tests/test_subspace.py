@@ -551,3 +551,8 @@ def test_stacked_gram_schmidt_equals_per_family_calls_bit_for_bit(n):
         Qm, keep_m = _gram_schmidt(Xm)
         assert Qm.tobytes() == Q[:, m].tobytes() and keep_m.tolist() == keep[:, m].tolist()
     assert not keep[0, 1, 3]
+
+
+def test_family_projector_takes_family_1_or_2(rng):
+    with pytest.raises(ValueError, match="^family index must be 1 or 2$"):
+        family_projector(rand_herm(rng), 3)
